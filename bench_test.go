@@ -562,7 +562,6 @@ func BenchmarkSlidingTopK(b *testing.B) {
 	}{
 		{"sweep", nil},
 		{"sweep-parallel", []DBOption{WithParallelWindows(true)}},
-		{"reference", []DBOption{WithReferenceWindows(true)}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			db := NewDB(mode.opts...)
@@ -584,6 +583,32 @@ func BenchmarkSlidingTopK(b *testing.B) {
 			b.ReportMetric(float64(windows)*float64(b.N)/b.Elapsed().Seconds(), "windows/sec")
 		})
 	}
+	b.Run("reference", func(b *testing.B) {
+		pr := core.PrepareTransducer(q, core.WithRankedWorkers(1))
+		windows := 0
+		for i := 0; i < b.N; i++ {
+			windows = referenceSlidingTopK(b, pr, m, window, stride, k)
+		}
+		b.ReportMetric(float64(windows)*float64(b.N)/b.Elapsed().Seconds(), "windows/sec")
+	})
+}
+
+// referenceSlidingTopK is the bind-per-window reference of
+// DB.SlidingTopK: each window's marginals deep-copied out of one forward
+// pass (markov.Windower.Window) and ranked by a freshly bound engine. It
+// returns the number of windows swept.
+func referenceSlidingTopK(b *testing.B, pr *core.Prepared, m *markov.Sequence, window, stride, k int) int {
+	wr := m.Windower()
+	windows := 0
+	for start := 1; start+window-1 <= m.Len(); start += stride {
+		eng, err := pr.BindValidated(wr.Window(start, start+window-1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng.TopK(k)
+		windows++
+	}
+	return windows
 }
 
 // BenchmarkTopKAcrossParallel evaluates one query cold over a fleet of

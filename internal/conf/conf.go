@@ -37,7 +37,7 @@ func Det(t *transducer.Transducer, m *markov.Sequence, o []automata.Symbol) floa
 // DetDense is the dense reference implementation of Det: a triple-nested
 // DP over every (node, state, output-position) cell, allocating a fresh
 // table per input position. It remains as the differential-testing and
-// benchmarking baseline (selectable in package core via WithDenseKernels).
+// benchmarking baseline the tests and the A2 ablation compare against.
 //
 // The DP runs forward over input positions; a DP state (x, q, j) carries
 // the probability mass of input prefixes that end at node x, drive A to

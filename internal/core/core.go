@@ -120,12 +120,7 @@ type Answer struct {
 type PrepareOption func(*prepConfig)
 
 type prepConfig struct {
-	dense             bool
-	rankedWorkers     int
-	exhaustiveRanked  bool
-	eagerCheckpoints  bool
-	compactTables     bool
-	fromScratchRanked bool
+	rankedWorkers int
 }
 
 // WithRankedWorkers bounds the speculative-resolution worker pool of the
@@ -146,59 +141,6 @@ func WithRankedWorkers(n int) PrepareOption {
 	}
 }
 
-// WithExhaustiveRanked disables the weight-pushed pruning of the ranked
-// (E_max) kernels, selecting the exhaustive frontier sweep instead. The
-// pruned path is bit-identical to the exhaustive one by construction
-// (see kernel/constrained.go); this option is the differential
-// reference and the escape hatch should a workload's bound computation
-// cost more than the sweep it saves.
-func WithExhaustiveRanked() PrepareOption {
-	return func(c *prepConfig) { c.exhaustiveRanked = true }
-}
-
-// WithEagerCheckpoints disables the lazy materialization of ranked
-// prefix checkpoints: each checkpoint's exact-prefix DP is built when the
-// checkpoint is first requested rather than when a resolve first reads a
-// layer, while weight-pushed pruning stays active. Lazy handles resume
-// to bit-identical answers by construction (see kernel/constrained.go);
-// this option is a differential reference and an escape hatch for
-// callers that prefer build cost up front. Implied by
-// WithExhaustiveRanked.
-func WithEagerCheckpoints() PrepareOption {
-	return func(c *prepConfig) { c.eagerCheckpoints = true }
-}
-
-// WithCompactTables lets preparation pick the failure-transition
-// (default-row) encoding for the base query tables when it is smaller
-// than the dense q×|Σ| offset matrix — large sparse alphabets shrink
-// severalfold. Lookup switches from one indexed load to a short binary
-// search plus default-row fallback, so it is opt-in.
-func WithCompactTables() PrepareOption {
-	return func(c *prepConfig) { c.compactTables = true }
-}
-
-// WithFromScratchRanked disables the cross-append carry of ranked
-// enumeration state: engines produced by ExtendValidated rebuild their
-// Lawler tree from the unconstrained root instead of reseeding it from
-// the predecessor's resolved tree. The carried and from-scratch paths
-// agree rank by rank on bit-identical scores (set-identically within
-// exactly tied score classes); this option is the differential
-// reference for that contract and the escape hatch should a workload's
-// reseed bookkeeping cost more than the resolves it saves.
-func WithFromScratchRanked() PrepareOption {
-	return func(c *prepConfig) { c.fromScratchRanked = true }
-}
-
-// WithDenseKernels selects the dense reference DP implementations
-// (conf.DetDense, conf.DetUniformDense, conf.UniformLazy) instead of the
-// sparse frontier kernels of internal/kernel. The dense paths scan every
-// (node, state, output-position) cell and allocate fresh tables per
-// position; they exist for differential testing and benchmarking, and
-// this option is how a caller pins them.
-func WithDenseKernels() PrepareOption {
-	return func(c *prepConfig) { c.dense = true }
-}
-
 // Prepared is a query compiled ahead of binding to a sequence: the
 // Table-2 classification, the plan, (for s-projectors) the equivalent
 // transducer, and the flat sparse-kernel tables of the confidence DPs
@@ -214,12 +156,11 @@ type Prepared struct {
 	plan    Plan
 
 	// Flat kernel tables, built at preparation time (nil when the class
-	// does not use them or WithDenseKernels was given).
+	// does not use them).
 	dt         *kernel.DetTables // deterministic classes
 	nt         *kernel.NFATables // uniform nondeterministic class
 	uniformK   int
 	hasUniform bool
-	dense      bool
 
 	// pt is the preprocessed (trimmed) equivalent transducer the
 	// enumeration and membership paths run on: states unreachable from
@@ -235,12 +176,6 @@ type Prepared struct {
 	baseNT *kernel.NFATables
 	// rankedWorkers bounds the enumerators' speculative resolution pool.
 	rankedWorkers int
-	// exhaustiveRanked pins the exhaustive (unpruned) ranked kernels;
-	// eagerCheckpoints pins eager checkpoint materialization;
-	// fromScratchRanked disables the cross-append ranked carry.
-	exhaustiveRanked  bool
-	eagerCheckpoints  bool
-	fromScratchRanked bool
 }
 
 // PrepareTransducer classifies a transducer query (the columns of
@@ -251,7 +186,7 @@ func PrepareTransducer(t *transducer.Transducer, opts ...PrepareOption) *Prepare
 	for _, o := range opts {
 		o(&cfg)
 	}
-	pr := &Prepared{t: t, dense: cfg.dense, rankedWorkers: cfg.rankedWorkers, exhaustiveRanked: cfg.exhaustiveRanked, eagerCheckpoints: cfg.eagerCheckpoints, fromScratchRanked: cfg.fromScratchRanked}
+	pr := &Prepared{t: t, rankedWorkers: cfg.rankedWorkers}
 	k, uniform := t.UniformK()
 	pr.uniformK, pr.hasUniform = k, uniform
 	switch {
@@ -274,14 +209,12 @@ func PrepareTransducer(t *transducer.Transducer, opts ...PrepareOption) *Prepare
 	default:
 		pr.plan = Plan{Class: ClassGeneral, Hard: true}
 	}
-	if !cfg.dense {
-		switch pr.plan.Class {
-		case ClassMealy, ClassDeterministic:
-			pr.dt = kernel.NewDetTables(t)
-		case ClassUniform:
-			if t.NumStates() <= kernel.MaxUniformStates {
-				pr.nt = kernel.NewNFATables(t)
-			}
+	switch pr.plan.Class {
+	case ClassMealy, ClassDeterministic:
+		pr.dt = kernel.NewDetTables(t)
+	case ClassUniform:
+		if t.NumStates() <= kernel.MaxUniformStates {
+			pr.nt = kernel.NewNFATables(t)
 		}
 	}
 	pr.plan.Ranking = "E_max Lawler–Murty enumeration (Theorem 4.3), polynomial delay"
@@ -293,8 +226,6 @@ func PrepareTransducer(t *transducer.Transducer, opts ...PrepareOption) *Prepare
 	pr.pt = transducer.Preprocess(t)
 	if pr.nt != nil && pr.pt == t {
 		pr.baseNT = pr.nt
-	} else if cfg.compactTables {
-		pr.baseNT = kernel.NewNFATablesAuto(pr.pt)
 	} else {
 		pr.baseNT = kernel.NewNFATables(pr.pt)
 	}
@@ -311,13 +242,9 @@ func PrepareSProjector(p *sproj.SProjector, indexed bool, opts ...PrepareOption)
 	for _, o := range opts {
 		o(&cfg)
 	}
-	pr := &Prepared{p: p, et: p.ToTransducer(), indexed: indexed, rankedWorkers: cfg.rankedWorkers, exhaustiveRanked: cfg.exhaustiveRanked, eagerCheckpoints: cfg.eagerCheckpoints, fromScratchRanked: cfg.fromScratchRanked}
+	pr := &Prepared{p: p, et: p.ToTransducer(), indexed: indexed, rankedWorkers: cfg.rankedWorkers}
 	pr.pt = transducer.Preprocess(pr.et)
-	if cfg.compactTables {
-		pr.baseNT = kernel.NewNFATablesAuto(pr.pt)
-	} else {
-		pr.baseNT = kernel.NewNFATables(pr.pt)
-	}
+	pr.baseNT = kernel.NewNFATables(pr.pt)
 	if indexed {
 		pr.plan = Plan{
 			Class:      ClassIndexedSProjector,
@@ -338,19 +265,6 @@ func PrepareSProjector(p *sproj.SProjector, indexed bool, opts ...PrepareOption)
 
 // Plan returns the compiled plan.
 func (pr *Prepared) Plan() Plan { return pr.plan }
-
-// sweeperOpts assembles the ranked.Sweeper options matching this
-// preparation: shared base tables plus the exhaustive escape hatch.
-func (pr *Prepared) sweeperOpts() []ranked.Option {
-	opts := []ranked.Option{ranked.WithTables(pr.baseNT)}
-	if pr.exhaustiveRanked {
-		opts = append(opts, ranked.WithExhaustive())
-	}
-	if pr.eagerCheckpoints {
-		opts = append(opts, ranked.WithEagerCheckpoints())
-	}
-	return opts
-}
 
 // Bind attaches the prepared query to a sequence, validating the
 // sequence and the alphabet agreement. The classification is reused, not
@@ -378,9 +292,8 @@ func (pr *Prepared) BindValidated(m *markov.Sequence) (*Engine, error) {
 	}
 	return &Engine{
 		m: m, t: pr.t, p: pr.p, et: pr.et, indexed: pr.indexed, plan: pr.plan,
-		dt: pr.dt, nt: pr.nt, uniformK: pr.uniformK, hasUniform: pr.hasUniform, dense: pr.dense,
+		dt: pr.dt, nt: pr.nt, uniformK: pr.uniformK, hasUniform: pr.hasUniform,
 		pt: pr.pt, baseNT: pr.baseNT, rankedWorkers: pr.rankedWorkers,
-		exhaustiveRanked: pr.exhaustiveRanked, eagerCheckpoints: pr.eagerCheckpoints,
 	}, nil
 }
 
@@ -394,20 +307,16 @@ func (pr *Prepared) BindValidated(m *markov.Sequence) (*Engine, error) {
 // engine with nothing carried but ranked serving in extendable mode, so
 // the next append can carry.
 //
-// The carry is skipped — plain extendable binding — under
-// WithFromScratchRanked (the differential reference), and the engine
-// falls back to ordinary pruned binding for preparations whose ranked
-// path cannot retain complete state (WithExhaustiveRanked,
-// WithEagerCheckpoints) and for s-projector queries, whose rankers are
-// not Lawler-tree-based. The carried and from-scratch orders agree rank
-// by rank on bit-identical scores, set-identically within exactly tied
-// score classes.
+// S-projector queries, whose rankers are not Lawler-tree-based, fall
+// back to ordinary binding. The carried order agrees with a fresh
+// BindValidated drain of m rank by rank on bit-identical scores,
+// set-identically within exactly tied score classes.
 func (pr *Prepared) ExtendValidated(old *Engine, m *markov.Sequence) (*Engine, error) {
 	eng, err := pr.BindValidated(m)
 	if err != nil {
 		return nil, err
 	}
-	if pr.t == nil || pr.fromScratchRanked || pr.exhaustiveRanked || pr.eagerCheckpoints {
+	if pr.t == nil {
 		return eng, nil
 	}
 	eng.rankedExtendable = true
@@ -452,22 +361,19 @@ type Engine struct {
 	indexed bool
 	plan    Plan
 
-	// Kernel tables inherited from the Prepared (nil under
-	// WithDenseKernels or when the class does not use them).
+	// Kernel tables inherited from the Prepared (nil when the class does
+	// not use them).
 	dt         *kernel.DetTables
 	nt         *kernel.NFATables
 	uniformK   int
 	hasUniform bool
-	dense      bool
 
 	// Preprocessed equivalent transducer, its base tables, and the
 	// speculative worker count, inherited from the Prepared (see
 	// Prepared.pt / Prepared.baseNT).
-	pt               *transducer.Transducer
-	baseNT           *kernel.NFATables
-	rankedWorkers    int
-	exhaustiveRanked bool
-	eagerCheckpoints bool
+	pt            *transducer.Transducer
+	baseNT        *kernel.NFATables
+	rankedWorkers int
 
 	// rankedExtendable selects the append-extendable ranked serving
 	// mode (ranked.WithExtendable): resolves run unpruned and the
@@ -480,7 +386,7 @@ type Engine struct {
 	// bounds are the weight-pushed potentials over (baseNT, sequence),
 	// built on first ranked or membership use and shared by both (one
 	// backward max-plus pass per binding); nil-valued while unbuilt and
-	// permanently nil under WithExhaustiveRanked. The potentials are
+	// permanently nil below kernel.BoundsMinN. The potentials are
 	// append-variant — Row(i) looks forward to the end of the view — so
 	// ensureBounds re-checks the stored sweep against the engine's view
 	// epoch and rebuilds on mismatch: a stale sweep must never serve as
@@ -533,16 +439,15 @@ func (e *Engine) equivalent() *transducer.Transducer {
 }
 
 // ensureBounds returns the engine's shared weight-pushed potentials,
-// computing them on first use; nil under WithExhaustiveRanked and for
-// sequences too short for the backward sweep to pay for itself
-// (kernel.BoundsMinN — the bind-per-window serving paths hit this).
+// computing them on first use; nil for sequences too short for the
+// backward sweep to pay for itself (kernel.BoundsMinN).
 //
 // The potentials are append-variant, so the stored sweep is accepted
 // only when it matches the engine's view epoch (kernel.MatchesView) and
 // is rebuilt otherwise — the staleness audit guaranteeing that a sweep
 // carried from a shorter sequence is never used as a pruning threshold.
 func (e *Engine) ensureBounds() *kernel.Bounds {
-	if e.exhaustiveRanked || e.m.Len() < kernel.BoundsMinN {
+	if e.m.Len() < kernel.BoundsMinN {
 		return nil
 	}
 	v := e.m.View()
@@ -564,7 +469,7 @@ func (e *Engine) ensureBounds() *kernel.Bounds {
 // weight-pushed pruning, plus the cross-append reuse counters
 // (RankedReused, RankedReseeded, HandlesSkipped) of an enumerator
 // carried by ExtendValidated. All zero before the first ranked call and
-// in exhaustive mode.
+// for sequences shorter than kernel.BoundsMinN.
 func (e *Engine) PruneStats() kernel.PruneStats {
 	s := e.bounds.Load().Stats()
 	e.mu.Lock()
@@ -599,8 +504,8 @@ func (e *Engine) Confidence(o []automata.Symbol, index int) (float64, error) {
 // ConfidenceCtx is Confidence with step-granularity cancellation: the
 // sparse kernels poll the context every few sequence positions, so a
 // deadline aborts an n=10⁵ DP promptly instead of after the full pass.
-// The dense reference paths (WithDenseKernels) check the context only
-// on entry.
+// The lazy subset DP for uniform transducers too large for kernel
+// tables checks the context only on entry.
 func (e *Engine) ConfidenceCtx(ctx context.Context, o []automata.Symbol, index int) (float64, error) {
 	// Fail fast on a context that is already dead: the kernels only poll
 	// every few positions, so a short input could otherwise complete a
@@ -617,29 +522,14 @@ func (e *Engine) ConfidenceCtx(ctx context.Context, o []automata.Symbol, index i
 	case ClassSProjector:
 		return e.p.ConfidenceCtx(ctx, e.m, o)
 	case ClassMealy, ClassDeterministic:
-		if e.dt != nil {
-			// Sparse frontier kernel over the tables built at prepare time.
-			if e.hasUniform {
-				return kernel.DetUniformConfidenceCtx(ctx, e.dt, e.m.View(), e.uniformK, o, nil)
-			}
-			return kernel.DetConfidenceCtx(ctx, e.dt, e.m.View(), o, nil)
-		}
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
+		// Sparse frontier kernel over the tables built at prepare time.
 		if e.hasUniform {
-			return conf.DetUniformDense(e.t, e.m, o), nil
+			return kernel.DetUniformConfidenceCtx(ctx, e.dt, e.m.View(), e.uniformK, o, nil)
 		}
-		return conf.DetDense(e.t, e.m, o), nil
+		return kernel.DetConfidenceCtx(ctx, e.dt, e.m.View(), o, nil)
 	case ClassUniform:
 		if e.nt != nil {
 			return kernel.UniformConfidenceCtx(ctx, e.nt, e.m.View(), e.uniformK, o, nil)
-		}
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		if e.dense {
-			return conf.UniformLazy(e.t, e.m, o), nil
 		}
 		// >MaxUniformStates: no subset-kernel tables; fall back to the
 		// on-demand lazy DP, which does not materialize the powerset.
@@ -708,9 +598,6 @@ func (e *Engine) initTopCtx(ctx context.Context) error {
 				opts = append(opts, ranked.WithBounds(b))
 			} else {
 				opts = append(opts, ranked.WithExhaustive())
-			}
-			if e.eagerCheckpoints {
-				opts = append(opts, ranked.WithEagerCheckpoints())
 			}
 			it = ranked.NewEnumerator(e.pt, e.m, opts...)
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"markovseq/internal/automata"
+	"markovseq/internal/conf"
 	"markovseq/internal/markov"
 	"markovseq/internal/paperex"
 	"markovseq/internal/regex"
@@ -353,9 +354,11 @@ func TestEngineConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDenseKernelsOptionAgrees pins the WithDenseKernels escape hatch:
-// the dense reference DPs and the sparse kernels must produce the same
-// confidences, and the option must actually suppress table compilation.
+// TestDenseKernelsOptionAgrees checks the engine's sparse-kernel
+// confidences against the dense reference DPs of package conf
+// (conf.DetDense for the deterministic class, conf.UniformLazy for the
+// uniform nondeterministic one), and that preparation compiled the
+// kernel tables those confidences run on.
 func TestDenseKernelsOptionAgrees(t *testing.T) {
 	nodes := paperex.Nodes()
 	outs := paperex.Outputs()
@@ -371,23 +374,18 @@ func TestDenseKernelsOptionAgrees(t *testing.T) {
 		und.AddTransition(1, s, 0, one)
 	}
 
-	for name, tr := range map[string]*transducer.Transducer{
-		"deterministic": paperex.Figure2(nodes, outs),
-		"uniform":       und,
+	for name, tc := range map[string]struct {
+		tr    *transducer.Transducer
+		dense func(*transducer.Transducer, *markov.Sequence, []automata.Symbol) float64
+	}{
+		"deterministic": {paperex.Figure2(nodes, outs), conf.DetDense},
+		"uniform":       {und, conf.UniformLazy},
 	} {
-		sparseP := PrepareTransducer(tr)
-		denseP := PrepareTransducer(tr, WithDenseKernels())
-		if denseP.dt != nil || denseP.nt != nil {
-			t.Fatalf("%s: WithDenseKernels still compiled kernel tables", name)
-		}
+		sparseP := PrepareTransducer(tc.tr)
 		if sparseP.dt == nil && sparseP.nt == nil {
-			t.Fatalf("%s: default preparation compiled no kernel tables", name)
+			t.Fatalf("%s: preparation compiled no kernel tables", name)
 		}
 		sparse, err := sparseP.Bind(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dense, err := denseP.Bind(m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,10 +394,7 @@ func TestDenseKernelsOptionAgrees(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cd, err := dense.Confidence(a.Output, a.Index)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cd := tc.dense(tc.tr, m, a.Output)
 			if math.Abs(cs-cd) > 1e-12 {
 				t.Fatalf("%s: sparse %v vs dense %v on %v", name, cs, cd, a.Output)
 			}

@@ -138,15 +138,14 @@ func extendWorkloads(t *testing.T, n int) (out []struct {
 
 // TestExtendValidatedDifferential: engines chained with ExtendValidated
 // across appends answer TopK identically (bit-identical scores,
-// set-identical tie classes) to engines prepared with
-// WithFromScratchRanked and bound fresh at every length.
+// set-identical tie classes) to engines bound fresh at every length with
+// BindValidated (the from-scratch reference).
 func TestExtendValidatedDifferential(t *testing.T) {
 	testutil.CheckLeaks(t)
 	const n = 30
 	for _, wl := range extendWorkloads(t, n) {
 		for _, k := range []int{1, 10} {
 			prep := PrepareTransducer(wl.q, WithRankedWorkers(2))
-			ref := PrepareTransducer(wl.q, WithFromScratchRanked(), WithRankedWorkers(2))
 			p := n - 8
 			grown := wl.full.Window(1, p)
 			eng, err := prep.ExtendValidated(nil, grown)
@@ -166,7 +165,7 @@ func TestExtendValidatedDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				got := eng.TopK(k)
-				refEng, err := ref.ExtendValidated(nil, grown)
+				refEng, err := prep.BindValidated(grown)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -210,7 +209,7 @@ func TestExtendValidatedSkipsDormantHandles(t *testing.T) {
 		t.Fatalf("no dormant checkpoint handles carried without materialization: %+v", s)
 	}
 	// The carried engine still answers exactly like a fresh one.
-	ref, err := PrepareTransducer(wl.q, WithFromScratchRanked()).Bind(grown)
+	ref, err := prep.Bind(grown)
 	if err != nil {
 		t.Fatal(err)
 	}

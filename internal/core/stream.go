@@ -3,7 +3,6 @@ package core
 import (
 	"markovseq/internal/kernel"
 	"markovseq/internal/markov"
-	"markovseq/internal/ranked"
 )
 
 // Append-only sliding evaluation. A WindowRun sweeps a frozen stream
@@ -109,10 +108,4 @@ func (r *StreamRun) ResidentMarginals() int { return r.wr.Resident() }
 
 // NewEval returns fresh per-goroutine evaluation state for this run's
 // plan, exactly as WindowRun.NewEval.
-func (r *StreamRun) NewEval() *WindowEval {
-	ev := &WindowEval{pr: r.pr}
-	if r.pr.t != nil {
-		ev.sw = ranked.NewSweeper(r.pr.pt, r.pr.sweeperOpts()...)
-	}
-	return ev
-}
+func (r *StreamRun) NewEval() *WindowEval { return r.pr.newEval() }

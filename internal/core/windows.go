@@ -137,10 +137,14 @@ type WindowEval struct {
 }
 
 // NewEval returns fresh evaluation state for this run's plan.
-func (r *WindowRun) NewEval() *WindowEval {
-	ev := &WindowEval{pr: r.pr}
-	if r.pr.t != nil {
-		ev.sw = ranked.NewSweeper(r.pr.pt, r.pr.sweeperOpts()...)
+func (r *WindowRun) NewEval() *WindowEval { return r.pr.newEval() }
+
+// newEval returns fresh per-goroutine window evaluation state: a
+// ranked.Sweeper over the prepared base tables for transducer plans.
+func (pr *Prepared) newEval() *WindowEval {
+	ev := &WindowEval{pr: pr}
+	if pr.t != nil {
+		ev.sw = ranked.NewSweeper(pr.pt, ranked.WithTables(pr.baseNT))
 	}
 	return ev
 }

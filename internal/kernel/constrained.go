@@ -20,7 +20,7 @@ import (
 // with the base NFATables on the fly, and the DP work for the shared
 // prefix is captured once per printed answer in a Checkpoint:
 //
-//   - BuildCheckpoint runs the forward Viterbi DP over cells
+//   - BuildCheckpointBoundedCtx runs the forward Viterbi DP over cells
 //     (node x, state q, matched-prefix count z) restricted to runs whose
 //     output so far is an exact prefix of an alignment string. Each
 //     per-position layer of active cells — scores plus backpointers into
@@ -39,14 +39,21 @@ import (
 //     are never touched at all: parents whose children never reach the
 //     queue front, and the last emitted answer of every drain).
 //
-//   - ResumeConstrained answers any prefix constraint whose prefix is a
-//     prefix of the alignment string without re-doing matched-zone work:
-//     ExactOnly constraints read the final layer; extension constraints
-//     run a small past-zone DP over (x, q) seeded by "crossing"
-//     transitions out of checkpoint cells, skipping every position where
-//     no crossing can occur yet (maxZ + MaxEmit ≤ |prefix| and an empty
-//     past frontier), which is what makes a child of an answer with
-//     prefix p cost O(n − |p|) instead of O(n).
+//   - ResumeConstrainedBoundedCtx answers any prefix constraint whose
+//     prefix is a prefix of the alignment string without re-doing
+//     matched-zone work: ExactOnly constraints read the final layer;
+//     extension constraints run a small past-zone DP over (x, q) seeded
+//     by "crossing" transitions out of checkpoint cells, skipping every
+//     position where no crossing can occur yet (maxZ + MaxEmit ≤
+//     |prefix| and an empty past frontier), which is what makes a child
+//     of an answer with prefix p cost O(n − |p|) instead of O(n).
+//
+//   - ResumeConstrainedIncCtx is the same resume run unpruned, capturing
+//     its final past-zone frontier for the append-extendable ranked path
+//     and, given a traced capture over a shorter prefix, continuing it
+//     over only the appended positions.
+//
+//   - ConstrainedViterbi is a one-shot build-then-resume.
 //
 // Determinism: ties are broken by first activation (relax keeps the
 // incumbent on equal scores), past-zone advancement precedes crossing
@@ -272,10 +279,10 @@ type ckView struct {
 	slab   ckSlab
 }
 
-// Checkpoint is the retained exact-prefix DP of BuildCheckpoint, or a
-// lazy handle to it (NewLazyCheckpoint). Safe for concurrent use by any
-// number of ResumeConstrained calls: eager checkpoints are immutable
-// after construction, and lazy handles single-flight their deferred
+// Checkpoint is the retained exact-prefix DP of BuildCheckpointBoundedCtx,
+// or a lazy handle to it (NewLazyCheckpoint). Safe for concurrent use by
+// any number of resumes: eager checkpoints are immutable after
+// construction, and lazy handles single-flight their deferred
 // materialization.
 type Checkpoint struct {
 	// Align is the alignment string the DP was restricted to.
@@ -348,11 +355,11 @@ func (ck *Checkpoint) Cells() int {
 func (ck *Checkpoint) MaterializedLayers() int { return int(ck.matLayers.Load()) }
 
 // NewLazyCheckpoint returns a checkpoint handle for align with the DP
-// deferred: no layer is relaxed until a ResumeConstrained call first
-// reads one, at which point the full DP is materialized exactly as
-// BuildCheckpoint would have built it. Resumes against a lazy handle are
-// therefore bit-identical to resumes against the eager checkpoint. b may
-// be nil, which disables gating of the deferred build.
+// deferred: no layer is relaxed until a resume first reads one, at
+// which point the full DP is materialized exactly as
+// BuildCheckpointBoundedCtx would have built it. Resumes against a lazy
+// handle are therefore bit-identical to resumes against the eager
+// checkpoint. b may be nil, which disables gating of the deferred build.
 func NewLazyCheckpoint(nt *NFATables, v *SeqView, align []automata.Symbol, b *Bounds) *Checkpoint {
 	if b != nil {
 		b.lazyHandles.Add(1)
@@ -554,11 +561,11 @@ type crossCand struct {
 	rec   crossRec
 }
 
-// ConstrainScratch holds the reusable buffers of BuildCheckpoint and
-// ResumeConstrained. The two functions use disjoint fields, so one
-// scratch serves a build-then-resume sequence — including a lazy
-// materialization triggered inside a resume, which runs before the
-// resume touches its own fields. Not safe for concurrent use; pass nil
+// ConstrainScratch holds the reusable buffers of checkpoint builds and
+// resumes. The two use disjoint fields, so one scratch serves a
+// build-then-resume sequence — including a lazy materialization
+// triggered inside a resume, which runs before the resume touches its
+// own fields. Not safe for concurrent use; pass nil
 // to draw from an internal pool.
 type ConstrainScratch struct {
 	f         frontier // build: (x·|Q|+q)·Z+z cell space
@@ -636,30 +643,20 @@ func crossOK(align []automata.Symbol, l, z int, w []automata.Symbol, forb map[au
 	return !forb[w[k]]
 }
 
-// BuildCheckpoint runs the forward Viterbi DP restricted to runs whose
-// output is an exact prefix of align, retaining every position's sparse
-// frontier. One checkpoint aligned to a printed answer o serves every
-// Lawler child of o (their prefixes are all prefixes of o). For drains
-// that may never resolve those children, NewLazyCheckpoint defers this
-// work until a resume needs it.
-func BuildCheckpoint(nt *NFATables, v *SeqView, align []automata.Symbol, sc *ConstrainScratch) *Checkpoint {
-	ck, _ := buildCheckpoint(nil, nt, v, align, nil, sc)
-	return ck
-}
-
-// BuildCheckpointCtx is BuildCheckpoint with step-granularity
-// cancellation: the context is polled every DefaultPollInterval
-// positions; on cancellation the partial checkpoint is discarded and
-// ctx.Err() returned.
-func BuildCheckpointCtx(ctx context.Context, nt *NFATables, v *SeqView, align []automata.Symbol, sc *ConstrainScratch) (*Checkpoint, error) {
-	return buildCheckpoint(NewPoll(ctx), nt, v, align, nil, sc)
-}
-
-// BuildCheckpointBoundedCtx is BuildCheckpointCtx with potential gating:
-// cells with no accepting completion (potential -Inf) are dropped from
-// every retained layer. Gated checkpoints resume to bit-identical
-// results (the -Inf set is closed under successors) while carrying fewer
-// cells. b may be nil, which disables gating.
+// BuildCheckpointBoundedCtx runs the forward Viterbi DP restricted to
+// runs whose output is an exact prefix of align, retaining every
+// position's sparse frontier. One checkpoint aligned to a printed answer
+// o serves every Lawler child of o (their prefixes are all prefixes of
+// o). For drains that may never resolve those children,
+// NewLazyCheckpoint defers this work until a resume needs it.
+//
+// With b non-nil the build is gated by the potentials: cells with no
+// accepting completion (potential -Inf) are dropped from every retained
+// layer. Gated checkpoints resume to bit-identical results (the -Inf set
+// is closed under successors) while carrying fewer cells; nil disables
+// gating. The context is polled every DefaultPollInterval positions; on
+// cancellation the partial checkpoint is discarded and ctx.Err()
+// returned.
 func BuildCheckpointBoundedCtx(ctx context.Context, nt *NFATables, v *SeqView, align []automata.Symbol, b *Bounds, sc *ConstrainScratch) (*Checkpoint, error) {
 	return buildCheckpoint(NewPoll(ctx), nt, v, align, b, sc)
 }
@@ -875,13 +872,8 @@ func relaxLayers(p *Poll, nt *NFATables, v *SeqView, b *Bounds, sc *ConstrainScr
 			for e := st.RowPtr[x]; e < st.RowPtr[x+1]; e++ {
 				y := int(st.Col[e])
 				lp := base + st.LogVal[e]
-				var tlo, thi int32
-				if off != nil {
-					ti := q*syms + y
-					tlo, thi = off[ti], off[ti+1]
-				} else {
-					tlo, thi = nt.Edges(q, y)
-				}
+				ti := q*syms + y
+				tlo, thi := off[ti], off[ti+1]
 				yBase := y * states
 				for t := tlo; t < thi; t++ {
 					z2 := zrow[t]
@@ -1102,13 +1094,8 @@ func materializeDerivedView(p *Poll, nt *NFATables, v *SeqView, align []automata
 					for e := st.RowPtr[x]; e < st.RowPtr[x+1]; e++ {
 						y := int(st.Col[e])
 						lp := base + st.LogVal[e]
-						var tlo, thi int32
-						if offT != nil {
-							ti := q*syms + y
-							tlo, thi = offT[ti], offT[ti+1]
-						} else {
-							tlo, thi = nt.Edges(q, y)
-						}
+						ti := q*syms + y
+						tlo, thi := offT[ti], offT[ti+1]
 						yBase := y * states
 						for t := tlo; t < thi; t++ {
 							z2 := zrow[t]
@@ -1281,48 +1268,28 @@ type ResumeState struct {
 	pastSize int
 }
 
-// ResumeConstrained solves the constrained top-answer problem — the
-// maximum-probability accepting run whose output c admits — against a
-// checkpoint whose alignment string extends c.Prefix. It returns the
-// answer output, the evidence node string, the visited transducer
-// states, and the log probability; ok is false when c admits no answer
-// over a positive-probability world.
-func ResumeConstrained(nt *NFATables, v *SeqView, ck *Checkpoint, c transducer.Constraint, sc *ConstrainScratch) (out, nodes []automata.Symbol, states []int, logp float64, ok bool) {
-	out, nodes, states, logp, ok, _ = resumeConstrained(nil, nt, v, ck, c, nil, nil, sc)
-	return out, nodes, states, logp, ok
-}
-
-// ResumeConstrainedStateCtx is ResumeConstrainedCtx that additionally
-// captures the resume's final past-zone frontier into rs (reusing its
-// slices), for retention across appends. The sweep always runs
-// unpruned — pruning leaves holes in the frontier, which would make the
-// retained bound inadmissible. On error rs is left empty and must not
-// be retained.
-func ResumeConstrainedStateCtx(ctx context.Context, nt *NFATables, v *SeqView, ck *Checkpoint, c transducer.Constraint, rs *ResumeState, sc *ConstrainScratch) (out, nodes []automata.Symbol, states []int, logp float64, ok bool, err error) {
-	return resumeConstrained(NewPoll(ctx), nt, v, ck, c, nil, rs, sc)
-}
-
-// ResumeConstrainedCtx is ResumeConstrained with step-granularity
-// cancellation over the past-zone DP and any deferred checkpoint
-// materialization (the ExactOnly fast path against an already
-// materialized view only reads the final retained layer and completes
-// regardless).
-func ResumeConstrainedCtx(ctx context.Context, nt *NFATables, v *SeqView, ck *Checkpoint, c transducer.Constraint, sc *ConstrainScratch) (out, nodes []automata.Symbol, states []int, logp float64, ok bool, err error) {
-	return resumeConstrained(NewPoll(ctx), nt, v, ck, c, nil, nil, sc)
-}
-
-// ResumeConstrainedBoundedCtx is ResumeConstrainedCtx with weight-pushed
-// pruning: crossing candidates are selected against a running bound on
-// the optimum and the past-zone sweep skips every cell that cannot reach
-// it. Exact and bit-identical to the exhaustive resume (see the file
-// comment). b may be nil, which disables pruning.
+// ResumeConstrainedBoundedCtx solves the constrained top-answer problem
+// — the maximum-probability accepting run whose output c admits —
+// against a checkpoint whose alignment string extends c.Prefix. It
+// returns the answer output, the evidence node string, the visited
+// transducer states, and the log probability; ok is false when c admits
+// no answer over a positive-probability world.
+//
+// With b non-nil the resume prunes by weight pushing: crossing
+// candidates are selected against a running bound on the optimum and the
+// past-zone sweep skips every cell that cannot reach it. Exact and
+// bit-identical to the exhaustive resume (see the file comment); nil
+// disables pruning. Cancellation is step-granular over the past-zone DP
+// and any deferred checkpoint materialization (the ExactOnly fast path
+// against an already materialized view only reads the final retained
+// layer and completes regardless).
 func ResumeConstrainedBoundedCtx(ctx context.Context, nt *NFATables, v *SeqView, ck *Checkpoint, c transducer.Constraint, b *Bounds, sc *ConstrainScratch) (out, nodes []automata.Symbol, states []int, logp float64, ok bool, err error) {
 	return resumeConstrained(NewPoll(ctx), nt, v, ck, c, b, nil, sc)
 }
 
 func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c transducer.Constraint, b *Bounds, rs *ResumeState, sc *ConstrainScratch) (out, nodes []automata.Symbol, states []int, logp float64, ok bool, err error) {
 	if ck.states != nt.States || ck.n != v.N {
-		panic("kernel: ResumeConstrained checkpoint was built against different tables or sequence")
+		panic("kernel: resume checkpoint was built against different tables or sequence")
 	}
 	if rs != nil {
 		if b != nil {
@@ -1333,7 +1300,7 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 		rs.Scores = rs.Scores[:0]
 	}
 	if !automata.HasPrefix(ck.Align, c.Prefix) {
-		panic("kernel: ResumeConstrained constraint prefix does not align with checkpoint")
+		panic("kernel: resume constraint prefix does not align with checkpoint")
 	}
 	l := len(c.Prefix)
 	align := ck.Align
@@ -1481,13 +1448,8 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 			for e := st.RowPtr[x]; e < st.RowPtr[x+1]; e++ {
 				y := int(st.Col[e])
 				lp := base + st.LogVal[e]
-				var tlo, thi int32
-				if ntOff != nil {
-					ti := q*syms + y
-					tlo, thi = ntOff[ti], ntOff[ti+1]
-				} else {
-					tlo, thi = nt.Edges(q, y)
-				}
+				ti := q*syms + y
+				tlo, thi := ntOff[ti], ntOff[ti+1]
 				for t := tlo; t < thi; t++ {
 					w := nt.Emit[nt.EmitPtr[t]:nt.EmitPtr[t+1]]
 					if !crossOK(align, l, z, w, c.Forbidden) {
@@ -1579,13 +1541,8 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 			for e := st.RowPtr[x]; e < st.RowPtr[x+1]; e++ {
 				y := int(st.Col[e])
 				lp := base + st.LogVal[e]
-				var tlo, thi int32
-				if ntOff != nil {
-					ti := q*syms + y
-					tlo, thi = ntOff[ti], ntOff[ti+1]
-				} else {
-					tlo, thi = nt.Edges(q, y)
-				}
+				ti := q*syms + y
+				tlo, thi := ntOff[ti], ntOff[ti+1]
 				for t := tlo; t < thi; t++ {
 					cell := int32(y*nt.States + int(nt.Succ[t]))
 					if prune && lp+prow1[cell] < tau {
@@ -1715,13 +1672,18 @@ func captureTrace(rs *ResumeState, n, pastSize, frontierLen int, back []int32, c
 	rs.cross = slices.Clone(cross)
 }
 
-// ResumeConstrainedIncCtx is ResumeConstrainedStateCtx with incremental
-// continuation: when prior is a traced resume of the same (constraint,
-// alignment) pair captured over a shorter prefix of v (the sequence has
-// grown since), the past-zone sweep restarts from prior's retained
-// frontier and relaxes only positions [prior.N, v.N), reading crossing
-// candidates off the (extended) checkpoint's appended layers and
-// tracing back through prior's retained rows. The result — answer,
+// ResumeConstrainedIncCtx is the unpruned resume that captures its
+// final past-zone frontier into rs (reusing its slices), for retention
+// across appends — the sweep never prunes, because pruning leaves holes
+// in the frontier, which would make the retained bound inadmissible. On
+// error rs is left empty and must not be retained.
+//
+// It continues incrementally: when prior is a traced resume of the same
+// (constraint, alignment) pair captured over a shorter prefix of v (the
+// sequence has grown since), the past-zone sweep restarts from prior's
+// retained frontier and relaxes only positions [prior.N, v.N), reading
+// crossing candidates off the (extended) checkpoint's appended layers
+// and tracing back through prior's retained rows. The result — answer,
 // evidence, score, and the freshly captured rs — is bit-identical to
 // the full sweep: per-cell maxima are order-independent, each path's
 // score accumulates left to right exactly as the full sweep would, the
@@ -1752,10 +1714,10 @@ func ResumeConstrainedIncCtx(ctx context.Context, nt *NFATables, v *SeqView, ck 
 // order as the full sweep, and capture the grown trace into rs.
 func resumeConstrainedExtend(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c transducer.Constraint, prior, rs *ResumeState, sc *ConstrainScratch) (out, nodes []automata.Symbol, states []int, logp float64, ok bool, err error) {
 	if ck.states != nt.States || ck.n != v.N {
-		panic("kernel: ResumeConstrained checkpoint was built against different tables or sequence")
+		panic("kernel: resume checkpoint was built against different tables or sequence")
 	}
 	if !automata.HasPrefix(ck.Align, c.Prefix) {
-		panic("kernel: ResumeConstrained constraint prefix does not align with checkpoint")
+		panic("kernel: resume constraint prefix does not align with checkpoint")
 	}
 	rs.N = v.N
 	rs.Cells = rs.Cells[:0]
@@ -1828,13 +1790,8 @@ func resumeConstrainedExtend(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint,
 				for e := st.RowPtr[x]; e < st.RowPtr[x+1]; e++ {
 					y := int(st.Col[e])
 					lp := base + st.LogVal[e]
-					var tlo, thi int32
-					if ntOff != nil {
-						ti := q*syms + y
-						tlo, thi = ntOff[ti], ntOff[ti+1]
-					} else {
-						tlo, thi = nt.Edges(q, y)
-					}
+					ti := q*syms + y
+					tlo, thi := ntOff[ti], ntOff[ti+1]
 					for t := tlo; t < thi; t++ {
 						cell := int32(y*nt.States + int(nt.Succ[t]))
 						if sc.next.relax(cell, lp) {
@@ -1857,13 +1814,8 @@ func resumeConstrainedExtend(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint,
 				for e := st.RowPtr[x]; e < st.RowPtr[x+1]; e++ {
 					y := int(st.Col[e])
 					lp := base + st.LogVal[e]
-					var tlo, thi int32
-					if ntOff != nil {
-						ti := q*syms + y
-						tlo, thi = ntOff[ti], ntOff[ti+1]
-					} else {
-						tlo, thi = nt.Edges(q, y)
-					}
+					ti := q*syms + y
+					tlo, thi := ntOff[ti], ntOff[ti+1]
 					for t := tlo; t < thi; t++ {
 						w := nt.Emit[nt.EmitPtr[t]:nt.EmitPtr[t+1]]
 						if !crossOK(align, l, z, w, c.Forbidden) {
@@ -1958,36 +1910,16 @@ func resumeConstrainedExtend(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint,
 
 // ConstrainedViterbi solves the constrained top-answer problem from
 // scratch: a checkpoint aligned to the constraint's own prefix followed
-// by a resume. The checkpoint is discarded; enumeration layers that
-// reuse checkpoints across Lawler children call BuildCheckpoint and
-// ResumeConstrained directly.
-func ConstrainedViterbi(nt *NFATables, v *SeqView, c transducer.Constraint, sc *ConstrainScratch) (out, nodes []automata.Symbol, states []int, logp float64, ok bool) {
-	out, nodes, states, logp, ok, _ = constrainedViterbi(nil, nt, v, c, nil, sc)
-	return out, nodes, states, logp, ok
-}
-
-// ConstrainedViterbiCtx is ConstrainedViterbi with step-granularity
-// cancellation of both the checkpoint build and the resume.
-func ConstrainedViterbiCtx(ctx context.Context, nt *NFATables, v *SeqView, c transducer.Constraint, sc *ConstrainScratch) (out, nodes []automata.Symbol, states []int, logp float64, ok bool, err error) {
-	return constrainedViterbi(NewPoll(ctx), nt, v, c, nil, sc)
-}
-
-// ConstrainedViterbiBounded is ConstrainedViterbi with weight-pushed
-// gating of the checkpoint build and pruning of the resume. b may be
-// nil, which makes it identical to ConstrainedViterbi.
-func ConstrainedViterbiBounded(nt *NFATables, v *SeqView, c transducer.Constraint, b *Bounds, sc *ConstrainScratch) (out, nodes []automata.Symbol, states []int, logp float64, ok bool) {
-	out, nodes, states, logp, ok, _ = constrainedViterbi(nil, nt, v, c, b, sc)
-	return out, nodes, states, logp, ok
-}
-
-func constrainedViterbi(p *Poll, nt *NFATables, v *SeqView, c transducer.Constraint, b *Bounds, sc *ConstrainScratch) (out, nodes []automata.Symbol, states []int, logp float64, ok bool, err error) {
+// by a resume, gated and pruned by b when it is non-nil (nil runs the
+// exhaustive sweep). The checkpoint is discarded; enumeration layers
+// that reuse checkpoints across Lawler children call
+// BuildCheckpointBoundedCtx and ResumeConstrainedBoundedCtx directly.
+func ConstrainedViterbi(nt *NFATables, v *SeqView, c transducer.Constraint, b *Bounds, sc *ConstrainScratch) (out, nodes []automata.Symbol, states []int, logp float64, ok bool) {
 	if sc == nil {
 		sc = constrainScratchPool.Get().(*ConstrainScratch)
 		defer constrainScratchPool.Put(sc)
 	}
-	ck, err := buildCheckpoint(p, nt, v, c.Prefix, b, sc)
-	if err != nil {
-		return nil, nil, nil, math.Inf(-1), false, err
-	}
-	return resumeConstrained(p, nt, v, ck, c, b, nil, sc)
+	ck, _ := buildCheckpoint(nil, nt, v, c.Prefix, b, sc)
+	out, nodes, states, logp, ok, _ = resumeConstrained(nil, nt, v, ck, c, b, nil, sc)
+	return out, nodes, states, logp, ok
 }

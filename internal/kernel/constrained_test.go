@@ -8,6 +8,8 @@
 package kernel_test
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -81,7 +83,7 @@ func TestConstrainedViterbiDifferential(t *testing.T) {
 		v := m.View()
 		ans := answers(tr, m)
 		for _, c := range randomConstraints(ans, out, rng) {
-			o, _, _, logp, ok := kernel.ConstrainedViterbi(nt, v, c, nil)
+			o, _, _, logp, ok := kernel.ConstrainedViterbi(nt, v, c, nil, nil)
 			want, argmax := bruteTop(tr, m, c)
 			if !ok {
 				if !math.IsInf(want, -1) {
@@ -119,7 +121,7 @@ func TestResumeMatchesFromScratch(t *testing.T) {
 		nt := kernel.NewNFATables(tr)
 		v := m.View()
 		for _, o := range answers(tr, m) {
-			ck := kernel.BuildCheckpoint(nt, v, o, nil)
+			ck, _ := kernel.BuildCheckpointBoundedCtx(context.Background(), nt, v, o, nil, nil)
 			kids := transducer.Unconstrained().Children(o)
 			// Nested children exercise deeper prefixes against the same
 			// checkpoint (their prefixes still align with o).
@@ -132,8 +134,8 @@ func TestResumeMatchesFromScratch(t *testing.T) {
 				if !automata.HasPrefix(o, c.Prefix) {
 					continue
 				}
-				ro, rn, rs, rlp, rok := kernel.ResumeConstrained(nt, v, ck, c, nil)
-				so, sn, ss, slp, sok := kernel.ConstrainedViterbi(nt, v, c, nil)
+				ro, rn, rs, rlp, rok, _ := kernel.ResumeConstrainedBoundedCtx(context.Background(), nt, v, ck, c, nil, nil)
+				so, sn, ss, slp, sok := kernel.ConstrainedViterbi(nt, v, c, nil, nil)
 				if rok != sok {
 					t.Fatalf("trial %d %v: resume ok=%v scratch ok=%v", trial, c, rok, sok)
 				}
@@ -178,7 +180,7 @@ func TestConstrainedViterbiEvidence(t *testing.T) {
 		})
 		ans := answers(tr, m)
 		for _, c := range randomConstraints(ans, out, rng) {
-			o, nodes, _, logp, ok := kernel.ConstrainedViterbi(nt, v, c, nil)
+			o, nodes, _, logp, ok := kernel.ConstrainedViterbi(nt, v, c, nil, nil)
 			if !ok {
 				continue
 			}
@@ -221,6 +223,95 @@ func TestConstrainedNonEmptyDifferential(t *testing.T) {
 			if got != !math.IsInf(want, -1) {
 				t.Fatalf("trial %d %v: kernel %v, brute force %v", trial, c, got, want)
 			}
+		}
+	}
+}
+
+// TestResumeIncContinuesAcrossAppend drives the continuation sweep of
+// ResumeConstrainedIncCtx directly: a traced capture resume over a
+// prefix of the sequence, positions appended, then a resume against the
+// extended checkpoint seeded with that capture. It must take the
+// continuation path and agree with a fresh capture resume over the grown
+// view — answer, evidence and score bit for bit, final frontier as a
+// set — for both extension constraint modes.
+func TestResumeIncContinuesAcrossAppend(t *testing.T) {
+	ctx := context.Background()
+	in := automata.MustAlphabet("a", "b", "c")
+	out := automata.MustAlphabet("x", "y")
+	modes := []transducer.ConstraintMode{transducer.PrefixAndExtensions, transducer.ExtensionsOnly}
+	checked := map[transducer.ConstraintMode]int{}
+	for trial := 0; trial < 40; trial++ {
+		rng := rand.New(rand.NewSource(int64(48000 + trial)))
+		n := 6 + rng.Intn(6)
+		full := markov.Random(in, n, 0.7, rng)
+		tr := randomNFATransducer(in, out, 1+rng.Intn(3), 1+rng.Intn(2), rng)
+		nt := kernel.NewNFATables(tr)
+		p := 2 + rng.Intn(n-3)
+		short := full.Window(1, p)
+		grown := short
+		for i := p; i < n; i++ {
+			var err error
+			if grown, err = grown.Extended([][][]float64{full.TransAt(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		vs, vg := short.View(), grown.View()
+		o, _, _, _, ok := kernel.ConstrainedViterbi(nt, vs, transducer.Unconstrained(), nil, nil)
+		if !ok {
+			continue
+		}
+		for _, mode := range modes {
+			for cut := 0; cut <= len(o); cut++ {
+				c := transducer.Constraint{Prefix: o[:cut], Mode: mode}
+				label := fmt.Sprintf("trial %d p=%d/%d %v", trial, p, n, c)
+				base := kernel.NewLazyCheckpoint(nt, vs, o, nil)
+				prior := &kernel.ResumeState{Trace: true}
+				if _, _, _, _, _, _, err := kernel.ResumeConstrainedIncCtx(ctx, nt, vs, base, c, nil, prior, nil); err != nil {
+					t.Fatal(err)
+				}
+
+				var cont, want kernel.ResumeState
+				co, cn, _, clp, cok, continued, err := kernel.ResumeConstrainedIncCtx(ctx, nt, vg,
+					kernel.NewExtendedLazyCheckpoint(nt, vg, base), c, prior, &cont, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !continued {
+					t.Fatalf("%s: resume against the extended checkpoint did not continue the prior sweep", label)
+				}
+				fo, fn, _, flp, fok, fcont, err := kernel.ResumeConstrainedIncCtx(ctx, nt, vg,
+					kernel.NewLazyCheckpoint(nt, vg, o, nil), c, nil, &want, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fcont {
+					t.Fatalf("%s: a resume without a prior reported a continuation", label)
+				}
+				if cok != fok || clp != flp || !automata.EqualStrings(co, fo) || !automata.EqualStrings(cn, fn) {
+					t.Fatalf("%s: continued (%v %v %v %v) != fresh (%v %v %v %v)",
+						label, cok, co, cn, clp, fok, fo, fn, flp)
+				}
+				if cont.N != want.N || len(cont.Cells) != len(want.Cells) {
+					t.Fatalf("%s: continued frontier N=%d |cells|=%d, fresh N=%d |cells|=%d",
+						label, cont.N, len(cont.Cells), want.N, len(want.Cells))
+				}
+				fresh := make(map[int32]float64, len(want.Cells))
+				for i, cell := range want.Cells {
+					fresh[cell] = want.Scores[i]
+				}
+				for i, cell := range cont.Cells {
+					if s, ok := fresh[cell]; !ok || s != cont.Scores[i] {
+						t.Fatalf("%s: continued frontier cell %d score %v, fresh has %v (present %v)",
+							label, cell, cont.Scores[i], s, ok)
+					}
+				}
+				checked[mode]++
+			}
+		}
+	}
+	for _, mode := range modes {
+		if checked[mode] == 0 {
+			t.Fatalf("mode %v: no continuation was checked", mode)
 		}
 	}
 }

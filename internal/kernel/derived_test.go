@@ -9,6 +9,7 @@
 package kernel_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -42,15 +43,15 @@ func TestDerivedCheckpointMatchesFresh(t *testing.T) {
 					if touch {
 						// Materialize the donor through a resolve first, as
 						// the checkpoint cache would have.
-						kernel.ResumeConstrained(nt, v, donor, transducer.Constraint{
+						kernel.ResumeConstrainedBoundedCtx(context.Background(), nt, v, donor, transducer.Constraint{
 							Prefix: o[:cut], Mode: transducer.ExtensionsOnly,
-						}, nil)
+						}, nil, nil)
 					}
 					derived := kernel.NewLazyCheckpointFrom(nt, v, o, donor)
 					fresh := kernel.NewLazyCheckpoint(nt, v, o, nil)
 					for _, c := range transducer.Unconstrained().Children(o) {
-						do, _, _, dlp, dok := kernel.ResumeConstrained(nt, v, derived, c, nil)
-						fo, _, _, flp, fok := kernel.ResumeConstrained(nt, v, fresh, c, nil)
+						do, _, _, dlp, dok, _ := kernel.ResumeConstrainedBoundedCtx(context.Background(), nt, v, derived, c, nil, nil)
+						fo, _, _, flp, fok, _ := kernel.ResumeConstrainedBoundedCtx(context.Background(), nt, v, fresh, c, nil, nil)
 						if dok != fok {
 							t.Fatalf("trial %d cut %d touch %v %v: derived ok=%v fresh ok=%v",
 								trial, cut, touch, c, dok, fok)
@@ -69,9 +70,9 @@ func TestDerivedCheckpointMatchesFresh(t *testing.T) {
 						// exact tie: both answers must score the optimum when
 						// re-resolved as exact singletons through the fresh DP.
 						for _, ans := range [][]automata.Symbol{do, fo} {
-							_, _, _, alp, aok := kernel.ResumeConstrained(nt, v, fresh, transducer.Constraint{
+							_, _, _, alp, aok, _ := kernel.ResumeConstrainedBoundedCtx(context.Background(), nt, v, fresh, transducer.Constraint{
 								Prefix: ans, Mode: transducer.ExactOnly,
-							}, nil)
+							}, nil, nil)
 							if !aok || alp != flp {
 								t.Fatalf("trial %d cut %d touch %v %v: derived answer %v and fresh answer %v differ beyond an exact tie (ok=%v score %v vs %v)",
 									trial, cut, touch, c, do, fo, aok, alp, flp)

@@ -107,14 +107,14 @@ func TestRecycledCheckpointPanics(t *testing.T) {
 		}
 	}
 	sc := &kernel.ConstrainScratch{}
-	ck := kernel.BuildCheckpoint(nt, v, o, sc)
+	ck, _ := kernel.BuildCheckpointBoundedCtx(context.Background(), nt, v, o, nil, sc)
 	sc.Recycle(ck)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("resume against a recycled checkpoint did not panic")
 		}
 	}()
-	kernel.ResumeConstrained(nt, v, ck, transducer.Unconstrained(), sc)
+	kernel.ResumeConstrainedBoundedCtx(context.Background(), nt, v, ck, transducer.Unconstrained(), nil, sc)
 }
 
 // lazyAllocWorkload builds a fixed random workload, its bounds, an
@@ -132,13 +132,13 @@ func lazyAllocWorkload(t *testing.T) (nt *kernel.NFATables, v *kernel.SeqView, b
 		v = m.View()
 		b = kernel.NewBounds(nt, v)
 		sc = &kernel.ConstrainScratch{}
-		o, _, _, _, ok := kernel.ConstrainedViterbiBounded(nt, v, transducer.Unconstrained(), b, sc)
+		o, _, _, _, ok := kernel.ConstrainedViterbi(nt, v, transducer.Unconstrained(), b, sc)
 		if !ok {
 			continue
 		}
-		ck := kernel.BuildCheckpoint(nt, v, o, sc)
+		ck, _ := kernel.BuildCheckpointBoundedCtx(context.Background(), nt, v, o, nil, sc)
 		for _, kid := range transducer.Unconstrained().Children(o) {
-			if _, _, _, _, kok := kernel.ResumeConstrained(nt, v, ck, kid, sc); kok {
+			if _, _, _, _, kok, _ := kernel.ResumeConstrainedBoundedCtx(context.Background(), nt, v, ck, kid, nil, sc); kok {
 				return nt, v, b, o, kid, sc
 			}
 		}

@@ -1,7 +1,8 @@
 // Differential tests for the weight-pushed bounded kernels: every
-// bounded entry point (ViterbiRunBounded, ConstrainedViterbiBounded,
-// the bounded checkpoint/resume pair, ConstrainedNonEmptyBoundedCtx)
-// must be bit-identical to its exhaustive counterpart on randomized
+// bounded entry point (ViterbiRunBounded, ConstrainedViterbi with
+// bounds, the bounded checkpoint/resume pair,
+// ConstrainedNonEmptyBoundedCtx) must be bit-identical to its
+// exhaustive (nil-bounds) counterpart on randomized
 // instances — same answers, same evidence, same Float64bits scores,
 // same tie-breaks — because the serving stack runs them by default.
 package kernel_test
@@ -68,8 +69,8 @@ func TestConstrainedViterbiBoundedDifferential(t *testing.T) {
 		b := kernel.NewBounds(nt, v)
 		out := tr.Out
 		for _, c := range randomConstraints(answers(tr, m), out, rng) {
-			go_, gn, gs, glp, gok := kernel.ConstrainedViterbiBounded(nt, v, c, b, nil)
-			wo, wn, ws, wlp, wok := kernel.ConstrainedViterbi(nt, v, c, nil)
+			go_, gn, gs, glp, gok := kernel.ConstrainedViterbi(nt, v, c, b, nil)
+			wo, wn, ws, wlp, wok := kernel.ConstrainedViterbi(nt, v, c, nil, nil)
 			if gok != wok {
 				t.Fatalf("trial %d %v: bounded ok=%v exhaustive ok=%v", trial, c, gok, wok)
 			}
@@ -110,7 +111,7 @@ func TestResumeBoundedDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eck := kernel.BuildCheckpoint(nt, v, o, nil)
+			eck, _ := kernel.BuildCheckpointBoundedCtx(context.Background(), nt, v, o, nil, nil)
 			for _, c := range transducer.Unconstrained().Children(o) {
 				if !automata.HasPrefix(o, c.Prefix) {
 					continue
@@ -119,7 +120,7 @@ func TestResumeBoundedDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				wo, wn, ws, wlp, wok := kernel.ResumeConstrained(nt, v, eck, c, nil)
+				wo, wn, ws, wlp, wok, _ := kernel.ResumeConstrainedBoundedCtx(context.Background(), nt, v, eck, c, nil, nil)
 				if gok != wok {
 					t.Fatalf("trial %d %v: bounded ok=%v exhaustive ok=%v", trial, c, gok, wok)
 				}
@@ -183,7 +184,7 @@ func TestBoundsAdmissibility(t *testing.T) {
 		// constrained kernel with a fresh incumbent must still reach the
 		// global optimum, which it can only do if no admissible cell on
 		// the optimal path was pruned.
-		_, _, _, glp, gok := kernel.ConstrainedViterbiBounded(nt, v, transducer.Unconstrained(), b, nil)
+		_, _, _, glp, gok := kernel.ConstrainedViterbi(nt, v, transducer.Unconstrained(), b, nil)
 		if !gok || math.Float64bits(glp) != math.Float64bits(wlp) {
 			t.Fatalf("trial %d: bounded unconstrained optimum %v (ok=%v), want %v", trial, glp, gok, wlp)
 		}
@@ -201,8 +202,8 @@ func TestNewBoundsIntoRecycles(t *testing.T) {
 		recycled = kernel.NewBoundsInto(recycled, nt, v)
 		fresh := kernel.NewBounds(nt, v)
 		for _, c := range randomConstraints(answers(tr, m), tr.Out, rng)[:4] {
-			go_, _, _, glp, gok := kernel.ConstrainedViterbiBounded(nt, v, c, recycled, nil)
-			wo, _, _, wlp, wok := kernel.ConstrainedViterbiBounded(nt, v, c, fresh, nil)
+			go_, _, _, glp, gok := kernel.ConstrainedViterbi(nt, v, c, recycled, nil)
+			wo, _, _, wlp, wok := kernel.ConstrainedViterbi(nt, v, c, fresh, nil)
 			if gok != wok || (gok && (math.Float64bits(glp) != math.Float64bits(wlp) ||
 				automata.StringKey(go_) != automata.StringKey(wo))) {
 				t.Fatalf("trial %d %v: recycled bounds disagree with fresh", trial, c)
@@ -222,7 +223,7 @@ func TestPruneStatsCounters(t *testing.T) {
 		if before := b.Stats(); before.Resolves != 0 {
 			t.Fatalf("fresh bounds report %d resolves", before.Resolves)
 		}
-		_, _, _, _, ok := kernel.ConstrainedViterbiBounded(nt, v, transducer.Unconstrained(), b, nil)
+		_, _, _, _, ok := kernel.ConstrainedViterbi(nt, v, transducer.Unconstrained(), b, nil)
 		after := b.Stats()
 		if after.Resolves != 1 {
 			t.Fatalf("one bounded call recorded %d resolves", after.Resolves)

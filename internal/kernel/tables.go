@@ -58,26 +58,14 @@ func NewDetTables(t *transducer.Transducer) *DetTables {
 }
 
 // NFATables is the flat lookup-table form of a possibly nondeterministic
-// transducer. It has two storage modes behind one accessor (Edges):
-//
-//   - dense: the successor list of (q, y) is Succ[Off[q·Syms+y]:
-//     Off[q·Syms+y+1]] — one int32 per (state, symbol) pair, the right
-//     shape for small alphabets.
-//
-//   - compact (failure-transition encoding, Off == nil): each state
-//     stores a sorted array of exception symbols with explicit edge
-//     ranges, and every other symbol falls through to the state's
-//     default row (almost always empty). For large sparse alphabets
-//     this shrinks the q·|Σ| table footprint to O(q + transitions).
-//
-// In both modes the emission of the transition at Succ index e is
-// Emit[EmitPtr[e]:EmitPtr[e+1]]. Immutable after construction and safe
-// for concurrent use.
+// transducer: the successor list of (q, y) is Succ[Off[q·Syms+y]:
+// Off[q·Syms+y+1]], and the emission of the transition at Succ index e
+// is Emit[EmitPtr[e]:EmitPtr[e+1]]. Immutable after construction and
+// safe for concurrent use.
 type NFATables struct {
 	States, Syms int
 	Start        int32
-	// Off[q·Syms+y] .. Off[q·Syms+y+1] delimits δ(q, y) inside Succ
-	// (dense mode). nil in compact mode.
+	// Off[q·Syms+y] .. Off[q·Syms+y+1] delimits δ(q, y) inside Succ.
 	Off  []int32
 	Succ []int32
 	// EmitPtr is parallel to Succ (length len(Succ)+1): transition e
@@ -89,49 +77,12 @@ type NFATables struct {
 	// the constraint-incremental kernels use it to bound how far one
 	// transition can advance the matched-prefix count.
 	MaxEmit int
-
-	// Compact mode: FailSym[FailIdx[q]:FailIdx[q+1]] are state q's
-	// exception symbols in increasing order, with the edge range of
-	// exception j in Succ being [FailLo[j], FailHi[j]); symbols not
-	// listed fall back to the default range [DefLo[q], DefHi[q]).
-	FailIdx []int32
-	FailSym []int32
-	FailLo  []int32
-	FailHi  []int32
-	DefLo   []int32
-	DefHi   []int32
 }
 
-// Edges resolves δ(q, y) to its edge range [lo, hi) in Succ/EmitPtr,
-// dispatching on the storage mode. The hot DP loops all go through this
-// accessor.
+// Edges resolves δ(q, y) to its edge range [lo, hi) in Succ/EmitPtr.
 func (nt *NFATables) Edges(q, y int) (int32, int32) {
-	if nt.Off != nil {
-		ti := q*nt.Syms + y
-		return nt.Off[ti], nt.Off[ti+1]
-	}
-	lo, hi := nt.FailIdx[q], nt.FailIdx[q+1]
-	for lo < hi {
-		mid := (lo + hi) >> 1
-		if nt.FailSym[mid] < int32(y) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < nt.FailIdx[q+1] && nt.FailSym[lo] == int32(y) {
-		return nt.FailLo[lo], nt.FailHi[lo]
-	}
-	return nt.DefLo[q], nt.DefHi[q]
-}
-
-// FootprintBytes estimates the table's resident size — the metric the
-// compact encoding exists to shrink.
-func (nt *NFATables) FootprintBytes() int {
-	i32 := len(nt.Off) + len(nt.Succ) + len(nt.EmitPtr) +
-		len(nt.FailIdx) + len(nt.FailSym) + len(nt.FailLo) + len(nt.FailHi) +
-		len(nt.DefLo) + len(nt.DefHi)
-	return 4*i32 + 8*len(nt.Emit) + len(nt.Accept)
+	ti := q*nt.Syms + y
+	return nt.Off[ti], nt.Off[ti+1]
 }
 
 // NewNFATables flattens any epsilon-free transducer.
@@ -161,107 +112,6 @@ func NewNFATables(t *transducer.Transducer) *NFATables {
 		}
 	}
 	return nt
-}
-
-// NewNFATablesCompact flattens an epsilon-free transducer into the
-// failure-transition encoding: per state, the most common successor row
-// becomes the default and only deviating symbols are stored explicitly.
-// Rows are deduplicated within a state, so parallel alphabet symbols
-// with identical behaviour share edge storage.
-func NewNFATablesCompact(t *transducer.Transducer) *NFATables {
-	states, syms := t.NumStates(), t.In.Size()
-	nt := &NFATables{
-		States:  states,
-		Syms:    syms,
-		Start:   int32(t.Start()),
-		EmitPtr: []int32{0},
-		Accept:  make([]bool, states),
-		FailIdx: make([]int32, states+1),
-		DefLo:   make([]int32, states),
-		DefHi:   make([]int32, states),
-	}
-	var key []byte
-	for q := 0; q < states; q++ {
-		nt.Accept[q] = t.Accepting(q)
-		// One pass to pick the default row (most frequent row content),
-		// one pass to materialize rows, deduplicated by content.
-		rowKeys := make([]string, syms)
-		count := map[string]int{}
-		for y := 0; y < syms; y++ {
-			key = key[:0]
-			for _, q2 := range t.Succ(q, automata.Symbol(y)) {
-				key = appendInt32(key, int32(q2))
-				w := t.Emit(q, automata.Symbol(y), q2)
-				key = appendInt32(key, int32(len(w)))
-				for _, s := range w {
-					key = appendInt32(key, int32(s))
-				}
-			}
-			rowKeys[y] = string(key)
-			count[rowKeys[y]]++
-		}
-		defKey, defCount := "", 0
-		for _, k := range rowKeys { // iterate rowKeys, not the map: deterministic tie-break
-			if count[k] > defCount {
-				defKey, defCount = k, count[k]
-			}
-		}
-		written := map[string][2]int32{}
-		writeRow := func(y int) [2]int32 {
-			lo := int32(len(nt.Succ))
-			for _, q2 := range t.Succ(q, automata.Symbol(y)) {
-				nt.Succ = append(nt.Succ, int32(q2))
-				w := t.Emit(q, automata.Symbol(y), q2)
-				if len(w) > nt.MaxEmit {
-					nt.MaxEmit = len(w)
-				}
-				nt.Emit = append(nt.Emit, w...)
-				nt.EmitPtr = append(nt.EmitPtr, int32(len(nt.Emit)))
-			}
-			return [2]int32{lo, int32(len(nt.Succ))}
-		}
-		for y := 0; y < syms; y++ {
-			k := rowKeys[y]
-			rng, ok := written[k]
-			if !ok {
-				rng = writeRow(y)
-				written[k] = rng
-			}
-			if k == defKey {
-				nt.DefLo[q], nt.DefHi[q] = rng[0], rng[1]
-				continue
-			}
-			nt.FailSym = append(nt.FailSym, int32(y))
-			nt.FailLo = append(nt.FailLo, rng[0])
-			nt.FailHi = append(nt.FailHi, rng[1])
-		}
-		nt.FailIdx[q+1] = int32(len(nt.FailSym))
-	}
-	return nt
-}
-
-func appendInt32(b []byte, v int32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-// compactMinSyms is the alphabet size below which the dense q·|Σ| table
-// is always at least as small as the failure encoding's overhead.
-const compactMinSyms = 64
-
-// NewNFATablesAuto picks the smaller of the dense and failure-transition
-// encodings. Small alphabets stay dense without building the compact
-// form at all; large alphabets build both at prepare time and keep the
-// one with the smaller footprint.
-func NewNFATablesAuto(t *transducer.Transducer) *NFATables {
-	dense := NewNFATables(t)
-	if t.In.Size() < compactMinSyms {
-		return dense
-	}
-	compact := NewNFATablesCompact(t)
-	if compact.FootprintBytes() < dense.FootprintBytes() {
-		return compact
-	}
-	return dense
 }
 
 // EmitRun concatenates the emissions along the accepting run that reads

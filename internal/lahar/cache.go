@@ -81,8 +81,16 @@ type CacheStats struct {
 	// frontier cells skipped vs. expanded, and kernel resolves, across
 	// their ranked enumerations and membership probes. They are a
 	// snapshot of the live cache — engines dropped by invalidation take
-	// their counts with them — and are all zero under
-	// WithExhaustiveRanked.
+	// their counts with them.
+	//
+	// These pruning counters, and the candidate-selection and
+	// lazy-checkpoint counters below, read zero for every query the
+	// store serves today: every transducer engine it binds is
+	// append-extendable (core.Prepared.ExtendValidated), whose resolves
+	// run unpruned; s-projector rankers are not Lawler-tree-based; and
+	// the store never calls the pruned membership probe
+	// (core.Engine.IsAnswer). Only the cross-append carry counters
+	// (RankedReused, RankedReseeded, RankedHandlesSkipped) move.
 	RankedPrunedCells, RankedVisitedCells, RankedResolves uint64
 	// RankedCandsSelected / RankedCandsSkipped aggregate the bounded
 	// candidate-selection counters: boundary-crossing candidates recorded
@@ -101,7 +109,7 @@ type CacheStats struct {
 	// re-entered with refreshed bounds when AppendEvents grew a stream
 	// under a cached ranked enumeration. RankedHandlesSkipped counts
 	// lazy checkpoint handles carried across appends without
-	// materialization. All zero under WithFromScratchRanked.
+	// materialization.
 	RankedReused, RankedReseeded, RankedHandlesSkipped uint64
 }
 
@@ -177,7 +185,7 @@ func (db *DB) engine(stream, qname string) (*core.Engine, error) {
 	// by AppendEvents). ExtendValidated binds in extendable ranked mode
 	// and reseeds from the predecessor when the stream merely grew, so
 	// repeated append-then-TopK serving is incremental in the appended
-	// suffix; WithFromScratchRanked pins the rebuild-every-time reference.
+	// suffix.
 	eng, err := qe.prepared.ExtendValidated(old, m)
 	if err != nil {
 		return nil, fmt.Errorf("lahar: stream %q, query %q: %w", stream, qname, err)

@@ -171,23 +171,13 @@ type WindowResult struct {
 // are zero-copy overlays of the stream, a two-stack operator aggregation
 // gates provably-empty windows, and transducer plans rank through the
 // lean sequential sweeper instead of a fresh engine per window — with
-// results bit-identical to the bind-per-window reference, which remains
-// available behind WithReferenceWindows. With the ParallelWindows option
+// results bit-identical to binding one engine per window, the reference
+// the sliding tests check against. With the ParallelWindows option
 // the windows fan out over the store's worker pool. Equivalent to
 // SlidingTopKCtx with context.Background() — the store's deadline and
 // in-flight limit still apply.
 func (db *DB) SlidingTopK(stream, qname string, window, stride, k int) ([]WindowResult, error) {
 	return db.SlidingTopKCtx(context.Background(), stream, qname, window, stride, k)
-}
-
-// windowSweep abstracts the two window sources — the amortized sliding
-// run and the bind-per-window reference — behind a sequential cursor
-// plus a per-worker evaluator factory, so the serial and parallel sweep
-// drivers below serve both with identical cancellation semantics.
-type windowSweep struct {
-	n       int
-	next    func() (core.Window, bool)
-	newEval func() func(ctx context.Context, w core.Window, k int) ([]core.Answer, error)
 }
 
 // slidingTopK is the limiter-free windowed evaluation behind
@@ -206,68 +196,28 @@ func (db *DB) slidingTopK(ctx context.Context, stream, qname string, window, str
 	if window > m.Len() {
 		return nil, fmt.Errorf("lahar: window %d exceeds stream %q length %d", window, stream, m.Len())
 	}
-	var sw windowSweep
-	if db.referenceWindows {
-		wr := m.Windower() // one forward pass for all windows
-		idx, start := 0, 1
-		n := (m.Len()-window)/stride + 1
-		sw = windowSweep{
-			n: n,
-			next: func() (core.Window, bool) {
-				if idx >= n {
-					return core.Window{}, false
-				}
-				w := core.Window{Index: idx, Start: start, End: start + window - 1}
-				w.Seq = wr.Window(w.Start, w.End)
-				idx++
-				start += stride
-				return w, true
-			},
-			newEval: func() func(context.Context, core.Window, int) ([]core.Answer, error) {
-				return func(ctx context.Context, w core.Window, k int) ([]core.Answer, error) {
-					eng, err := prepared.BindValidated(w.Seq)
-					if err != nil {
-						return nil, err
-					}
-					top, err := eng.TopKCtx(ctx, k)
-					if err != nil {
-						return nil, err
-					}
-					return top, nil
-				}
-			},
-		}
-	} else {
-		run := prepared.Windows(m, window, stride)
-		sw = windowSweep{
-			n:    run.Len(),
-			next: run.Next,
-			newEval: func() func(context.Context, core.Window, int) ([]core.Answer, error) {
-				return run.NewEval().TopK
-			},
-		}
+	run := prepared.Windows(m, window, stride)
+	if !db.parallelWindows || run.Len() < 2 {
+		return db.sweepSerial(ctx, run, k)
 	}
-	if !db.parallelWindows || sw.n < 2 {
-		return db.sweepSerial(ctx, sw, k)
-	}
-	return db.sweepParallel(ctx, sw, k)
+	return db.sweepParallel(ctx, run, k)
 }
 
 // sweepSerial drains the sweep on the calling goroutine, polling ctx
 // between windows so a mid-sweep deadline costs at most one window of
 // extra work before the completed prefix is returned.
-func (db *DB) sweepSerial(ctx context.Context, sw windowSweep, k int) ([]WindowResult, error) {
-	out := make([]WindowResult, 0, sw.n)
-	eval := sw.newEval()
+func (db *DB) sweepSerial(ctx context.Context, run *core.WindowRun, k int) ([]WindowResult, error) {
+	out := make([]WindowResult, 0, run.Len())
+	eval := run.NewEval()
 	for {
 		if cerr := ctx.Err(); cerr != nil {
 			return out, fmt.Errorf("lahar: SlidingTopK: %w", cerr)
 		}
-		w, ok := sw.next()
+		w, ok := run.Next()
 		if !ok {
 			return out, nil
 		}
-		top, err := eval(ctx, w, k)
+		top, err := eval.TopK(ctx, w, k)
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return out, fmt.Errorf("lahar: SlidingTopK: %w", cerr)
@@ -284,20 +234,17 @@ func (db *DB) sweepSerial(ctx context.Context, sw windowSweep, k int) ([]WindowR
 // evaluator for the whole sweep. On cancellation no new windows start,
 // every spawned worker is awaited, and the completed prefix of windows
 // is returned with ctx.Err().
-func (db *DB) sweepParallel(ctx context.Context, sw windowSweep, k int) ([]WindowResult, error) {
+func (db *DB) sweepParallel(ctx context.Context, run *core.WindowRun, k int) ([]WindowResult, error) {
 	type slot struct {
 		res  WindowResult
 		err  error
 		done bool
 	}
-	outs := make([]slot, sw.n)
-	workers := db.workers
-	if workers > sw.n {
-		workers = sw.n
-	}
-	evals := make(chan func(context.Context, core.Window, int) ([]core.Answer, error), workers)
+	outs := make([]slot, run.Len())
+	workers := min(db.workers, run.Len())
+	evals := make(chan *core.WindowEval, workers)
 	for i := 0; i < workers; i++ {
-		evals <- sw.newEval()
+		evals <- run.NewEval()
 	}
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, workers)
@@ -305,7 +252,7 @@ func (db *DB) sweepParallel(ctx context.Context, sw windowSweep, k int) ([]Windo
 		if ctx.Err() != nil {
 			break // stop issuing windows; spawned workers self-cancel
 		}
-		w, ok := sw.next()
+		w, ok := run.Next()
 		if !ok {
 			break
 		}
@@ -317,7 +264,7 @@ func (db *DB) sweepParallel(ctx context.Context, sw windowSweep, k int) ([]Windo
 			defer wg.Done()
 			defer func() { <-sem }()
 			eval := <-evals
-			top, err := eval(ctx, w, k)
+			top, err := eval.TopK(ctx, w, k)
 			evals <- eval
 			if err != nil {
 				outs[w.Index] = slot{err: fmt.Errorf("window [%d,%d]: %w", w.Start, w.End, err)}
@@ -328,7 +275,7 @@ func (db *DB) sweepParallel(ctx context.Context, sw windowSweep, k int) ([]Windo
 	}
 	wg.Wait()
 	if cerr := ctx.Err(); cerr != nil {
-		out := make([]WindowResult, 0, sw.n)
+		out := make([]WindowResult, 0, len(outs))
 		for i := range outs {
 			if !outs[i].done {
 				break

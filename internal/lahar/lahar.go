@@ -140,13 +140,9 @@ type DB struct {
 	// appenders advance them, PutStream fails them (see watch.go).
 	watchers map[string][]*Subscription
 
-	workers           int
-	parallelWindows   bool
-	referenceWindows  bool
-	rankedWorkers     int
-	exhaustiveRanked  bool
-	eagerCheckpoints  bool
-	fromScratchRanked bool
+	workers         int
+	parallelWindows bool
+	rankedWorkers   int
 
 	// deadline is the per-query timeout applied at every public entry
 	// point (0 = none); inflight is the load-shedding semaphore (nil =
@@ -182,17 +178,6 @@ func WithParallelWindows(on bool) Option {
 	return func(db *DB) { db.parallelWindows = on }
 }
 
-// WithReferenceWindows makes SlidingTopK evaluate each window through
-// the bind-per-window reference path (deep-copied window marginals, a
-// fresh engine per window) instead of the amortized sliding sweep
-// (shared-transition windows, two-stack operator aggregation, and the
-// lean ranked sweeper — see core.Prepared.Windows). The two paths
-// return bit-identical results; the reference exists for differential
-// testing and as a baseline for the sliding benchmarks.
-func WithReferenceWindows(on bool) Option {
-	return func(db *DB) { db.referenceWindows = on }
-}
-
 // WithRankedWorkers sets the speculative-resolution pool of each
 // registered query's ranked enumerator (core.WithRankedWorkers). The
 // default is 1 — sequential per-engine resolution — because the store
@@ -209,39 +194,6 @@ func WithRankedWorkers(n int) Option {
 		}
 		db.rankedWorkers = n
 	}
-}
-
-// WithExhaustiveRanked pins the exhaustive (unpruned) ranked kernels for
-// every query registered afterwards (core.WithExhaustiveRanked): the
-// weight-pushed frontier pruning is skipped and the full sweep runs.
-// Results are bit-identical either way; this is the differential
-// reference and the escape hatch for workloads where per-binding bound
-// computation outweighs the sweep it prunes.
-func WithExhaustiveRanked() Option {
-	return func(db *DB) { db.exhaustiveRanked = true }
-}
-
-// WithEagerCheckpoints pins eager ranked-checkpoint materialization for
-// every query registered afterwards (core.WithEagerCheckpoints): each
-// prefix checkpoint's DP is built when the checkpoint is requested
-// instead of when a resolve first reads a layer, with pruning still
-// active. Results are bit-identical either way; this is a differential
-// reference and an escape hatch for serving setups that prefer the
-// build cost up front. Implied by WithExhaustiveRanked.
-func WithEagerCheckpoints() Option {
-	return func(db *DB) { db.eagerCheckpoints = true }
-}
-
-// WithFromScratchRanked disables the cross-append carry of ranked
-// enumeration state: every AppendEvents-grown engine rebuilds its
-// ranked enumeration from scratch instead of reseeding it from the
-// predecessor. The carried and from-scratch paths agree rank by rank on
-// bit-identical scores (set-identically within exactly tied score
-// classes); this option is the differential reference for the
-// append-then-rank grid and an escape hatch for workloads where the
-// reseed bookkeeping outweighs the resolves it saves.
-func WithFromScratchRanked() Option {
-	return func(db *DB) { db.fromScratchRanked = true }
 }
 
 // New returns an empty database.
@@ -317,30 +269,14 @@ func (db *DB) Streams() []string {
 // come from the store's own worker pool (WithWorkers), not from nesting
 // pools inside every engine.
 func (db *DB) RegisterTransducer(name string, t *transducer.Transducer) {
-	db.registerQuery(name, core.PrepareTransducer(t, db.prepareOpts()...))
-}
-
-// prepareOpts assembles the core preparation options implied by the
-// store's configuration.
-func (db *DB) prepareOpts() []core.PrepareOption {
-	opts := []core.PrepareOption{core.WithRankedWorkers(db.rankedWorkers)}
-	if db.exhaustiveRanked {
-		opts = append(opts, core.WithExhaustiveRanked())
-	}
-	if db.eagerCheckpoints {
-		opts = append(opts, core.WithEagerCheckpoints())
-	}
-	if db.fromScratchRanked {
-		opts = append(opts, core.WithFromScratchRanked())
-	}
-	return opts
+	db.registerQuery(name, core.PrepareTransducer(t, core.WithRankedWorkers(db.rankedWorkers)))
 }
 
 // RegisterSProjector registers an s-projector query; indexed selects the
 // indexed semantics ([B]↓A[E]). The query is compiled once, including
 // the equivalent-transducer conversion.
 func (db *DB) RegisterSProjector(name string, p *sproj.SProjector, indexed bool) {
-	db.registerQuery(name, core.PrepareSProjector(p, indexed, db.prepareOpts()...))
+	db.registerQuery(name, core.PrepareSProjector(p, indexed, core.WithRankedWorkers(db.rankedWorkers)))
 }
 
 func (db *DB) registerQuery(name string, pr *core.Prepared) {

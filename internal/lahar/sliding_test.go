@@ -11,11 +11,12 @@ import (
 	"markovseq/internal/markov"
 	"markovseq/internal/rfid"
 	"markovseq/internal/testutil"
+	"markovseq/internal/transducer"
 )
 
 // slidingWorkload builds an RFID trace and a place query, returning a
-// DB factory so each configuration (reference/parallel/...) gets its
-// own store over the identical stream.
+// DB factory so each configuration (serial/parallel/...) gets its own
+// store over the identical stream.
 func slidingWorkload(t *testing.T, noise rfid.Noise, trigger string, n int, seed int64) func(opts ...Option) *DB {
 	t.Helper()
 	f := rfid.Hospital(3, 2)
@@ -35,6 +36,55 @@ func slidingWorkload(t *testing.T, noise rfid.Noise, trigger string, n int, seed
 	}
 }
 
+// referenceSliding is the bind-per-window reference of SlidingTopK: each
+// window's marginals deep-copied out of one forward pass
+// (markov.Windower.Window) and ranked by a freshly bound engine, in
+// window order.
+func referenceSliding(t *testing.T, db *DB, stream, qname string, window, stride, k int) []WindowResult {
+	t.Helper()
+	m, pr, err := db.lookup(stream, qname)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wr := m.Windower()
+	var out []WindowResult
+	for start := 1; start+window-1 <= m.Len(); start += stride {
+		end := start + window - 1
+		eng, err := pr.BindValidated(wr.Window(start, end))
+		if err != nil {
+			t.Fatal(err)
+		}
+		top, err := eng.TopKCtx(context.Background(), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, WindowResult{Start: start, End: end, Top: resultsOf(top)})
+	}
+	return out
+}
+
+// identityTieStore is the exact-tie workload: the identity transducer
+// over a uniform 3-symbol chain, so every answer of every window has the
+// same E_max, bit for bit, and the emission order inside a window rests
+// entirely on the tie rule.
+func identityTieStore(t *testing.T, n int) *DB {
+	t.Helper()
+	abc := automata.Chars("abc")
+	tr := transducer.New(abc, abc, 1, 0)
+	tr.SetAccepting(0, true)
+	for _, s := range abc.Symbols() {
+		tr.AddTransition(0, s, 0, []automata.Symbol{s})
+	}
+	third := []float64{1.0 / 3, 1.0 / 3, 1.0 / 3}
+	m := markov.Homogeneous(abc, n, third, [][]float64{third, third, third})
+	db := New()
+	if err := db.PutStream("cart", m); err != nil {
+		t.Fatal(err)
+	}
+	db.RegisterTransducer("lab", tr)
+	return db
+}
+
 // slidingSweeps is the window/stride grid the differential tests run:
 // length-1 windows, stride splitting the stream unevenly, stride larger
 // than the window (the operator queue resets across the gap), the whole
@@ -47,7 +97,10 @@ func slidingSweeps(n int) [][2]int {
 // of the amortized sweep: for dense (every window answerable) and
 // sparse (most windows provably empty) workloads, across the full
 // window/stride grid, the amortized path must be reflect.DeepEqual —
-// float bits included — to the bind-per-window reference.
+// float bits included — to the bind-per-window reference. The ties case
+// makes every answer of a window tie exactly, so the sweep must break
+// ties by the same rule as TopK, on windows both below and above
+// kernel.BoundsMinN (the unpruned and the pruned sweeper).
 func TestSlidingSWAGMatchesReference(t *testing.T) {
 	testutil.CheckLeaks(t)
 	workloads := []struct {
@@ -61,15 +114,11 @@ func TestSlidingSWAGMatchesReference(t *testing.T) {
 	const n = 40
 	for _, wl := range workloads {
 		t.Run(wl.name, func(t *testing.T) {
-			mk := slidingWorkload(t, wl.noise, wl.trigger, n, 7)
-			fast, ref := mk(), mk(WithReferenceWindows(true))
+			fast := slidingWorkload(t, wl.noise, wl.trigger, n, 7)()
 			for _, sweep := range slidingSweeps(n) {
 				window, stride := sweep[0], sweep[1]
 				for _, k := range []int{1, 3} {
-					want, err := ref.SlidingTopK("cart", "lab", window, stride, k)
-					if err != nil {
-						t.Fatalf("w=%d s=%d k=%d: reference: %v", window, stride, k, err)
-					}
+					want := referenceSliding(t, fast, "cart", "lab", window, stride, k)
 					got, err := fast.SlidingTopK("cart", "lab", window, stride, k)
 					if err != nil {
 						t.Fatalf("w=%d s=%d k=%d: fast: %v", window, stride, k, err)
@@ -82,32 +131,38 @@ func TestSlidingSWAGMatchesReference(t *testing.T) {
 			}
 		})
 	}
+	t.Run("ties", func(t *testing.T) {
+		db := identityTieStore(t, n)
+		for _, window := range []int{4, 32, 40} {
+			want := referenceSliding(t, db, "cart", "lab", window, 4, 3)
+			got, err := db.SlidingTopK("cart", "lab", window, 4, 3)
+			if err != nil {
+				t.Fatalf("w=%d: %v", window, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("w=%d: tied answers leave the sweep in a different order than TopK\ngot  %+v\nwant %+v",
+					window, got, want)
+			}
+		}
+	})
 }
 
 // TestSlidingSWAGParallelMatchesReference repeats the differential
-// check with the parallel window driver on both paths; run under -race
-// this also exercises the per-worker evaluator pooling.
+// check with the parallel window driver; run under -race this also
+// exercises the per-worker evaluator pooling.
 func TestSlidingSWAGParallelMatchesReference(t *testing.T) {
 	testutil.CheckLeaks(t)
 	const n = 40
-	mk := slidingWorkload(t, rfid.DefaultNoise, "lab", n, 11)
-	serialRef := mk(WithReferenceWindows(true))
-	parFast := mk(WithParallelWindows(true), WithWorkers(4))
-	parRef := mk(WithReferenceWindows(true), WithParallelWindows(true), WithWorkers(4))
+	par := slidingWorkload(t, rfid.DefaultNoise, "lab", n, 11)(WithParallelWindows(true), WithWorkers(4))
 	for _, sweep := range slidingSweeps(n) {
 		window, stride := sweep[0], sweep[1]
-		want, err := serialRef.SlidingTopK("cart", "lab", window, stride, 3)
+		want := referenceSliding(t, par, "cart", "lab", window, stride, 3)
+		got, err := par.SlidingTopK("cart", "lab", window, stride, 3)
 		if err != nil {
-			t.Fatalf("w=%d s=%d: serial reference: %v", window, stride, err)
+			t.Fatalf("w=%d s=%d: parallel: %v", window, stride, err)
 		}
-		for name, db := range map[string]*DB{"fast": parFast, "reference": parRef} {
-			got, err := db.SlidingTopK("cart", "lab", window, stride, 3)
-			if err != nil {
-				t.Fatalf("w=%d s=%d: parallel %s: %v", window, stride, name, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("w=%d s=%d: parallel %s diverges from serial reference", window, stride, name)
-			}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("w=%d s=%d: parallel sweep diverges from the reference", window, stride)
 		}
 	}
 }
@@ -220,21 +275,14 @@ func TestSlidingSProjMatchesReference(t *testing.T) {
 	ab := automata.Chars("ab")
 	const n = 14
 	m := markov.Random(ab, n, 0.6, rand.New(rand.NewSource(5)))
-	mk := func(opts ...Option) *DB {
-		db := New(opts...)
-		if err := db.PutStream("s", m); err != nil {
-			t.Fatal(err)
-		}
-		db.RegisterSProjector("runs", mustSimpleSProjector(t, "a+", ab), false)
-		return db
+	fast := New()
+	if err := fast.PutStream("s", m); err != nil {
+		t.Fatal(err)
 	}
-	fast, ref := mk(), mk(WithReferenceWindows(true))
+	fast.RegisterSProjector("runs", mustSimpleSProjector(t, "a+", ab), false)
 	for _, sweep := range [][2]int{{1, 1}, {3, 2}, {4, 5}, {n, 1}, {5, 3}} {
 		window, stride := sweep[0], sweep[1]
-		want, err := ref.SlidingTopK("s", "runs", window, stride, 3)
-		if err != nil {
-			t.Fatalf("w=%d s=%d: reference: %v", window, stride, err)
-		}
+		want := referenceSliding(t, fast, "s", "runs", window, stride, 3)
 		got, err := fast.SlidingTopK("s", "runs", window, stride, 3)
 		if err != nil {
 			t.Fatalf("w=%d s=%d: fast: %v", window, stride, err)

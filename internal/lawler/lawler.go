@@ -21,7 +21,11 @@
 // Config.Tie optionally replaces the insertion-sequence tie-break on
 // emissions with a canonical payload order, making the emitted sequence
 // identical even across differently-constructed enumerations of the same
-// answer set (the cross-append reseed relies on this).
+// answer set (the cross-append reseed relies on this). Under Tie a child's
+// inherited bound ties every answer of an exactly tied score class, which
+// would force resolving each tied child before the next tied emission;
+// Config.Floor extends laziness to the tie-break with a payload floor per
+// region, so only children that could precede the front are resolved.
 package lawler
 
 import (
@@ -72,6 +76,14 @@ type Config[T any] struct {
 	// with Tie nil the insertion sequence decides, which is still
 	// deterministic for any one construction.
 	Tie func(a, b T) int
+	// Floor, consulted only with Tie, returns a payload that every answer
+	// of region c sorts at or after under Tie — strictly after when
+	// strict. An unresolved item whose bound ties the front then stays
+	// unresolved when its floor already sorts after the front: no answer
+	// of its region could be emitted first, so the emitted sequence is
+	// the one Floor nil yields, with far fewer resolutions inside large
+	// exact-tie classes.
+	Floor func(c transducer.Constraint) (floor T, strict bool)
 }
 
 type item[T any] struct {
@@ -83,7 +95,23 @@ type item[T any] struct {
 	dead     bool
 	top      T
 	score    float64
+	// rank and floor place the item within its score's tie class (see
+	// tieOrder); floor is only meaningful while the item is unresolved.
+	rank  int8
+	floor T
 }
+
+// Tie-class ranks. An unresolved item without a floor could hold answers
+// anywhere in its tie class, so it sorts ahead of the whole class; the
+// others sort by payload — a resolved item's top, an unresolved item's
+// floor — with an unresolved item just before a resolved top equal to its
+// floor, or just after it when the floor is strict.
+const (
+	rankOpen int8 = iota - 1
+	rankFloor
+	rankResolved
+	rankStrictFloor
+)
 
 type queue[T any] struct {
 	its []*item[T]
@@ -97,19 +125,35 @@ func (q *queue[T]) Less(i, j int) bool {
 		return a.score > b.score
 	}
 	if q.tie != nil {
-		// Unresolved items surface ahead of tied resolved ones so their
-		// true scores are known before any tied emission; among resolved
-		// ties the canonical payload order decides.
-		if a.resolved != b.resolved {
-			return !a.resolved
-		}
-		if a.resolved {
-			if c := q.tie(a.top, b.top); c != 0 {
-				return c < 0
-			}
+		if c := q.tieOrder(a, b); c != 0 {
+			return c < 0
 		}
 	}
 	return a.seq < b.seq
+}
+
+// tieOrder orders two items of equal score. Every unresolved item sorts
+// at or before each answer its region can still produce, so a resolved
+// item reaches the front only when no queued region can emit ahead of
+// it: tied unresolved items surface first unless their floor proves
+// otherwise, and among resolved ties the canonical payload order decides.
+func (q *queue[T]) tieOrder(a, b *item[T]) int {
+	if a.rank == rankOpen || b.rank == rankOpen {
+		return int(a.rank) - int(b.rank)
+	}
+	if c := q.tie(a.payload(), b.payload()); c != 0 {
+		return c
+	}
+	return int(a.rank) - int(b.rank)
+}
+
+// payload is the item's position in its tie class: the resolved top, or
+// the floor of an unresolved region.
+func (it *item[T]) payload() T {
+	if it.resolved {
+		return it.top
+	}
+	return it.floor
 }
 func (q *queue[T]) Swap(i, j int) { q.its[i], q.its[j] = q.its[j], q.its[i] }
 func (q *queue[T]) Push(x any)    { q.its = append(q.its, x.(*item[T])) }
@@ -227,10 +271,24 @@ func NewSeeded[T any](cfg Config[T], seeds []Seed[T]) *Enumerator[T] {
 		e.batch = cfg.Workers
 	}
 	for _, s := range seeds {
-		heap.Push(&e.q, &item[T]{c: s.C, parent: s.Parent, root: s.Root, seq: e.seq, score: s.Bound})
-		e.seq++
+		e.push(s.C, s.Parent, s.Root, s.Bound)
 	}
 	return e
+}
+
+// push queues region c unresolved under the bound score, numbered next
+// in insertion order and placed in its tie class by cfg.Floor.
+func (e *Enumerator[T]) push(c transducer.Constraint, parent T, root bool, score float64) {
+	it := &item[T]{c: c, parent: parent, root: root, seq: e.seq, score: score, rank: rankOpen}
+	e.seq++
+	if e.cfg.Tie != nil && e.cfg.Floor != nil {
+		floor, strict := e.cfg.Floor(c)
+		it.floor, it.rank = floor, rankFloor
+		if strict {
+			it.rank = rankStrictFloor
+		}
+	}
+	heap.Push(&e.q, it)
 }
 
 // New prepares the enumeration of cfg.Root's answers in decreasing
@@ -241,10 +299,8 @@ func New[T any](cfg Config[T]) *Enumerator[T] {
 	if e.batch <= 0 {
 		e.batch = cfg.Workers
 	}
-	root := &item[T]{c: cfg.Root, root: true, seq: e.seq}
-	e.seq++
-	root.score = 0 // any finite bound works: the root is resolved on first pop
-	heap.Push(&e.q, root)
+	var zero T
+	e.push(cfg.Root, zero, true, 0) // any finite bound works: the root is resolved on first pop
 	return e
 }
 
@@ -289,15 +345,14 @@ func (e *Enumerator[T]) NextCtx(ctx context.Context) (top T, score float64, ok b
 				e.dead = append(e.dead, it)
 				continue
 			}
-			it.resolved, it.top, it.score = true, top, sc
+			it.resolved, it.top, it.score, it.rank = true, top, sc, rankResolved
 			heap.Push(&e.q, it)
 			continue
 		}
 		for _, child := range e.cfg.Children(it.c, it.top) {
 			// A child's best cannot exceed its parent's resolved score,
 			// which therefore serves as the admissible upper bound.
-			heap.Push(&e.q, &item[T]{c: child, parent: it.top, seq: e.seq, score: it.score})
-			e.seq++
+			e.push(child, it.top, false, it.score)
 		}
 		e.emitted = append(e.emitted, Emitted[T]{C: it.c, Parent: it.parent, Root: it.root, Top: it.top, Score: it.score})
 		return it.top, it.score, true, nil
@@ -367,7 +422,7 @@ func (e *Enumerator[T]) speculate(ctx context.Context) error {
 					it.dead = true
 					continue
 				}
-				it.resolved, it.top, it.score = true, top, sc
+				it.resolved, it.top, it.score, it.rank = true, top, sc, rankResolved
 			}
 		}()
 	}

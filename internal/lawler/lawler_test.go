@@ -325,3 +325,80 @@ func TestCancellationResumes(t *testing.T) {
 		}
 	}
 }
+
+// floor is the universe's tie floor: a region's best-named member sorts
+// at or before every answer the region holds.
+func (u *universe) floor(c transducer.Constraint) (string, bool) {
+	min := ""
+	for i, m := range u.members(c) {
+		if i == 0 || u.names[m] < min {
+			min = u.names[m]
+		}
+	}
+	return min, false
+}
+
+// TestFloorKeepsEmission: Config.Floor changes only which tied regions
+// are resolved, never what is emitted — across tie-heavy universes,
+// drain depths, worker counts and seeded construction — and it never
+// resolves more than Tie alone.
+func TestFloorKeepsEmission(t *testing.T) {
+	for trial := 0; trial < 20; trial++ {
+		rng := rand.New(rand.NewSource(int64(900 + trial)))
+		u := randomUniverse(rng, 3+rng.Intn(40))
+		for i := range u.scores {
+			u.scores[i] = float64(rng.Intn(3)) // three levels: large exact-tie classes
+		}
+		for _, k := range []int{1, 3, len(u.names)} {
+			u.resolves.Store(0)
+			ref, refScores := drain(lawler.New(u.config(1, true)), k)
+			plain := u.resolves.Load()
+			for _, workers := range []int{1, 3} {
+				cfg := u.config(workers, true)
+				cfg.Floor = u.floor
+				u.resolves.Store(0)
+				got, gotScores := drain(lawler.New(cfg), k)
+				if !reflect.DeepEqual(got, ref) || !reflect.DeepEqual(gotScores, refScores) {
+					t.Fatalf("trial %d k=%d workers=%d: floors changed the drain\ngot  %v\nwant %v", trial, k, workers, got, ref)
+				}
+				if n := u.resolves.Load(); workers == 1 && n > plain {
+					t.Fatalf("trial %d k=%d: floors resolved %d subproblems, Tie alone %d", trial, k, n, plain)
+				}
+			}
+		}
+		cfg := u.config(1, true)
+		cfg.Floor = u.floor
+		var seeds []lawler.Seed[string]
+		for _, i := range rng.Perm(len(u.names)) {
+			seeds = append(seeds, lawler.Seed[string]{C: u.region([]int{i}), Bound: u.scores[i]})
+		}
+		ref, _ := drain(lawler.New(u.config(1, true)), len(u.names))
+		if got, _ := drain(lawler.NewSeeded(cfg, seeds), len(u.names)); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("trial %d: seeded drain with floors diverges\ngot  %v\nwant %v", trial, got, ref)
+		}
+	}
+}
+
+// TestFloorSkipsTiedSiblings: on a universe of one exact tie class, Tie
+// alone resolves every bound-tied child before each emission, while a
+// floor lets the front emit once no queued region can sort ahead of it.
+func TestFloorSkipsTiedSiblings(t *testing.T) {
+	u := randomUniverse(rand.New(rand.NewSource(3)), 64)
+	for i := range u.scores {
+		u.scores[i] = 1
+	}
+	const k = 8
+	ref, _ := drain(lawler.New(u.config(1, true)), k)
+	plain := u.resolves.Swap(0)
+	cfg := u.config(1, true)
+	cfg.Floor = u.floor
+	got, _ := drain(lawler.New(cfg), k)
+	if !reflect.DeepEqual(got, ref) {
+		t.Fatalf("floors changed the drain: got %v, want %v", got, ref)
+	}
+	// Binary children: Tie alone resolves both halves per emission; the
+	// floor resolves only the half holding the next name.
+	if n := u.resolves.Load(); n != k || plain <= n {
+		t.Fatalf("top-%d drain resolved %d subproblems with floors, %d without; want %d with, more without", k, n, plain, k)
+	}
+}

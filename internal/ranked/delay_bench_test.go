@@ -3,7 +3,7 @@
 // time-to-first-answer, and per-answer delay percentiles, each on the
 // RFID and textgen application workloads, with three resolution paths:
 //
-//   - reference:   the pre-incremental loop (legacy.go) — materializes
+//   - reference:   the pre-incremental loop (legacy_test.go) — materializes
 //     the constrained product and re-runs Viterbi from position 0 for
 //     every Lawler resolution;
 //   - incremental: the constraint-incremental kernel with prefix

@@ -26,7 +26,7 @@ func drainAnswers(next func() (Answer, bool), k int) []Answer {
 
 // TestEnumeratorMatchesReference differentially tests the
 // constraint-incremental enumerator against the product-materializing
-// reference loop (legacy.go): same answer set, same per-rank scores.
+// reference loop (legacy_test.go): same answer set, same per-rank scores.
 // When the score sequence is strictly decreasing the orders must match
 // exactly (on ties the two heaps may legitimately break differently).
 func TestEnumeratorMatchesReference(t *testing.T) {

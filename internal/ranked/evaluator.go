@@ -20,7 +20,6 @@ type Option func(*config)
 
 type config struct {
 	workers    int
-	ckCap      int
 	nt         *kernel.NFATables
 	exhaustive bool
 	eagerCk    bool
@@ -36,9 +35,6 @@ func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 // WithTables supplies pre-built base transducer tables (core.Prepared
 // builds them once at prepare time), avoiding a rebuild per evaluator.
 func WithTables(nt *kernel.NFATables) Option { return func(c *config) { c.nt = nt } }
-
-// WithCheckpointCap bounds the prefix-checkpoint LRU (in checkpoints).
-func WithCheckpointCap(n int) Option { return func(c *config) { c.ckCap = n } }
 
 // WithExhaustive disables weight-pushed pruning, keeping the exhaustive
 // frontier sweep. The pruned kernel is bit-identical to it by
@@ -117,25 +113,20 @@ type Evaluator struct {
 
 	// Cross-append reuse counters (kernel.PruneStats.RankedReused etc.);
 	// Extend copies them into the successor evaluator so cache-level sums
-	// stay monotone across engine generations. resolveCalls counts
-	// constrained resolves (the extendable path is unpruned, so the
-	// Bounds-side Resolves counter never sees them).
-	reused, reseeded, handlesSkipped, resolveCalls atomic.Uint64
+	// stay monotone across engine generations.
+	reused, reseeded, handlesSkipped atomic.Uint64
 }
 
 // NewEvaluator builds an evaluator for t over m. WithTables reuses
-// already-built base tables; WithCheckpointCap bounds the LRU.
+// already-built base tables.
 func NewEvaluator(t *transducer.Transducer, m *markov.Sequence, opts ...Option) *Evaluator {
-	cfg := config{}
+	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.ckCap <= 0 {
-		if cfg.extendable {
-			cfg.ckCap = extendableCheckpointCap
-		} else {
-			cfg.ckCap = defaultCheckpointCap
-		}
+	ckCap := defaultCheckpointCap
+	if cfg.extendable {
+		ckCap = extendableCheckpointCap
 	}
 	nt := cfg.nt
 	if nt == nil {
@@ -152,7 +143,7 @@ func NewEvaluator(t *transducer.Transducer, m *markov.Sequence, opts ...Option) 
 			origin:   make(map[string]transducer.Constraint),
 		}
 	}
-	ev.cache.init(cfg.ckCap)
+	ev.cache.init(ckCap)
 	return ev
 }
 
@@ -272,7 +263,6 @@ func (ev *Evaluator) resolveCtx(ctx context.Context, c transducer.Constraint, al
 	if err != nil {
 		return nil, nil, math.Inf(-1), false, err
 	}
-	ev.resolveCalls.Add(1)
 	if ev.extendable {
 		// Trace retention kicks in on the second resolve of a region: the
 		// per-append re-resolve set is small and stable across epochs, so
@@ -289,6 +279,12 @@ func (ev *Evaluator) resolveCtx(ctx context.Context, c transducer.Constraint, al
 	}
 	out, nodes, _, logE, ok, err = kernel.ResumeConstrainedBoundedCtx(ctx, ev.nt, ev.v, ck, c, ev.Bounds(), nil)
 	return out, nodes, logE, ok, err
+}
+
+// resolveAnswer is resolveCtx in the shape lawlerConfig resolves with.
+func (ev *Evaluator) resolveAnswer(ctx context.Context, c transducer.Constraint, align []automata.Symbol) (Answer, bool, error) {
+	o, _, logE, ok, err := ev.resolveCtx(ctx, c, align)
+	return Answer{Output: o, LogEmax: logE}, ok, err
 }
 
 // retainCap bounds the retained-frontier map of one extendable
@@ -495,9 +491,6 @@ type ckBuild struct {
 }
 
 func (c *ckptCache) init(cap int) {
-	if cap <= 0 {
-		cap = defaultCheckpointCap
-	}
 	c.cap = cap
 	c.items = make(map[string]*list.Element, cap)
 	c.order.Init()

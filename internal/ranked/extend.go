@@ -265,5 +265,5 @@ func ExtendEnumerator(e *Enumerator, mNew *markov.Sequence, workers int) (*Enume
 	nev.ret.mu.Lock()
 	nev.ret.bscratch = b // seeds hold plain floats; b is free to recycle
 	nev.ret.mu.Unlock()
-	return &Enumerator{inner: lawler.NewSeeded(nev.lawlerConfig(workers), seeds), ev: nev, workers: workers}, true
+	return &Enumerator{inner: lawler.NewSeeded(lawlerConfig(nev.resolveAnswer, workers), seeds), ev: nev, workers: workers}, true
 }

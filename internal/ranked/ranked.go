@@ -18,8 +18,9 @@
 //     constraints, each part's top answer is resolved lazily against its
 //     parent's checkpoint, and WithWorkers resolves the top unresolved
 //     subproblems speculatively in parallel without changing the emitted
-//     sequence. The pre-incremental product path is preserved in
-//     legacy.go as the differential reference and benchmark baseline.
+//     sequence. The pre-incremental product path survives in the tests
+//     (legacy_test.go) as the differential reference and benchmark
+//     baseline.
 //
 // Probabilities are handled in log space, so long Markov sequences do not
 // underflow (see DESIGN.md ablation A3).
@@ -49,111 +50,8 @@ import (
 // This is the one-shot form (base tables are built per call); use an
 // Evaluator to amortize tables and checkpoints across calls.
 func TopEmax(t *transducer.Transducer, m *markov.Sequence, c transducer.Constraint) (o []automata.Symbol, logE float64, ok bool) {
-	o, _, _, logE, ok = kernel.ConstrainedViterbi(kernel.NewNFATables(t), m.View(), c, nil)
+	o, _, _, logE, ok = kernel.ConstrainedViterbi(kernel.NewNFATables(t), m.View(), c, nil, nil)
 	return o, logE, ok
-}
-
-// viterbiRun finds the maximum-probability accepting run of the transducer
-// over μ, returning the evidence node string, the visited states, and the
-// log probability. ok is false when no accepting run over a
-// positive-probability world exists. It runs the sparse frontier kernel:
-// flat transducer tables, CSR transitions with precomputed logs, and
-// double-buffered score buffers (viterbiRunDense is the reference
-// implementation the kernel is differentially tested against).
-func viterbiRun(t *transducer.Transducer, m *markov.Sequence) (nodes []automata.Symbol, states []int, logp float64, ok bool) {
-	return kernel.ViterbiRun(kernel.NewNFATables(t), m.View(), nil)
-}
-
-// viterbiRunDense is the dense reference implementation of viterbiRun,
-// scanning every (node, state) cell per position.
-func viterbiRunDense(t *transducer.Transducer, m *markov.Sequence) (nodes []automata.Symbol, states []int, logp float64, ok bool) {
-	n := m.Len()
-	nNodes := m.Nodes.Size()
-	nStates := t.NumStates()
-	negInf := math.Inf(-1)
-
-	type bp struct{ x, q int }
-	// score[x][q] = max log prob of s[1..i] ending at node x in state q.
-	score := make([][]float64, nNodes)
-	back := make([][][]bp, n) // back[i][x][q]
-	for i := range back {
-		back[i] = make([][]bp, nNodes)
-		for x := range back[i] {
-			back[i][x] = make([]bp, nStates)
-		}
-	}
-	for x := range score {
-		score[x] = make([]float64, nStates)
-		for q := range score[x] {
-			score[x][q] = negInf
-		}
-	}
-	for x := 0; x < nNodes; x++ {
-		p := m.Initial[x]
-		if p == 0 {
-			continue
-		}
-		for _, q2 := range t.Succ(t.Start(), automata.Symbol(x)) {
-			lp := math.Log(p)
-			if lp > score[x][q2] {
-				score[x][q2] = lp
-				back[0][x][q2] = bp{-1, t.Start()}
-			}
-		}
-	}
-	for i := 1; i < n; i++ {
-		next := make([][]float64, nNodes)
-		for x := range next {
-			next[x] = make([]float64, nStates)
-			for q := range next[x] {
-				next[x][q] = negInf
-			}
-		}
-		tr := m.Trans[i-1]
-		for x := 0; x < nNodes; x++ {
-			for q := 0; q < nStates; q++ {
-				base := score[x][q]
-				if base == negInf {
-					continue
-				}
-				for y := 0; y < nNodes; y++ {
-					p := tr[x][y]
-					if p == 0 {
-						continue
-					}
-					lp := base + math.Log(p)
-					for _, q2 := range t.Succ(q, automata.Symbol(y)) {
-						if lp > next[y][q2] {
-							next[y][q2] = lp
-							back[i][y][q2] = bp{x, q}
-						}
-					}
-				}
-			}
-		}
-		score = next
-	}
-	bestX, bestQ, best := -1, -1, negInf
-	for x := 0; x < nNodes; x++ {
-		for q := 0; q < nStates; q++ {
-			if t.Accepting(q) && score[x][q] > best {
-				best, bestX, bestQ = score[x][q], x, q
-			}
-		}
-	}
-	if bestX < 0 {
-		return nil, nil, negInf, false
-	}
-	nodes = make([]automata.Symbol, n)
-	states = make([]int, n)
-	x, q := bestX, bestQ
-	for i := n - 1; i >= 0; i-- {
-		nodes[i] = automata.Symbol(x)
-		states[i] = q
-		prev := back[i][x][q]
-		x, q = prev.x, prev.q
-	}
-	return nodes, states, best, true
 }
 
 // BestEvidence returns the maximum-probability possible world of μ that is
@@ -164,7 +62,7 @@ func viterbiRunDense(t *transducer.Transducer, m *markov.Sequence) (nodes []auto
 // reuses the enumerator's prefix checkpoints.
 func BestEvidence(t *transducer.Transducer, m *markov.Sequence, o []automata.Symbol) (s []automata.Symbol, logE float64, ok bool) {
 	c := transducer.Constraint{Prefix: o, Mode: transducer.ExactOnly}
-	_, nodes, _, lp, ok := kernel.ConstrainedViterbi(kernel.NewNFATables(t), m.View(), c, nil)
+	_, nodes, _, lp, ok := kernel.ConstrainedViterbi(kernel.NewNFATables(t), m.View(), c, nil, nil)
 	return nodes, lp, ok
 }
 
@@ -186,10 +84,10 @@ type Enumerator struct {
 }
 
 // NewEnumerator prepares the decreasing-E_max enumeration of the answers
-// of t over m. Options: WithWorkers, WithTables, WithCheckpointCap,
-// WithExhaustive, WithBounds.
+// of t over m. Options: WithWorkers, WithTables, WithExhaustive,
+// WithEagerCheckpoints, WithExtendable, WithBounds.
 func NewEnumerator(t *transducer.Transducer, m *markov.Sequence, opts ...Option) *Enumerator {
-	cfg := config{ckCap: defaultCheckpointCap}
+	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -197,10 +95,16 @@ func NewEnumerator(t *transducer.Transducer, m *markov.Sequence, opts ...Option)
 	return ev.Enumerate(cfg.workers)
 }
 
-// lawlerConfig is the Lawler–Murty wiring shared by Enumerate and the
-// cross-append reseed (ExtendEnumerator): resolve against the parent
-// answer's prefix checkpoint, partition with Constraint.Children.
-func (ev *Evaluator) lawlerConfig(workers int) lawler.Config[Answer] {
+// resolveFunc solves one Lawler subproblem c against the prefix
+// checkpoint aligned to align (which extends c.Prefix).
+type resolveFunc func(ctx context.Context, c transducer.Constraint, align []automata.Symbol) (Answer, bool, error)
+
+// lawlerConfig is the Lawler–Murty wiring shared by Enumerate, the
+// cross-append reseed (ExtendEnumerator) and the per-window Sweeper:
+// resolve against the parent answer's prefix checkpoint, partition with
+// Constraint.Children, and break exact ties by one rule, so every path
+// emits the same sequence.
+func lawlerConfig(resolve resolveFunc, workers int) lawler.Config[Answer] {
 	return lawler.Config[Answer]{
 		Root: transducer.Unconstrained(),
 		Resolve: func(ctx context.Context, c transducer.Constraint, parent Answer, root bool) (Answer, float64, bool, error) {
@@ -210,8 +114,8 @@ func (ev *Evaluator) lawlerConfig(workers int) lawler.Config[Answer] {
 			if root {
 				align = c.Prefix
 			}
-			o, _, logE, ok, err := ev.resolveCtx(ctx, c, align)
-			return Answer{Output: o, LogEmax: logE}, logE, ok, err
+			a, ok, err := resolve(ctx, c, align)
+			return a, a.LogEmax, ok, err
 		},
 		Children: func(c transducer.Constraint, top Answer) []transducer.Constraint {
 			return c.Children(top.Output)
@@ -226,7 +130,17 @@ func (ev *Evaluator) lawlerConfig(workers int) lawler.Config[Answer] {
 		Tie: func(a, b Answer) int {
 			return slices.Compare(a.Output, b.Output)
 		},
+		Floor: outputFloor,
 	}
+}
+
+// outputFloor is the lexicographic floor of region c's outputs: each
+// extends c.Prefix, strictly in an ExtensionsOnly region. On an exactly
+// tied score class (the flat landscapes of the hardness instances) it
+// lets the tree emit a tied answer without first resolving every
+// bound-tied child whose outputs all sort after it.
+func outputFloor(c transducer.Constraint) (Answer, bool) {
+	return Answer{Output: c.Prefix}, c.Mode == transducer.ExtensionsOnly
 }
 
 // Enumerate starts a decreasing-E_max enumeration sharing this
@@ -234,7 +148,7 @@ func (ev *Evaluator) lawlerConfig(workers int) lawler.Config[Answer] {
 // reference behavior; workers > 1 resolves speculatively in parallel
 // with an identical emitted sequence.
 func (ev *Evaluator) Enumerate(workers int) *Enumerator {
-	return &Enumerator{inner: lawler.New(ev.lawlerConfig(workers)), ev: ev, workers: workers}
+	return &Enumerator{inner: lawler.New(lawlerConfig(ev.resolveAnswer, workers)), ev: ev, workers: workers}
 }
 
 // Evaluator returns the evaluator backing this enumeration.

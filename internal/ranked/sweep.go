@@ -39,12 +39,9 @@ type Sweeper struct {
 	// b holds the weight-pushed potential storage, rebuilt in place each
 	// TopK (one backward max-plus pass, amortized by the k-answer drain
 	// it then prunes); cur is b when the current window is long enough
-	// for pruning to pay for the backward pass, nil otherwise (and
-	// always nil in exhaustive mode).
-	b          *kernel.Bounds
-	cur        *kernel.Bounds
-	exhaustive bool
-	eagerCk    bool
+	// for pruning to pay for the backward pass, nil otherwise.
+	b   *kernel.Bounds
+	cur *kernel.Bounds
 }
 
 type sweepCkpt struct {
@@ -64,11 +61,12 @@ func NewSweeper(t *transducer.Transducer, opts ...Option) *Sweeper {
 	if nt == nil {
 		nt = kernel.NewNFATables(t)
 	}
-	return &Sweeper{t: t, nt: nt, exhaustive: cfg.exhaustive, eagerCk: cfg.eagerCk || cfg.exhaustive}
+	return &Sweeper{t: t, nt: nt}
 }
 
 // PruneStats reports the pruning-efficacy counters accumulated across
-// the sweeper's windows (zero in exhaustive mode).
+// the sweeper's windows (zero while every window is shorter than
+// kernel.BoundsMinN).
 func (s *Sweeper) PruneStats() kernel.PruneStats { return s.b.Stats() }
 
 func sameAlign(a, b []automata.Symbol) bool {
@@ -90,7 +88,7 @@ func (s *Sweeper) checkpoint(ctx context.Context, v *kernel.SeqView, align []aut
 		}
 	}
 	var ck *kernel.Checkpoint
-	if s.cur != nil && !s.eagerCk {
+	if s.cur != nil {
 		// Lazy handle: the window's drain materializes (a z-capped slice
 		// of) the DP only if a resolve actually reads it; the build draws
 		// from and Recycle returns to s.sc's slab freelist either way.
@@ -131,28 +129,18 @@ func (s *Sweeper) TopK(ctx context.Context, m *markov.Sequence, k int) ([]Answer
 		s.ring = make([]sweepCkpt, 0, k+1)
 	}
 	s.cur = nil
-	if !s.exhaustive && v.N >= kernel.BoundsMinN {
+	if v.N >= kernel.BoundsMinN {
 		s.b = kernel.NewBoundsInto(s.b, s.nt, v)
 		s.cur = s.b
 	}
-	en := lawler.New(lawler.Config[Answer]{
-		Root: transducer.Unconstrained(),
-		Resolve: func(ctx context.Context, c transducer.Constraint, parent Answer, root bool) (Answer, float64, bool, error) {
-			align := parent.Output
-			if root {
-				align = c.Prefix
-			}
-			ck, err := s.checkpoint(ctx, v, align)
-			if err != nil {
-				return Answer{}, 0, false, err
-			}
-			o, _, _, logE, ok, err := kernel.ResumeConstrainedBoundedCtx(ctx, s.nt, v, ck, c, s.cur, &s.sc)
-			return Answer{Output: o, LogEmax: logE}, logE, ok, err
-		},
-		Children: func(c transducer.Constraint, top Answer) []transducer.Constraint {
-			return c.Children(top.Output)
-		},
-	})
+	en := lawler.New(lawlerConfig(func(ctx context.Context, c transducer.Constraint, align []automata.Symbol) (Answer, bool, error) {
+		ck, err := s.checkpoint(ctx, v, align)
+		if err != nil {
+			return Answer{}, false, err
+		}
+		o, _, _, logE, ok, err := kernel.ResumeConstrainedBoundedCtx(ctx, s.nt, v, ck, c, s.cur, &s.sc)
+		return Answer{Output: o, LogEmax: logE}, ok, err
+	}, 1))
 	out := make([]Answer, 0, k)
 	for len(out) < k {
 		a, _, ok, err := en.NextCtx(ctx)

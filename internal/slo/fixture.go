@@ -61,26 +61,40 @@ const (
 )
 
 // NewFixture builds the workload fixture for the scenario and applies
-// its store options.
+// its store options. The per-query deadline is a bound on served
+// traffic, so it is applied only once the fixture's own set-up drain
+// (pickConfTargets) is done: a cold top-k on the adversarial workload
+// can outlast a tight scenario deadline, and set-up must not fail, or
+// leave deadline misses in the store's counters, because of it.
 func NewFixture(sc *Scenario) (*Fixture, error) {
 	opts := storeOpts(sc)
+	var fx *Fixture
+	var err error
 	switch sc.Workload {
 	case "rfid":
-		return newRFIDFixture(sc, opts...)
+		fx, err = newRFIDFixture(sc, opts...)
 	case "adversarial":
-		return newAdversarialFixture(sc, opts...)
+		fx, err = newAdversarialFixture(sc, opts...)
 	default:
 		return nil, fmt.Errorf("slo: unknown workload %q", sc.Workload)
 	}
+	if err != nil {
+		return nil, err
+	}
+	if sc.Deadline > 0 {
+		// Nothing else holds the store yet, so configuring it in place
+		// is race-free.
+		lahar.WithQueryDeadline(sc.Deadline.D())(fx.DB)
+	}
+	return fx, nil
 }
 
+// storeOpts are the scenario's construction-time store options; the
+// deadline is applied after set-up (see NewFixture).
 func storeOpts(sc *Scenario) []lahar.Option {
 	var opts []lahar.Option
 	if sc.MaxInFlight > 0 {
 		opts = append(opts, lahar.WithMaxInFlight(sc.MaxInFlight))
-	}
-	if sc.Deadline > 0 {
-		opts = append(opts, lahar.WithQueryDeadline(sc.Deadline.D()))
 	}
 	if sc.Workers > 0 {
 		opts = append(opts, lahar.WithWorkers(sc.Workers))

@@ -233,6 +233,11 @@ func (t *Transducer) Constrain(c Constraint) *Transducer {
 // (which must be admitted by c), into disjoint child constraints, following
 // the Lawler-style partition of Section 4. The union of the children's
 // answer sets is exactly (answers of c) \ {o}.
+//
+// The 2|o|+1 children share one copy of o: each child's prefix is a
+// length-capped slice of it, so a call allocates O(|o|) symbols rather
+// than O(|o|²). Constraints are read-only, so the sharing is never
+// observable (and an append to a capped prefix copies).
 func (c Constraint) Children(o []automata.Symbol) []Constraint {
 	if !c.Admits(o) {
 		panic("transducer: Children called with an answer the constraint does not admit")
@@ -240,20 +245,18 @@ func (c Constraint) Children(o []automata.Symbol) []Constraint {
 	if c.Mode == ExactOnly {
 		return nil // a singleton set minus its element is empty
 	}
-	var kids []Constraint
 	p := len(c.Prefix)
+	shared := automata.CloneString(o)
+	prefix := func(l int) []automata.Symbol { return shared[:l:l] }
+	kids := make([]Constraint, 0, 2*(len(o)-p)+1)
 	// Exact proper prefixes of o that extend c.Prefix: o[:ℓ] for p ≤ ℓ < |o|.
 	// The boundary case ℓ = p is the string c.Prefix itself, admitted only
 	// in PrefixAndExtensions mode (and only when o ≠ prefix).
 	for l := p; l < len(o); l++ {
-		if l == p {
-			if c.Mode == ExtensionsOnly || c.Mode == ExactOnly {
-				continue // c.Prefix itself is not in the set
-			}
-			kids = append(kids, Constraint{Prefix: automata.CloneString(o[:l]), Mode: ExactOnly})
-			continue
+		if l == p && c.Mode == ExtensionsOnly {
+			continue // c.Prefix itself is not in the set
 		}
-		kids = append(kids, Constraint{Prefix: automata.CloneString(o[:l]), Mode: ExactOnly})
+		kids = append(kids, Constraint{Prefix: prefix(l), Mode: ExactOnly})
 	}
 	// Deviations: prefix o[:ℓ], next symbol different from o[ℓ] (and, at
 	// ℓ = p, also different from everything already forbidden by c).
@@ -265,14 +268,14 @@ func (c Constraint) Children(o []automata.Symbol) []Constraint {
 			}
 		}
 		kids = append(kids, Constraint{
-			Prefix:    automata.CloneString(o[:l]),
+			Prefix:    prefix(l),
 			Forbidden: forb,
 			Mode:      ExtensionsOnly,
 		})
 	}
 	// Strict extensions of o. When o is exactly c.Prefix, extensions of o
 	// are still subject to c's forbidden set at the boundary position.
-	ext := Constraint{Prefix: automata.CloneString(o), Mode: ExtensionsOnly}
+	ext := Constraint{Prefix: prefix(len(o)), Mode: ExtensionsOnly}
 	if len(o) == p && len(c.Forbidden) > 0 {
 		ext.Forbidden = make(map[automata.Symbol]bool, len(c.Forbidden))
 		for s := range c.Forbidden {

@@ -2,6 +2,7 @@ package transducer
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -271,6 +272,32 @@ func TestChildrenPartitionProperty(t *testing.T) {
 					c, o, s, count, want)
 			}
 		})
+	}
+}
+
+// TestChildrenAllocLinear bounds the bytes one Children call allocates
+// linearly in the answer length: the 2|o|+1 children share one copy of
+// o instead of each copying its own prefix, which made a top-1 drain
+// over a long stream allocate gigabytes in prefix copies.
+func TestChildrenAllocLinear(t *testing.T) {
+	const bytesPerSymbol = 2048
+	for _, n := range []int{1000, 4000} {
+		o := make([]automata.Symbol, n)
+		for i := range o {
+			o[i] = automata.Symbol(i % 3)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		kids := Unconstrained().Children(o)
+		runtime.ReadMemStats(&after)
+		if len(kids) != 2*n+1 {
+			t.Fatalf("|o|=%d: %d children, want %d", n, len(kids), 2*n+1)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > bytesPerSymbol*uint64(n) {
+			t.Fatalf("|o|=%d: Children allocated %d bytes (%d per symbol), want at most %d per symbol",
+				n, got, got/uint64(n), bytesPerSymbol)
+		}
 	}
 }
 

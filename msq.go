@@ -185,35 +185,11 @@ func WithDBWorkers(n int) DBOption { return lahar.WithWorkers(n) }
 // worker pool. Results are identical to the serial evaluation.
 func WithParallelWindows(on bool) DBOption { return lahar.WithParallelWindows(on) }
 
-// WithReferenceWindows makes SlidingTopK use the bind-per-window
-// reference path instead of the amortized sliding sweep. The two return
-// bit-identical results; the reference exists for differential testing
-// and benchmarking.
-func WithReferenceWindows(on bool) DBOption { return lahar.WithReferenceWindows(on) }
-
 // WithDBRankedWorkers sets the per-engine speculative-resolution pool of
 // registered queries' ranked enumerations (default 1: the store
 // parallelizes across streams and windows instead). Answer order is
 // identical either way.
 func WithDBRankedWorkers(n int) DBOption { return lahar.WithRankedWorkers(n) }
-
-// WithDBEagerCheckpoints pins eager ranked-checkpoint materialization
-// for every query registered afterwards: each prefix checkpoint builds
-// its full DP at construction instead of on first resume. The default
-// lazy policy is bit-identical; eager trades the deferral for a flat
-// per-checkpoint cost, and is the differential reference of the lazy
-// test suites.
-func WithDBEagerCheckpoints() DBOption { return lahar.WithEagerCheckpoints() }
-
-// WithDBFromScratchRanked disables the cross-append carry of ranked
-// enumeration state: after AppendEvents, a registered query's next
-// TopK re-runs the full Lawler–Murty drain instead of reseeding the
-// carried tree. The carry is the default and agrees with the rebuild
-// rank-by-rank on bit-identical scores (set-identically within exact
-// score ties); this reference exists for differential testing and
-// benchmarking. Stats().RankedReused / RankedReseeded stay zero under
-// it.
-func WithDBFromScratchRanked() DBOption { return lahar.WithFromScratchRanked() }
 
 // WithDBMaxInFlight bounds the number of concurrently executing DB
 // query calls; excess calls fail immediately with ErrDBOverloaded
