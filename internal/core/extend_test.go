@@ -216,6 +216,68 @@ func TestExtendValidatedSkipsDormantHandles(t *testing.T) {
 	assertEngineTopKMatches(t, "dormant-handle carry", eng.TopK(6), engineTopKThroughTies(t, ref, 6), 6)
 }
 
+// TestExtendValidatedDeepCarry drains past the extendable evaluator's
+// checkpoint cache (4096 alignments) at every append, so traces retained
+// for the continuing resume outlive the checkpoints they were traced
+// against: an evicted alignment comes back as a fresh, usually
+// donor-derived handle whose layers order the same cells differently.
+// A continuation through such a handle would follow the wrong cells; the
+// carried drain must instead match a fresh BindValidated drain score for
+// score at every append.
+func TestExtendValidatedDeepCarry(t *testing.T) {
+	const from, to, k = 11, 15, 4500
+	rng := rand.New(rand.NewSource(77002))
+	in := automata.MustAlphabet("a", "b", "c")
+	outs := automata.MustAlphabet("x", "y")
+	full := markov.Random(in, 16, 0.8, rng)
+	tr := transducer.New(in, outs, 2, 0)
+	for q := 0; q < 2; q++ {
+		tr.SetAccepting(q, true)
+		for _, s := range in.Symbols() {
+			for q2 := 0; q2 < 2; q2++ {
+				e := make([]automata.Symbol, rng.Intn(3))
+				for i := range e {
+					e[i] = automata.Symbol(rng.Intn(outs.Size()))
+				}
+				tr.AddTransition(q, s, q2, e)
+			}
+		}
+	}
+	prep := PrepareTransducer(tr)
+	grown := full.Window(1, from)
+	eng, err := prep.ExtendValidated(nil, grown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.TopK(k); len(got) < k {
+		t.Fatalf("workload has only %d answers at n=%d; the drain must outgrow the checkpoint cache", len(got), from)
+	}
+	for p := from; p < to; p++ {
+		grown = growEngineSeq(t, grown, full, p, 1)
+		if eng, err = prep.ExtendValidated(eng, grown); err != nil {
+			t.Fatal(err)
+		}
+		got := eng.TopK(k)
+		ref, err := prep.BindValidated(grown)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ref.TopK(k)
+		if len(got) != len(want) {
+			t.Fatalf("n=%d: carried drain has %d answers, fresh %d", p+1, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Score != want[i].Score {
+				t.Fatalf("n=%d rank %d: carried %v scores %v, fresh %v scores %v",
+					p+1, i, got[i].Output, got[i].Score, want[i].Output, want[i].Score)
+			}
+		}
+	}
+	if s := eng.PruneStats(); s.RankedReused == 0 {
+		t.Fatalf("no ranked answers carried across appends: %+v", s)
+	}
+}
+
 // TestEnsureBoundsRejectsStaleSweep is the staleness audit of the
 // weight-pushed potentials: Bounds rows look forward to the end of the
 // sequence, so a sweep computed over a shorter epoch must never be used

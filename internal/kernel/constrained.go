@@ -38,6 +38,12 @@ import (
 //     were always rebuilt — the win of laziness is the checkpoints that
 //     are never touched at all: parents whose children never reach the
 //     queue front, and the last emitted answer of every drain).
+//     NewExtendedLazyCheckpoint and NewLazyCheckpointFrom defer builds
+//     that reuse other checkpoints. One routine, materialize, builds
+//     every kind; the source of each position's layer is data in its one
+//     loop: layers an extension shares with its base are aliased, layers a
+//     derivation donor covers start from the donor's and relax only the
+//     boundary band, and every other layer relaxes in full.
 //
 //   - ResumeConstrainedBoundedCtx answers any prefix constraint whose
 //     prefix is a prefix of the alignment string without re-doing
@@ -51,7 +57,9 @@ import (
 //   - ResumeConstrainedIncCtx is the same resume run unpruned, capturing
 //     its final past-zone frontier for the append-extendable ranked path
 //     and, given a traced capture over a shorter prefix, continuing it
-//     over only the appended positions.
+//     over only the appended positions. Both run the one past-zone sweep,
+//     resumeConstrained; a continuation is that sweep started at the
+//     prior's length from the prior's frontier.
 //
 //   - ConstrainedViterbi is a one-shot build-then-resume.
 //
@@ -105,18 +113,27 @@ import (
 // spanning zidx[zoff[z]:zoff[z+1]]. The slices are views into the
 // checkpoint's shared slab (see ckSlab); off, n, and zo locate the layer
 // inside the slab while it is still being appended to, before seal
-// materializes the views.
+// materializes the views. vid is the id of the view that relaxed the
+// layer: an extension aliases its base's layer headers, vid included, so
+// two views hold a layer with the same vid exactly when they share every
+// layer up to it.
 type ckLayer struct {
 	cells []int32
 	score []float64
 	prev  []int32
 	zidx  []int32
 	zoff  []int32
+	vid   uint64
 	maxZ  int32
 	off   int32
 	n     int32
 	zo    int32
 }
+
+// viewSeq numbers materialized views (see ckLayer.vid). A traced
+// ResumeState records an id rather than a view pointer so that retaining
+// it never pins an evicted checkpoint's slab.
+var viewSeq atomic.Uint64
 
 // bucket returns the layer-local indices of cells with matched-prefix
 // count z, in activation order.
@@ -187,34 +204,62 @@ func growF64(s []float64, n int) []float64 {
 	return append(s, make([]float64, n)...)
 }
 
-// snapshot appends the frontier's active cells (in activation order) to
-// the slab, counting-sorts them into z buckets, records the layer's
-// location and maxZ, and resets the frontier for the next position. The
+// reserve gives an empty slab room for cells layer cells and zoffs
+// z-bucket offsets.
+func (s *ckSlab) reserve(cells, zoffs int) {
+	s.cells = make([]int32, 0, cells)
+	s.score = make([]float64, 0, cells)
+	s.prev = make([]int32, 0, cells)
+	s.zidx = make([]int32, 0, cells)
+	s.zoff = make([]int32, 0, zoffs)
+}
+
+// snapshot appends one layer to the slab and resets the frontier for the
+// next position. A derived position passes its donor layer d (nil
+// otherwise): the layer then starts with d's cells verbatim, their ids
+// re-encoded from stride dzdim to zdim, so d's layer-local prev indices
+// and z buckets carry over unchanged. The frontier's active cells follow
+// in activation order — on a derived position they all lie in columns
+// above d's — and are counting-sorted into z buckets above d's. The
 // layer's slice views stay nil until seal: appends may still relocate
 // the slab arrays. zcur is the counting-sort cursor scratch; zbuf holds
 // the per-cell z values so the modulo is computed once per cell.
-func (s *ckSlab) snapshot(layer *ckLayer, f *frontier, prevBuf []int32, zdim int, zcur, zbuf *[]int32) {
+func (s *ckSlab) snapshot(layer *ckLayer, f *frontier, prevBuf []int32, zdim int, d *ckLayer, dzdim int, zcur, zbuf *[]int32) {
 	off := len(s.cells)
-	n := len(f.list)
-	s.cells = growI32(s.cells, n)
-	s.score = growF64(s.score, n)
-	s.prev = growI32(s.prev, n)
-	s.zidx = growI32(s.zidx, n)
+	dn, dMaxZ := 0, int32(-1)
+	if d != nil && d.n > 0 {
+		dn, dMaxZ = int(d.n), d.maxZ
+	}
+	nn := len(f.list)
+	s.cells = growI32(s.cells, dn+nn)
+	s.score = growF64(s.score, dn+nn)
+	s.prev = growI32(s.prev, dn+nn)
+	s.zidx = growI32(s.zidx, dn+nn)
 	cells := s.cells[off:]
 	score := s.score[off:]
 	prev := s.prev[off:]
-	if cap(*zbuf) < n {
-		*zbuf = make([]int32, n)
+	zidx := s.zidx[off:]
+	if dn > 0 {
+		stride := int32(zdim - dzdim)
+		for j, c := range d.cells {
+			cells[j] = c + (c/int32(dzdim))*stride
+		}
+		copy(score, d.score)
+		copy(prev, d.prev)
+		copy(zidx, d.zidx)
 	}
-	zs := (*zbuf)[:n]
-	var maxZ int32
+	if cap(*zbuf) < nn {
+		*zbuf = make([]int32, nn)
+	}
+	zs := (*zbuf)[:nn]
+	maxZ := max(dMaxZ, 0)
 	zd := int32(zdim)
-	for j, cell := range f.list {
-		cells[j] = cell
-		score[j] = f.val[cell]
-		prev[j] = prevBuf[cell]
+	for t, cell := range f.list {
+		cells[dn+t] = cell
+		score[dn+t] = f.val[cell]
+		prev[dn+t] = prevBuf[cell]
 		z := cell % zd
-		zs[j] = z
+		zs[t] = z
 		if z > maxZ {
 			maxZ = z
 		}
@@ -229,10 +274,13 @@ func (s *ckSlab) snapshot(layer *ckLayer, f *frontier, prevBuf []int32, zdim int
 		s.zoff = append(s.zoff, make([]int32, zlen)...)
 	}
 	zoff := s.zoff[zo:]
+	if dn > 0 {
+		copy(zoff, d.zoff)
+	}
 	for _, z := range zs {
 		zoff[z+1]++
 	}
-	for z := 0; z < zlen-1; z++ {
+	for z := dMaxZ + 1; z <= maxZ; z++ {
 		zoff[z+1] += zoff[z]
 	}
 	if cap(*zcur) < zlen-1 {
@@ -240,20 +288,19 @@ func (s *ckSlab) snapshot(layer *ckLayer, f *frontier, prevBuf []int32, zdim int
 	}
 	cur := (*zcur)[:zlen-1]
 	copy(cur, zoff[:zlen-1])
-	zidx := s.zidx[off:]
-	for j, z := range zs {
-		zidx[cur[z]] = int32(j)
+	for t, z := range zs {
+		zidx[cur[z]] = int32(dn + t)
 		cur[z]++
 	}
 
-	layer.off, layer.n, layer.maxZ, layer.zo = int32(off), int32(n), maxZ, int32(zo)
+	layer.off, layer.n, layer.maxZ, layer.zo = int32(off), int32(dn+nn), maxZ, int32(zo)
 	f.reset()
 }
 
 // seal materializes every layer's slice views into the (now final) slab
-// arrays. Layers past an early build break have off = n = 0 and get
-// empty views.
-func (s *ckSlab) seal(layers []ckLayer) {
+// arrays and stamps them with the view id vid. Layers past an early
+// build break have off = n = 0 and get empty views.
+func (s *ckSlab) seal(layers []ckLayer, vid uint64) {
 	for i := range layers {
 		l := &layers[i]
 		end := l.off + l.n
@@ -267,6 +314,7 @@ func (s *ckSlab) seal(layers []ckLayer) {
 		} else {
 			l.zoff = nil
 		}
+		l.vid = vid
 	}
 }
 
@@ -296,9 +344,10 @@ type Checkpoint struct {
 	// handles publish it exactly once, on first touch.
 	view atomic.Pointer[ckView]
 
-	// Deferred-build state (NewLazyCheckpoint): the inputs of the DP,
-	// with mu single-flighting the materialization. nil/unset on eager
-	// checkpoints.
+	// Build inputs of the DP: the tables, the view, and the gating
+	// bounds. Lazy handles keep them until first touch, with mu
+	// single-flighting the materialization; eager checkpoints drop them
+	// once built (nt == nil marks an eager checkpoint).
 	mu sync.Mutex
 	nt *NFATables
 	v  *SeqView
@@ -307,7 +356,7 @@ type Checkpoint struct {
 	// base links an extended checkpoint (NewExtendedLazyCheckpoint) to
 	// the checkpoint over the shorter sequence it continues: the first
 	// base.n layers of this DP are exactly base's layers, so
-	// materialization copies instead of relaxing them. gated records
+	// materialization aliases instead of relaxing them. gated records
 	// whether the build drops potential -Inf cells; a gated layer set is
 	// incomplete forward state once the sequence grows (a cell dead at
 	// length n can regain accepting completions at n+Δ), so only ungated
@@ -382,15 +431,20 @@ func NewLazyCheckpoint(nt *NFATables, v *SeqView, align []automata.Symbol, b *Bo
 // column z ≤ |donor.Align| of the two DPs is identical, because the
 // exact-prefix dynamics up to a shared alignment prefix cannot depend
 // on the symbols past it) and relaxes only the new columns — O(zone
-// boundary band) per position instead of O(all columns). The donor must
-// be ungated (complete layers) and b must be nil; otherwise, or when
-// the donor cannot serve at build time, the build falls back to the
-// full DP and the result is identical either way up to tie order: cell
-// scores, buckets and traceback validity all match a from-scratch
-// build, while the within-layer activation order of donor columns is
-// the donor's own. The ranked evaluator uses this for the checkpoint of
-// a freshly emitted answer, whose alignment extends an already-cached
-// one by a symbol or two.
+// boundary band) per position instead of O(all columns). Only predecessors
+// in the band z ≥ |donor.Align|+1-MaxEmit can reach a new column (an edge
+// advances z by at most MaxEmit). The donor must be ungated (complete
+// layers); otherwise the build falls back to the full DP. The result is
+// identical either way up to tie order: cell scores, buckets and
+// traceback validity all match a from-scratch build, while the
+// within-layer activation order of donor columns is the donor's own — a
+// payload-order difference a tied emission may observe, which callers
+// under the ranked tie-class contract (set-identity within exactly tied
+// scores) do not. When the donor covers fewer positions than v (a handle
+// carried from before an append), the remaining positions relax in full.
+// The ranked evaluator uses this for the checkpoint of a freshly emitted
+// answer, whose alignment extends an already-cached one by a symbol or
+// two.
 func NewLazyCheckpointFrom(nt *NFATables, v *SeqView, align []automata.Symbol, donor *Checkpoint) *Checkpoint {
 	ck := NewLazyCheckpoint(nt, v, align, nil)
 	if donor != nil && !donor.gated && donor.states == nt.States &&
@@ -415,14 +469,21 @@ func (ck *Checkpoint) Extendable(nt *NFATables, v *SeqView) bool {
 // view v that continues base's exact-prefix DP instead of re-running it.
 // The exact-prefix DP is position-local, so base's retained layers are
 // bit-identical to the first base.n layers of a from-scratch build over
-// v; materialization copies them (from the deepest already-materialized
-// view in base's chain) and relaxes only the appended positions. base
-// must satisfy Extendable(nt, v) and v must extend the view base was
-// built against (SeqView.Extend / markov.Sequence.Extended); base is
-// never mutated, so an evaluator over the old snapshot can keep serving
-// from it concurrently. When v has base's own length, base itself is
-// returned. The handle is always ungated, hence extendable in turn:
-// extension chains across any number of appends.
+// v. Materialization therefore aliases them, without copying, from the
+// deepest already-materialized view in base's chain (published views
+// are immutable and sealed headers carry their own slices, so aliasing
+// races with nothing), and relaxes only the appended positions: the
+// per-append cost is O(Δ relaxed layers), not O(n) — copying the whole
+// slab per extension made a long append chain quadratic in the stream.
+// When nothing in the chain has materialized, the full DP runs from
+// position 0, so extension never forces prefix work that a from-scratch
+// lazy handle would have deferred. base must satisfy Extendable(nt, v)
+// and v must extend the view base was built against (SeqView.Extend /
+// markov.Sequence.Extended); base is never mutated, so an evaluator over
+// the old snapshot can keep serving from it concurrently. When v has
+// base's own length, base itself is returned. The handle is always
+// ungated, hence extendable in turn: extension chains across any number
+// of appends.
 func NewExtendedLazyCheckpoint(nt *NFATables, v *SeqView, base *Checkpoint) *Checkpoint {
 	if !base.Extendable(nt, v) {
 		panic("kernel: NewExtendedLazyCheckpoint base is not extendable to the given view")
@@ -512,18 +573,7 @@ func (ck *Checkpoint) ensureView(p *Poll, sc *ConstrainScratch) (*ckView, error)
 		// checkpoint was recycled while still referenced.
 		panic("kernel: resume against a recycled checkpoint")
 	}
-	var (
-		vw    *ckView
-		built int
-		err   error
-	)
-	if ck.base != nil {
-		vw, built, err = materializeExtendedView(p, ck, sc)
-	} else if ck.donor != nil && ck.b == nil {
-		vw, built, err = materializeDerivedView(p, ck.nt, ck.v, ck.Align, ck.donor, sc)
-	} else {
-		vw, built, err = materializeView(p, ck.nt, ck.v, ck.Align, ck.b, sc)
-	}
+	vw, built, err := materialize(p, ck, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -575,6 +625,7 @@ type ConstrainScratch struct {
 	zstep     []int32  // build: alignStep memo, [edge·zdim+z] → z2 or -1
 	xof, qof  []int32  // build: xq → (x, q) decode tables for the current (K, |Q|)
 	xqK, xqS  int      // build: the (K, |Q|) the decode tables were sized for
+	iota      []int32  // build: 0, 1, 2, …: the activation-order predecessor list
 	cur, next frontier // resume: past-zone (x·|Q|+q) cell space
 	back      []int32  // resume: per-position past-zone backpointers
 	cross     []crossRec
@@ -671,12 +722,16 @@ func buildCheckpoint(p *Poll, nt *NFATables, v *SeqView, align []automata.Symbol
 		states: nt.States,
 		n:      v.N,
 		zdim:   len(align) + 1,
+		nt:     nt,
+		v:      v,
+		b:      b,
 		gated:  b != nil,
 	}
-	vw, built, err := materializeView(p, nt, v, ck.Align, b, sc)
+	vw, built, err := materialize(p, ck, sc)
 	if err != nil {
 		return nil, err
 	}
+	ck.nt, ck.v, ck.b = nil, nil, nil
 	ck.matLayers.Store(uint64(built))
 	if b != nil {
 		b.eagerLayers.Add(uint64(built))
@@ -747,191 +802,52 @@ func decodeTables(sc *ConstrainScratch, k, states int) (xof, qof []int32) {
 	return sc.xof, sc.qof
 }
 
-// materializeView runs the exact-prefix Viterbi DP and returns the
-// sealed view plus the number of layers relaxed (fewer than v.N only
-// when the exact-prefix language dies early).
-func materializeView(p *Poll, nt *NFATables, v *SeqView, align []automata.Symbol, b *Bounds, sc *ConstrainScratch) (*ckView, int, error) {
-	zdim := len(align) + 1
-	size := v.K * nt.States * zdim
-	sc.f.ensure(size)
-	sc.f.reset()
-	if cap(sc.prevBuf) < size {
-		sc.prevBuf = make([]int32, size)
-	}
-	prevBuf := sc.prevBuf[:size]
-	zstep := alignMemo(sc, nt, align, zdim)
-	xof, qof := decodeTables(sc, v.K, nt.States)
-	states := nt.States
-	kq := v.K * states
-
-	var slab ckSlab
-	if n := len(sc.freeSlabs); n > 0 {
-		slab = sc.freeSlabs[n-1]
-		sc.freeSlabs[n-1] = ckSlab{}
-		sc.freeSlabs = sc.freeSlabs[:n-1]
-		slab.cells, slab.score, slab.prev = slab.cells[:0], slab.score[:0], slab.prev[:0]
-		slab.zidx, slab.zoff = slab.zidx[:0], slab.zoff[:0]
-	} else if sc.slabHint > 0 {
-		slab.cells = make([]int32, 0, sc.slabHint)
-		slab.score = make([]float64, 0, sc.slabHint)
-		slab.prev = make([]int32, 0, sc.slabHint)
-		slab.zidx = make([]int32, 0, sc.slabHint)
-		slab.zoff = make([]int32, 0, sc.zoffHint)
-	}
-	var layers []ckLayer
-	if cap(slab.layers) >= v.N {
-		layers = slab.layers[:v.N]
-		for i := range layers {
-			layers[i] = ckLayer{}
-		}
-	} else {
-		layers = make([]ckLayer, v.N)
-	}
-	slab.layers = nil
-	neg := math.Inf(-1)
-	var prow []float64
-	if b != nil {
-		prow = b.pot[:kq]
-	}
-	for ii, x := range v.InitIdx {
-		lp := math.Log(v.InitVal[ii])
-		elo, ehi := nt.Edges(int(nt.Start), int(x))
-		for e := elo; e < ehi; e++ {
-			z2 := zstep[e]
-			if z2 < 0 {
-				continue
-			}
-			q2 := int(nt.Succ[e])
-			if prow != nil && prow[int(x)*states+q2] == neg {
-				continue
-			}
-			cell := int32(int(x)*states+q2)*int32(zdim) + z2
-			if sc.f.relax(cell, lp) {
-				prevBuf[cell] = -1
-			}
-		}
-	}
-	slab.snapshot(&layers[0], &sc.f, prevBuf, zdim, &sc.zcur, &sc.zbuf)
-	nb, err := relaxLayers(p, nt, v, b, sc, &slab, layers, 1, zdim, zstep, xof, qof, prevBuf)
-	if err != nil {
-		return nil, 0, err
-	}
-	built := 1 + nb
-	if n := len(slab.cells); n > sc.slabHint {
-		sc.slabHint = n
-	}
-	if n := len(slab.zoff); n > sc.zoffHint {
-		sc.zoffHint = n
-	}
-	slab.seal(layers)
-	return &ckView{layers: layers, slab: slab}, built, nil
-}
-
-// relaxLayers runs the exact-prefix DP from layer `from` (whose
-// predecessor layer from-1 must already be in the slab) through the last
-// position, snapshotting each layer and stopping early when the
-// exact-prefix language dies. It returns the number of layers relaxed.
+// materialize runs ck's exact-prefix Viterbi DP over ck.v and returns the
+// sealed view plus the number of layers it relaxed: every position it
+// does not alias, fewer only when the exact-prefix language dies early.
+// Each position's layer has one of three sources:
+//
+//   - positions below the deepest materialized view in ck.base's chain
+//     alias that view's layer headers (extension; see
+//     NewExtendedLazyCheckpoint) — bit-identical to relaxing them, since
+//     the DP is position-local and relax keeps the incumbent on equal
+//     scores;
+//   - positions the donor covers start from the donor's layer and relax
+//     only the boundary band into new columns z > |donor.Align|
+//     (derivation; see NewLazyCheckpointFrom), enumerating the band
+//     through the previous layer's z-bucket index;
+//   - every other position relaxes its predecessors in full, in
+//     activation order, gated by ck.b when it is set.
+//
 // On cancellation the slab goes back to the scratch freelist and the
 // error is returned; sc.f is empty at every poll point (snapshot resets
 // it), so no other cleanup is needed.
-func relaxLayers(p *Poll, nt *NFATables, v *SeqView, b *Bounds, sc *ConstrainScratch, slab *ckSlab, layers []ckLayer, from, zdim int, zstep, xof, qof, prevBuf []int32) (int, error) {
-	off := nt.Off
-	syms := nt.Syms
-	states := nt.States
-	kq := v.K * states
-	neg := math.Inf(-1)
-	nT := len(nt.Succ)
-	var prow []float64
-	built := 0
-	for i := from; i < v.N; i++ {
-		if err := p.Step(); err != nil {
-			slab.layers = layers
-			sc.freeSlabs = append(sc.freeSlabs, *slab)
-			return 0, err
-		}
-		prevLayer := &layers[i-1]
-		if prevLayer.n == 0 {
-			break // the exact-prefix language died; later layers stay empty
-		}
-		// The layer views are not sealed yet; read the previous layer
-		// through the slab. Safe: the slab only grows at the snapshot
-		// below, after this iteration is done with these views.
-		pcells := slab.cells[prevLayer.off : prevLayer.off+prevLayer.n]
-		pscore := slab.score[prevLayer.off : prevLayer.off+prevLayer.n]
-		st := &v.Steps[i-1]
-		if b != nil {
-			prow = b.pot[i*kq : (i+1)*kq]
-		}
-		for pi, pcell := range pcells {
-			base := pscore[pi]
-			xq := int(pcell) / zdim
-			z := int(pcell) - xq*zdim
-			x := int(xof[xq])
-			q := int(qof[xq])
-			zrow := zstep[z*nT : (z+1)*nT]
-			for e := st.RowPtr[x]; e < st.RowPtr[x+1]; e++ {
-				y := int(st.Col[e])
-				lp := base + st.LogVal[e]
-				ti := q*syms + y
-				tlo, thi := off[ti], off[ti+1]
-				yBase := y * states
-				for t := tlo; t < thi; t++ {
-					z2 := zrow[t]
-					if z2 < 0 {
-						continue
-					}
-					q2 := int(nt.Succ[t])
-					if prow != nil && prow[yBase+q2] == neg {
-						continue
-					}
-					cell := int32(yBase+q2)*int32(zdim) + z2
-					if sc.f.relax(cell, lp) {
-						prevBuf[cell] = int32(pi)
-					}
-				}
-			}
-		}
-		slab.snapshot(&layers[i], &sc.f, prevBuf, zdim, &sc.zcur, &sc.zbuf)
-		built++
-	}
-	return built, nil
-}
-
-// materializeExtendedView materializes an extended checkpoint
-// (NewExtendedLazyCheckpoint) without copying the base DP: the prefix
-// layer headers alias the deepest already-materialized view in the base
-// chain — published views are immutable and sealed headers carry their
-// own slices, so aliasing races with nothing — and only the appended
-// positions relax, into a fresh slab seeded with the base's final
-// layer (relaxLayers reads its predecessor through the slab, so the
-// seed gives position baseN a slab-local predecessor; the header is
-// re-pointed at the base afterwards). The per-append materialization
-// cost is therefore O(final frontier + Δ relaxed layers), not O(n):
-// copying the whole slab per extension made a long append chain
-// quadratic in the stream and was the dominant cost of incremental
-// ranked serving. Intermediate unmaterialized links in the chain are
-// skipped, not built: the whole gap from the anchor view to ck's length
-// relaxes in one pass. When nothing in the chain has materialized, the
-// full DP runs from position 0 — extension never forces prefix work
-// that a from-scratch lazy handle would have deferred. Either way the
-// result is bit-identical to a from-scratch build over ck.v (the DP is
-// position-local and relax keeps the incumbent on equal scores, so the
-// aliased prefix is exactly what a fresh build would recompute).
-func materializeExtendedView(p *Poll, ck *Checkpoint, sc *ConstrainScratch) (*ckView, int, error) {
-	var baseVw *ckView
-	var baseCk *Checkpoint
+func materialize(p *Poll, ck *Checkpoint, sc *ConstrainScratch) (*ckView, int, error) {
+	var alias []ckLayer
 	for c := ck.base; c != nil; c = c.base {
 		if vw := c.view.Load(); vw != nil {
-			baseVw, baseCk = vw, c
+			alias = vw.layers[:c.n]
 			break
 		}
 	}
-	nt, v := ck.nt, ck.v
-	if baseVw == nil {
-		return materializeView(p, nt, v, ck.Align, nil, sc)
+	// The donor materializes first, through the same scratch, before this
+	// build claims the scratch's build fields.
+	var donor []ckLayer
+	dlen, dzdim := -1, 0
+	if ck.donor != nil {
+		dvw, err := ck.donor.ensureView(p, sc)
+		if err != nil {
+			return nil, 0, err
+		}
+		donor = dvw.layers[:ck.donor.n]
+		dlen, dzdim = len(ck.donor.Align), ck.donor.zdim
 	}
+
+	nt, v, b := ck.nt, ck.v, ck.b
 	zdim := ck.zdim
-	size := v.K * nt.States * zdim
+	states := nt.States
+	kq := v.K * states
+	size := kq * zdim
 	sc.f.ensure(size)
 	sc.f.reset()
 	if cap(sc.prevBuf) < size {
@@ -939,133 +855,69 @@ func materializeExtendedView(p *Poll, ck *Checkpoint, sc *ConstrainScratch) (*ck
 	}
 	prevBuf := sc.prevBuf[:size]
 	zstep := alignMemo(sc, nt, ck.Align, zdim)
-	xof, qof := decodeTables(sc, v.K, nt.States)
-
-	baseN := baseCk.n
-	layers := make([]ckLayer, v.N)
-	copy(layers, baseVw.layers[:baseN])
-
-	// Seed the fresh slab with the base's final layer so relaxLayers'
-	// slab-relative read of layer baseN-1 resolves locally. prev indices
-	// are layer-local (an index into the previous layer's cell list), so
-	// the verbatim copy keeps tracebacks consistent across slabs.
-	lastB := &baseVw.layers[baseN-1]
-	var slab ckSlab
-	slab.cells = append(make([]int32, 0, len(lastB.cells)*(2+v.N-baseN)+16), lastB.cells...)
-	slab.score = append(make([]float64, 0, cap(slab.cells)), lastB.score...)
-	slab.prev = append(make([]int32, 0, cap(slab.cells)), lastB.prev...)
-	slab.zidx = append(make([]int32, 0, cap(slab.cells)), lastB.zidx...)
-	slab.zoff = append(make([]int32, 0, len(lastB.zoff)+zdim*(v.N-baseN)), lastB.zoff...)
-	layers[baseN-1] = ckLayer{off: 0, n: lastB.n, maxZ: lastB.maxZ, zo: 0}
-
-	built := 0
-	if lastB.n > 0 {
-		nb, err := relaxLayers(p, nt, v, nil, sc, &slab, layers, baseN, zdim, zstep, xof, qof, prevBuf)
-		if err != nil {
-			return nil, 0, err
-		}
-		built = nb
-	}
-	// Seal only the appended layers against the new slab, then restore
-	// the seed header to its sealed alias into the base view.
-	slab.seal(layers[baseN:])
-	layers[baseN-1] = *lastB
-	return &ckView{layers: layers, slab: slab}, built, nil
-}
-
-// materializeDerivedView builds the exact-prefix DP for align by
-// copying the donor checkpoint's columns and relaxing only the new
-// ones. donor.Align is a strict prefix of align, so for every position
-// the donor's cells ARE the derived layer's cells with z ≤ |donor.Align|
-// (same scores, same traceback indices — the exact-prefix dynamics over
-// a shared alignment prefix cannot see the symbols past it); the layer
-// is assembled donor block first, new block after, which keeps the
-// donor's layer-local prev indices valid verbatim. Only predecessors in
-// the boundary band z ≥ |donor.Align|+1-MaxEmit can reach a new column
-// (an edge advances z by at most MaxEmit), so the per-position relax
-// cost is the band, not the zone. Cell scores, z-buckets and prev-chain
-// validity are identical to a from-scratch build; the within-layer
-// activation order of the donor block is the donor's own, which is a
-// payload-order difference a tied emission may observe — callers under
-// the ranked tie-class contract (set-identity within exactly tied
-// scores) are unaffected. When the donor covers fewer positions than v
-// (a handle carried from before an append), the remaining positions
-// relax in full like any extension tail.
-func materializeDerivedView(p *Poll, nt *NFATables, v *SeqView, align []automata.Symbol, donor *Checkpoint, sc *ConstrainScratch) (*ckView, int, error) {
-	dvw, err := donor.ensureView(p, sc)
-	if err != nil {
-		return nil, 0, err
-	}
-	dlen := len(donor.Align)
-	dzdim := donor.zdim
-	zdim := len(align) + 1
-	states := nt.States
-	size := v.K * states * zdim
-	sc.f.ensure(size)
-	sc.f.reset()
-	if cap(sc.prevBuf) < size {
-		sc.prevBuf = make([]int32, size)
-	}
-	prevBuf := sc.prevBuf[:size]
-	zstep := alignMemo(sc, nt, align, zdim)
 	xof, qof := decodeTables(sc, v.K, states)
 	nT := len(nt.Succ)
-	offT := nt.Off
+	off := nt.Off
 	syms := nt.Syms
-	band := dlen + 1 - nt.MaxEmit
-	if band < 0 {
-		band = 0
-	}
+	band := max(dlen+1-nt.MaxEmit, 0)
 
 	var slab ckSlab
-	if n := len(sc.freeSlabs); n > 0 {
-		slab = sc.freeSlabs[n-1]
-		sc.freeSlabs[n-1] = ckSlab{}
-		sc.freeSlabs = sc.freeSlabs[:n-1]
+	if len(alias) > 0 {
+		// An extension relaxes only the appended positions: size its slab
+		// from the final aliased layer, not from the last full build.
+		last := &alias[len(alias)-1]
+		slab.reserve(len(last.cells)*(2+v.N-len(alias))+16, len(last.zoff)+zdim*(v.N-len(alias)))
+	} else if k := len(sc.freeSlabs); k > 0 {
+		slab = sc.freeSlabs[k-1]
+		sc.freeSlabs[k-1] = ckSlab{}
+		sc.freeSlabs = sc.freeSlabs[:k-1]
 		slab.cells, slab.score, slab.prev = slab.cells[:0], slab.score[:0], slab.prev[:0]
 		slab.zidx, slab.zoff = slab.zidx[:0], slab.zoff[:0]
 	} else if sc.slabHint > 0 {
-		slab.cells = make([]int32, 0, sc.slabHint)
-		slab.score = make([]float64, 0, sc.slabHint)
-		slab.prev = make([]int32, 0, sc.slabHint)
-		slab.zidx = make([]int32, 0, sc.slabHint)
-		slab.zoff = make([]int32, 0, sc.zoffHint)
+		slab.reserve(sc.slabHint, sc.zoffHint)
 	}
 	var layers []ckLayer
 	if cap(slab.layers) >= v.N {
 		layers = slab.layers[:v.N]
-		for i := range layers {
-			layers[i] = ckLayer{}
-		}
+		clear(layers)
 	} else {
 		layers = make([]ckLayer, v.N)
 	}
 	slab.layers = nil
+	copy(layers, alias)
 
-	donorN := donor.n
-	if donorN > v.N {
-		donorN = v.N
-	}
+	neg := math.Inf(-1)
+	var prow []float64
 	built := 0
-	dead := false
-	for i := 0; i < donorN; i++ {
+	for i := len(alias); i < v.N; i++ {
 		if err := p.Step(); err != nil {
 			slab.layers = layers
 			sc.freeSlabs = append(sc.freeSlabs, slab)
 			return nil, 0, err
 		}
+		// zmin is the highest column this position does not relax into:
+		// -1 relaxes every column, a donor's |Align| only the new ones.
+		zmin := -1
+		var d *ckLayer
+		if i < len(donor) {
+			zmin, d = dlen, &donor[i]
+		}
+		if b != nil {
+			prow = b.pot[i*kq : (i+1)*kq]
+		}
 		if i == 0 {
-			// New-column seeds off the initial distribution; donor columns
-			// are complete in the donor's layer 0.
 			for ii, x := range v.InitIdx {
 				lp := math.Log(v.InitVal[ii])
 				elo, ehi := nt.Edges(int(nt.Start), int(x))
 				for e := elo; e < ehi; e++ {
 					z2 := zstep[e]
-					if int(z2) <= dlen {
+					if int(z2) <= zmin {
 						continue
 					}
 					q2 := int(nt.Succ[e])
+					if prow != nil && prow[int(x)*states+q2] == neg {
+						continue
+					}
 					cell := int32(int(x)*states+q2)*int32(zdim) + z2
 					if sc.f.relax(cell, lp) {
 						prevBuf[cell] = -1
@@ -1075,134 +927,60 @@ func materializeDerivedView(p *Poll, nt *NFATables, v *SeqView, align []automata
 		} else {
 			pl := &layers[i-1]
 			if pl.n == 0 {
-				dead = true
-				break
+				break // the exact-prefix language died; later layers stay empty
 			}
-			pcells := slab.cells[pl.off : pl.off+pl.n]
-			pscore := slab.score[pl.off : pl.off+pl.n]
-			pzidx := slab.zidx[pl.off : pl.off+pl.n]
-			pzoff := slab.zoff[pl.zo : pl.zo+pl.maxZ+2]
+			// An aliased predecessor is sealed; a built one is read through
+			// the slab, whose views are not sealed yet. Safe: the slab only
+			// grows at the snapshot below, after this iteration is done
+			// with them.
+			pcells, pscore := pl.cells, pl.score
+			if i > len(alias) {
+				pcells, pscore = slab.cells[pl.off:pl.off+pl.n], slab.score[pl.off:pl.off+pl.n]
+			}
+			// Predecessors relax in activation order, except on a derived
+			// position: there only the boundary band can reach a new column,
+			// buckets band..maxZ, contiguous in the z-bucket index.
+			for len(sc.iota) < len(pcells) {
+				sc.iota = append(sc.iota, int32(len(sc.iota)))
+			}
+			preds := sc.iota[:len(pcells)]
+			if d != nil {
+				zo := slab.zoff[pl.zo : pl.zo+pl.maxZ+2]
+				preds = slab.zidx[pl.off+zo[min(band, int(pl.maxZ)+1)] : pl.off+zo[pl.maxZ+1]]
+			}
 			st := &v.Steps[i-1]
-			hi := int(pl.maxZ)
-			for z := band; z <= hi; z++ {
+			for _, pj := range preds {
+				pcell, base := int(pcells[pj]), pscore[pj]
+				xq := pcell / zdim
+				z := pcell - xq*zdim
+				x := int(xof[xq])
+				q := int(qof[xq])
 				zrow := zstep[z*nT : (z+1)*nT]
-				for _, pj := range pzidx[pzoff[z]:pzoff[z+1]] {
-					base := pscore[pj]
-					xq := int(pcells[pj]) / zdim
-					x := int(xof[xq])
-					q := int(qof[xq])
-					for e := st.RowPtr[x]; e < st.RowPtr[x+1]; e++ {
-						y := int(st.Col[e])
-						lp := base + st.LogVal[e]
-						ti := q*syms + y
-						tlo, thi := offT[ti], offT[ti+1]
-						yBase := y * states
-						for t := tlo; t < thi; t++ {
-							z2 := zrow[t]
-							if int(z2) <= dlen {
-								continue
-							}
-							q2 := int(nt.Succ[t])
-							cell := int32(yBase+q2)*int32(zdim) + z2
-							if sc.f.relax(cell, lp) {
-								prevBuf[cell] = pj
-							}
+				for e := st.RowPtr[x]; e < st.RowPtr[x+1]; e++ {
+					y := int(st.Col[e])
+					lp := base + st.LogVal[e]
+					ti := q*syms + y
+					tlo, thi := off[ti], off[ti+1]
+					yBase := y * states
+					for t := tlo; t < thi; t++ {
+						z2 := zrow[t]
+						if int(z2) <= zmin {
+							continue
+						}
+						q2 := int(nt.Succ[t])
+						if prow != nil && prow[yBase+q2] == neg {
+							continue
+						}
+						cell := int32(yBase+q2)*int32(zdim) + z2
+						if sc.f.relax(cell, lp) {
+							prevBuf[cell] = pj
 						}
 					}
 				}
 			}
 		}
-
-		// Assemble layer i: donor block verbatim (ids re-encoded to the
-		// wider z stride), then the new cells in activation order.
-		dl := &dvw.layers[i]
-		dn := int(dl.n)
-		nn := len(sc.f.list)
-		n := dn + nn
-		if n == 0 {
-			dead = true
-			break
-		}
-		off := len(slab.cells)
-		slab.cells = growI32(slab.cells, n)
-		slab.score = growF64(slab.score, n)
-		slab.prev = growI32(slab.prev, n)
-		slab.zidx = growI32(slab.zidx, n)
-		cells := slab.cells[off:]
-		score := slab.score[off:]
-		prev := slab.prev[off:]
-		zidx := slab.zidx[off:]
-		dMaxZ := -1
-		if dn > 0 {
-			dMaxZ = int(dl.maxZ)
-			stride := int32(zdim - dzdim)
-			for j, c := range dl.cells {
-				cells[j] = c + (c/int32(dzdim))*stride
-			}
-			copy(score[:dn], dl.score)
-			copy(prev[:dn], dl.prev)
-			copy(zidx[:dn], dl.zidx)
-		}
-		maxZ := dMaxZ
-		if cap(sc.zbuf) < nn {
-			sc.zbuf = make([]int32, nn)
-		}
-		zs := sc.zbuf[:nn]
-		for t, cell := range sc.f.list {
-			mi := dn + t
-			cells[mi] = cell
-			score[mi] = sc.f.val[cell]
-			prev[mi] = prevBuf[cell]
-			z := int(cell % int32(zdim))
-			zs[t] = int32(z)
-			if z > maxZ {
-				maxZ = z
-			}
-		}
-		zo := len(slab.zoff)
-		zlen := maxZ + 2
-		if need := zo + zlen; cap(slab.zoff) >= need {
-			slab.zoff = slab.zoff[:need]
-			clear(slab.zoff[zo:])
-		} else {
-			slab.zoff = append(slab.zoff, make([]int32, zlen)...)
-		}
-		zoff := slab.zoff[zo:]
-		if dn > 0 {
-			copy(zoff[:dMaxZ+2], dl.zoff)
-		}
-		// New cells occupy buckets strictly above the donor's: count them,
-		// then chain the cumulative sums from the donor total onward.
-		for _, z := range zs {
-			zoff[z+1]++
-		}
-		for z := dMaxZ + 1; z <= maxZ; z++ {
-			zoff[z+1] += zoff[z]
-		}
-		if nn > 0 {
-			if cap(sc.zcur) < zlen-1 {
-				sc.zcur = make([]int32, zlen-1)
-			}
-			cur := sc.zcur[:zlen-1]
-			copy(cur, zoff[:zlen-1])
-			for t, z := range zs {
-				zidx[cur[z]] = int32(dn + t)
-				cur[z]++
-			}
-		}
-		layer := &layers[i]
-		layer.off, layer.n, layer.maxZ, layer.zo = int32(off), int32(n), int32(maxZ), int32(zo)
-		sc.f.reset()
+		slab.snapshot(&layers[i], &sc.f, prevBuf, zdim, d, dzdim, &sc.zcur, &sc.zbuf)
 		built++
-	}
-	// Positions past the donor's length (a handle carried from before an
-	// append) relax in full, seeded by the last derived layer.
-	if !dead && donorN < v.N && built == donorN {
-		nb, err := relaxLayers(p, nt, v, nil, sc, &slab, layers, donorN, zdim, zstep, xof, qof, prevBuf)
-		if err != nil {
-			return nil, 0, err
-		}
-		built += nb
 	}
 	if n := len(slab.cells); n > sc.slabHint {
 		sc.slabHint = n
@@ -1210,7 +988,7 @@ func materializeDerivedView(p *Poll, nt *NFATables, v *SeqView, align []automata
 	if n := len(slab.zoff); n > sc.zoffHint {
 		sc.zoffHint = n
 	}
-	slab.seal(layers)
+	slab.seal(layers[len(alias):], viewSeq.Add(1))
 	return &ckView{layers: layers, slab: slab}, built, nil
 }
 
@@ -1225,6 +1003,16 @@ func (ck *Checkpoint) walkPrefix(layers []ckLayer, li, pj int, nodes []automata.
 		pj = int(layer.prev[pj])
 		li--
 	}
+}
+
+// exactAnswer assembles the answer of a run that never leaves the
+// matched zone: output align[:l], evidence walked back through the
+// checkpoint from cell j of the final layer.
+func (ck *Checkpoint) exactAnswer(layers []ckLayer, j, l int) (out, nodes []automata.Symbol, states []int) {
+	nodes = make([]automata.Symbol, len(layers))
+	states = make([]int, len(layers))
+	ck.walkPrefix(layers, len(layers)-1, j, nodes, states)
+	return automata.CloneString(ck.Align[:l]), nodes, states
 }
 
 // ResumeState is the final past-zone frontier of one constrained
@@ -1262,10 +1050,14 @@ type ResumeState struct {
 	// nil row is unreachable by construction (an empty past-zone frontier
 	// at capture time cuts every chain into the past, so the rows behind
 	// it are dropped). cross is the crossing-record arena the negative
-	// row entries index; prefix-sharing keeps old indices stable.
+	// row entries index; prefix-sharing keeps old indices stable. Its
+	// records index checkpoint layers below N, so vid — the view id of
+	// the traced checkpoint's layer N-1 — admits a continuation only
+	// against a checkpoint holding those same layers.
 	back     [][]int32
 	cross    []crossRec
 	pastSize int
+	vid      uint64
 }
 
 // ResumeConstrainedBoundedCtx solves the constrained top-answer problem
@@ -1284,10 +1076,48 @@ type ResumeState struct {
 // against an already materialized view only reads the final retained
 // layer and completes regardless).
 func ResumeConstrainedBoundedCtx(ctx context.Context, nt *NFATables, v *SeqView, ck *Checkpoint, c transducer.Constraint, b *Bounds, sc *ConstrainScratch) (out, nodes []automata.Symbol, states []int, logp float64, ok bool, err error) {
-	return resumeConstrained(NewPoll(ctx), nt, v, ck, c, b, nil, sc)
+	out, nodes, states, logp, ok, _, err = resumeConstrained(NewPoll(ctx), nt, v, ck, c, b, nil, nil, sc)
+	return out, nodes, states, logp, ok, err
 }
 
-func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c transducer.Constraint, b *Bounds, rs *ResumeState, sc *ConstrainScratch) (out, nodes []automata.Symbol, states []int, logp float64, ok bool, err error) {
+// ResumeConstrainedIncCtx is the unpruned resume that captures its
+// final past-zone frontier into rs (reusing its slices), for retention
+// across appends — the sweep never prunes, because pruning leaves holes
+// in the frontier, which would make the retained bound inadmissible. On
+// error rs is left empty and must not be retained.
+//
+// It continues incrementally: when prior is a traced resume of the same
+// constraint captured over a shorter prefix of v (the sequence has grown
+// since) against a checkpoint whose layers ck shares — ck extends it, so
+// the crossing records of prior index the same cells — the past-zone
+// sweep restarts from prior's retained frontier and relaxes only
+// positions [prior.N, v.N), reading crossing candidates off the
+// extended checkpoint's appended layers and tracing back through prior's
+// retained rows. The result — answer, evidence, score, and the freshly
+// captured rs — is bit-identical to the full sweep: per-cell maxima are
+// order-independent, each path's score accumulates left to right
+// exactly as the full sweep would, the DP at positions before prior.N
+// cannot depend on the appended suffix, and the per-position
+// advance-then-inject relax order is preserved. continued reports which
+// path ran; the full sweep runs whenever the prior is missing,
+// untraced, not strictly older than v, shaped for different tables,
+// traced against layers ck does not share (a checkpoint evicted and
+// rebuilt, or one of another alignment), or the constraint is ExactOnly
+// (whose final-layer read needs no sweep at all). The caller must
+// guarantee prior really came from a resolve of c — the ranked
+// evaluator's retention map keys entries by canonical constraint
+// identity.
+func ResumeConstrainedIncCtx(ctx context.Context, nt *NFATables, v *SeqView, ck *Checkpoint, c transducer.Constraint, prior, rs *ResumeState, sc *ConstrainScratch) (out, nodes []automata.Symbol, states []int, logp float64, ok bool, continued bool, err error) {
+	return resumeConstrained(NewPoll(ctx), nt, v, ck, c, nil, prior, rs, sc)
+}
+
+// resumeConstrained is the one past-zone sweep behind both resume entry
+// points: a full sweep from position 0, or — given a prior it may
+// continue (see ResumeConstrainedIncCtx) — a continuation from prior.N
+// seeded with prior's frontier, selecting crossing candidates only at
+// the positions it sweeps and tracing back through prior's rows below
+// them.
+func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c transducer.Constraint, b *Bounds, prior, rs *ResumeState, sc *ConstrainScratch) (out, nodes []automata.Symbol, states []int, logp float64, ok, continued bool, err error) {
 	if ck.states != nt.States || ck.n != v.N {
 		panic("kernel: resume checkpoint was built against different tables or sequence")
 	}
@@ -1305,6 +1135,7 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 	l := len(c.Prefix)
 	align := ck.Align
 	zdim := ck.zdim
+	neg := math.Inf(-1)
 
 	if sc == nil {
 		sc = constrainScratchPool.Get().(*ConstrainScratch)
@@ -1315,46 +1146,15 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 	// here on first touch; the published view never changes afterwards.
 	vw, err := ck.ensureView(p, sc)
 	if err != nil {
-		return nil, nil, nil, math.Inf(-1), false, err
+		return nil, nil, nil, neg, false, false, err
 	}
 	layers := vw.layers
 
-	if c.Mode == transducer.ExactOnly {
-		last := &layers[v.N-1]
-		best, bj := math.Inf(-1), -1
-		for _, j32 := range last.bucket(l) {
-			j := int(j32)
-			cell := int(last.cells[j])
-			if nt.Accept[(cell/zdim)%nt.States] && last.score[j] > best {
-				best, bj = last.score[j], j
-			}
-		}
-		if bj < 0 {
-			return nil, nil, nil, math.Inf(-1), false, nil
-		}
-		nodes = make([]automata.Symbol, v.N)
-		states = make([]int, v.N)
-		ck.walkPrefix(layers, v.N-1, bj, nodes, states)
-		return automata.CloneString(align[:l]), nodes, states, best, true, nil
-	}
-
-	pastSize := v.K * nt.States
-	sc.cur.ensure(pastSize)
-	sc.next.ensure(pastSize)
-	sc.cur.reset()
-	sc.next.reset()
-	if cap(sc.back) < v.N*pastSize {
-		sc.back = make([]int32, v.N*pastSize)
-	}
-	back := sc.back[:v.N*pastSize]
-	sc.cross = sc.cross[:0]
-	sc.cands = sc.cands[:0]
-	neg := math.Inf(-1)
-
-	// The exact-extension answer is found first: the final comparison
-	// needs it either way, and its score seeds the selection bound.
+	// The exact answer reads only the final layer. It is found first: an
+	// extension resume's final comparison needs it too, and its score
+	// seeds the selection bound.
 	exactBest, exactIdx := neg, -1
-	if c.Mode == transducer.PrefixAndExtensions {
+	if c.Mode != transducer.ExtensionsOnly {
 		last := &layers[v.N-1]
 		for _, j32 := range last.bucket(l) {
 			j := int(j32)
@@ -1364,6 +1164,38 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 			}
 		}
 	}
+	if c.Mode == transducer.ExactOnly {
+		if exactIdx < 0 {
+			return nil, nil, nil, neg, false, false, nil
+		}
+		out, nodes, states = ck.exactAnswer(layers, exactIdx, l)
+		return out, nodes, states, exactBest, true, false, nil
+	}
+
+	pastSize := v.K * nt.States
+	sc.cur.ensure(pastSize)
+	sc.next.ensure(pastSize)
+	sc.cur.reset()
+	sc.next.reset()
+	// start is the first position the sweep relaxes: 0, or prior.N for a
+	// continuation, whose frontier is prior's and whose traceback below
+	// start reads prior's rows and crossing records. Those records index
+	// layers below prior.N, so ck must hold the very layers prior was
+	// traced against: the same view id at layer prior.N-1.
+	start := 0
+	var prows [][]int32
+	var pcross []crossRec
+	if prior != nil && prior.N >= 1 && prior.N < v.N && len(prior.back) >= prior.N &&
+		prior.pastSize == pastSize && layers[prior.N-1].vid == prior.vid {
+		start, continued = prior.N, true
+		prows, pcross = prior.back[:start], prior.cross
+		rs.Trace = true
+		for i, cell := range prior.Cells {
+			sc.cur.relax(cell, prior.Scores[i])
+		}
+	}
+	sc.cross = sc.cross[:0]
+	sc.cands = sc.cands[:0]
 
 	// Phase 1: select the boundary-crossing candidates in exactly the
 	// order the exhaustive sweep would inject them — position 0 straight
@@ -1386,35 +1218,38 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 		tau = L - 1e-9*(1+math.Abs(L))
 	}
 	var prunedCt, visitedCt, skipCands, skipCells uint64
-	for ii, x := range v.InitIdx {
-		lp := math.Log(v.InitVal[ii])
-		elo, ehi := nt.Edges(int(nt.Start), int(x))
-		for e := elo; e < ehi; e++ {
-			w := nt.Emit[nt.EmitPtr[e]:nt.EmitPtr[e+1]]
-			if !crossOK(align, l, 0, w, c.Forbidden) {
-				continue
-			}
-			cell := int32(int(x)*nt.States + int(nt.Succ[e]))
-			cd := crossCand{pos: 0, cell: cell, lp: lp, rec: crossRec{layer: -1, pi: int32(ii), edge: e}}
-			if prune {
-				cd.bound = lp + b.pos(0, cell)
-				if cd.bound > L {
-					L = cd.bound
-					tau = L - 1e-9*(1+math.Abs(L))
-				} else if cd.bound < tau {
-					skipCands++
+	if start == 0 {
+		for ii, x := range v.InitIdx {
+			lp := math.Log(v.InitVal[ii])
+			elo, ehi := nt.Edges(int(nt.Start), int(x))
+			for e := elo; e < ehi; e++ {
+				w := nt.Emit[nt.EmitPtr[e]:nt.EmitPtr[e+1]]
+				if !crossOK(align, l, 0, w, c.Forbidden) {
 					continue
 				}
+				cell := int32(int(x)*nt.States + int(nt.Succ[e]))
+				cd := crossCand{pos: 0, cell: cell, lp: lp, rec: crossRec{layer: -1, pi: int32(ii), edge: e}}
+				if prune {
+					cd.bound = lp + b.pos(0, cell)
+					if cd.bound > L {
+						L = cd.bound
+						tau = L - 1e-9*(1+math.Abs(L))
+					} else if cd.bound < tau {
+						skipCands++
+						continue
+					}
+				}
+				sc.cands = append(sc.cands, cd)
 			}
-			sc.cands = append(sc.cands, cd)
 		}
 	}
 	winLo := l - nt.MaxEmit + 1
 	ntOff := nt.Off
 	syms := nt.Syms
-	for i := 1; i < v.N; i++ {
+	for i := max(start, 1); i < v.N; i++ {
 		if err := p.Step(); err != nil {
-			return nil, nil, nil, neg, false, err
+			sc.cur.reset()
+			return nil, nil, nil, neg, false, continued, err
 		}
 		prevLayer := &layers[i-1]
 		if int(prevLayer.maxZ)+nt.MaxEmit <= l || prevLayer.n == 0 {
@@ -1473,83 +1308,69 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 		}
 	}
 	selCands := uint64(len(sc.cands))
-	if len(sc.cands) == 0 || (prune && L == neg) {
-		// No viable crossing: the exact answer (if any) stands alone.
-		if prune {
-			b.addStats(0, 0, selCands, skipCands, skipCells)
-		}
-		if rs != nil && rs.Trace {
-			// Empty past-zone frontier: every future chain into the past
-			// is cut, so all-nil rows are a complete trace.
-			captureTrace(rs, v.N, pastSize, 0, nil, nil)
-		}
-		if exactIdx >= 0 {
-			nodes = make([]automata.Symbol, v.N)
-			states = make([]int, v.N)
-			ck.walkPrefix(layers, v.N-1, exactIdx, nodes, states)
-			return automata.CloneString(align[:l]), nodes, states, exactBest, true, nil
-		}
-		return nil, nil, nil, neg, false, nil
+	if prune && L == neg {
+		sc.cands = sc.cands[:0] // no candidate has an accepting completion
 	}
 
 	// Phase 2: the past-zone sweep, advancing before injecting at each
 	// position (ties keep the incumbent, so this ordering is part of the
 	// determinism contract) and sorting each layer into canonical order
 	// before expansion. tau is final here: L stopped growing with the
-	// last candidate.
-	ci := 0
-	for ; ci < len(sc.cands) && sc.cands[ci].pos == 0; ci++ {
-		cd := &sc.cands[ci]
-		if prune && cd.bound < tau {
-			prunedCt++
-			continue
-		}
-		if sc.cur.relax(cd.cell, cd.lp) {
-			sc.cross = append(sc.cross, cd.rec)
-			back[cd.cell] = -int32(len(sc.cross)) - 1
-		}
+	// last candidate. The sweep stops once the frontier is empty and no
+	// candidate is left: nothing can reach the past zone after that.
+	// Position i's backpointer row is back[(i-start)·pastSize:]; a
+	// crossing's entry encodes its record's index in prior's arena
+	// followed by this sweep's.
+	rows := v.N - start
+	if cap(sc.back) < rows*pastSize {
+		sc.back = make([]int32, rows*pastSize)
 	}
-	for i := 1; i < v.N; i++ {
+	back := sc.back[:rows*pastSize]
+	ci := 0
+	for i := start; i < v.N && (len(sc.cur.list) > 0 || ci < len(sc.cands)); i++ {
 		if err := p.Step(); err != nil {
 			sc.cur.reset()
 			sc.next.reset()
-			return nil, nil, nil, neg, false, err
+			return nil, nil, nil, neg, false, continued, err
 		}
 		hasCand := ci < len(sc.cands) && int(sc.cands[ci].pos) == i
 		if len(sc.cur.list) == 0 && !hasCand {
 			continue // before the first surviving crossing: O(1) per position
 		}
-		st := &v.Steps[i-1]
-		backRow := back[i*pastSize : (i+1)*pastSize]
-		sc.cur.sortList()
-		var prow0, prow1 []float64
-		if prune {
-			prow0 = b.pot[(i-1)*pastSize : i*pastSize]
-			prow1 = b.pot[i*pastSize : (i+1)*pastSize]
-		}
-		for _, idx := range sc.cur.list {
-			base := sc.cur.val[idx]
+		backRow := back[(i-start)*pastSize : (i-start+1)*pastSize]
+		if len(sc.cur.list) > 0 {
+			// Never at position 0: a full sweep starts with an empty frontier.
+			st := &v.Steps[i-1]
+			sc.cur.sortList()
+			var prow0, prow1 []float64
 			if prune {
-				if base+prow0[idx] < tau {
-					prunedCt++
-					continue
-				}
-				visitedCt++
+				prow0 = b.pot[(i-1)*pastSize : i*pastSize]
+				prow1 = b.pot[i*pastSize : (i+1)*pastSize]
 			}
-			x := int(idx) / nt.States
-			q := int(idx) - x*nt.States
-			for e := st.RowPtr[x]; e < st.RowPtr[x+1]; e++ {
-				y := int(st.Col[e])
-				lp := base + st.LogVal[e]
-				ti := q*syms + y
-				tlo, thi := ntOff[ti], ntOff[ti+1]
-				for t := tlo; t < thi; t++ {
-					cell := int32(y*nt.States + int(nt.Succ[t]))
-					if prune && lp+prow1[cell] < tau {
+			for _, idx := range sc.cur.list {
+				base := sc.cur.val[idx]
+				if prune {
+					if base+prow0[idx] < tau {
+						prunedCt++
 						continue
 					}
-					if sc.next.relax(cell, lp) {
-						backRow[cell] = idx
+					visitedCt++
+				}
+				x := int(idx) / nt.States
+				q := int(idx) - x*nt.States
+				for e := st.RowPtr[x]; e < st.RowPtr[x+1]; e++ {
+					y := int(st.Col[e])
+					lp := base + st.LogVal[e]
+					ti := q*syms + y
+					tlo, thi := ntOff[ti], ntOff[ti+1]
+					for t := tlo; t < thi; t++ {
+						cell := int32(y*nt.States + int(nt.Succ[t]))
+						if prune && lp+prow1[cell] < tau {
+							continue
+						}
+						if sc.next.relax(cell, lp) {
+							backRow[cell] = idx
+						}
 					}
 				}
 			}
@@ -1562,7 +1383,7 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 			}
 			if sc.next.relax(cd.cell, cd.lp) {
 				sc.cross = append(sc.cross, cd.rec)
-				backRow[cd.cell] = -int32(len(sc.cross)) - 1
+				backRow[cd.cell] = -int32(len(pcross)+len(sc.cross)) - 1
 			}
 		}
 		sc.cur, sc.next = sc.next, sc.cur
@@ -1591,18 +1412,16 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 			rs.Scores = append(rs.Scores, sc.cur.val[idx])
 		}
 		if rs.Trace {
-			captureTrace(rs, v.N, pastSize, len(sc.cur.list), back, sc.cross)
+			captureTrace(rs, v.N, pastSize, len(sc.cur.list), prows, back, pcross, sc.cross, layers[v.N-1].vid)
 		}
 	}
 	sc.cur.reset()
 	if exactIdx >= 0 && exactBest >= best {
-		nodes = make([]automata.Symbol, v.N)
-		states = make([]int, v.N)
-		ck.walkPrefix(layers, v.N-1, exactIdx, nodes, states)
-		return automata.CloneString(align[:l]), nodes, states, exactBest, true, nil
+		out, nodes, states = ck.exactAnswer(layers, exactIdx, l)
+		return out, nodes, states, exactBest, true, continued, nil
 	}
 	if bestCell < 0 {
-		return nil, nil, nil, math.Inf(-1), false, nil
+		return nil, nil, nil, neg, false, continued, nil
 	}
 
 	nodes = make([]automata.Symbol, v.N)
@@ -1613,9 +1432,18 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 	for {
 		nodes[i] = automata.Symbol(int(cell) / nt.States)
 		states[i] = int(cell) % nt.States
-		bk := back[i*pastSize+int(cell)]
+		var bk int32
+		if i >= start {
+			bk = back[(i-start)*pastSize+int(cell)]
+		} else {
+			bk = prows[i][cell]
+		}
 		if bk < 0 {
-			rec = sc.cross[-bk-2]
+			if k := int(-bk - 2); k < len(pcross) {
+				rec = pcross[k]
+			} else {
+				rec = sc.cross[k-len(pcross)]
+			}
 			break
 		}
 		cell = bk
@@ -1647,265 +1475,32 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 		}
 		q = states[j]
 	}
-	return out, nodes, states, best, true, nil
+	return out, nodes, states, best, true, continued, nil
 }
 
-// captureTrace retains the full traceback of a finished sweep into rs:
-// the backpointer rows (copied out of the flat scratch into one owned
-// slab, row-sliced) and the crossing-record arena. When the final
+// captureTrace retains the traceback of a finished sweep into rs: rows
+// below the sweep's first position are shared with the continued prior
+// (prows, immutable once captured), the sweep's own rows are copied out
+// of the scratch (back) into one owned slab, and the crossing arena is
+// prior's (pcross) extended by the sweep's records. When the final
 // frontier is empty, every chain into the past is unreachable, so the
-// rows and records are dropped and all-nil rows stand in for them.
-func captureTrace(rs *ResumeState, n, pastSize, frontierLen int, back []int32, cross []crossRec) {
+// rows and records are dropped and all-nil rows stand in for them. vid
+// is the view id of the traced checkpoint's final layer.
+func captureTrace(rs *ResumeState, n, pastSize, frontierLen int, prows [][]int32, back []int32, pcross, cross []crossRec, vid uint64) {
 	rs.pastSize = pastSize
+	rs.vid = vid
+	rs.back = make([][]int32, n)
 	if frontierLen == 0 {
-		rs.back = make([][]int32, n)
 		rs.cross = nil
 		return
 	}
-	flat := make([]int32, n*pastSize)
-	copy(flat, back)
-	rows := make([][]int32, n)
-	for i := range rows {
-		rows[i] = flat[i*pastSize : (i+1)*pastSize : (i+1)*pastSize]
+	start := copy(rs.back, prows)
+	flat := slices.Clone(back)
+	for i := start; i < n; i++ {
+		j := (i - start) * pastSize
+		rs.back[i] = flat[j : j+pastSize : j+pastSize]
 	}
-	rs.back = rows
-	rs.cross = slices.Clone(cross)
-}
-
-// ResumeConstrainedIncCtx is the unpruned resume that captures its
-// final past-zone frontier into rs (reusing its slices), for retention
-// across appends — the sweep never prunes, because pruning leaves holes
-// in the frontier, which would make the retained bound inadmissible. On
-// error rs is left empty and must not be retained.
-//
-// It continues incrementally: when prior is a traced resume of the same
-// (constraint, alignment) pair captured over a shorter prefix of v (the
-// sequence has grown since), the past-zone sweep restarts from prior's
-// retained frontier and relaxes only positions [prior.N, v.N), reading
-// crossing candidates off the (extended) checkpoint's appended layers
-// and tracing back through prior's retained rows. The result — answer,
-// evidence, score, and the freshly captured rs — is bit-identical to
-// the full sweep: per-cell maxima are order-independent, each path's
-// score accumulates left to right exactly as the full sweep would, the
-// DP at positions before prior.N cannot depend on the appended suffix,
-// and the per-position advance-then-inject relax order is preserved.
-// continued reports which path ran; the full sweep runs whenever the
-// prior is missing, untraced, not strictly older than v, shaped for
-// different tables, or the constraint is ExactOnly (whose final-layer
-// read needs no sweep at all). The caller must guarantee prior really
-// came from a resolve of c at ck's alignment — the ranked evaluator's
-// retention map keys entries by canonical constraint identity.
-func ResumeConstrainedIncCtx(ctx context.Context, nt *NFATables, v *SeqView, ck *Checkpoint, c transducer.Constraint, prior, rs *ResumeState, sc *ConstrainScratch) (out, nodes []automata.Symbol, states []int, logp float64, ok bool, continued bool, err error) {
-	p := NewPoll(ctx)
-	if prior != nil && c.Mode != transducer.ExactOnly &&
-		prior.N >= 1 && prior.N < v.N &&
-		prior.back != nil && len(prior.back) >= prior.N &&
-		prior.pastSize == v.K*nt.States {
-		out, nodes, states, logp, ok, err = resumeConstrainedExtend(p, nt, v, ck, c, prior, rs, sc)
-		return out, nodes, states, logp, ok, true, err
-	}
-	out, nodes, states, logp, ok, err = resumeConstrained(p, nt, v, ck, c, nil, rs, sc)
-	return out, nodes, states, logp, ok, false, err
-}
-
-// resumeConstrainedExtend is the continuation sweep behind
-// ResumeConstrainedIncCtx: seed the past-zone frontier from prior,
-// relax positions [prior.N, v.N) with the same advance-then-inject
-// order as the full sweep, and capture the grown trace into rs.
-func resumeConstrainedExtend(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c transducer.Constraint, prior, rs *ResumeState, sc *ConstrainScratch) (out, nodes []automata.Symbol, states []int, logp float64, ok bool, err error) {
-	if ck.states != nt.States || ck.n != v.N {
-		panic("kernel: resume checkpoint was built against different tables or sequence")
-	}
-	if !automata.HasPrefix(ck.Align, c.Prefix) {
-		panic("kernel: resume constraint prefix does not align with checkpoint")
-	}
-	rs.N = v.N
-	rs.Cells = rs.Cells[:0]
-	rs.Scores = rs.Scores[:0]
-	rs.Trace = true
-	l := len(c.Prefix)
-	align := ck.Align
-	zdim := ck.zdim
-	pastSize := v.K * nt.States
-	neg := math.Inf(-1)
-
-	if sc == nil {
-		sc = constrainScratchPool.Get().(*ConstrainScratch)
-		defer constrainScratchPool.Put(sc)
-	}
-	vw, err := ck.ensureView(p, sc)
-	if err != nil {
-		return nil, nil, nil, neg, false, err
-	}
-	layers := vw.layers
-
-	// The exact-extension answer reads only the final layer, which the
-	// extended view has just relaxed; recomputing it fresh costs one
-	// bucket scan.
-	exactBest, exactIdx := neg, -1
-	if c.Mode == transducer.PrefixAndExtensions {
-		last := &layers[v.N-1]
-		for _, j32 := range last.bucket(l) {
-			j := int(j32)
-			cell := int(last.cells[j])
-			if nt.Accept[(cell/zdim)%nt.States] && last.score[j] > exactBest {
-				exactBest, exactIdx = last.score[j], j
-			}
-		}
-	}
-
-	sc.cur.ensure(pastSize)
-	sc.next.ensure(pastSize)
-	sc.cur.reset()
-	sc.next.reset()
-	for i, cell := range prior.Cells {
-		sc.cur.relax(cell, prior.Scores[i])
-	}
-
-	// Combined traceback state: prior rows shared (immutable), appended
-	// positions get fresh rows; crossing records extend prior's arena at
-	// stable indices.
-	rows := make([][]int32, v.N)
-	copy(rows, prior.back[:prior.N])
-	cross := prior.cross[:len(prior.cross):len(prior.cross)]
-
-	winLo := l - nt.MaxEmit + 1
-	ntOff := nt.Off
-	syms := nt.Syms
-	for i := prior.N; i < v.N; i++ {
-		if err := p.Step(); err != nil {
-			sc.cur.reset()
-			sc.next.reset()
-			return nil, nil, nil, neg, false, err
-		}
-		row := make([]int32, pastSize)
-		rows[i] = row
-		st := &v.Steps[i-1]
-		if len(sc.cur.list) > 0 {
-			sc.cur.sortList()
-			for _, idx := range sc.cur.list {
-				base := sc.cur.val[idx]
-				x := int(idx) / nt.States
-				q := int(idx) - x*nt.States
-				for e := st.RowPtr[x]; e < st.RowPtr[x+1]; e++ {
-					y := int(st.Col[e])
-					lp := base + st.LogVal[e]
-					ti := q*syms + y
-					tlo, thi := ntOff[ti], ntOff[ti+1]
-					for t := tlo; t < thi; t++ {
-						cell := int32(y*nt.States + int(nt.Succ[t]))
-						if sc.next.relax(cell, lp) {
-							row[cell] = idx
-						}
-					}
-				}
-			}
-		}
-		prevLayer := &layers[i-1]
-		if int(prevLayer.maxZ)+nt.MaxEmit > l && prevLayer.n > 0 {
-			for _, pj := range prevLayer.window(winLo, l, &sc.win) {
-				pi := int(pj)
-				pcell := prevLayer.cells[pi]
-				base := prevLayer.score[pi]
-				xq := int(pcell) / zdim
-				z := int(pcell) - xq*zdim
-				x := xq / nt.States
-				q := xq - x*nt.States
-				for e := st.RowPtr[x]; e < st.RowPtr[x+1]; e++ {
-					y := int(st.Col[e])
-					lp := base + st.LogVal[e]
-					ti := q*syms + y
-					tlo, thi := ntOff[ti], ntOff[ti+1]
-					for t := tlo; t < thi; t++ {
-						w := nt.Emit[nt.EmitPtr[t]:nt.EmitPtr[t+1]]
-						if !crossOK(align, l, z, w, c.Forbidden) {
-							continue
-						}
-						cell := int32(y*nt.States + int(nt.Succ[t]))
-						if sc.next.relax(cell, lp) {
-							cross = append(cross, crossRec{layer: int32(i - 1), pi: int32(pi), edge: t})
-							row[cell] = -int32(len(cross)) - 1
-						}
-					}
-				}
-			}
-		}
-		sc.cur, sc.next = sc.next, sc.cur
-		sc.next.reset()
-	}
-
-	// Final argmax with canonical tie-breaking, then the grown capture.
-	best, bestCell := neg, int32(-1)
-	for _, idx := range sc.cur.list {
-		if !nt.Accept[int(idx)%nt.States] {
-			continue
-		}
-		if s := sc.cur.val[idx]; s > best || (s == best && idx < bestCell) {
-			best, bestCell = s, idx
-		}
-	}
-	rs.Cells = append(rs.Cells, sc.cur.list...)
-	for _, idx := range sc.cur.list {
-		rs.Scores = append(rs.Scores, sc.cur.val[idx])
-	}
-	rs.pastSize = pastSize
-	if len(sc.cur.list) == 0 {
-		rs.back = make([][]int32, v.N)
-		rs.cross = nil
-	} else {
-		rs.back = rows
-		rs.cross = cross
-	}
-	sc.cur.reset()
-
-	if exactIdx >= 0 && exactBest >= best {
-		nodes = make([]automata.Symbol, v.N)
-		states = make([]int, v.N)
-		ck.walkPrefix(layers, v.N-1, exactIdx, nodes, states)
-		return automata.CloneString(align[:l]), nodes, states, exactBest, true, nil
-	}
-	if bestCell < 0 {
-		return nil, nil, nil, neg, false, nil
-	}
-
-	nodes = make([]automata.Symbol, v.N)
-	states = make([]int, v.N)
-	i := v.N - 1
-	cell := bestCell
-	var rec crossRec
-	for {
-		nodes[i] = automata.Symbol(int(cell) / nt.States)
-		states[i] = int(cell) % nt.States
-		bk := rows[i][cell]
-		if bk < 0 {
-			rec = cross[-bk-2]
-			break
-		}
-		cell = bk
-		i--
-	}
-	crossPos := i
-	z := 0
-	if rec.layer >= 0 {
-		z = int(layers[rec.layer].cells[rec.pi]) % zdim
-		ck.walkPrefix(layers, int(rec.layer), int(rec.pi), nodes, states)
-	}
-	w := nt.Emit[nt.EmitPtr[rec.edge]:nt.EmitPtr[rec.edge+1]]
-	out = make([]automata.Symbol, 0, z+len(w)+(v.N-1-crossPos)*nt.MaxEmit)
-	out = append(out, align[:z]...)
-	out = append(out, w...)
-	q := states[crossPos]
-	for j := crossPos + 1; j < v.N; j++ {
-		lo, hi := nt.Edges(q, int(nodes[j]))
-		for e := lo; e < hi; e++ {
-			if int(nt.Succ[e]) == states[j] {
-				out = append(out, nt.Emit[nt.EmitPtr[e]:nt.EmitPtr[e+1]]...)
-				break
-			}
-		}
-		q = states[j]
-	}
-	return out, nodes, states, best, true, nil
+	rs.cross = append(pcross[:len(pcross):len(pcross)], cross...)
 }
 
 // ConstrainedViterbi solves the constrained top-answer problem from
@@ -1920,6 +1515,6 @@ func ConstrainedViterbi(nt *NFATables, v *SeqView, c transducer.Constraint, b *B
 		defer constrainScratchPool.Put(sc)
 	}
 	ck, _ := buildCheckpoint(nil, nt, v, c.Prefix, b, sc)
-	out, nodes, states, logp, ok, _ = resumeConstrained(nil, nt, v, ck, c, b, nil, sc)
+	out, nodes, states, logp, ok, _, _ = resumeConstrained(nil, nt, v, ck, c, b, nil, nil, sc)
 	return out, nodes, states, logp, ok
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"markovseq/internal/automata"
@@ -78,7 +79,7 @@ func TestConstrainedViterbiDifferential(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		rng := rand.New(rand.NewSource(int64(11000 + trial)))
 		m := markov.Random(in, 2+rng.Intn(4), 0.7, rng)
-		tr := randomNFATransducer(in, out, 1+rng.Intn(3), 1+rng.Intn(2), rng)
+		tr := randomVarNFATransducer(in, out, 1+rng.Intn(3), rng)
 		nt := kernel.NewNFATables(tr)
 		v := m.View()
 		ans := answers(tr, m)
@@ -117,7 +118,7 @@ func TestResumeMatchesFromScratch(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		rng := rand.New(rand.NewSource(int64(12000 + trial)))
 		m := markov.Random(in, 2+rng.Intn(4), 0.7, rng)
-		tr := randomNFATransducer(in, out, 1+rng.Intn(3), 1+rng.Intn(2), rng)
+		tr := randomVarNFATransducer(in, out, 1+rng.Intn(3), rng)
 		nt := kernel.NewNFATables(tr)
 		v := m.View()
 		for _, o := range answers(tr, m) {
@@ -170,7 +171,7 @@ func TestConstrainedViterbiEvidence(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		rng := rand.New(rand.NewSource(int64(13000 + trial)))
 		m := markov.Random(in, 2+rng.Intn(4), 0.7, rng)
-		tr := randomNFATransducer(in, out, 1+rng.Intn(3), 1+rng.Intn(2), rng)
+		tr := randomVarNFATransducer(in, out, 1+rng.Intn(3), rng)
 		nt := kernel.NewNFATables(tr)
 		v := m.View()
 		worlds := map[string]float64{}
@@ -213,7 +214,7 @@ func TestConstrainedNonEmptyDifferential(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		rng := rand.New(rand.NewSource(int64(14000 + trial)))
 		m := markov.Random(in, 2+rng.Intn(4), 0.7, rng)
-		tr := randomNFATransducer(in, out, 1+rng.Intn(3), 1+rng.Intn(2), rng)
+		tr := randomVarNFATransducer(in, out, 1+rng.Intn(3), rng)
 		nt := kernel.NewNFATables(tr)
 		v := m.View()
 		ans := answers(tr, m)
@@ -244,7 +245,7 @@ func TestResumeIncContinuesAcrossAppend(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(48000 + trial)))
 		n := 6 + rng.Intn(6)
 		full := markov.Random(in, n, 0.7, rng)
-		tr := randomNFATransducer(in, out, 1+rng.Intn(3), 1+rng.Intn(2), rng)
+		tr := randomVarNFATransducer(in, out, 1+rng.Intn(3), rng)
 		nt := kernel.NewNFATables(tr)
 		p := 2 + rng.Intn(n-3)
 		short := full.Window(1, p)
@@ -314,4 +315,90 @@ func TestResumeIncContinuesAcrossAppend(t *testing.T) {
 			t.Fatalf("mode %v: no continuation was checked", mode)
 		}
 	}
+}
+
+// TestResumeIncFallsBackOnForeignPrior: a traced prior's crossing
+// records index the layers of the checkpoint it was traced against, so
+// it may only be continued against a checkpoint that shares them. Here
+// the prior is traced against a plain checkpoint for o and resumed
+// against a donor-derived checkpoint for o over the grown view — the
+// handle an alignment evicted from the ranked checkpoint cache comes
+// back as, whose layers order the same cells differently. The resume
+// must run the full sweep and agree bit for bit with the same
+// checkpoint resumed without a prior.
+func TestResumeIncFallsBackOnForeignPrior(t *testing.T) {
+	ctx := context.Background()
+	in := automata.MustAlphabet("a", "b", "c")
+	out := automata.MustAlphabet("x", "y")
+	modes := []transducer.ConstraintMode{transducer.PrefixAndExtensions, transducer.ExtensionsOnly}
+	checked, wrongPath := 0, 0
+	for trial := 0; trial < 60; trial++ {
+		rng := rand.New(rand.NewSource(int64(49000 + trial)))
+		n := 6 + rng.Intn(6)
+		full := markov.Random(in, n, 0.7, rng)
+		tr := randomVarNFATransducer(in, out, 1+rng.Intn(3), rng)
+		nt := kernel.NewNFATables(tr)
+		p := 2 + rng.Intn(n-3)
+		short := full.Window(1, p)
+		grown := short
+		for i := p; i < n; i++ {
+			var err error
+			if grown, err = grown.Extended([][][]float64{full.TransAt(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		vs, vg := short.View(), grown.View()
+		o, _, _, _, ok := kernel.ConstrainedViterbi(nt, vg, transducer.Unconstrained(), nil, nil)
+		if !ok || len(o) < 2 {
+			continue
+		}
+		for _, mode := range modes {
+			for cut := 0; cut < len(o); cut++ {
+				c := transducer.Constraint{Prefix: o[:cut], Mode: mode}
+				label := fmt.Sprintf("trial %d p=%d/%d %v", trial, p, n, c)
+				prior := &kernel.ResumeState{Trace: true}
+				if _, _, _, _, _, _, err := kernel.ResumeConstrainedIncCtx(ctx, nt, vs, kernel.NewLazyCheckpoint(nt, vs, o, nil), c, nil, prior, nil); err != nil {
+					t.Fatal(err)
+				}
+				donor := kernel.NewLazyCheckpoint(nt, vg, o[:len(o)-1], nil)
+				derived := kernel.NewLazyCheckpointFrom(nt, vg, o, donor)
+				var got, want kernel.ResumeState
+				go_, gn, gs, glp, gok, continued, err := kernel.ResumeConstrainedIncCtx(ctx, nt, vg, derived, c, prior, &got, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wo, wn, ws, wlp, wok, _, err := kernel.ResumeConstrainedIncCtx(ctx, nt, vg, derived, c, nil, &want, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gok && (!c.Admits(go_) || !transducesTo(tr, gn, go_)) {
+					t.Fatalf("%s: answer %v is not admitted or not an output of its evidence %v", label, go_, gn)
+				}
+				if gok != wok || glp != wlp || !automata.EqualStrings(go_, wo) || !automata.EqualStrings(gn, wn) || !slices.Equal(gs, ws) {
+					t.Fatalf("%s: resume with a foreign prior (%v %v %v %v) != without (%v %v %v %v)",
+						label, gok, go_, gn, glp, wok, wo, wn, wlp)
+				}
+				if continued {
+					wrongPath++
+				}
+				checked++
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no foreign-prior resume was checked")
+	}
+	if wrongPath > 0 {
+		t.Fatalf("%d of %d resumes continued a prior traced against another checkpoint's layers", wrongPath, checked)
+	}
+}
+
+// transducesTo reports whether some run of tr over nodes emits o.
+func transducesTo(tr *transducer.Transducer, nodes, o []automata.Symbol) bool {
+	for _, oo := range tr.Transduce(nodes, 0) {
+		if automata.EqualStrings(oo, o) {
+			return true
+		}
+	}
+	return false
 }

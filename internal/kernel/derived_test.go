@@ -25,7 +25,7 @@ func TestDerivedCheckpointMatchesFresh(t *testing.T) {
 		in := automata.MustAlphabet("a", "b")
 		out := automata.MustAlphabet("x", "y")
 		m := markov.Random(in, 2+rng.Intn(4), 0.7, rng)
-		tr := randomNFATransducer(in, out, 1+rng.Intn(3), 1+rng.Intn(2), rng)
+		tr := randomVarNFATransducer(in, out, 1+rng.Intn(3), rng)
 		nt := kernel.NewNFATables(tr)
 		v := m.View()
 		for _, o := range answers(tr, m) {
@@ -68,9 +68,12 @@ func TestDerivedCheckpointMatchesFresh(t *testing.T) {
 						}
 						// Different representatives are legal only inside an
 						// exact tie: both answers must score the optimum when
-						// re-resolved as exact singletons through the fresh DP.
+						// re-resolved as exact singletons, each through a
+						// checkpoint aligned to itself (a representative need
+						// not be a prefix of o).
 						for _, ans := range [][]automata.Symbol{do, fo} {
-							_, _, _, alp, aok, _ := kernel.ResumeConstrainedBoundedCtx(context.Background(), nt, v, fresh, transducer.Constraint{
+							own := kernel.NewLazyCheckpoint(nt, v, ans, nil)
+							_, _, _, alp, aok, _ := kernel.ResumeConstrainedBoundedCtx(context.Background(), nt, v, own, transducer.Constraint{
 								Prefix: ans, Mode: transducer.ExactOnly,
 							}, nil, nil)
 							if !aok || alp != flp {

@@ -68,7 +68,23 @@ func randomUniformDetTransducer(in, out *automata.Alphabet, nStates, k int, rng 
 	return tr
 }
 
+// randomNFATransducer draws a random nondeterministic transducer whose
+// emissions are all exactly k symbols long, as the k-uniform kernels
+// require.
 func randomNFATransducer(in, out *automata.Alphabet, nStates, k int, rng *rand.Rand) *transducer.Transducer {
+	return randomNFA(in, out, nStates, func() int { return k }, rng)
+}
+
+// randomVarNFATransducer draws a random nondeterministic transducer with
+// 0–2-symbol emissions, ε included. Variable lengths put several z
+// values in one checkpoint layer, so derived and from-scratch layers
+// order their cells differently and resume windows span several z
+// buckets.
+func randomVarNFATransducer(in, out *automata.Alphabet, nStates int, rng *rand.Rand) *transducer.Transducer {
+	return randomNFA(in, out, nStates, func() int { return rng.Intn(3) }, rng)
+}
+
+func randomNFA(in, out *automata.Alphabet, nStates int, emitLen func() int, rng *rand.Rand) *transducer.Transducer {
 	tr := transducer.New(in, out, nStates, 0)
 	for q := 0; q < nStates; q++ {
 		tr.SetAccepting(q, rng.Intn(2) == 0)
@@ -77,7 +93,7 @@ func randomNFATransducer(in, out *automata.Alphabet, nStates, k int, rng *rand.R
 				if rng.Intn(3) != 0 {
 					continue
 				}
-				e := make([]automata.Symbol, k)
+				e := make([]automata.Symbol, emitLen())
 				for i := range e {
 					e[i] = automata.Symbol(rng.Intn(out.Size()))
 				}

@@ -30,7 +30,7 @@ func TestLazyCheckpointMatchesEager(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		rng := rand.New(rand.NewSource(int64(16000 + trial)))
 		m := markov.Random(in, 2+rng.Intn(4), 0.7, rng)
-		tr := randomNFATransducer(in, out, 1+rng.Intn(3), 1+rng.Intn(2), rng)
+		tr := randomVarNFATransducer(in, out, 1+rng.Intn(3), rng)
 		nt := kernel.NewNFATables(tr)
 		v := m.View()
 		b := kernel.NewBounds(nt, v)

@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"context"
 	"math"
 	"sync"
 
@@ -28,28 +27,6 @@ var viterbiScratchPool = sync.Pool{New: func() any { return new(ViterbiScratch) 
 // probabilities come precomputed from the CSR view, and backpointers are
 // one flat int32 array (packed predecessor cell, -1 at the root).
 func ViterbiRun(nt *NFATables, v *SeqView, sc *ViterbiScratch) (nodes []automata.Symbol, states []int, logp float64, ok bool) {
-	nodes, states, logp, ok, _ = viterbiRun(nil, nt, v, nil, sc)
-	return nodes, states, logp, ok
-}
-
-// ViterbiRunCtx is ViterbiRun with step-granularity cancellation: the
-// context is polled every DefaultPollInterval positions and the DP
-// aborts with ctx.Err() as soon as it fires.
-func ViterbiRunCtx(ctx context.Context, nt *NFATables, v *SeqView, sc *ViterbiScratch) (nodes []automata.Symbol, states []int, logp float64, ok bool, err error) {
-	return viterbiRun(NewPoll(ctx), nt, v, nil, sc)
-}
-
-// ViterbiRunBounded is ViterbiRun with weight-pushed pruning: every
-// complete path starts at position 0, so the initial frontier's best
-// score + potential is already the optimum (up to float association)
-// and the whole sweep collapses to the corridor of near-optimal cells.
-// Exact and bit-identical to ViterbiRun; b may be nil.
-func ViterbiRunBounded(nt *NFATables, v *SeqView, b *Bounds, sc *ViterbiScratch) (nodes []automata.Symbol, states []int, logp float64, ok bool) {
-	nodes, states, logp, ok, _ = viterbiRun(nil, nt, v, b, sc)
-	return nodes, states, logp, ok
-}
-
-func viterbiRun(p *Poll, nt *NFATables, v *SeqView, b *Bounds, sc *ViterbiScratch) (nodes []automata.Symbol, states []int, logp float64, ok bool, err error) {
 	if sc == nil {
 		sc = viterbiScratchPool.Get().(*ViterbiScratch)
 		defer viterbiScratchPool.Put(sc)
@@ -64,47 +41,22 @@ func viterbiRun(p *Poll, nt *NFATables, v *SeqView, b *Bounds, sc *ViterbiScratc
 	}
 	sc.back = sc.back[:v.N*size]
 
-	neg := math.Inf(-1)
-	L := neg
 	for ii, x := range v.InitIdx {
 		lp := math.Log(v.InitVal[ii])
 		lo, hi := nt.Edges(int(nt.Start), int(x))
 		for e := lo; e < hi; e++ {
 			cell := int32(int(x)*nt.States + int(nt.Succ[e]))
-			if b != nil {
-				if bound := lp + b.pos(0, cell); bound > L {
-					L = bound
-				}
-			}
 			if sc.cur.relax(cell, lp) {
 				sc.back[cell] = -1
 			}
 		}
 	}
-	prune := b != nil && L != neg
-	var tau float64
-	var prunedCt, visitedCt uint64
-	if prune {
-		tau = L - 1e-9*(1+math.Abs(L))
-	}
 	for i := 1; i < v.N; i++ {
-		if err := p.Step(); err != nil {
-			sc.cur.reset()
-			sc.next.reset()
-			return nil, nil, math.Inf(-1), false, err
-		}
 		st := &v.Steps[i-1]
 		backRow := sc.back[i*size : (i+1)*size]
 		sc.cur.sortList()
 		for _, idx := range sc.cur.list {
 			base := sc.cur.val[idx]
-			if prune {
-				if base+b.pos(i-1, idx) < tau {
-					prunedCt++
-					continue
-				}
-				visitedCt++
-			}
 			x := int(idx) / nt.States
 			q := int(idx) % nt.States
 			for e := st.RowPtr[x]; e < st.RowPtr[x+1]; e++ {
@@ -113,9 +65,6 @@ func viterbiRun(p *Poll, nt *NFATables, v *SeqView, b *Bounds, sc *ViterbiScratc
 				lo, hi := nt.Edges(q, y)
 				for t := lo; t < hi; t++ {
 					cell := int32(y*nt.States + int(nt.Succ[t]))
-					if prune && lp+b.pos(i, cell) < tau {
-						continue
-					}
 					if sc.next.relax(cell, lp) {
 						backRow[cell] = idx
 					}
@@ -124,9 +73,6 @@ func viterbiRun(p *Poll, nt *NFATables, v *SeqView, b *Bounds, sc *ViterbiScratc
 		}
 		sc.cur, sc.next = sc.next, sc.cur
 		sc.next.reset()
-	}
-	if b != nil {
-		b.addStats(prunedCt, visitedCt, 0, 0, 0)
 	}
 
 	best, bestCell := math.Inf(-1), int32(-1)
@@ -140,7 +86,7 @@ func viterbiRun(p *Poll, nt *NFATables, v *SeqView, b *Bounds, sc *ViterbiScratc
 	}
 	sc.cur.reset()
 	if bestCell < 0 {
-		return nil, nil, math.Inf(-1), false, nil
+		return nil, nil, math.Inf(-1), false
 	}
 	nodes = make([]automata.Symbol, v.N)
 	states = make([]int, v.N)
@@ -150,5 +96,5 @@ func viterbiRun(p *Poll, nt *NFATables, v *SeqView, b *Bounds, sc *ViterbiScratc
 		states[i] = int(cell) % nt.States
 		cell = sc.back[i*size+int(cell)]
 	}
-	return nodes, states, best, true, nil
+	return nodes, states, best, true
 }

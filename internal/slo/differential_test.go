@@ -68,11 +68,19 @@ func TestLoadedRankedIsPrefixOfReference(t *testing.T) {
 	}
 
 	// Phase 1 — deterministic deadline misses and sheds: every admitted
-	// query stalls 20ms against a 4ms store deadline, so the two
-	// admitted occupants miss their deadline; once both are provably
-	// inside the stall (QueryStalls ≥ 2), everything else is shed.
-	inj := NewInjector(Faults{StallEvery: 1, StallFor: Duration(20 * time.Millisecond)})
-	inj.Install(db)
+	// query stalls in a test-local hook past its 4ms store deadline and
+	// keeps stalling, holding its in-flight slot, until the shed loop
+	// below has run, so the two admitted occupants miss their deadline
+	// and everything else is shed however the goroutines are scheduled.
+	// (The fault injector's own stall path is covered by harness_test.go.)
+	entered := make(chan struct{}, 2) // one send per occupant
+	release := make(chan struct{})
+	db.SetServeHook(func(ctx context.Context, _ lahar.HookOp, _, _ string) error {
+		entered <- struct{}{}
+		<-ctx.Done()
+		<-release
+		return ctx.Err()
+	})
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
@@ -85,11 +93,15 @@ func TestLoadedRankedIsPrefixOfReference(t *testing.T) {
 			checkPrefix(refK, res, err)
 		}()
 	}
-	for deadline := time.Now().Add(2 * time.Second); inj.Stats().QueryStalls < 2; {
-		if time.Now().After(deadline) {
+	timeout := time.After(2 * time.Second)
+	for i := 0; i < 2; i++ {
+		select {
+		case <-entered:
+		case <-timeout:
+			close(release)
+			wg.Wait()
 			t.Fatal("stalled queries never occupied the in-flight slots")
 		}
-		time.Sleep(100 * time.Microsecond)
 	}
 	sheds := 0
 	for i := 0; i < 6; i++ {
@@ -103,6 +115,7 @@ func TestLoadedRankedIsPrefixOfReference(t *testing.T) {
 		}
 		checkPrefix(refK, res, err)
 	}
+	close(release)
 	wg.Wait()
 	if sheds == 0 {
 		t.Error("no query was shed while the in-flight slots were held")
