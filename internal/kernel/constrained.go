@@ -55,11 +55,16 @@ import (
 //     of an answer with prefix p cost O(n − |p|) instead of O(n).
 //
 //   - ResumeConstrainedIncCtx is the same resume run unpruned, capturing
-//     its final past-zone frontier for the append-extendable ranked path
-//     and, given a traced capture over a shorter prefix, continuing it
-//     over only the appended positions. Both run the one past-zone sweep,
+//     its final past-zone frontier and survivor store — the traceback of
+//     the best paths into that frontier and of nothing else, int32
+//     (cell, parent) pairs — for the append-extendable ranked path and,
+//     given such a capture over a shorter prefix, continuing it over only
+//     the appended positions. Both run the one past-zone sweep,
 //     resumeConstrained; a continuation is that sweep started at the
-//     prior's length from the prior's frontier.
+//     prior's length from the prior's frontier, whose store it extends by
+//     a segment for the swept positions without copying the prior's. Every
+//     traceback, captured or not, reads a survivor store (a non-capturing
+//     resume builds one for its best cell alone).
 //
 //   - ConstrainedViterbi is a one-shot build-then-resume.
 //
@@ -130,7 +135,7 @@ type ckLayer struct {
 	zo    int32
 }
 
-// viewSeq numbers materialized views (see ckLayer.vid). A traced
+// viewSeq numbers materialized views (see ckLayer.vid). A captured
 // ResumeState records an id rather than a view pointer so that retaining
 // it never pins an evicted checkpoint's slab.
 var viewSeq atomic.Uint64
@@ -627,10 +632,14 @@ type ConstrainScratch struct {
 	xqK, xqS  int      // build: the (K, |Q|) the decode tables were sized for
 	iota      []int32  // build: 0, 1, 2, …: the activation-order predecessor list
 	cur, next frontier // resume: past-zone (x·|Q|+q) cell space
-	back      []int32  // resume: per-position past-zone backpointers
+	back      []int32  // resume: per-position past-zone backpointers of the swept positions
 	cross     []crossRec
 	cands     []crossCand // resume: selected crossing candidates, recycled across resolves
 	win       []int32     // resume: multi-bucket boundary-window merge buffer
+	surv      survivors   // resume: the survivor segment being built, or the best path's alone
+	mark      []int32     // resume: cell → entry of the position survive is filling, else -1
+	head      []int32     // resume: cell → index in a continued prior's Cells
+	src, nsrc []int32     // resume: prior entries a compacting survive copies, per position
 	freeSlabs []ckSlab    // recycled checkpoint storage, popped by builds
 	// slabHint/zoffHint are the final slab sizes of the last build through
 	// this scratch: successive builds in one drain are about the same
@@ -1027,37 +1036,82 @@ func (ck *Checkpoint) exactAnswer(layers []ckLayer, j, l int) (out, nodes []auto
 // An empty frontier is itself exact: ExactOnly resolves and resolves
 // with no viable boundary crossing have no past-zone runs at all.
 // Cell order is unspecified; the bound is a max, so order never matters.
+//
+// A state captured by a completed sweep is also continuable: it keeps
+// the survivor store of the sweep (see survivors), so a later resolve of
+// the same constraint over an appended view re-runs only the appended
+// positions and traces back through the store, O(Δ) in the appended
+// suffix instead of O(n). The store holds only the paths ending in
+// Cells, about n + |Cells|·(distance until they merge) int32 pairs, not
+// the sweep's n·K·|Q| backpointers.
 type ResumeState struct {
 	N      int
 	Cells  []int32
 	Scores []float64
 
-	// Trace requests retention of the full past-zone traceback — the
-	// per-position backpointer rows and crossing records — alongside the
-	// frontier. A traced state is continuable: ResumeConstrainedIncCtx
-	// re-runs only the appended positions of the sweep and tracebacks
-	// through the retained rows, making a repeat resolve of the same
-	// (constraint, alignment) pair O(Δ) in the appended suffix instead of
-	// O(n). The ranked evaluator sets it on the second resolve of a
-	// region — the per-append re-resolve set is small and stable, so only
-	// that hot set pays the O(n·|cells|) retention.
-	Trace bool
-
-	// back[i] is the backpointer row of position i (pastSize wide):
-	// ≥ 0 is the predecessor past-zone cell at i-1, negative encodes an
-	// index into cross (-idx-2). Rows are immutable once captured — a
-	// continuation shares the prefix rows and appends fresh ones — and a
-	// nil row is unreachable by construction (an empty past-zone frontier
-	// at capture time cuts every chain into the past, so the rows behind
-	// it are dropped). cross is the crossing-record arena the negative
-	// row entries index; prefix-sharing keeps old indices stable. Its
-	// records index checkpoint layers below N, so vid — the view id of
-	// the traced checkpoint's layer N-1 — admits a continuation only
-	// against a checkpoint holding those same layers.
-	back     [][]int32
-	cross    []crossRec
+	// surv is the newest segment of the survivor store; Cells[j]'s path
+	// starts at entry surv.base+j. nil when Cells is empty. The store's
+	// crossing records index checkpoint layers below N, so vid — the view
+	// id of the traced checkpoint's layer N-1 — admits a continuation
+	// only against a checkpoint holding those same layers. View ids start
+	// at 1, so a state no completed sweep captured never continues.
+	surv     *survivors
 	pastSize int
 	vid      uint64
+}
+
+// survivors is one segment of a resume's survivor store: the traceback
+// of the best paths that end in its final past-zone frontier, and of no
+// other cell. Entries have global indices; entry g is the int32 pair
+// ent[2(g-base)], ent[2(g-base)+1] = (past-zone cell, parent), where a
+// parent ≥ 0 is the global index of the path's entry one position
+// earlier and a negative parent -(k+1) ends the path at the crossing
+// record cross[k] of the same segment. Each position's entries are
+// distinct cells of one segment, and a segment opens with the frontier
+// paths' heads in frontier order.
+//
+// A capture writes one segment. A continuation writes a segment for the
+// positions it swept only, whose first position links to the prior's
+// heads; prev is then the prior's newest segment, shared rather than
+// copied (segments are immutable once captured). Heads the continuation
+// no longer reaches stay behind in the shared segments, so once the
+// entries appended since the chain's root segment outgrow the root
+// (root entries plus slack), the next continuation copies the paths it
+// reaches into a fresh root instead: dead entries stay within a constant
+// factor of the live ones, and the copy is amortized over the appends
+// that grew the chain.
+type survivors struct {
+	prev  *survivors
+	base  int32
+	root  int32 // entries of the chain's root segment
+	ent   []int32
+	cross []crossRec
+}
+
+// total is the number of entries in the chain ending at s.
+func (s *survivors) total() int32 { return s.base + int32(len(s.ent)/2) }
+
+// survivorSlack is the number of entries a chain may append past twice
+// its root before a continuation compacts it (see survivors).
+const survivorSlack = 64
+
+// trace fills nodes and states along the path that starts at entry g at
+// position i, back to its crossing, and returns the crossing record and
+// the position the path crossed at.
+func (s *survivors) trace(g int32, i, nstates int, nodes []automata.Symbol, states []int) (crossRec, int) {
+	for seg := s; ; i-- {
+		for g < seg.base {
+			seg = seg.prev
+		}
+		k := 2 * (g - seg.base)
+		cell, parent := int(seg.ent[k]), seg.ent[k+1]
+		nodes[i] = automata.Symbol(cell / nstates)
+		states[i] = cell % nstates
+		if parent < 0 {
+			return seg.cross[-parent-1], i
+		}
+		g = parent
+	}
 }
 
 // ResumeConstrainedBoundedCtx solves the constrained top-answer problem
@@ -1081,32 +1135,40 @@ func ResumeConstrainedBoundedCtx(ctx context.Context, nt *NFATables, v *SeqView,
 }
 
 // ResumeConstrainedIncCtx is the unpruned resume that captures its
-// final past-zone frontier into rs (reusing its slices), for retention
-// across appends — the sweep never prunes, because pruning leaves holes
-// in the frontier, which would make the retained bound inadmissible. On
-// error rs is left empty and must not be retained.
+// final past-zone frontier and survivor store into rs (reusing its
+// frontier slices), for retention across appends — the sweep never
+// prunes, because pruning leaves holes in the frontier, which would make
+// the retained bound inadmissible. The store keeps only the best paths
+// into that frontier, as int32 (cell, parent) pairs plus one crossing
+// record per path: about n + |frontier|·(distance until the paths merge)
+// entries, against the n·K·|Q| backpointers the sweep wrote. On error rs
+// is left empty and must not be retained.
 //
-// It continues incrementally: when prior is a traced resume of the same
-// constraint captured over a shorter prefix of v (the sequence has grown
-// since) against a checkpoint whose layers ck shares — ck extends it, so
-// the crossing records of prior index the same cells — the past-zone
-// sweep restarts from prior's retained frontier and relaxes only
-// positions [prior.N, v.N), reading crossing candidates off the
-// extended checkpoint's appended layers and tracing back through prior's
-// retained rows. The result — answer, evidence, score, and the freshly
-// captured rs — is bit-identical to the full sweep: per-cell maxima are
+// It continues incrementally: when prior is a capture of the same
+// constraint over a shorter prefix of v (the sequence has grown since)
+// against a checkpoint whose layers ck shares — ck extends it, so the
+// crossing records of prior index the same cells — the past-zone sweep
+// restarts from prior's retained frontier and relaxes only positions
+// [prior.N, v.N), reading crossing candidates off the extended
+// checkpoint's appended layers. rs's store is then a segment for those
+// positions linked to prior's store, which it shares, so the
+// continuation copies nothing O(n) from prior; once the segments
+// appended since the chain's last full copy outgrow it, a continuation
+// copies the live paths into a fresh store instead (see survivors). The
+// result — answer, evidence, score, and the freshly captured rs — is
+// bit-identical to the full sweep: per-cell maxima are
 // order-independent, each path's score accumulates left to right
 // exactly as the full sweep would, the DP at positions before prior.N
 // cannot depend on the appended suffix, and the per-position
 // advance-then-inject relax order is preserved. continued reports which
-// path ran; the full sweep runs whenever the prior is missing,
-// untraced, not strictly older than v, shaped for different tables,
-// traced against layers ck does not share (a checkpoint evicted and
-// rebuilt, or one of another alignment), or the constraint is ExactOnly
-// (whose final-layer read needs no sweep at all). The caller must
-// guarantee prior really came from a resolve of c — the ranked
-// evaluator's retention map keys entries by canonical constraint
-// identity.
+// path ran; the full sweep runs whenever rs or the prior is missing,
+// the prior was never captured by a completed sweep, is not strictly
+// older than v, is shaped for different tables, or was captured against
+// layers ck does not share (a checkpoint evicted and rebuilt, or one of
+// another alignment), or the constraint is ExactOnly (whose final-layer
+// read needs no sweep at all). The caller must guarantee prior really
+// came from a resolve of c — the ranked evaluator's retention map keys
+// entries by canonical constraint identity.
 func ResumeConstrainedIncCtx(ctx context.Context, nt *NFATables, v *SeqView, ck *Checkpoint, c transducer.Constraint, prior, rs *ResumeState, sc *ConstrainScratch) (out, nodes []automata.Symbol, states []int, logp float64, ok bool, continued bool, err error) {
 	return resumeConstrained(NewPoll(ctx), nt, v, ck, c, nil, prior, rs, sc)
 }
@@ -1115,8 +1177,8 @@ func ResumeConstrainedIncCtx(ctx context.Context, nt *NFATables, v *SeqView, ck 
 // points: a full sweep from position 0, or — given a prior it may
 // continue (see ResumeConstrainedIncCtx) — a continuation from prior.N
 // seeded with prior's frontier, selecting crossing candidates only at
-// the positions it sweeps and tracing back through prior's rows below
-// them.
+// the positions it sweeps and tracing back through prior's survivor
+// store below them.
 func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c transducer.Constraint, b *Bounds, prior, rs *ResumeState, sc *ConstrainScratch) (out, nodes []automata.Symbol, states []int, logp float64, ok, continued bool, err error) {
 	if ck.states != nt.States || ck.n != v.N {
 		panic("kernel: resume checkpoint was built against different tables or sequence")
@@ -1128,6 +1190,7 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 		rs.N = v.N
 		rs.Cells = rs.Cells[:0]
 		rs.Scores = rs.Scores[:0]
+		rs.surv, rs.pastSize, rs.vid = nil, 0, 0
 	}
 	if !automata.HasPrefix(ck.Align, c.Prefix) {
 		panic("kernel: resume constraint prefix does not align with checkpoint")
@@ -1179,19 +1242,21 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 	sc.next.reset()
 	// start is the first position the sweep relaxes: 0, or prior.N for a
 	// continuation, whose frontier is prior's and whose traceback below
-	// start reads prior's rows and crossing records. Those records index
+	// start reads prior's survivor store. Its crossing records index
 	// layers below prior.N, so ck must hold the very layers prior was
-	// traced against: the same view id at layer prior.N-1.
+	// traced against: the same view id at layer prior.N-1. sc.head maps
+	// each seeded cell to its index in prior.Cells, hence to its head
+	// entry in the store.
 	start := 0
-	var prows [][]int32
-	var pcross []crossRec
-	if prior != nil && prior.N >= 1 && prior.N < v.N && len(prior.back) >= prior.N &&
+	if rs != nil && prior != nil && prior.N >= 1 && prior.N < v.N &&
 		prior.pastSize == pastSize && layers[prior.N-1].vid == prior.vid {
 		start, continued = prior.N, true
-		prows, pcross = prior.back[:start], prior.cross
-		rs.Trace = true
+		if len(sc.head) < pastSize {
+			sc.head = make([]int32, pastSize)
+		}
 		for i, cell := range prior.Cells {
 			sc.cur.relax(cell, prior.Scores[i])
+			sc.head[cell] = int32(i)
 		}
 	}
 	sc.cross = sc.cross[:0]
@@ -1319,8 +1384,7 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 	// last candidate. The sweep stops once the frontier is empty and no
 	// candidate is left: nothing can reach the past zone after that.
 	// Position i's backpointer row is back[(i-start)·pastSize:]; a
-	// crossing's entry encodes its record's index in prior's arena
-	// followed by this sweep's.
+	// crossing's entry is -(k+1) for its record sc.cross[k].
 	rows := v.N - start
 	if cap(sc.back) < rows*pastSize {
 		sc.back = make([]int32, rows*pastSize)
@@ -1383,7 +1447,7 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 			}
 			if sc.next.relax(cd.cell, cd.lp) {
 				sc.cross = append(sc.cross, cd.rec)
-				backRow[cd.cell] = -int32(len(pcross)+len(sc.cross)) - 1
+				backRow[cd.cell] = -int32(len(sc.cross))
 			}
 		}
 		sc.cur, sc.next = sc.next, sc.cur
@@ -1395,25 +1459,41 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 
 	// Final argmax with canonical tie-breaking: among equal scores the
 	// smaller cell id wins, independent of frontier order.
-	best, bestCell := neg, int32(-1)
-	for _, idx := range sc.cur.list {
+	best, bestCell, bestAt := neg, int32(-1), -1
+	for j, idx := range sc.cur.list {
 		if !nt.Accept[int(idx)%nt.States] {
 			continue
 		}
 		if s := sc.cur.val[idx]; s > best || (s == best && idx < bestCell) {
-			best, bestCell = s, idx
+			best, bestCell, bestAt = s, idx, j
 		}
 	}
+	// The traceback reads a survivor store: a capture's own, holding the
+	// paths of the whole final frontier (complete because the sweep ran
+	// unpruned) and continuing prior's, or else a scratch one holding the
+	// best cell's path alone. Both are built before the reset below
+	// releases the frontier.
+	surv := &sc.surv
+	head := int32(0)
 	if rs != nil {
-		// The final past-zone frontier, complete because the sweep ran
-		// unpruned. Captured before the reset below releases the scratch.
 		rs.Cells = append(rs.Cells, sc.cur.list...)
 		for _, idx := range sc.cur.list {
 			rs.Scores = append(rs.Scores, sc.cur.val[idx])
 		}
-		if rs.Trace {
-			captureTrace(rs, v.N, pastSize, len(sc.cur.list), prows, back, pcross, sc.cross, layers[v.N-1].vid)
+		rs.pastSize, rs.vid = pastSize, layers[v.N-1].vid
+		if len(sc.cur.list) > 0 {
+			var ps *survivors
+			if continued {
+				ps = prior.surv
+			}
+			sc.survive(sc.cur.list, v.N, start, pastSize, back, ps)
+			rs.surv = &survivors{prev: surv.prev, base: surv.base, root: surv.root,
+				ent: slices.Clone(surv.ent), cross: slices.Clone(surv.cross)}
+			surv.prev = nil // the scratch must not pin prior's chain
+			surv, head = rs.surv, rs.surv.base+int32(bestAt)
 		}
+	} else if bestCell >= 0 && (exactIdx < 0 || exactBest < best) {
+		sc.survive(sc.cur.list[bestAt:bestAt+1], v.N, start, pastSize, back, nil)
 	}
 	sc.cur.reset()
 	if exactIdx >= 0 && exactBest >= best {
@@ -1426,30 +1506,7 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 
 	nodes = make([]automata.Symbol, v.N)
 	states = make([]int, v.N)
-	i := v.N - 1
-	cell := bestCell
-	var rec crossRec
-	for {
-		nodes[i] = automata.Symbol(int(cell) / nt.States)
-		states[i] = int(cell) % nt.States
-		var bk int32
-		if i >= start {
-			bk = back[(i-start)*pastSize+int(cell)]
-		} else {
-			bk = prows[i][cell]
-		}
-		if bk < 0 {
-			if k := int(-bk - 2); k < len(pcross) {
-				rec = pcross[k]
-			} else {
-				rec = sc.cross[k-len(pcross)]
-			}
-			break
-		}
-		cell = bk
-		i--
-	}
-	crossPos := i
+	rec, crossPos := surv.trace(head, v.N-1, nt.States, nodes, states)
 	z := 0
 	if rec.layer >= 0 {
 		z = int(layers[rec.layer].cells[rec.pi]) % zdim
@@ -1478,29 +1535,108 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 	return out, nodes, states, best, true, continued, nil
 }
 
-// captureTrace retains the traceback of a finished sweep into rs: rows
-// below the sweep's first position are shared with the continued prior
-// (prows, immutable once captured), the sweep's own rows are copied out
-// of the scratch (back) into one owned slab, and the crossing arena is
-// prior's (pcross) extended by the sweep's records. When the final
-// frontier is empty, every chain into the past is unreachable, so the
-// rows and records are dropped and all-nil rows stand in for them. vid
-// is the view id of the traced checkpoint's final layer.
-func captureTrace(rs *ResumeState, n, pastSize, frontierLen int, prows [][]int32, back []int32, pcross, cross []crossRec, vid uint64) {
-	rs.pastSize = pastSize
-	rs.vid = vid
-	rs.back = make([][]int32, n)
-	if frontierLen == 0 {
-		rs.cross = nil
-		return
+// survive rebuilds sc.surv as the survivor segment of the paths that
+// end in heads, the final frontier cells at position n-1, walking them
+// back one position at a time and merging paths that meet in a cell.
+// Positions [start, n) read the sweep's backpointer rows back (pastSize
+// wide, -(k+1) naming the sweep's crossing record sc.cross[k]); each
+// record a path ends at is copied into the segment. A path that reaches
+// position start-1 continues the store of the prior whose frontier
+// seeded the sweep (sc.head maps its cell to its head there): it links
+// to that head, or, once prior's chain is due for compaction (see
+// survivors), walks on through prior's store and copies the entries it
+// reaches, so the segment becomes a root holding the live paths alone.
+// The segment shares prior only when some path links to it.
+func (sc *ConstrainScratch) survive(heads []int32, n, start, pastSize int, back []int32, prior *survivors) {
+	dst := &sc.surv
+	compact := prior != nil && prior.total() > 2*prior.root+survivorSlack
+	if len(sc.mark) < pastSize {
+		sc.mark = make([]int32, pastSize)
+		for i := range sc.mark {
+			sc.mark[i] = -1
+		}
 	}
-	start := copy(rs.back, prows)
-	flat := slices.Clone(back)
-	for i := start; i < n; i++ {
-		j := (i - start) * pastSize
-		rs.back[i] = flat[j : j+pastSize : j+pastSize]
+	mark := sc.mark
+	base := int32(0)
+	if prior != nil && !compact {
+		base = prior.total()
 	}
-	rs.cross = append(pcross[:len(pcross):len(pcross)], cross...)
+	ent, xs := dst.ent[:0], dst.cross[:0]
+	for _, c := range heads {
+		ent = append(ent, c, 0)
+	}
+	// src holds, for the entries of a level below start, the index of the
+	// prior entry each one copies; lseg is the prior segment that level
+	// lies in (one segment holds all of a position's entries).
+	src, nsrc := sc.src[:0], sc.nsrc[:0]
+	lseg, pseg := prior, prior
+	linked := false
+	for i, lo, hi := n-1, 0, len(heads); lo < hi; i-- {
+		for e := lo; e < hi; e++ {
+			var pcell, pg int32
+			if i >= start {
+				bk := back[(i-start)*pastSize+int(ent[2*e])]
+				if bk < 0 {
+					xs = append(xs, sc.cross[-bk-1])
+					ent[2*e+1] = -int32(len(xs))
+					continue
+				}
+				pcell = bk
+				if i == start {
+					pg = prior.base + sc.head[bk]
+					if !compact {
+						ent[2*e+1] = pg
+						linked = true
+						continue
+					}
+					pseg = prior
+				}
+			} else {
+				g := src[e-lo]
+				k := 2 * (g - lseg.base)
+				if pg = lseg.ent[k+1]; pg < 0 {
+					xs = append(xs, lseg.cross[-pg-1])
+					ent[2*e+1] = -int32(len(xs))
+					continue
+				}
+				for pseg = lseg; pg < pseg.base; {
+					pseg = pseg.prev
+				}
+				pcell = pseg.ent[2*(pg-pseg.base)]
+			}
+			m := mark[pcell]
+			if m < 0 {
+				m = int32(len(ent) / 2)
+				mark[pcell] = m
+				ent = append(ent, pcell, 0)
+				if i <= start {
+					nsrc = append(nsrc, pg)
+				}
+			}
+			ent[2*e+1] = base + m
+		}
+		lo, hi = hi, len(ent)/2
+		for e := lo; e < hi; e++ {
+			mark[ent[2*e]] = -1
+		}
+		src, nsrc, lseg = nsrc, src[:0], pseg
+	}
+	sc.src, sc.nsrc = src[:0], nsrc[:0]
+	if prior != nil && !compact && !linked {
+		// No path reached back into prior: the segment is a root of its own.
+		for k := 1; k < len(ent); k += 2 {
+			if ent[k] >= 0 {
+				ent[k] -= base
+			}
+		}
+		base = 0
+	}
+	dst.ent, dst.cross, dst.base = ent, xs, base
+	if linked {
+		dst.prev, dst.root = prior, prior.root
+	} else {
+		dst.prev, dst.root = nil, int32(len(ent)/2)
+	}
 }
 
 // ConstrainedViterbi solves the constrained top-answer problem from

@@ -266,7 +266,7 @@ func TestResumeIncContinuesAcrossAppend(t *testing.T) {
 				c := transducer.Constraint{Prefix: o[:cut], Mode: mode}
 				label := fmt.Sprintf("trial %d p=%d/%d %v", trial, p, n, c)
 				base := kernel.NewLazyCheckpoint(nt, vs, o, nil)
-				prior := &kernel.ResumeState{Trace: true}
+				prior := &kernel.ResumeState{}
 				if _, _, _, _, _, _, err := kernel.ResumeConstrainedIncCtx(ctx, nt, vs, base, c, nil, prior, nil); err != nil {
 					t.Fatal(err)
 				}
@@ -356,7 +356,7 @@ func TestResumeIncFallsBackOnForeignPrior(t *testing.T) {
 			for cut := 0; cut < len(o); cut++ {
 				c := transducer.Constraint{Prefix: o[:cut], Mode: mode}
 				label := fmt.Sprintf("trial %d p=%d/%d %v", trial, p, n, c)
-				prior := &kernel.ResumeState{Trace: true}
+				prior := &kernel.ResumeState{}
 				if _, _, _, _, _, _, err := kernel.ResumeConstrainedIncCtx(ctx, nt, vs, kernel.NewLazyCheckpoint(nt, vs, o, nil), c, nil, prior, nil); err != nil {
 					t.Fatal(err)
 				}
@@ -401,4 +401,138 @@ func transducesTo(tr *transducer.Transducer, nodes, o []automata.Symbol) bool {
 		}
 	}
 	return false
+}
+
+// TestResumeIncChainedContinuations continues continuations: a capture
+// over a prefix of the sequence, then at least three rounds of appending
+// 1–3 positions through a NewExtendedLazyCheckpoint chain, each round
+// resuming from the previous round's capture. Every round must continue
+// and agree with a fresh capture over the same view — answer, evidence
+// and score bit for bit, final frontier as a set — for both extension
+// modes, including rounds whose prior has an empty final frontier. Some
+// answer's best path must cross its constraint boundary before the
+// capture two rounds back, so its traceback runs through at least two
+// earlier captures.
+func TestResumeIncChainedContinuations(t *testing.T) {
+	ctx := context.Background()
+	in := automata.MustAlphabet("a", "b", "c")
+	out := automata.MustAlphabet("x", "y")
+	modes := []transducer.ConstraintMode{transducer.PrefixAndExtensions, transducer.ExtensionsOnly}
+	checked := map[transducer.ConstraintMode]int{}
+	emptyPriors, deep := 0, 0
+	for trial := 0; trial < 60; trial++ {
+		rng := rand.New(rand.NewSource(int64(50000 + trial)))
+		p := 2 + rng.Intn(4)
+		steps := make([]int, 3+rng.Intn(2))
+		n := p
+		for i := range steps {
+			steps[i] = 1 + rng.Intn(3)
+			n += steps[i]
+		}
+		full := markov.Random(in, n, 0.7, rng)
+		tr := randomVarNFATransducer(in, out, 1+rng.Intn(3), rng)
+		nt := kernel.NewNFATables(tr)
+		views := []*kernel.SeqView{full.Window(1, p).View()}
+		seq, at := full.Window(1, p), p
+		for _, d := range steps {
+			for ; d > 0; d-- {
+				var err error
+				if seq, err = seq.Extended([][][]float64{full.TransAt(at)}); err != nil {
+					t.Fatal(err)
+				}
+				at++
+			}
+			views = append(views, seq.View())
+		}
+		o, _, _, _, ok := kernel.ConstrainedViterbi(nt, views[0], transducer.Unconstrained(), nil, nil)
+		if !ok {
+			continue
+		}
+		for _, mode := range modes {
+			for cut := 0; cut <= len(o); cut++ {
+				c := transducer.Constraint{Prefix: o[:cut], Mode: mode}
+				ck := kernel.NewLazyCheckpoint(nt, views[0], o, nil)
+				prior := &kernel.ResumeState{}
+				if _, _, _, _, _, _, err := kernel.ResumeConstrainedIncCtx(ctx, nt, views[0], ck, c, nil, prior, nil); err != nil {
+					t.Fatal(err)
+				}
+				for k := 1; k < len(views); k++ {
+					v := views[k]
+					label := fmt.Sprintf("trial %d %v round %d (n=%d)", trial, c, k, v.N)
+					ck = kernel.NewExtendedLazyCheckpoint(nt, v, ck)
+					next, want := &kernel.ResumeState{}, &kernel.ResumeState{}
+					co, cn, cs, clp, cok, continued, err := kernel.ResumeConstrainedIncCtx(ctx, nt, v, ck, c, prior, next, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !continued {
+						t.Fatalf("%s: did not continue the previous round's capture", label)
+					}
+					fo, fn, fs, flp, fok, _, err := kernel.ResumeConstrainedIncCtx(ctx, nt, v, kernel.NewLazyCheckpoint(nt, v, o, nil), c, nil, want, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if cok != fok || clp != flp || !automata.EqualStrings(co, fo) || !automata.EqualStrings(cn, fn) || !slices.Equal(cs, fs) {
+						t.Fatalf("%s: continued (%v %v %v %v) != fresh (%v %v %v %v)", label, cok, co, cn, clp, fok, fo, fn, flp)
+					}
+					sameFrontier(t, label, next, want)
+					if len(prior.Cells) == 0 {
+						emptyPriors++
+					}
+					if k >= 2 && cok {
+						if x := crossingAt(tr, cn, cs, len(c.Prefix)); x >= 0 && x < views[k-2].N {
+							deep++
+						}
+					}
+					checked[mode]++
+					prior = next
+				}
+			}
+		}
+	}
+	for _, mode := range modes {
+		if checked[mode] == 0 {
+			t.Fatalf("mode %v: no chained continuation was checked", mode)
+		}
+	}
+	if emptyPriors == 0 {
+		t.Fatal("no round continued a prior with an empty final frontier")
+	}
+	if deep == 0 {
+		t.Fatal("no answer's best path ran back through two earlier captures")
+	}
+	t.Logf("%d+%d rounds checked, %d from empty priors, %d paths through two or more earlier captures",
+		checked[modes[0]], checked[modes[1]], emptyPriors, deep)
+}
+
+// sameFrontier fails unless two captured frontiers have the same length
+// and the same cells with bit-identical scores, in any order.
+func sameFrontier(t *testing.T, label string, got, want *kernel.ResumeState) {
+	t.Helper()
+	if got.N != want.N || len(got.Cells) != len(want.Cells) {
+		t.Fatalf("%s: frontier N=%d |cells|=%d, fresh N=%d |cells|=%d", label, got.N, len(got.Cells), want.N, len(want.Cells))
+	}
+	fresh := make(map[int32]float64, len(want.Cells))
+	for i, cell := range want.Cells {
+		fresh[cell] = want.Scores[i]
+	}
+	for i, cell := range got.Cells {
+		if s, ok := fresh[cell]; !ok || s != got.Scores[i] {
+			t.Fatalf("%s: frontier cell %d score %v, fresh has %v (present %v)", label, cell, got.Scores[i], s, ok)
+		}
+	}
+}
+
+// crossingAt returns the position at which the run of tr over nodes
+// through states first emits more than l output symbols — where a
+// constrained answer's best path crosses its prefix boundary — or -1.
+func crossingAt(tr *transducer.Transducer, nodes []automata.Symbol, states []int, l int) int {
+	q, emitted := tr.Start(), 0
+	for j, x := range nodes {
+		if emitted += len(tr.Emit(q, x, states[j])); emitted > l {
+			return j
+		}
+		q = states[j]
+	}
+	return -1
 }

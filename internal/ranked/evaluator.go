@@ -143,7 +143,7 @@ func NewEvaluator(t *transducer.Transducer, m *markov.Sequence, opts ...Option) 
 			origin:   make(map[string]transducer.Constraint),
 		}
 	}
-	ev.cache.init(ckCap)
+	ev.cache.init(ckCap, 0)
 	return ev
 }
 
@@ -256,22 +256,19 @@ func (ev *Evaluator) resolve(c transducer.Constraint, align []automata.Symbol) (
 
 // resolveCtx is resolve with cancellation of both the checkpoint build
 // and the resume DP. In extendable mode the resume additionally
-// captures its final past-zone frontier, retained per constraint for
-// the cross-append reseed.
+// captures its final past-zone frontier and survivor store, retained
+// per constraint for the cross-append reseed; the next resolve of the
+// region after an append continues that capture over the appended
+// positions only, in O(appended suffix).
 func (ev *Evaluator) resolveCtx(ctx context.Context, c transducer.Constraint, align []automata.Symbol) (out, nodes []automata.Symbol, logE float64, ok bool, err error) {
 	ck, err := ev.checkpointCtx(ctx, align)
 	if err != nil {
 		return nil, nil, math.Inf(-1), false, err
 	}
 	if ev.extendable {
-		// Trace retention kicks in on the second resolve of a region: the
-		// per-append re-resolve set is small and stable across epochs, so
-		// only it pays the trace memory, and from the third resolve on the
-		// sweep continues from the prior frontier in O(appended suffix).
 		key := constraintKey(c)
-		prior := ev.retainedByKey(key)
-		rs := &kernel.ResumeState{Trace: prior != nil}
-		out, nodes, _, logE, ok, _, err = kernel.ResumeConstrainedIncCtx(ctx, ev.nt, ev.v, ck, c, prior, rs, nil)
+		rs := new(kernel.ResumeState)
+		out, nodes, _, logE, ok, _, err = kernel.ResumeConstrainedIncCtx(ctx, ev.nt, ev.v, ck, c, ev.retainedByKey(key), rs, nil)
 		if err == nil {
 			ev.retainKey(key, rs)
 		}
@@ -419,12 +416,13 @@ func (ev *Evaluator) Extend(mNew *markov.Sequence) *Evaluator {
 		// rejected by the old generation's reseed bound check.
 		ret: ev.ret,
 	}
-	nev.cache.init(ev.cache.cap)
+	carried := ev.cache.snapshot()
+	nev.cache.init(ev.cache.cap, len(carried))
 	nev.reused.Store(ev.reused.Load())
 	nev.reseeded.Store(ev.reseeded.Load())
 	nev.handlesSkipped.Store(ev.handlesSkipped.Load())
 	var skipped uint64
-	for _, ent := range ev.cache.snapshot() {
+	for _, ent := range carried {
 		if !ent.ck.Extendable(nev.nt, nev.v) {
 			continue
 		}
@@ -490,9 +488,13 @@ type ckBuild struct {
 	ck   *kernel.Checkpoint
 }
 
-func (c *ckptCache) init(cap int) {
+// init empties the cache with LRU capacity cap and its map sized for
+// size entries: the ones Extend carries over, none for a fresh cache.
+// Presizing to cap would allocate and clear room for every entry a cold
+// cache may never hold.
+func (c *ckptCache) init(cap, size int) {
 	c.cap = cap
-	c.items = make(map[string]*list.Element, cap)
+	c.items = make(map[string]*list.Element, size)
 	c.order.Init()
 	c.inflight = map[string]*ckBuild{}
 }
