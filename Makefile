@@ -28,7 +28,7 @@ cover:
 # allocation counts, summarized into BENCH_conf.json (raw benchstat-
 # compatible lines are preserved inside the JSON), followed by the
 # ranked-enumeration delay suite (top-k, TTFA, per-answer delay
-# percentiles; reference vs incremental vs parallel) into
+# percentiles; reference vs incremental) into
 # BENCH_ranked.json, and the cold sliding-window / fleet sweep (windows
 # per second and streams per second land in each result's "extra" map)
 # into BENCH_sliding.json, and the append-only ingestion pair
@@ -138,6 +138,7 @@ examples:
 fuzz:
 	$(GO) test ./internal/regex -fuzz FuzzCompile -fuzztime 30s
 	$(GO) test ./internal/codec -fuzz FuzzDecodeSequence -fuzztime 30s
+	$(GO) test ./internal/codec -fuzz FuzzDecodeTransducer -fuzztime 30s
 	$(GO) test ./internal/conf -fuzz FuzzSequenceValidate -fuzztime 30s
 	$(GO) test ./internal/slo -fuzz FuzzSLOScenarioConfig -fuzztime 30s
 
@@ -146,6 +147,7 @@ fuzz:
 fuzz-smoke:
 	$(GO) test ./internal/regex -run '^$$' -fuzz FuzzCompile -fuzztime 3s
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzDecodeSequence -fuzztime 3s
+	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzDecodeTransducer -fuzztime 3s
 	$(GO) test ./internal/conf -run '^$$' -fuzz FuzzSequenceValidate -fuzztime 3s
 	$(GO) test ./internal/slo -run '^$$' -fuzz FuzzSLOScenarioConfig -fuzztime 3s
 

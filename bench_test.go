@@ -584,7 +584,7 @@ func BenchmarkSlidingTopK(b *testing.B) {
 		})
 	}
 	b.Run("reference", func(b *testing.B) {
-		pr := core.PrepareTransducer(q, core.WithRankedWorkers(1))
+		pr := core.PrepareTransducer(q)
 		windows := 0
 		for i := 0; i < b.N; i++ {
 			windows = referenceSlidingTopK(b, pr, m, window, stride, k)
@@ -615,9 +615,8 @@ func referenceSlidingTopK(b *testing.B, pr *core.Prepared, m *markov.Sequence, w
 // streams, varying the worker-pool size. PutStream before each
 // iteration bumps every stream's version, dropping cached engines and
 // memoized answers, so each iteration pays the full fan-out evaluation.
-// Per-engine ranked enumeration stays sequential (the store's default
-// rankedWorkers = 1), so the pool size is the only parallelism knob
-// being measured. Note: on a single-CPU host the workers=4 and
+// Per-engine ranked enumeration is sequential, so the pool size is the
+// only parallelism knob being measured. Note: on a single-CPU host the workers=4 and
 // workers=max series cannot beat workers=1 — see EXPERIMENTS.md for the
 // multi-core methodology.
 func BenchmarkTopKAcrossParallel(b *testing.B) {

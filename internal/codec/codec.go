@@ -140,7 +140,14 @@ func EncodeTransducer(w io.Writer, t *transducer.Transducer) error {
 	return enc.Encode(out)
 }
 
-// DecodeTransducer reads a JSON transducer.
+// maxStates bounds the state count DecodeTransducer accepts. The count
+// sizes the transducer's per-state tables before any transition is read,
+// so without a bound a few bytes of JSON could request gigabytes, or a
+// length the allocator rejects with a panic.
+const maxStates = 1 << 16
+
+// DecodeTransducer reads a JSON transducer. It rejects a state count
+// above 1<<16 before allocating anything.
 func DecodeTransducer(r io.Reader) (*transducer.Transducer, error) {
 	var in TransducerJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -153,6 +160,9 @@ func DecodeTransducer(r io.Reader) (*transducer.Transducer, error) {
 	outAb, err := automata.NewAlphabet(in.Output...)
 	if err != nil {
 		return nil, err
+	}
+	if in.States > maxStates {
+		return nil, fmt.Errorf("codec: %d states exceeds the limit of %d", in.States, maxStates)
 	}
 	if in.States < 1 || in.Start < 0 || in.Start >= in.States {
 		return nil, fmt.Errorf("codec: bad states/start (%d/%d)", in.States, in.Start)

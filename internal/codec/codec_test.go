@@ -107,6 +107,8 @@ func TestDecodeErrors(t *testing.T) {
 		`{"input":["a"],"output":["x"],"states":1,"start":0,"accepting":[5]}`,
 		`{"input":["a"],"output":["x"],"states":1,"start":0,"transitions":[{"from":0,"symbol":"zz","to":0}]}`,
 		`{"input":["a"],"output":["x"],"states":1,"start":0,"transitions":[{"from":0,"symbol":"a","to":0,"emit":["zz"]}]}`,
+		`{"input":["a"],"output":["x"],"states":4611686018427387904,"start":0}`, // makeslice would panic
+		`{"input":["a"],"output":["x"],"states":1000000000,"start":0}`,          // ~25 GB of state tables
 	}
 	for _, c := range bad {
 		if _, err := DecodeTransducer(strings.NewReader(c)); err == nil {

@@ -22,6 +22,8 @@ func FuzzDecodeSequence(f *testing.F) {
 func FuzzDecodeTransducer(f *testing.F) {
 	f.Add(`{"input":["a"],"output":["x"],"states":1,"start":0,"accepting":[0],"transitions":[{"from":0,"symbol":"a","to":0,"emit":["x"]}]}`)
 	f.Add(`{}`)
+	f.Add(`{"input":["a"],"output":["x"],"states":4611686018427387904,"start":0}`)
+	f.Add(`{"input":["a"],"output":["x"],"states":1000000000,"start":0}`)
 	f.Fuzz(func(t *testing.T, data string) {
 		DecodeTransducer(strings.NewReader(data))
 	})

@@ -119,27 +119,14 @@ type Answer struct {
 // PrepareOption configures query preparation.
 type PrepareOption func(*prepConfig)
 
-type prepConfig struct {
-	rankedWorkers int
-}
+type prepConfig struct{}
 
-// WithRankedWorkers bounds the speculative-resolution worker pool of the
-// ranked enumerators (Theorem 4.3 E_max and Lemma 5.10 I_max): when an
-// engine's TopK needs to resolve Lawler subproblems, up to n of them are
-// resolved concurrently. Values ≤ 1 select the sequential reference
-// behavior. The answer order is identical either way — parallelism
-// changes only when subproblems are resolved, never what is emitted.
-// Values < 1 (including accidental zero or negative configuration) are
-// clamped to the sequential behavior rather than producing a pool that
-// never resolves anything.
-func WithRankedWorkers(n int) PrepareOption {
-	return func(c *prepConfig) {
-		if n < 1 {
-			n = 1
-		}
-		c.rankedWorkers = n
-	}
-}
+// WithRankedWorkers is a no-op: the ranked enumerators (Theorem 4.3
+// E_max and Lemma 5.10 I_max) always resolve sequentially.
+//
+// Deprecated: the speculative-resolution pool it sized is gone; the
+// option remains only until its last caller drops it.
+func WithRankedWorkers(int) PrepareOption { return func(*prepConfig) {} }
 
 // Prepared is a query compiled ahead of binding to a sequence: the
 // Table-2 classification, the plan, (for s-projectors) the equivalent
@@ -174,19 +161,13 @@ type Prepared struct {
 	// enumeration's nonemptiness probes, and IsAnswer — none of which
 	// materialize per-constraint products or rebuild tables per call.
 	baseNT *kernel.NFATables
-	// rankedWorkers bounds the enumerators' speculative resolution pool.
-	rankedWorkers int
 }
 
 // PrepareTransducer classifies a transducer query (the columns of
 // Table 2) without binding it to a sequence, and compiles the flat
 // sparse-kernel tables the confidence DPs run on.
-func PrepareTransducer(t *transducer.Transducer, opts ...PrepareOption) *Prepared {
-	var cfg prepConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	pr := &Prepared{t: t, rankedWorkers: cfg.rankedWorkers}
+func PrepareTransducer(t *transducer.Transducer, _ ...PrepareOption) *Prepared {
+	pr := &Prepared{t: t}
 	k, uniform := t.UniformK()
 	pr.uniformK, pr.hasUniform = k, uniform
 	switch {
@@ -237,12 +218,8 @@ func PrepareTransducer(t *transducer.Transducer, opts ...PrepareOption) *Prepare
 // enumeration, membership, and Monte Carlo estimation) is built eagerly —
 // along with its flat base tables — so Bind and the per-call paths never
 // rebuild either.
-func PrepareSProjector(p *sproj.SProjector, indexed bool, opts ...PrepareOption) *Prepared {
-	var cfg prepConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	pr := &Prepared{p: p, et: p.ToTransducer(), indexed: indexed, rankedWorkers: cfg.rankedWorkers}
+func PrepareSProjector(p *sproj.SProjector, indexed bool, _ ...PrepareOption) *Prepared {
+	pr := &Prepared{p: p, et: p.ToTransducer(), indexed: indexed}
 	pr.pt = transducer.Preprocess(pr.et)
 	pr.baseNT = kernel.NewNFATables(pr.pt)
 	if indexed {
@@ -293,7 +270,7 @@ func (pr *Prepared) BindValidated(m *markov.Sequence) (*Engine, error) {
 	return &Engine{
 		m: m, t: pr.t, p: pr.p, et: pr.et, indexed: pr.indexed, plan: pr.plan,
 		dt: pr.dt, nt: pr.nt, uniformK: pr.uniformK, hasUniform: pr.hasUniform,
-		pt: pr.pt, baseNT: pr.baseNT, rankedWorkers: pr.rankedWorkers,
+		pt: pr.pt, baseNT: pr.baseNT,
 	}, nil
 }
 
@@ -331,7 +308,7 @@ func (pr *Prepared) ExtendValidated(old *Engine, m *markov.Sequence) (*Engine, e
 		oldEnum = old.rankedSeed
 	}
 	if oldEnum != nil {
-		if ne, ok := ranked.ExtendEnumerator(oldEnum, m, pr.rankedWorkers); ok {
+		if ne, ok := ranked.ExtendEnumerator(oldEnum, m, 1); ok {
 			eng.rankedSeed = ne
 		}
 	}
@@ -368,12 +345,10 @@ type Engine struct {
 	uniformK   int
 	hasUniform bool
 
-	// Preprocessed equivalent transducer, its base tables, and the
-	// speculative worker count, inherited from the Prepared (see
-	// Prepared.pt / Prepared.baseNT).
-	pt            *transducer.Transducer
-	baseNT        *kernel.NFATables
-	rankedWorkers int
+	// Preprocessed equivalent transducer and its base tables, inherited
+	// from the Prepared (see Prepared.pt / Prepared.baseNT).
+	pt     *transducer.Transducer
+	baseNT *kernel.NFATables
 
 	// rankedExtendable selects the append-extendable ranked serving
 	// mode (ranked.WithExtendable): resolves run unpruned and the
@@ -573,7 +548,7 @@ func (e *Engine) initTopCtx(ctx context.Context) error {
 			return Answer{Output: a.Output, Index: a.Index, Score: a.Conf, Kind: "confidence"}, true, nil
 		}
 	case ClassSProjector:
-		it := e.p.EnumerateImaxParallel(e.m, e.rankedWorkers)
+		it := e.p.EnumerateImax(e.m)
 		e.topNext = func(ctx context.Context) (Answer, bool, error) {
 			a, ok, err := it.NextCtx(ctx)
 			if err != nil || !ok {
@@ -590,10 +565,9 @@ func (e *Engine) initTopCtx(ctx context.Context) error {
 		} else if e.rankedExtendable {
 			// Append-extendable serving: resolve unpruned and retain the
 			// tree so the next ExtendValidated can carry it.
-			it = ranked.NewEnumerator(e.pt, e.m,
-				ranked.WithTables(e.baseNT), ranked.WithWorkers(e.rankedWorkers), ranked.WithExtendable())
+			it = ranked.NewEnumerator(e.pt, e.m, ranked.WithTables(e.baseNT), ranked.WithExtendable())
 		} else {
-			opts := []ranked.Option{ranked.WithTables(e.baseNT), ranked.WithWorkers(e.rankedWorkers)}
+			opts := []ranked.Option{ranked.WithTables(e.baseNT)}
 			if b := e.ensureBounds(); b != nil {
 				opts = append(opts, ranked.WithBounds(b))
 			} else {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"markovseq/internal/automata"
@@ -145,7 +146,7 @@ func TestExtendValidatedDifferential(t *testing.T) {
 	const n = 30
 	for _, wl := range extendWorkloads(t, n) {
 		for _, k := range []int{1, 10} {
-			prep := PrepareTransducer(wl.q, WithRankedWorkers(2))
+			prep := PrepareTransducer(wl.q)
 			p := n - 8
 			grown := wl.full.Window(1, p)
 			eng, err := prep.ExtendValidated(nil, grown)
@@ -175,6 +176,58 @@ func TestExtendValidatedDifferential(t *testing.T) {
 			if s := eng.PruneStats(); s.RankedReused == 0 {
 				t.Fatalf("%s k=%d: no ranked answers carried across appends: %+v", wl.name, k, s)
 			}
+		}
+	}
+}
+
+// TestExtendValidatedConcurrentGenerations: three engines along one
+// ExtendValidated chain share carried checkpoint handles and one
+// retained-frontier map. Each is drained partly, then all three run
+// TopK(25) at once from separate goroutines, and each result must match
+// a fresh BindValidated drain of its own sequence. Under -race this
+// exercises the lazy handles' single-flight materialization, the
+// retention mutex and the reuse counters across generations.
+func TestExtendValidatedConcurrentGenerations(t *testing.T) {
+	testutil.CheckLeaks(t)
+	const k = 25
+	for _, wl := range extendWorkloads(t, 35) {
+		prep := PrepareTransducer(wl.q)
+		p := 30
+		grown := wl.full.Window(1, p)
+		var engs []*Engine
+		var seqs []*markov.Sequence
+		var eng *Engine
+		for _, step := range []int{0, 3, 2} {
+			grown = growEngineSeq(t, grown, wl.full, p, step)
+			p += step
+			var err error
+			if eng, err = prep.ExtendValidated(eng, grown); err != nil {
+				t.Fatal(err)
+			}
+			eng.TopK(5)
+			engs = append(engs, eng)
+			seqs = append(seqs, grown)
+		}
+		got := make([][]Answer, len(engs))
+		var wg sync.WaitGroup
+		for i, e := range engs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = e.TopK(k)
+			}()
+		}
+		wg.Wait()
+		if s := engs[len(engs)-1].PruneStats(); s.RankedReused == 0 {
+			t.Fatalf("%s: the chain carried no ranked answers: %+v", wl.name, s)
+		}
+		for i, m := range seqs {
+			ref, err := prep.BindValidated(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := engineTopKThroughTies(t, ref, k)
+			assertEngineTopKMatches(t, fmt.Sprintf("%s generation %d (n=%d)", wl.name, i, m.Len()), got[i], want, k)
 		}
 	}
 }

@@ -74,8 +74,9 @@ import (
 // cell with z ≤ |prefix|, so resolving a constraint against a checkpoint
 // aligned to any extension of its prefix yields bit-identical results to
 // resolving it against a checkpoint aligned to the prefix itself. That
-// invariant is what lets the parallel enumerator share an LRU of
-// checkpoints and still emit the exact sequence of the sequential one.
+// invariant is what lets every Lawler child resolve against its parent
+// answer's cached checkpoint and still emit what a checkpoint aligned to
+// its own prefix would.
 // A lazy handle materializes the same DP the eager build would have, so
 // deferral is unobservable apart from when the work happens.
 //
@@ -352,7 +353,10 @@ type Checkpoint struct {
 	// Build inputs of the DP: the tables, the view, and the gating
 	// bounds. Lazy handles keep them until first touch, with mu
 	// single-flighting the materialization; eager checkpoints drop them
-	// once built (nt == nil marks an eager checkpoint).
+	// once built (nt == nil marks an eager checkpoint). Concurrent first
+	// touches come from an engine and its append successor, which share
+	// carried handles and may drain at once, and from concurrent public
+	// calls on one ranked.Evaluator.
 	mu sync.Mutex
 	nt *NFATables
 	v  *SeqView

@@ -142,7 +142,6 @@ type DB struct {
 
 	workers         int
 	parallelWindows bool
-	rankedWorkers   int
 
 	// deadline is the per-query timeout applied at every public entry
 	// point (0 = none); inflight is the load-shedding semaphore (nil =
@@ -178,24 +177,6 @@ func WithParallelWindows(on bool) Option {
 	return func(db *DB) { db.parallelWindows = on }
 }
 
-// WithRankedWorkers sets the speculative-resolution pool of each
-// registered query's ranked enumerator (core.WithRankedWorkers). The
-// default is 1 — sequential per-engine resolution — because the store
-// already parallelizes across streams and windows with its own worker
-// pool, and nesting a speculation pool inside every engine of a fleet
-// fan-out oversubscribes the machine (workers × rankedWorkers runnable
-// goroutines) while spending work on resolves a sequential drain would
-// skip. Raise it only for single-stream, deep-k serving. The answer
-// sequence is identical either way.
-func WithRankedWorkers(n int) Option {
-	return func(db *DB) {
-		if n < 1 {
-			n = 1
-		}
-		db.rankedWorkers = n
-	}
-}
-
 // New returns an empty database.
 func New(opts ...Option) *DB {
 	db := &DB{
@@ -205,10 +186,6 @@ func New(opts ...Option) *DB {
 		events:   make(map[string]*eventCacheEntry),
 		watchers: make(map[string][]*Subscription),
 		workers:  runtime.GOMAXPROCS(0),
-		// Per-engine speculative resolution defaults to sequential; the
-		// store parallelizes across streams and windows instead (see
-		// WithRankedWorkers).
-		rankedWorkers: 1,
 	}
 	for _, o := range opts {
 		o(db)
@@ -264,19 +241,17 @@ func (db *DB) Streams() []string {
 // RegisterTransducer registers a transducer query, compiling it once
 // (Table-2 classification and plan selection). Re-registering a name
 // invalidates the cached engines of the previous query. Each engine's
-// ranked enumeration resolves sequentially unless WithRankedWorkers
-// raised the per-engine speculation pool — fleet and window parallelism
-// come from the store's own worker pool (WithWorkers), not from nesting
-// pools inside every engine.
+// ranked enumeration resolves sequentially; fleet and window parallelism
+// come from the store's own worker pool (WithWorkers).
 func (db *DB) RegisterTransducer(name string, t *transducer.Transducer) {
-	db.registerQuery(name, core.PrepareTransducer(t, core.WithRankedWorkers(db.rankedWorkers)))
+	db.registerQuery(name, core.PrepareTransducer(t))
 }
 
 // RegisterSProjector registers an s-projector query; indexed selects the
 // indexed semantics ([B]↓A[E]). The query is compiled once, including
 // the equivalent-transducer conversion.
 func (db *DB) RegisterSProjector(name string, p *sproj.SProjector, indexed bool) {
-	db.registerQuery(name, core.PrepareSProjector(p, indexed, core.WithRankedWorkers(db.rankedWorkers)))
+	db.registerQuery(name, core.PrepareSProjector(p, indexed))
 }
 
 func (db *DB) registerQuery(name string, pr *core.Prepared) {

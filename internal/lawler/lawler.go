@@ -1,23 +1,14 @@
 // Package lawler is the generic Lawler–Murty ranked-enumeration core
 // shared by ranked.Enumerator (answers by decreasing E_max, Theorem 4.3)
 // and sproj.ImaxEnumerator (indexed answers by decreasing I_max). It
-// owns the subproblem queue and its two optimizations:
-//
-//   - Lazy Murty resolution: a child subproblem inherits its parent's
-//     score as an admissible upper bound and is only resolved (one
-//     constrained-Viterbi call) if it reaches the front of the queue.
-//
-//   - Parallel speculative resolution: when the front of the queue is
-//     unresolved, the top-B unresolved subproblems are resolved
-//     concurrently on a bounded worker pool. Because the emission order
-//     is a deterministic function of (score, insertion sequence) and
-//     Resolve is required to be deterministic, speculation changes only
-//     when subproblems are resolved, never what is emitted — the
-//     parallel enumerator yields the exact sequence of the sequential
-//     one, which the differential tests assert byte-for-byte.
+// owns the subproblem queue and its lazy Murty resolution: a child
+// subproblem inherits its parent's score as an admissible upper bound and
+// is only resolved (one constrained-Viterbi call) if it reaches the front
+// of the queue. The drain is sequential — one resolution at a time, on
+// the caller's goroutine.
 //
 // Items are ordered by score descending with insertion sequence as the
-// tie-breaker, so ties are stable across runs and across worker counts.
+// tie-breaker, so ties are stable across runs.
 // Config.Tie optionally replaces the insertion-sequence tie-break on
 // emissions with a canonical payload order, making the emitted sequence
 // identical even across differently-constructed enumerations of the same
@@ -32,8 +23,6 @@ import (
 	"container/heap"
 	"context"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"markovseq/internal/transducer"
 )
@@ -49,22 +38,16 @@ type Config[T any] struct {
 	// the resolved parent subproblem this constraint was derived from
 	// (the zero T at the root, distinguished by root=true); resolvers
 	// use it to locate shared work such as prefix checkpoints. Resolve
-	// must be deterministic and, when Workers > 1, safe for concurrent
-	// use. A non-nil error (normally ctx.Err() from a cancelled context)
-	// aborts the resolution without deciding the subproblem: the item is
-	// pushed back unresolved, so a later NextCtx call with a live context
-	// resumes the enumeration at exactly the same point.
+	// must be deterministic. A non-nil error (normally ctx.Err() from a
+	// cancelled context) aborts the resolution without deciding the
+	// subproblem: the item is pushed back unresolved, so a later NextCtx
+	// call with a live context resumes the enumeration at exactly the
+	// same point.
 	Resolve func(ctx context.Context, c transducer.Constraint, parent T, root bool) (T, float64, bool, error)
 	// Children partitions the subproblem's remaining answers after its
 	// top has been emitted. The returned order is part of the
 	// deterministic tie-break and must not depend on timing.
 	Children func(c transducer.Constraint, top T) []transducer.Constraint
-	// Workers bounds the resolution pool; values ≤ 1 select the
-	// sequential reference behavior (resolve only the front item).
-	Workers int
-	// Batch is the maximum number of unresolved subproblems resolved
-	// per speculation round; it defaults to Workers.
-	Batch int
 	// Tie, when non-nil, makes the emission order on exact score ties a
 	// canonical function of the payloads instead of the insertion
 	// sequence: resolved items with equal scores order by Tie (negative
@@ -166,14 +149,11 @@ func (q *queue[T]) Pop() any {
 	return it
 }
 
-// Enumerator drains one ranked enumeration. Not safe for concurrent use;
-// the worker pool is internal to Next.
+// Enumerator drains one ranked enumeration. Not safe for concurrent use.
 type Enumerator[T any] struct {
-	cfg   Config[T]
-	batch int
-	q     queue[T]
-	seq   int64
-	spec  []*item[T] // speculation scratch, reused across rounds
+	cfg Config[T]
+	q   queue[T]
+	seq int64
 
 	// dead retains subproblems that resolved empty instead of dropping
 	// them: a region empty over the current sequence can become nonempty
@@ -265,11 +245,8 @@ type Seed[T any] struct {
 // lazy-resolution invariant (nothing emits while an unresolved item
 // with a higher bound is queued) then carries over unchanged.
 func NewSeeded[T any](cfg Config[T], seeds []Seed[T]) *Enumerator[T] {
-	e := &Enumerator[T]{cfg: cfg, batch: cfg.Batch}
+	e := &Enumerator[T]{cfg: cfg}
 	e.q.tie = cfg.Tie
-	if e.batch <= 0 {
-		e.batch = cfg.Workers
-	}
 	for _, s := range seeds {
 		e.push(s.C, s.Parent, s.Root, s.Bound)
 	}
@@ -294,11 +271,8 @@ func (e *Enumerator[T]) push(c transducer.Constraint, parent T, root bool, score
 // New prepares the enumeration of cfg.Root's answers in decreasing
 // score. No resolution work happens until the first Next call.
 func New[T any](cfg Config[T]) *Enumerator[T] {
-	e := &Enumerator[T]{cfg: cfg, batch: cfg.Batch}
+	e := &Enumerator[T]{cfg: cfg}
 	e.q.tie = cfg.Tie
-	if e.batch <= 0 {
-		e.batch = cfg.Workers
-	}
 	var zero T
 	e.push(cfg.Root, zero, true, 0) // any finite bound works: the root is resolved on first pop
 	return e
@@ -322,12 +296,6 @@ func (e *Enumerator[T]) NextCtx(ctx context.Context) (top T, score float64, ok b
 	for len(e.q.its) > 0 {
 		if err := ctx.Err(); err != nil {
 			return zero, 0, false, err
-		}
-		if !e.q.its[0].resolved && e.cfg.Workers > 1 {
-			if err := e.speculate(ctx); err != nil {
-				return zero, 0, false, err
-			}
-			continue
 		}
 		it := heap.Pop(&e.q).(*item[T])
 		if !it.resolved {
@@ -358,86 +326,4 @@ func (e *Enumerator[T]) NextCtx(ctx context.Context) (top T, score float64, ok b
 		return it.top, it.score, true, nil
 	}
 	return zero, 0, false, nil
-}
-
-// speculate pops the top-Batch unresolved subproblems (pushing back any
-// resolved items passed over), resolves them concurrently, and restores
-// the queue. Emission order is unaffected: resolution is deterministic
-// and items keep their insertion sequence.
-//
-// On cancellation the round still drains its workers (no goroutine
-// leaks) and every undecided item is pushed back unresolved; items that
-// finished resolving before the cancellation keep their results, which
-// is safe because resolution is deterministic.
-func (e *Enumerator[T]) speculate(ctx context.Context) error {
-	e.spec = e.spec[:0]
-	unresolved := 0
-	// Bound the pop-scan so a queue dominated by resolved items doesn't
-	// turn one speculation round into a full heap drain.
-	scanCap := 4 * e.batch
-	if scanCap < 16 {
-		scanCap = 16
-	}
-	for len(e.q.its) > 0 && unresolved < e.batch && len(e.spec) < scanCap {
-		it := heap.Pop(&e.q).(*item[T])
-		e.spec = append(e.spec, it)
-		if !it.resolved {
-			unresolved++
-		}
-	}
-	work := make([]*item[T], 0, unresolved)
-	for _, it := range e.spec {
-		if !it.resolved {
-			work = append(work, it)
-		}
-	}
-	nw := e.cfg.Workers
-	if nw > len(work) {
-		nw = len(work)
-	}
-	errs := make([]error, len(work))
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if failed.Load() {
-					return // a sibling hit an error; stop claiming work
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(work) {
-					return
-				}
-				it := work[i]
-				top, sc, ok, err := e.cfg.Resolve(ctx, it.c, it.parent, it.root)
-				if err != nil {
-					errs[i] = err
-					failed.Store(true)
-					continue // leave the item unresolved
-				}
-				if !ok {
-					it.dead = true
-					continue
-				}
-				it.resolved, it.top, it.score, it.rank = true, top, sc, rankResolved
-			}
-		}()
-	}
-	wg.Wait()
-	for _, it := range e.spec {
-		if it.dead {
-			e.dead = append(e.dead, it)
-			continue
-		}
-		heap.Push(&e.q, it)
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

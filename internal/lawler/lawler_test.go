@@ -86,12 +86,11 @@ func (u *universe) childrenBinary(c transducer.Constraint, top string) []transdu
 	return []transducer.Constraint{u.region(rest[:h]), u.region(rest[h:])}
 }
 
-func (u *universe) config(workers int, tie bool) lawler.Config[string] {
+func (u *universe) config(tie bool) lawler.Config[string] {
 	cfg := lawler.Config[string]{
 		Root:     u.region(allOf(len(u.names))),
 		Resolve:  u.resolve,
 		Children: u.childrenBinary,
-		Workers:  workers,
 	}
 	if tie {
 		cfg.Tie = func(a, b string) int {
@@ -138,12 +137,12 @@ func drain[T any](e *lawler.Enumerator[T], k int) (tops []T, scores []float64) {
 
 // TestEmitsDecreasingAndDeterministic: full drains are sorted by
 // decreasing score, contain every answer exactly once, and are
-// byte-identical across worker counts.
+// byte-identical across repeated drains.
 func TestEmitsDecreasingAndDeterministic(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(500 + trial)))
 		u := randomUniverse(rng, 3+rng.Intn(40))
-		ref, refScores := drain(lawler.New(u.config(1, false)), len(u.names)+1)
+		ref, refScores := drain(lawler.New(u.config(false)), len(u.names)+1)
 		if len(ref) != len(u.names) {
 			t.Fatalf("trial %d: %d answers emitted, universe has %d", trial, len(ref), len(u.names))
 		}
@@ -160,11 +159,9 @@ func TestEmitsDecreasingAndDeterministic(t *testing.T) {
 				t.Fatalf("trial %d: scores increase at rank %d", trial, i)
 			}
 		}
-		for _, workers := range []int{2, 5} {
-			got, gotScores := drain(lawler.New(u.config(workers, false)), len(u.names)+1)
-			if !reflect.DeepEqual(got, ref) || !reflect.DeepEqual(gotScores, refScores) {
-				t.Fatalf("trial %d: workers=%d diverges from sequential", trial, workers)
-			}
+		got, gotScores := drain(lawler.New(u.config(false)), len(u.names)+1)
+		if !reflect.DeepEqual(got, ref) || !reflect.DeepEqual(gotScores, refScores) {
+			t.Fatalf("trial %d: a second drain diverges from the first", trial)
 		}
 	}
 }
@@ -176,7 +173,7 @@ func TestEmitsDecreasingAndDeterministic(t *testing.T) {
 func TestLazyResolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	u := randomUniverse(rng, 64)
-	e := lawler.New(u.config(1, false))
+	e := lawler.New(u.config(false))
 	if tops, _ := drain(e, 1); len(tops) != 1 {
 		t.Fatal("no answer emitted")
 	}
@@ -191,7 +188,7 @@ func TestLazyResolution(t *testing.T) {
 // (Dead), in insertion order.
 func TestEmittedLogAndFrontier(t *testing.T) {
 	u := &universe{names: []string{"aa", "bb", "cc"}, scores: []float64{3, 2, 1}}
-	cfg := u.config(1, false)
+	cfg := u.config(false)
 	// Children: remainder split into singletons plus one always-empty
 	// region, so the dead list is exercised.
 	cfg.Children = func(c transducer.Constraint, top string) []transducer.Constraint {
@@ -252,7 +249,7 @@ func TestNewSeededMatchesFresh(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(700 + trial)))
 		u := randomUniverse(rng, 3+rng.Intn(30))
-		ref, refScores := drain(lawler.New(u.config(1, true)), len(u.names))
+		ref, refScores := drain(lawler.New(u.config(true)), len(u.names))
 
 		var seeds []lawler.Seed[string]
 		for _, i := range rng.Perm(len(u.names)) {
@@ -261,7 +258,7 @@ func TestNewSeededMatchesFresh(t *testing.T) {
 				Bound: u.scores[i] + float64(rng.Intn(3))*0.25, // admissible: ≥ true score
 			})
 		}
-		got, gotScores := drain(lawler.NewSeeded(u.config(1, true), seeds), len(u.names))
+		got, gotScores := drain(lawler.NewSeeded(u.config(true), seeds), len(u.names))
 		if !reflect.DeepEqual(got, ref) || !reflect.DeepEqual(gotScores, refScores) {
 			t.Fatalf("trial %d: seeded drain diverges\ngot  %v\nwant %v", trial, got, ref)
 		}
@@ -275,7 +272,7 @@ func TestNewSeededMatchesFresh(t *testing.T) {
 func TestTieCanonical(t *testing.T) {
 	u := &universe{names: []string{"aa", "bb", "cc", "dd"}, scores: []float64{1, 1, 1, 1}}
 	want := []string{"aa", "bb", "cc", "dd"}
-	fresh, _ := drain(lawler.New(u.config(1, true)), 4)
+	fresh, _ := drain(lawler.New(u.config(true)), 4)
 	if !reflect.DeepEqual(fresh, want) {
 		t.Fatalf("fresh tied drain = %v, want canonical %v", fresh, want)
 	}
@@ -283,46 +280,43 @@ func TestTieCanonical(t *testing.T) {
 	for i := 3; i >= 0; i-- {
 		seeds = append(seeds, lawler.Seed[string]{C: u.region([]int{i}), Bound: 1})
 	}
-	seeded, _ := drain(lawler.NewSeeded(u.config(1, true), seeds), 4)
+	seeded, _ := drain(lawler.NewSeeded(u.config(true), seeds), 4)
 	if !reflect.DeepEqual(seeded, want) {
 		t.Fatalf("seeded tied drain = %v, want canonical %v", seeded, want)
 	}
 	// Without Tie, the reversed insertion order is the tie-break.
-	noTie, _ := drain(lawler.NewSeeded(u.config(1, false), seeds), 4)
+	noTie, _ := drain(lawler.NewSeeded(u.config(false), seeds), 4)
 	if !reflect.DeepEqual(noTie, []string{"dd", "cc", "bb", "aa"}) {
 		t.Fatalf("untied seeded drain = %v, want insertion order", noTie)
 	}
 }
 
 // TestCancellationResumes: a cancelled NextCtx emits nothing and leaves
-// the enumeration resumable at exactly the same point, for sequential
-// and speculative drains alike.
+// the enumeration resumable at exactly the same point.
 func TestCancellationResumes(t *testing.T) {
-	for _, workers := range []int{1, 3} {
-		rng := rand.New(rand.NewSource(11))
-		u := randomUniverse(rng, 20)
-		ref, _ := drain(lawler.New(u.config(1, false)), 20)
+	rng := rand.New(rand.NewSource(11))
+	u := randomUniverse(rng, 20)
+	ref, _ := drain(lawler.New(u.config(false)), 20)
 
-		e := lawler.New(u.config(workers, false))
-		var got []string
-		cancelled, cancel := context.WithCancel(context.Background())
-		cancel()
-		for len(got) < 20 {
-			if _, _, _, err := e.NextCtx(cancelled); err == nil && len(got) < 20 {
-				t.Fatal("cancelled NextCtx reported no error")
-			}
-			top, _, ok, err := e.NextCtx(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			got = append(got, top)
+	e := lawler.New(u.config(false))
+	var got []string
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for len(got) < 20 {
+		if _, _, _, err := e.NextCtx(cancelled); err == nil && len(got) < 20 {
+			t.Fatal("cancelled NextCtx reported no error")
 		}
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("workers=%d: interleaved cancellation changed the sequence", workers)
+		top, _, ok, err := e.NextCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
 		}
+		if !ok {
+			break
+		}
+		got = append(got, top)
+	}
+	if !reflect.DeepEqual(got, ref) {
+		t.Fatal("interleaved cancellation changed the sequence")
 	}
 }
 
@@ -340,8 +334,8 @@ func (u *universe) floor(c transducer.Constraint) (string, bool) {
 
 // TestFloorKeepsEmission: Config.Floor changes only which tied regions
 // are resolved, never what is emitted — across tie-heavy universes,
-// drain depths, worker counts and seeded construction — and it never
-// resolves more than Tie alone.
+// drain depths and seeded construction — and it never resolves more
+// than Tie alone.
 func TestFloorKeepsEmission(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(900 + trial)))
@@ -351,28 +345,26 @@ func TestFloorKeepsEmission(t *testing.T) {
 		}
 		for _, k := range []int{1, 3, len(u.names)} {
 			u.resolves.Store(0)
-			ref, refScores := drain(lawler.New(u.config(1, true)), k)
+			ref, refScores := drain(lawler.New(u.config(true)), k)
 			plain := u.resolves.Load()
-			for _, workers := range []int{1, 3} {
-				cfg := u.config(workers, true)
-				cfg.Floor = u.floor
-				u.resolves.Store(0)
-				got, gotScores := drain(lawler.New(cfg), k)
-				if !reflect.DeepEqual(got, ref) || !reflect.DeepEqual(gotScores, refScores) {
-					t.Fatalf("trial %d k=%d workers=%d: floors changed the drain\ngot  %v\nwant %v", trial, k, workers, got, ref)
-				}
-				if n := u.resolves.Load(); workers == 1 && n > plain {
-					t.Fatalf("trial %d k=%d: floors resolved %d subproblems, Tie alone %d", trial, k, n, plain)
-				}
+			cfg := u.config(true)
+			cfg.Floor = u.floor
+			u.resolves.Store(0)
+			got, gotScores := drain(lawler.New(cfg), k)
+			if !reflect.DeepEqual(got, ref) || !reflect.DeepEqual(gotScores, refScores) {
+				t.Fatalf("trial %d k=%d: floors changed the drain\ngot  %v\nwant %v", trial, k, got, ref)
+			}
+			if n := u.resolves.Load(); n > plain {
+				t.Fatalf("trial %d k=%d: floors resolved %d subproblems, Tie alone %d", trial, k, n, plain)
 			}
 		}
-		cfg := u.config(1, true)
+		cfg := u.config(true)
 		cfg.Floor = u.floor
 		var seeds []lawler.Seed[string]
 		for _, i := range rng.Perm(len(u.names)) {
 			seeds = append(seeds, lawler.Seed[string]{C: u.region([]int{i}), Bound: u.scores[i]})
 		}
-		ref, _ := drain(lawler.New(u.config(1, true)), len(u.names))
+		ref, _ := drain(lawler.New(u.config(true)), len(u.names))
 		if got, _ := drain(lawler.NewSeeded(cfg, seeds), len(u.names)); !reflect.DeepEqual(got, ref) {
 			t.Fatalf("trial %d: seeded drain with floors diverges\ngot  %v\nwant %v", trial, got, ref)
 		}
@@ -388,9 +380,9 @@ func TestFloorSkipsTiedSiblings(t *testing.T) {
 		u.scores[i] = 1
 	}
 	const k = 8
-	ref, _ := drain(lawler.New(u.config(1, true)), k)
+	ref, _ := drain(lawler.New(u.config(true)), k)
 	plain := u.resolves.Swap(0)
-	cfg := u.config(1, true)
+	cfg := u.config(true)
 	cfg.Floor = u.floor
 	got, _ := drain(lawler.New(cfg), k)
 	if !reflect.DeepEqual(got, ref) {

@@ -35,9 +35,7 @@ func drainCtx(ctx context.Context, e *Enumerator, k int) ([]Answer, error) {
 // contract: cancelling after k answers yields exactly the first k
 // answers of the uncancelled enumeration — bit-identical outputs and
 // scores, never a reordered or partial-rank mixture — and a later call
-// with a live context resumes the identical remainder. Checked for the
-// sequential path and for every speculative worker count (under -race
-// this exercises the cancelled parallel resolver too).
+// with a live context resumes the identical remainder.
 func TestCancelYieldsExactRankedPrefix(t *testing.T) {
 	testutil.CheckLeaks(t)
 	type workload struct {
@@ -62,49 +60,45 @@ func TestCancelYieldsExactRankedPrefix(t *testing.T) {
 		if len(full) < 3 {
 			continue
 		}
-		for _, workers := range []int{1, 4} {
-			for _, k := range []int{0, 1, len(full) / 2, len(full) - 1} {
-				e := NewEnumerator(w.t, w.m, WithWorkers(workers))
-				ctx, cancel := context.WithCancel(context.Background())
-				var prefix []Answer
-				if k > 0 {
-					var err error
-					prefix, err = drainCtx(ctx, e, k)
-					if err != nil {
-						t.Fatalf("%s workers=%d: live-context drain failed: %v", w.name, workers, err)
-					}
-				}
-				cancel()
-				if a, ok, err := e.NextCtx(ctx); !errors.Is(err, context.Canceled) || ok {
-					t.Fatalf("%s workers=%d k=%d: cancelled NextCtx = (%v, %v, %v), want context.Canceled",
-						w.name, workers, k, a, ok, err)
-				}
-				assertSameAnswerSequence(t, w.name+" cancelled prefix", prefix, full[:k])
-				// A cancelled call consumes nothing: resuming with a live
-				// context continues the exact ranked sequence.
-				rest, err := drainCtx(context.Background(), e, len(full)-k)
+		for _, k := range []int{0, 1, len(full) / 2, len(full) - 1} {
+			e := NewEnumerator(w.t, w.m)
+			ctx, cancel := context.WithCancel(context.Background())
+			var prefix []Answer
+			if k > 0 {
+				var err error
+				prefix, err = drainCtx(ctx, e, k)
 				if err != nil {
-					t.Fatalf("%s workers=%d: resume after cancel failed: %v", w.name, workers, err)
+					t.Fatalf("%s: live-context drain failed: %v", w.name, err)
 				}
-				assertSameAnswerSequence(t, w.name+" resumed suffix", rest, full[k:len(full)])
 			}
+			cancel()
+			if a, ok, err := e.NextCtx(ctx); !errors.Is(err, context.Canceled) || ok {
+				t.Fatalf("%s k=%d: cancelled NextCtx = (%v, %v, %v), want context.Canceled",
+					w.name, k, a, ok, err)
+			}
+			assertSameAnswerSequence(t, w.name+" cancelled prefix", prefix, full[:k])
+			// A cancelled call consumes nothing: resuming with a live
+			// context continues the exact ranked sequence.
+			rest, err := drainCtx(context.Background(), e, len(full)-k)
+			if err != nil {
+				t.Fatalf("%s: resume after cancel failed: %v", w.name, err)
+			}
+			assertSameAnswerSequence(t, w.name+" resumed suffix", rest, full[k:len(full)])
 		}
 	}
 }
 
 // TestNextCtxMatchesNext checks that an uncancelled NextCtx drain is
-// bit-identical to the legacy Next drain, sequentially and in parallel.
+// bit-identical to the legacy Next drain.
 func TestNextCtxMatchesNext(t *testing.T) {
 	testutil.CheckLeaks(t)
 	tr, m := textgenRankedWorkload(t)
 	want := drainAnswers(NewEnumerator(tr, m).Next, 25)
-	for _, workers := range []int{1, 4} {
-		got, err := drainCtx(context.Background(), NewEnumerator(tr, m, WithWorkers(workers)), 25)
-		if err != nil {
-			t.Fatalf("workers=%d: NextCtx drain failed: %v", workers, err)
-		}
-		assertSameAnswerSequence(t, "NextCtx", got, want)
+	got, err := drainCtx(context.Background(), NewEnumerator(tr, m), 25)
+	if err != nil {
+		t.Fatalf("NextCtx drain failed: %v", err)
 	}
+	assertSameAnswerSequence(t, "NextCtx", got, want)
 }
 
 // TestExpiredDeadlineReturnsImmediately checks that an already-expired
@@ -113,18 +107,16 @@ func TestNextCtxMatchesNext(t *testing.T) {
 func TestExpiredDeadlineReturnsImmediately(t *testing.T) {
 	testutil.CheckLeaks(t)
 	tr, m := rfidRankedWorkload(t, 40)
-	for _, workers := range []int{1, 4} {
-		e := NewEnumerator(tr, m, WithWorkers(workers))
-		ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
-		defer cancel()
-		if _, ok, err := e.NextCtx(ctx); !errors.Is(err, context.DeadlineExceeded) || ok {
-			t.Fatalf("workers=%d: expired-deadline NextCtx ok=%v err=%v, want DeadlineExceeded", workers, ok, err)
-		}
-		// The expired call consumed nothing.
-		if a, ok, err := e.NextCtx(context.Background()); err != nil || !ok {
-			t.Fatalf("workers=%d: resume after deadline ok=%v err=%v", workers, ok, err)
-		} else if want := drainAnswers(NewEnumerator(tr, m).Next, 1); !automata.EqualStrings(a.Output, want[0].Output) {
-			t.Fatalf("workers=%d: first answer after expiry %v, want %v", workers, a.Output, want[0].Output)
-		}
+	e := NewEnumerator(tr, m)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancel()
+	if _, ok, err := e.NextCtx(ctx); !errors.Is(err, context.DeadlineExceeded) || ok {
+		t.Fatalf("expired-deadline NextCtx ok=%v err=%v, want DeadlineExceeded", ok, err)
+	}
+	// The expired call consumed nothing.
+	if a, ok, err := e.NextCtx(context.Background()); err != nil || !ok {
+		t.Fatalf("resume after deadline ok=%v err=%v", ok, err)
+	} else if want := drainAnswers(NewEnumerator(tr, m).Next, 1); !automata.EqualStrings(a.Output, want[0].Output) {
+		t.Fatalf("first answer after expiry %v, want %v", a.Output, want[0].Output)
 	}
 }

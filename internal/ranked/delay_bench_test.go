@@ -1,22 +1,19 @@
 // Delay-focused benchmarks for the ranked enumeration (Theorem 4.3),
 // feeding `make bench` / BENCH_ranked.json: top-k wall time,
 // time-to-first-answer, and per-answer delay percentiles, each on the
-// RFID and textgen application workloads, with three resolution paths:
+// RFID and textgen application workloads, with two resolution paths:
 //
 //   - reference:   the pre-incremental loop (legacy_test.go) — materializes
 //     the constrained product and re-runs Viterbi from position 0 for
 //     every Lawler resolution;
 //   - incremental: the constraint-incremental kernel with prefix
-//     checkpointing (sequential);
-//   - parallel:    the same plus speculative resolution across
-//     GOMAXPROCS workers (bit-identical answer sequence).
+//     checkpointing.
 //
-// The smoke test at the bottom pins the acceptance property: all three
-// paths emit the same top-k sequence on the benchmark workloads.
+// The smoke test at the bottom pins the acceptance property: both paths
+// emit the same top-k sequence on the benchmark workloads.
 package ranked
 
 import (
-	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -28,28 +25,19 @@ import (
 
 const benchTopK = 10
 
-// rankedBenchPaths names the three resolution paths and how to build an
+// rankedBenchPaths names the two resolution paths and how to build an
 // iterator for each; the evaluator (tables + checkpoint cache) is
 // rebuilt per iteration so every iteration pays the full serving cost.
 func rankedBenchPaths(tr *transducer.Transducer, m *markov.Sequence) []struct {
 	name string
 	iter func() func() (Answer, bool)
 } {
-	// On a single-core host the speculative path still runs (workers ≥ 2
-	// exercises the concurrent resolver and coalesced checkpoint builds)
-	// but cannot beat sequential wall-clock; the speedup column is only
-	// meaningful with GOMAXPROCS > 1.
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 2 {
-		workers = 2
-	}
 	return []struct {
 		name string
 		iter func() func() (Answer, bool)
 	}{
 		{"reference", func() func() (Answer, bool) { return NewReferenceEnumerator(tr, m).Next }},
 		{"incremental", func() func() (Answer, bool) { return NewEnumerator(tr, m).Next }},
-		{"parallel", func() func() (Answer, bool) { return NewEnumerator(tr, m, WithWorkers(workers)).Next }},
 	}
 }
 
@@ -130,8 +118,7 @@ func BenchmarkRankedDelayTextgen(b *testing.B) {
 
 // TestRankedBenchWorkloadsSmoke runs the benchmark workloads once under
 // plain `go test` and pins the acceptance property: on the top-k drain
-// (k = benchTopK, RFID n = 200 and textgen), the parallel path is
-// byte-identical to the sequential one, and the incremental path
+// (k = benchTopK, RFID n = 200 and textgen), the incremental path
 // matches the pre-incremental reference rank by rank — bit-equal scores
 // and, within each maximal group of exactly tied scores, the same set
 // of outputs. (The RFID workload has structurally symmetric paths with
@@ -145,8 +132,6 @@ func TestRankedBenchWorkloadsSmoke(t *testing.T) {
 	run := func(name string, tr *transducer.Transducer, m *markov.Sequence) {
 		ref := drainAnswers(NewReferenceEnumerator(tr, m).Next, benchTopK)
 		inc := drainAnswers(NewEnumerator(tr, m).Next, benchTopK)
-		par := drainAnswers(NewEnumerator(tr, m, WithWorkers(4)).Next, benchTopK)
-		assertSameAnswerSequence(t, name+"/parallel-vs-sequential", par, inc)
 		if len(inc) != len(ref) {
 			t.Fatalf("%s: incremental %d answers, reference %d", name, len(inc), len(ref))
 		}

@@ -3,6 +3,8 @@ package ranked
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"markovseq/internal/automata"
@@ -91,45 +93,6 @@ func assertSameAnswerSequence(t *testing.T, label string, got, want []Answer) {
 	}
 }
 
-// TestParallelMatchesSequentialExactly is the determinism guarantee of
-// the speculative resolver: for every worker count the emitted sequence
-// — outputs and scores — is bit-identical to the sequential enumerator,
-// on the RFID and textgen application workloads and on random
-// instances. Run under -race this also exercises the concurrent
-// checkpoint-cache and resolver paths.
-func TestParallelMatchesSequentialExactly(t *testing.T) {
-	testutil.CheckLeaks(t)
-	type workload struct {
-		name string
-		t    *transducer.Transducer
-		m    *markov.Sequence
-		k    int
-	}
-	var ws []workload
-	{
-		tr, m := rfidRankedWorkload(t, 60)
-		ws = append(ws, workload{"rfid", tr, m, 40})
-	}
-	{
-		tr, m := textgenRankedWorkload(t)
-		ws = append(ws, workload{"textgen", tr, m, 40})
-	}
-	in := automata.MustAlphabet("a", "b")
-	out := automata.MustAlphabet("x", "y")
-	for trial := 0; trial < 6; trial++ {
-		rng := rand.New(rand.NewSource(int64(8100 + trial)))
-		m := markov.Random(in, 2+rng.Intn(4), 0.6, rng)
-		ws = append(ws, workload{"random", randomNDTransducer(in, out, 1+rng.Intn(3), rng), m, -1})
-	}
-	for _, w := range ws {
-		seq := drainAnswers(NewEnumerator(w.t, w.m).Next, w.k)
-		for _, workers := range []int{2, 4, 8} {
-			par := drainAnswers(NewEnumerator(w.t, w.m, WithWorkers(workers)).Next, w.k)
-			assertSameAnswerSequence(t, w.name, par, seq)
-		}
-	}
-}
-
 // TestEvaluatorMatchesOneShot checks that the evaluator's amortized
 // per-answer calls (satellite of the checkpoint cache) agree with the
 // one-shot functions: Emax scores match exactly and BestEvidence
@@ -137,7 +100,7 @@ func TestParallelMatchesSequentialExactly(t *testing.T) {
 func TestEvaluatorMatchesOneShot(t *testing.T) {
 	tr, m := textgenRankedWorkload(t)
 	ev := NewEvaluator(tr, m)
-	answers := drainAnswers(ev.Enumerate(1).Next, 25)
+	answers := drainAnswers(ev.Enumerate().Next, 25)
 	if len(answers) == 0 {
 		t.Fatal("workload has no answers")
 	}
@@ -157,6 +120,86 @@ func TestEvaluatorMatchesOneShot(t *testing.T) {
 		}
 		if got := m.LogProb(evid); math.Abs(got-lp) > 1e-9 {
 			t.Fatalf("evidence of %v has logprob %v, claimed %v", a.Output, got, lp)
+		}
+	}
+}
+
+// evaluatorCall is one public Evaluator call and what it returned; the
+// float fields compare by bits.
+type evaluatorCall struct {
+	kind string
+	in   []automata.Symbol
+	out  []automata.Symbol
+	logE float64
+	ok   bool
+}
+
+func (c evaluatorCall) run(ev *Evaluator) evaluatorCall {
+	switch c.kind {
+	case "TopEmax":
+		c.out, c.logE, c.ok = ev.TopEmax(transducer.Constraint{Prefix: c.in, Mode: transducer.ExtensionsOnly})
+	case "Emax":
+		c.logE = ev.Emax(c.in)
+		c.ok = !math.IsInf(c.logE, -1)
+	case "BestEvidence":
+		c.out, c.logE, c.ok = ev.BestEvidence(c.in)
+	}
+	return c
+}
+
+func (c evaluatorCall) same(d evaluatorCall) bool {
+	return c.ok == d.ok && math.Float64bits(c.logE) == math.Float64bits(d.logE) && slices.Equal(c.out, d.out)
+}
+
+// TestEvaluatorConcurrentCalls: TopEmax, Emax and BestEvidence made on
+// one Evaluator from several goroutines at once return bit-identical
+// results to the same calls made one after another, in every serving
+// mode. The goroutines start at different offsets of one call list, so
+// they miss on the same alignments at once: under -race this exercises
+// the checkpoint cache's mutex, duplicate misses resolved by put, the
+// lazy handles' single-flight materialization and, in extendable mode,
+// the retention map.
+func TestEvaluatorConcurrentCalls(t *testing.T) {
+	testutil.CheckLeaks(t)
+	tr, m := rfidRankedWorkload(t, 60)
+	var calls []evaluatorCall
+	for _, a := range drainAnswers(NewEnumerator(tr, m).Next, 12) {
+		calls = append(calls,
+			evaluatorCall{kind: "TopEmax", in: a.Output[:len(a.Output)/2]},
+			evaluatorCall{kind: "Emax", in: a.Output},
+			evaluatorCall{kind: "BestEvidence", in: a.Output})
+	}
+	for _, mode := range []struct {
+		name string
+		opts []Option
+	}{{"pruned", nil}, {"eager", []Option{WithEagerCheckpoints()}}, {"extendable", []Option{WithExtendable()}}} {
+		seq := NewEvaluator(tr, m, mode.opts...)
+		want := make([]evaluatorCall, len(calls))
+		for i, c := range calls {
+			want[i] = c.run(seq)
+		}
+		const goroutines = 4
+		ev := NewEvaluator(tr, m, mode.opts...)
+		got := make([][]evaluatorCall, goroutines)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[g] = make([]evaluatorCall, len(calls))
+				for j := range calls {
+					i := (j + g*len(calls)/goroutines) % len(calls)
+					got[g][i] = calls[i].run(ev)
+				}
+			}()
+		}
+		wg.Wait()
+		for g := range got {
+			for i := range calls {
+				if !got[g][i].same(want[i]) {
+					t.Fatalf("%s goroutine %d: %s(%v) = %+v, sequential %+v", mode.name, g, calls[i].kind, calls[i].in, got[g][i], want[i])
+				}
+			}
 		}
 	}
 }

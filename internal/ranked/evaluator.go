@@ -19,7 +19,6 @@ import (
 type Option func(*config)
 
 type config struct {
-	workers    int
 	nt         *kernel.NFATables
 	exhaustive bool
 	eagerCk    bool
@@ -27,10 +26,11 @@ type config struct {
 	bounds     *kernel.Bounds
 }
 
-// WithWorkers bounds the enumerator's speculative-resolution pool;
-// values ≤ 1 select the sequential reference behavior. The parallel
-// enumerator emits the exact answer sequence of the sequential one.
-func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
+// WithWorkers is a no-op: every enumeration resolves sequentially.
+//
+// Deprecated: the speculative-resolution pool it sized is gone; the
+// option remains only until its last caller drops it.
+func WithWorkers(int) Option { return func(*config) {} }
 
 // WithTables supplies pre-built base transducer tables (core.Prepared
 // builds them once at prepare time), avoiding a rebuild per evaluator.
@@ -86,8 +86,9 @@ const extendableCheckpointCap = 4096
 // Evaluator owns the constraint-incremental machinery for one
 // (transducer, sequence) pair: base tables built once, the sequence's
 // CSR view, and a bounded LRU of prefix checkpoints keyed by alignment
-// string. Safe for concurrent use — the parallel enumerator's workers
-// share one evaluator.
+// string. Its public methods (TopEmax, Emax, BestEvidence, Extend and
+// the stats readers) are safe for concurrent use; an Enumerator built on
+// it is not, and drains on the caller's goroutine.
 type Evaluator struct {
 	t     *transducer.Transducer
 	m     *markov.Sequence
@@ -113,7 +114,8 @@ type Evaluator struct {
 
 	// Cross-append reuse counters (kernel.PruneStats.RankedReused etc.);
 	// Extend copies them into the successor evaluator so cache-level sums
-	// stay monotone across engine generations.
+	// stay monotone across engine generations. Atomic because
+	// lahar.CacheStats reads them while engines drain.
 	reused, reseeded, handlesSkipped atomic.Uint64
 }
 
@@ -179,72 +181,45 @@ func (ev *Evaluator) ExtendStats() (reused, reseeded, handlesSkipped uint64) {
 func (ev *Evaluator) PruneStats() kernel.PruneStats { return ev.bounds.Stats() }
 
 // checkpoint returns the cached checkpoint aligned to align, building
-// and caching it on a miss. Concurrent misses for the same alignment
-// are coalesced into a single build (the speculative workers resolving
-// the Lawler children of one parent all want the parent's checkpoint at
-// once; without coalescing each would rebuild it and the dominant cost
-// would be duplicated instead of shared).
+// and caching it on a miss.
 func (ev *Evaluator) checkpoint(align []automata.Symbol) *kernel.Checkpoint {
 	ck, _ := ev.checkpointCtx(context.Background(), align)
 	return ck
 }
 
-// checkpointCtx is checkpoint with cancellation. A leader whose build is
-// cancelled publishes no checkpoint: it withdraws the in-flight entry
-// and wakes its waiters, each of which retries getOrStart — so one
-// request's deadline never poisons the cache for the others, and the
-// next caller (possibly a woken waiter) becomes the new leader.
+// checkpointCtx is checkpoint with cancellation. A cancelled eager build
+// caches nothing, so one request's deadline never poisons the cache for
+// the others. Two concurrent public calls may both miss on one
+// alignment; put hands the later one the checkpoint the earlier one
+// inserted, so both resume from one checkpoint.
 func (ev *Evaluator) checkpointCtx(ctx context.Context, align []automata.Symbol) (*kernel.Checkpoint, error) {
 	key := automata.StringKey(align)
-	for {
-		ck, build, leader := ev.cache.getOrStart(key)
-		if ck != nil {
-			return ck, nil
-		}
-		if !leader {
-			select {
-			case <-build.done:
-				if build.ck != nil {
-					return build.ck, nil
-				}
-				continue // the leader was cancelled; retry and maybe lead
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		var err error
-		if ev.eagerCk {
-			ck, err = kernel.BuildCheckpointBoundedCtx(ctx, ev.nt, ev.v, align, ev.Bounds(), nil)
-		} else {
-			// O(1): the DP is deferred until a resolve first reads a
-			// layer — checkpoints of parents whose children never reach
-			// the Lawler queue front are never built at all, and the
-			// single flight on the handle means concurrent workers still
-			// share one materialization (the handle serializes it).
-			if ev.extendable {
-				// A new alignment here is almost always a freshly emitted
-				// answer extending an already-cached alignment by a symbol
-				// or two (its Lawler parent's output, or a sibling's): give
-				// the lazy handle the longest cached strict-prefix donor so
-				// its build copies the shared zone columns instead of
-				// re-running the full DP. Prefer an already-materialized
-				// donor — deriving from one costs O(band) per position,
-				// while an unmaterialized donor builds first.
-				ck = kernel.NewLazyCheckpointFrom(ev.nt, ev.v, align, ev.donorFor(align))
-			} else {
-				ck = kernel.NewLazyCheckpoint(ev.nt, ev.v, align, ev.Bounds())
-			}
-		}
-		if err != nil {
-			ev.cache.fail(key, build)
-			close(build.done)
-			return nil, err
-		}
-		build.ck = ck
-		close(build.done)
-		ev.cache.finish(key, ck)
+	if ck := ev.cache.get(key); ck != nil {
 		return ck, nil
 	}
+	var ck *kernel.Checkpoint
+	switch {
+	case ev.eagerCk:
+		var err error
+		if ck, err = kernel.BuildCheckpointBoundedCtx(ctx, ev.nt, ev.v, align, ev.Bounds(), nil); err != nil {
+			return nil, err
+		}
+	case ev.extendable:
+		// O(1), like every lazy handle: the DP is deferred until a resolve
+		// first reads a layer, so checkpoints of parents whose children
+		// never reach the Lawler queue front are never built at all. A new
+		// alignment here is almost always a freshly emitted answer
+		// extending an already-cached alignment by a symbol or two (its
+		// Lawler parent's output, or a sibling's): give the handle the
+		// longest cached strict-prefix donor so its build copies the
+		// shared zone columns instead of re-running the full DP. Prefer an
+		// already-materialized donor — deriving from one costs O(band) per
+		// position, while an unmaterialized donor builds first.
+		ck = kernel.NewLazyCheckpointFrom(ev.nt, ev.v, align, ev.donorFor(align))
+	default:
+		ck = kernel.NewLazyCheckpoint(ev.nt, ev.v, align, ev.Bounds())
+	}
+	return ev.cache.put(key, ck), nil
 }
 
 // resolve solves the constrained top-answer problem for c against the
@@ -303,6 +278,8 @@ const retainCap = 16384
 // its own view (rs.N > v.N), so generations can share one map instead
 // of copying O(frontier) entries per append.
 type retention struct {
+	// mu serves the generations sharing the maps: an engine and its
+	// ExtendValidated successor may resolve, carry and drain at once.
 	mu       sync.Mutex
 	frontier map[string]*kernel.ResumeState
 	origin   map[string]transducer.Constraint
@@ -335,11 +312,6 @@ func (ev *Evaluator) retainedByKey(key string) *kernel.ResumeState {
 	return rs
 }
 
-// retainedFor is retainedByKey addressed by the constraint itself.
-func (ev *Evaluator) retainedFor(c transducer.Constraint) *kernel.ResumeState {
-	return ev.retainedByKey(constraintKey(c))
-}
-
 // constraintKey is a canonical encoding of a constraint's region
 // identity: mode, prefix, and sorted forbidden set. Two constraints
 // with equal keys admit the same output set, so a retained frontier
@@ -367,13 +339,6 @@ func appendConstraintKey(dst []byte, c transducer.Constraint) []byte {
 		dst = automata.AppendKey(dst, syms)
 	}
 	return dst
-}
-
-// cachedCheckpoint returns the checkpoint cached for align without
-// building on a miss (the reseed's zone bounds read already-built
-// state; they never force work).
-func (ev *Evaluator) cachedCheckpoint(align []automata.Symbol) *kernel.Checkpoint {
-	return ev.cache.peek(automata.StringKey(align))
 }
 
 // donorFor looks up the longest cached checkpoint whose alignment is a
@@ -466,26 +431,19 @@ func (ev *Evaluator) BestEvidence(o []automata.Symbol) (s []automata.Symbol, log
 }
 
 // ckptCache is a mutex-guarded LRU of checkpoints keyed by alignment
-// string, with single-flight coalescing of concurrent builds.
+// string. The mutex serves the Evaluator's concurrent public callers
+// (TopEmax, Emax and BestEvidence on one evaluator, and an Extend
+// snapshotting the cache while its receiver keeps serving).
 type ckptCache struct {
-	mu       sync.Mutex
-	cap      int
-	items    map[string]*list.Element
-	order    list.List // front = most recently used
-	inflight map[string]*ckBuild
+	mu    sync.Mutex
+	cap   int
+	items map[string]*list.Element
+	order list.List // front = most recently used
 }
 
 type ckEntry struct {
 	key string
 	ck  *kernel.Checkpoint
-}
-
-// ckBuild is an in-flight checkpoint build; done is closed by the
-// leader once ck is set, or — after a cancelled build — with ck still
-// nil, which tells waiters to retry.
-type ckBuild struct {
-	done chan struct{}
-	ck   *kernel.Checkpoint
 }
 
 // init empties the cache with LRU capacity cap and its map sized for
@@ -496,37 +454,17 @@ func (c *ckptCache) init(cap, size int) {
 	c.cap = cap
 	c.items = make(map[string]*list.Element, size)
 	c.order.Init()
-	c.inflight = map[string]*ckBuild{}
 }
 
-// getOrStart returns the cached checkpoint, or registers the caller in
-// the build for key: leader=true means the caller must build, publish
-// via finish, and close build.done; leader=false means another goroutine
-// is building and the caller should wait on build.done.
-func (c *ckptCache) getOrStart(key string) (ck *kernel.Checkpoint, build *ckBuild, leader bool) {
+// get returns the cached checkpoint for key, recording a use, or nil.
+func (c *ckptCache) get(key string) *kernel.Checkpoint {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.order.MoveToFront(el)
-		return el.Value.(*ckEntry).ck, nil, false
+		return el.Value.(*ckEntry).ck
 	}
-	if b, ok := c.inflight[key]; ok {
-		return nil, b, false
-	}
-	b := &ckBuild{done: make(chan struct{})}
-	c.inflight[key] = b
-	return nil, b, true
-}
-
-// fail withdraws a cancelled build, but only if it is still the
-// registered one (a new leader may already have re-registered the key).
-// The caller closes b.done afterwards, waking waiters into a retry.
-func (c *ckptCache) fail(key string, b *ckBuild) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.inflight[key] == b {
-		delete(c.inflight, key)
-	}
+	return nil
 }
 
 // peek returns the cached checkpoint for key without recording a use or
@@ -565,13 +503,15 @@ func (c *ckptCache) snapshot() []*ckEntry {
 	return out
 }
 
-// put inserts an already-built checkpoint (Extend pre-warming a carried
-// cache) under the same LRU discipline as finish.
-func (c *ckptCache) put(key string, ck *kernel.Checkpoint) {
+// put caches ck under key as the most recently used entry, evicting
+// from the back past capacity, and returns the checkpoint now cached
+// under key: ck, or the one a concurrent caller inserted first.
+func (c *ckptCache) put(key string, ck *kernel.Checkpoint) *kernel.Checkpoint {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.items[key]; ok {
-		return
+	if el, ok := c.items[key]; ok {
+		c.order.MoveToFront(el)
+		return el.Value.(*ckEntry).ck
 	}
 	c.items[key] = c.order.PushFront(&ckEntry{key: key, ck: ck})
 	for len(c.items) > c.cap {
@@ -579,20 +519,5 @@ func (c *ckptCache) put(key string, ck *kernel.Checkpoint) {
 		c.order.Remove(el)
 		delete(c.items, el.Value.(*ckEntry).key)
 	}
-}
-
-// finish publishes a completed build into the LRU.
-func (c *ckptCache) finish(key string, ck *kernel.Checkpoint) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.inflight, key)
-	if _, ok := c.items[key]; ok {
-		return
-	}
-	c.items[key] = c.order.PushFront(&ckEntry{key: key, ck: ck})
-	for len(c.items) > c.cap {
-		el := c.order.Back()
-		c.order.Remove(el)
-		delete(c.items, el.Value.(*ckEntry).key)
-	}
+	return ck
 }

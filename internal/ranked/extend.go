@@ -86,8 +86,9 @@ func extendSlack(x float64) float64 {
 // differential grid asserts this contract bit-for-bit). Emitted answers
 // re-enter as exact singletons costing one checkpoint-extension read
 // each, and unemitted subproblems re-enter bounded, resolved only if
-// they surface.
-func ExtendEnumerator(e *Enumerator, mNew *markov.Sequence, workers int) (*Enumerator, bool) {
+// they surface. The third argument is ignored: it once sized a
+// speculative-resolution pool, and every drain is now sequential.
+func ExtendEnumerator(e *Enumerator, mNew *markov.Sequence, _ int) (*Enumerator, bool) {
 	if e == nil || e.ev == nil || !e.ev.extendable {
 		return nil, false
 	}
@@ -265,5 +266,5 @@ func ExtendEnumerator(e *Enumerator, mNew *markov.Sequence, workers int) (*Enume
 	nev.ret.mu.Lock()
 	nev.ret.bscratch = b // seeds hold plain floats; b is free to recycle
 	nev.ret.mu.Unlock()
-	return &Enumerator{inner: lawler.NewSeeded(lawlerConfig(nev.resolveAnswer, workers), seeds), ev: nev, workers: workers}, true
+	return &Enumerator{inner: lawler.NewSeeded(lawlerConfig(nev.resolveAnswer), seeds), ev: nev}, true
 }

@@ -97,8 +97,7 @@ func growBy(t *testing.T, grown, full *markov.Sequence, from, cnt int) *markov.S
 // enumerator (ExtendEnumerator) emits bit-identical scores rank by rank
 // and the same answers (set-identical per tied score class, exact order
 // where scores strictly decrease) as a from-scratch enumerator over the
-// grown sequence, across random instances, epochs, drain depths, and
-// worker counts.
+// grown sequence, across random instances, epochs and drain depths.
 func TestExtendEnumeratorMatchesFresh(t *testing.T) {
 	testutil.CheckLeaks(t)
 	in := automata.MustAlphabet("a", "b")
@@ -111,9 +110,9 @@ func TestExtendEnumeratorMatchesFresh(t *testing.T) {
 		p := 3 + rng.Intn(3)
 		grown := full.Window(1, p)
 
-		workers := []int{1, 3}[rng.Intn(2)]
+		rng.Intn(2) // formerly drew a worker count; kept so later draws stay the same
 		ev := NewEvaluator(tr, grown, WithExtendable())
-		e := ev.Enumerate(workers)
+		e := ev.Enumerate()
 		lastCount := len(drainAnswers(e.Next, 5))
 		if lastCount == 0 {
 			continue // empty language: nothing to carry, fresh path covers it
@@ -125,7 +124,7 @@ func TestExtendEnumeratorMatchesFresh(t *testing.T) {
 			}
 			grown = growBy(t, grown, full, p, step)
 			p += step
-			ne, ok := ExtendEnumerator(e, grown, workers)
+			ne, ok := ExtendEnumerator(e, grown, 1)
 			if !ok {
 				// Refusal is only legitimate when the last drain emitted
 				// nothing (the grown language went empty mid-stream);
@@ -133,7 +132,7 @@ func TestExtendEnumeratorMatchesFresh(t *testing.T) {
 				if lastCount > 0 {
 					t.Fatalf("trial %d epoch %d: ExtendEnumerator refused a drained extendable enumerator", trial, epoch)
 				}
-				ne = NewEvaluator(tr, grown, WithExtendable()).Enumerate(workers)
+				ne = NewEvaluator(tr, grown, WithExtendable()).Enumerate()
 			}
 			e = ne
 			k := 1 + rng.Intn(8)
@@ -169,7 +168,7 @@ func TestExtendEnumeratorApplicationWorkloads(t *testing.T) {
 			p := n - 7
 			grown := w.m.Window(1, p)
 			ev := NewEvaluator(w.t, grown, WithExtendable())
-			e := ev.Enumerate(2)
+			e := ev.Enumerate()
 			drainAnswers(e.Next, k)
 			for p < n {
 				step := 2
@@ -178,7 +177,7 @@ func TestExtendEnumeratorApplicationWorkloads(t *testing.T) {
 				}
 				grown = growBy(t, grown, w.m, p, step)
 				p += step
-				ne, ok := ExtendEnumerator(e, grown, 2)
+				ne, ok := ExtendEnumerator(e, grown, 1)
 				if !ok {
 					t.Fatalf("%s k=%d: extension refused", w.name, k)
 				}
@@ -205,7 +204,7 @@ func TestExtendEnumeratorCancelResume(t *testing.T) {
 	p := n - 4
 	grown := full.Window(1, p)
 	ev := NewEvaluator(tr, grown, WithExtendable())
-	e := ev.Enumerate(2)
+	e := ev.Enumerate()
 	if _, err := drainCtx(context.Background(), e, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +214,7 @@ func TestExtendEnumeratorCancelResume(t *testing.T) {
 		t.Fatal("cancelled NextCtx did not report the cancellation")
 	}
 	grown = growBy(t, grown, full, p, 4)
-	ne, ok := ExtendEnumerator(e, grown, 2)
+	ne, ok := ExtendEnumerator(e, grown, 1)
 	if !ok {
 		t.Fatal("extension refused after cancelled drain")
 	}
@@ -236,7 +235,7 @@ func TestExtendEnumeratorRefusals(t *testing.T) {
 	if _, ok := ExtendEnumerator(plain, full, 1); ok {
 		t.Fatal("non-extendable enumerator carried")
 	}
-	fresh := NewEvaluator(tr, grown, WithExtendable()).Enumerate(1)
+	fresh := NewEvaluator(tr, grown, WithExtendable()).Enumerate()
 	if _, ok := ExtendEnumerator(fresh, full, 1); ok {
 		t.Fatal("undrained enumerator carried — nothing resolved is worth carrying")
 	}

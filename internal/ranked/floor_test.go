@@ -32,7 +32,7 @@ func TestFloorOnFlatInstance(t *testing.T) {
 			cfg := lawlerConfig(func(ctx context.Context, c transducer.Constraint, align []automata.Symbol) (Answer, bool, error) {
 				resolves++
 				return ev.resolveAnswer(ctx, c, align)
-			}, 1)
+			})
 			if !floors {
 				cfg.Floor = nil
 			}

@@ -21,9 +21,8 @@ import (
 
 // TestLazyMatchesEagerCheckpoints is the tentpole's second correctness
 // contract: for every workload, draining the default (lazy-checkpoint)
-// enumerator — with and without speculative workers — yields the exact
-// answer sequence of the eager-checkpoint build and of the exhaustive
-// reference, bit for bit.
+// enumerator yields the exact answer sequence of the eager-checkpoint
+// build and of the exhaustive reference, bit for bit.
 func TestLazyMatchesEagerCheckpoints(t *testing.T) {
 	testutil.CheckLeaks(t)
 	const cap = 40
@@ -31,10 +30,8 @@ func TestLazyMatchesEagerCheckpoints(t *testing.T) {
 		eager := drainAnswers(NewEnumerator(w.t, w.m, WithEagerCheckpoints()).Next, cap)
 		exhaustive := drainAnswers(NewEnumerator(w.t, w.m, WithExhaustive()).Next, cap)
 		assertSameAnswerSequence(t, w.name+" eager-vs-exhaustive", eager, exhaustive)
-		for _, workers := range []int{1, 4} {
-			lazy := drainAnswers(NewEnumerator(w.t, w.m, WithWorkers(workers)).Next, cap)
-			assertSameAnswerSequence(t, w.name+" lazy", lazy, eager)
-		}
+		lazy := drainAnswers(NewEnumerator(w.t, w.m).Next, cap)
+		assertSameAnswerSequence(t, w.name+" lazy", lazy, eager)
 	}
 }
 
@@ -136,7 +133,7 @@ func TestLazyStatsAccumulate(t *testing.T) {
 	n := uint64(40)
 
 	ev := NewEvaluator(tr, m)
-	drainAnswers(ev.Enumerate(1).Next, 15)
+	drainAnswers(ev.Enumerate().Next, 15)
 	st := ev.PruneStats()
 	if st.LazyHandles == 0 || st.LazyLayers == 0 {
 		t.Fatalf("lazy evaluator reported no deferred builds: %+v", st)
@@ -153,7 +150,7 @@ func TestLazyStatsAccumulate(t *testing.T) {
 	}
 
 	eg := NewEvaluator(tr, m, WithEagerCheckpoints())
-	drainAnswers(eg.Enumerate(1).Next, 15)
+	drainAnswers(eg.Enumerate().Next, 15)
 	est := eg.PruneStats()
 	if est.EagerLayers == 0 {
 		t.Fatalf("eager evaluator reported no eager layers: %+v", est)

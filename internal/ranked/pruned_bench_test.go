@@ -22,7 +22,7 @@ func benchPrunedDrain(b *testing.B, opts ...Option) {
 	var ev *Evaluator
 	for i := 0; i < b.N; i++ {
 		ev = NewEvaluator(tr, m, opts...)
-		if got := drainAnswers(ev.Enumerate(1).Next, benchTopK); len(got) < benchTopK {
+		if got := drainAnswers(ev.Enumerate().Next, benchTopK); len(got) < benchTopK {
 			b.Fatalf("drained %d answers, want %d", len(got), benchTopK)
 		}
 	}

@@ -59,18 +59,15 @@ func prunedWorkloads(t *testing.T) []struct {
 }
 
 // TestPrunedMatchesExhaustive is the tentpole's correctness contract:
-// for every workload, draining the default (pruned) enumerator — with
-// and without speculative workers — yields the exact answer sequence of
-// the exhaustive reference, bit for bit.
+// for every workload, draining the default (pruned) enumerator yields
+// the exact answer sequence of the exhaustive reference, bit for bit.
 func TestPrunedMatchesExhaustive(t *testing.T) {
 	testutil.CheckLeaks(t)
 	const cap = 40
 	for _, w := range prunedWorkloads(t) {
 		want := drainAnswers(NewEnumerator(w.t, w.m, WithExhaustive()).Next, cap)
-		for _, workers := range []int{1, 4} {
-			got := drainAnswers(NewEnumerator(w.t, w.m, WithWorkers(workers)).Next, cap)
-			assertSameAnswerSequence(t, w.name+" pruned", got, want)
-		}
+		got := drainAnswers(NewEnumerator(w.t, w.m).Next, cap)
+		assertSameAnswerSequence(t, w.name+" pruned", got, want)
 	}
 }
 
@@ -140,14 +137,14 @@ func TestPruneStatsAccumulate(t *testing.T) {
 	tr, m := rfidRankedWorkload(t, 40)
 
 	ev := NewEvaluator(tr, m)
-	drainAnswers(ev.Enumerate(1).Next, 15)
+	drainAnswers(ev.Enumerate().Next, 15)
 	st := ev.PruneStats()
 	if st.Resolves == 0 || st.VisitedCells == 0 {
 		t.Fatalf("pruned evaluator reported no bounded work: %+v", st)
 	}
 
 	ex := NewEvaluator(tr, m, WithExhaustive())
-	drainAnswers(ex.Enumerate(1).Next, 15)
+	drainAnswers(ex.Enumerate().Next, 15)
 	if st := ex.PruneStats(); st.Resolves != 0 || st.PrunedCells != 0 || st.VisitedCells != 0 {
 		t.Fatalf("exhaustive evaluator accumulated pruning stats: %+v", st)
 	}

@@ -15,12 +15,10 @@
 //   - Enumerator yields A^ω(μ) in decreasing E_max with polynomial delay
 //     (Theorem 4.3), via the generic Lawler–Murty core (internal/lawler):
 //     the answer space is recursively partitioned with prefix
-//     constraints, each part's top answer is resolved lazily against its
-//     parent's checkpoint, and WithWorkers resolves the top unresolved
-//     subproblems speculatively in parallel without changing the emitted
-//     sequence. The pre-incremental product path survives in the tests
-//     (legacy_test.go) as the differential reference and benchmark
-//     baseline.
+//     constraints, and each part's top answer is resolved lazily, one at
+//     a time, against its parent's checkpoint. The pre-incremental
+//     product path survives in the tests (legacy_test.go) as the
+//     differential reference and benchmark baseline.
 //
 // Probabilities are handled in log space, so long Markov sequences do not
 // underflow (see DESIGN.md ablation A3).
@@ -75,24 +73,17 @@ type Answer struct {
 // Enumerator yields A^ω(μ) in decreasing E_max with polynomial delay
 // (Theorem 4.3). Create with NewEnumerator and drain with Next. Each
 // subproblem is resolved lazily against its parent answer's prefix
-// checkpoint; WithWorkers adds speculative parallel resolution without
-// changing the emitted sequence.
+// checkpoint. Not safe for concurrent use.
 type Enumerator struct {
-	inner   *lawler.Enumerator[Answer]
-	ev      *Evaluator
-	workers int
+	inner *lawler.Enumerator[Answer]
+	ev    *Evaluator
 }
 
 // NewEnumerator prepares the decreasing-E_max enumeration of the answers
-// of t over m. Options: WithWorkers, WithTables, WithExhaustive,
-// WithEagerCheckpoints, WithExtendable, WithBounds.
+// of t over m. Options: WithTables, WithExhaustive, WithEagerCheckpoints,
+// WithExtendable, WithBounds.
 func NewEnumerator(t *transducer.Transducer, m *markov.Sequence, opts ...Option) *Enumerator {
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	ev := NewEvaluator(t, m, opts...)
-	return ev.Enumerate(cfg.workers)
+	return NewEvaluator(t, m, opts...).Enumerate()
 }
 
 // resolveFunc solves one Lawler subproblem c against the prefix
@@ -104,7 +95,7 @@ type resolveFunc func(ctx context.Context, c transducer.Constraint, align []auto
 // resolve against the parent answer's prefix checkpoint, partition with
 // Constraint.Children, and break exact ties by one rule, so every path
 // emits the same sequence.
-func lawlerConfig(resolve resolveFunc, workers int) lawler.Config[Answer] {
+func lawlerConfig(resolve resolveFunc) lawler.Config[Answer] {
 	return lawler.Config[Answer]{
 		Root: transducer.Unconstrained(),
 		Resolve: func(ctx context.Context, c transducer.Constraint, parent Answer, root bool) (Answer, float64, bool, error) {
@@ -120,7 +111,6 @@ func lawlerConfig(resolve resolveFunc, workers int) lawler.Config[Answer] {
 		Children: func(c transducer.Constraint, top Answer) []transducer.Constraint {
 			return c.Children(top.Output)
 		},
-		Workers: workers,
 		// Exact E_max ties emit in lexicographic output order — a
 		// construction-independent rule, so a reseeded post-append
 		// enumerator (whose queue insertion order necessarily differs)
@@ -144,11 +134,9 @@ func outputFloor(c transducer.Constraint) (Answer, bool) {
 }
 
 // Enumerate starts a decreasing-E_max enumeration sharing this
-// evaluator's tables and checkpoint cache. workers ≤ 1 is the sequential
-// reference behavior; workers > 1 resolves speculatively in parallel
-// with an identical emitted sequence.
-func (ev *Evaluator) Enumerate(workers int) *Enumerator {
-	return &Enumerator{inner: lawler.New(lawlerConfig(ev.resolveAnswer, workers)), ev: ev, workers: workers}
+// evaluator's tables and checkpoint cache.
+func (ev *Evaluator) Enumerate() *Enumerator {
+	return &Enumerator{inner: lawler.New(lawlerConfig(ev.resolveAnswer)), ev: ev}
 }
 
 // Evaluator returns the evaluator backing this enumeration.

@@ -22,8 +22,8 @@ import (
 //     top-k drain at most k+1 alignments exist (the root's plus one per
 //     emitted answer), so checkpoints live in a small ring compared by
 //     symbol content;
-//   - no single-flight machinery or locks: a Sweeper is single-goroutine
-//     by contract (parallel window fan-out uses one Sweeper per worker);
+//   - no locks: a Sweeper is single-goroutine by contract (parallel
+//     window fan-out uses one Sweeper per worker);
 //   - one ConstrainScratch reused across every checkpoint build and
 //     resume of the sweep, instead of per-call pool round trips.
 //
@@ -50,8 +50,7 @@ type sweepCkpt struct {
 }
 
 // NewSweeper builds a sweeper for t. WithTables reuses prepared base
-// tables; other options are ignored (a sweeper is always sequential).
-// Not safe for concurrent use.
+// tables; other options are ignored. Not safe for concurrent use.
 func NewSweeper(t *transducer.Transducer, opts ...Option) *Sweeper {
 	var cfg config
 	for _, o := range opts {
@@ -140,7 +139,7 @@ func (s *Sweeper) TopK(ctx context.Context, m *markov.Sequence, k int) ([]Answer
 		}
 		o, _, _, logE, ok, err := kernel.ResumeConstrainedBoundedCtx(ctx, s.nt, v, ck, c, s.cur, &s.sc)
 		return Answer{Output: o, LogEmax: logE}, ok, err
-	}, 1))
+	}))
 	out := make([]Answer, 0, k)
 	for len(out) < k {
 		a, _, ok, err := en.NextCtx(ctx)

@@ -497,14 +497,6 @@ type ImaxEnumerator struct {
 // EnumerateImax prepares the decreasing-I_max enumeration of string
 // answers (Lemma 5.10 / Theorem 5.2).
 func (p *SProjector) EnumerateImax(m *markov.Sequence) *ImaxEnumerator {
-	return p.EnumerateImaxParallel(m, 1)
-}
-
-// EnumerateImaxParallel is EnumerateImax with speculative parallel
-// subproblem resolution on up to workers goroutines (values ≤ 1 are the
-// sequential reference). The emitted answer sequence is identical to the
-// sequential enumerator's.
-func (p *SProjector) EnumerateImaxParallel(m *markov.Sequence, workers int) *ImaxEnumerator {
 	return &ImaxEnumerator{inner: lawler.New(lawler.Config[StringAnswer]{
 		Root: transducer.Unconstrained(),
 		Resolve: func(ctx context.Context, c transducer.Constraint, _ StringAnswer, _ bool) (StringAnswer, float64, bool, error) {
@@ -517,7 +509,6 @@ func (p *SProjector) EnumerateImaxParallel(m *markov.Sequence, workers int) *Ima
 		Children: func(c transducer.Constraint, top StringAnswer) []transducer.Constraint {
 			return c.Children(top.Output)
 		},
-		Workers: workers,
 	})}
 }
 

@@ -8,7 +8,6 @@ import (
 	"markovseq/internal/automata"
 	"markovseq/internal/markov"
 	"markovseq/internal/regex"
-	"markovseq/internal/testutil"
 	"markovseq/internal/transducer"
 )
 
@@ -398,43 +397,6 @@ func TestIndexedEnumerationAtScale(t *testing.T) {
 		prev = a.Conf
 		if want := p.IndexedConfidence(m, a.Output, a.Index); math.Abs(a.Conf-want)/math.Max(want, 1e-300) > 1e-6 {
 			t.Fatalf("answer %d: enumerated conf %v, recomputed %v", k, a.Conf, want)
-		}
-	}
-}
-
-// TestImaxParallelMatchesSequential: the speculative parallel I_max
-// enumeration emits the bit-identical sequence of the sequential one
-// (outputs and scores), for every worker count. Run under -race this
-// exercises the concurrent resolver.
-func TestImaxParallelMatchesSequential(t *testing.T) {
-	testutil.CheckLeaks(t)
-	ab := automata.Chars("ab")
-	for trial := 0; trial < 12; trial++ {
-		rng := rand.New(rand.NewSource(int64(1700 + trial)))
-		p := randomSProjector(ab, rng)
-		m := markov.Random(ab, 2+rng.Intn(3), 0.7, rng)
-		var want []StringAnswer
-		for e := p.EnumerateImax(m); ; {
-			a, ok := e.Next()
-			if !ok {
-				break
-			}
-			want = append(want, a)
-		}
-		for _, workers := range []int{2, 4} {
-			e := p.EnumerateImaxParallel(m, workers)
-			for i := 0; ; i++ {
-				a, ok := e.Next()
-				if !ok {
-					if i != len(want) {
-						t.Fatalf("trial %d workers %d: %d answers, want %d", trial, workers, i, len(want))
-					}
-					break
-				}
-				if i >= len(want) || !automata.EqualStrings(a.Output, want[i].Output) || a.Imax != want[i].Imax {
-					t.Fatalf("trial %d workers %d rank %d: (%v,%v) diverges from sequential", trial, workers, i, a.Output, a.Imax)
-				}
-			}
 		}
 	}
 }

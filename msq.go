@@ -185,12 +185,6 @@ func WithDBWorkers(n int) DBOption { return lahar.WithWorkers(n) }
 // worker pool. Results are identical to the serial evaluation.
 func WithParallelWindows(on bool) DBOption { return lahar.WithParallelWindows(on) }
 
-// WithDBRankedWorkers sets the per-engine speculative-resolution pool of
-// registered queries' ranked enumerations (default 1: the store
-// parallelizes across streams and windows instead). Answer order is
-// identical either way.
-func WithDBRankedWorkers(n int) DBOption { return lahar.WithRankedWorkers(n) }
-
 // WithDBMaxInFlight bounds the number of concurrently executing DB
 // query calls; excess calls fail immediately with ErrDBOverloaded
 // instead of queueing. Values < 1 disable the limit.
