@@ -303,13 +303,9 @@ func (pr *Prepared) ExtendValidated(old *Engine, m *markov.Sequence) (*Engine, e
 	// Holding old.mu keeps the carried tree consistent against a
 	// concurrent drain of the predecessor.
 	old.mu.Lock()
-	oldEnum := old.rankedEnum
-	if oldEnum == nil {
-		oldEnum = old.rankedSeed
-	}
-	if oldEnum != nil {
-		if ne, ok := ranked.ExtendEnumerator(oldEnum, m, 1); ok {
-			eng.rankedSeed = ne
+	if old.topEnum != nil {
+		if ne, ok := ranked.ExtendEnumerator(old.topEnum, m, 1); ok {
+			eng.topEnum = ne
 		}
 	}
 	old.mu.Unlock()
@@ -380,13 +376,11 @@ type Engine struct {
 	topNext  func(ctx context.Context) (Answer, bool, error)
 	topCache []Answer
 	topDone  bool
-	// rankedSeed is an enumerator carried from a predecessor engine by
-	// ExtendValidated, consumed (and cleared) by the first TopK;
-	// rankedEnum is the live ranked enumerator once TopK has run, held
-	// so ExtendValidated can carry it and PruneStats can report its
-	// cross-append reuse counters.
-	rankedSeed *ranked.Enumerator
-	rankedEnum *ranked.Enumerator
+	// topEnum is the E_max enumerator behind topNext: carried from a
+	// predecessor engine by ExtendValidated, or built by the first TopK.
+	// It is held so ExtendValidated can carry it and PruneStats can
+	// report its cross-append reuse counters.
+	topEnum *ranked.Enumerator
 	// enumIter / enumCache memoize the unranked enumeration likewise.
 	enumIter  *enum.Enumerator
 	enumCache [][]automata.Symbol
@@ -448,10 +442,7 @@ func (e *Engine) ensureBounds() *kernel.Bounds {
 func (e *Engine) PruneStats() kernel.PruneStats {
 	s := e.bounds.Load().Stats()
 	e.mu.Lock()
-	re := e.rankedEnum
-	if re == nil {
-		re = e.rankedSeed
-	}
+	re := e.topEnum
 	e.mu.Unlock()
 	if re != nil {
 		reused, reseeded, skipped := re.ExtendStats()
@@ -557,25 +548,22 @@ func (e *Engine) initTopCtx(ctx context.Context) error {
 			return Answer{Output: a.Output, Score: a.Imax, Kind: "I_max"}, true, nil
 		}
 	default:
-		var it *ranked.Enumerator
-		if e.rankedSeed != nil {
-			// Carried across an append by ExtendValidated: the previous
-			// drain's resolved tree, re-priced against the grown sequence.
-			it, e.rankedSeed = e.rankedSeed, nil
-		} else if e.rankedExtendable {
-			// Append-extendable serving: resolve unpruned and retain the
-			// tree so the next ExtendValidated can carry it.
-			it = ranked.NewEnumerator(e.pt, e.m, ranked.WithTables(e.baseNT), ranked.WithExtendable())
-		} else {
-			opts := []ranked.Option{ranked.WithTables(e.baseNT)}
-			if b := e.ensureBounds(); b != nil {
-				opts = append(opts, ranked.WithBounds(b))
+		// An enumerator carried across an append by ExtendValidated is
+		// the previous drain's resolved tree, re-priced against the grown
+		// sequence. Otherwise an append-extendable engine resolves
+		// unpruned and retains the tree so the next ExtendValidated can
+		// carry it, and a one-shot engine prunes with its shared bounds,
+		// which are nil (the exhaustive sweep) below kernel.BoundsMinN.
+		if e.topEnum == nil {
+			var mode ranked.Option
+			if e.rankedExtendable {
+				mode = ranked.WithExtendable()
 			} else {
-				opts = append(opts, ranked.WithExhaustive())
+				mode = ranked.WithBounds(e.ensureBounds())
 			}
-			it = ranked.NewEnumerator(e.pt, e.m, opts...)
+			e.topEnum = ranked.NewEnumerator(e.pt, e.m, ranked.WithTables(e.baseNT), mode)
 		}
-		e.rankedEnum = it
+		it := e.topEnum
 		e.topNext = func(ctx context.Context) (Answer, bool, error) {
 			a, ok, err := it.NextCtx(ctx)
 			if err != nil || !ok {

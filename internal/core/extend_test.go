@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"markovseq/internal/automata"
+	"markovseq/internal/kernel"
 	"markovseq/internal/markov"
 	"markovseq/internal/rfid"
 	"markovseq/internal/testutil"
@@ -364,5 +365,56 @@ func TestEnsureBoundsRejectsStaleSweep(t *testing.T) {
 	// And the rebuilt sweep is stable on repeat.
 	if again := full.ensureBounds(); again != b {
 		t.Fatal("matching bounds were rebuilt a second time")
+	}
+}
+
+// TestRankedModeSelection pins which evaluator mode each engine drains
+// through: a binding shorter than kernel.BoundsMinN runs the exhaustive
+// sweep (no potentials, so no pruned resolves), a longer one prunes with
+// the engine's shared bounds, and an ExtendValidated engine is
+// extendable whatever its length.
+func TestRankedModeSelection(t *testing.T) {
+	wl := extendWorkloads(t, kernel.BoundsMinN)[0]
+	prep := PrepareTransducer(wl.q)
+	for _, tc := range []struct {
+		name   string
+		n      int
+		extend bool
+	}{
+		{"short", kernel.BoundsMinN - 1, false},
+		{"long", kernel.BoundsMinN, false},
+		{"extendable", kernel.BoundsMinN, true},
+	} {
+		m := wl.full.Window(1, tc.n)
+		if m.Len() != tc.n {
+			t.Fatalf("%s: window holds %d positions, want %d", tc.name, m.Len(), tc.n)
+		}
+		bind := prep.BindValidated
+		if tc.extend {
+			bind = func(m *markov.Sequence) (*Engine, error) { return prep.ExtendValidated(nil, m) }
+		}
+		e, err := bind(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(e.TopK(3)) == 0 {
+			t.Fatalf("%s: no answers", tc.name)
+		}
+		ev := e.topEnum.Evaluator()
+		resolves := e.PruneStats().Resolves
+		switch {
+		case tc.extend:
+			if !ev.Extendable() || ev.Bounds() != nil || resolves != 0 {
+				t.Fatalf("%s: extendable=%v bounds=%v pruned resolves=%d, want an unpruned extendable drain", tc.name, ev.Extendable(), ev.Bounds() != nil, resolves)
+			}
+		case tc.n < kernel.BoundsMinN:
+			if ev.Extendable() || ev.Bounds() != nil || resolves != 0 {
+				t.Fatalf("%s: extendable=%v bounds=%v pruned resolves=%d, want the exhaustive sweep", tc.name, ev.Extendable(), ev.Bounds() != nil, resolves)
+			}
+		default:
+			if ev.Extendable() || ev.Bounds() == nil || ev.Bounds() != e.ensureBounds() || resolves == 0 {
+				t.Fatalf("%s: extendable=%v pruned resolves=%d, want a drain pruned by the engine's shared bounds", tc.name, ev.Extendable(), resolves)
+			}
+		}
 	}
 }

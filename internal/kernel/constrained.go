@@ -20,30 +20,31 @@ import (
 // with the base NFATables on the fly, and the DP work for the shared
 // prefix is captured once per printed answer in a Checkpoint:
 //
-//   - BuildCheckpointBoundedCtx runs the forward Viterbi DP over cells
-//     (node x, state q, matched-prefix count z) restricted to runs whose
-//     output so far is an exact prefix of an alignment string. Each
-//     per-position layer of active cells — scores plus backpointers into
-//     the previous layer — is retained, so the checkpoint is the whole
-//     constrained frontier history, sparse, in activation order. Each
-//     layer additionally carries a z-bucket index (a counting sort of its
-//     cells by matched-prefix count), so a resume jumps straight to the
-//     cells at its constraint boundary instead of scanning the layer.
+//   - A Checkpoint is the forward Viterbi DP over cells (node x, state
+//     q, matched-prefix count z) restricted to runs whose output so far
+//     is an exact prefix of an alignment string. Each per-position layer
+//     of active cells — scores plus backpointers into the previous layer
+//     — is retained, so the checkpoint is the whole constrained frontier
+//     history, sparse, in activation order. Each layer additionally
+//     carries a z-bucket index (a counting sort of its cells by
+//     matched-prefix count), so a resume jumps straight to the cells at
+//     its constraint boundary instead of scanning the layer.
 //
-//   - NewLazyCheckpoint returns the same checkpoint as a thin handle with
-//     the DP deferred: nothing is relaxed until a resume first reads a
-//     layer, at which point the full DP is materialized once (measured on
-//     the ranked drains, Lawler children arrive at ascending prefix
-//     depths spanning the whole alignment, so partial z-capped builds
-//     were always rebuilt — the win of laziness is the checkpoints that
-//     are never touched at all: parents whose children never reach the
-//     queue front, and the last emitted answer of every drain).
-//     NewExtendedLazyCheckpoint and NewLazyCheckpointFrom defer builds
-//     that reuse other checkpoints. One routine, materialize, builds
-//     every kind; the source of each position's layer is data in its one
-//     loop: layers an extension shares with its base are aliased, layers a
-//     derivation donor covers start from the donor's and relax only the
-//     boundary band, and every other layer relaxes in full.
+//   - Every checkpoint is a lazy handle (NewLazyCheckpoint): an O(1)
+//     constructor with the DP deferred, so nothing is relaxed until a
+//     resume first reads a layer, at which point the full DP is
+//     materialized once (measured on the ranked drains, Lawler children
+//     arrive at ascending prefix depths spanning the whole alignment, so
+//     partial z-capped builds were always rebuilt — the win of laziness
+//     is the checkpoints that are never touched at all: parents whose
+//     children never reach the queue front, and the last emitted answer
+//     of every drain). NewExtendedLazyCheckpoint and
+//     NewLazyCheckpointFrom defer builds that reuse other checkpoints.
+//     One routine, materialize, builds every kind; the source of each
+//     position's layer is data in its one loop: layers an extension
+//     shares with its base are aliased, layers a derivation donor covers
+//     start from the donor's and relax only the boundary band, and every
+//     other layer relaxes in full.
 //
 //   - ResumeConstrainedBoundedCtx answers any prefix constraint whose
 //     prefix is a prefix of the alignment string without re-doing
@@ -66,7 +67,7 @@ import (
 //     traceback, captured or not, reads a survivor store (a non-capturing
 //     resume builds one for its best cell alone).
 //
-//   - ConstrainedViterbi is a one-shot build-then-resume.
+//   - ConstrainedViterbi is a one-shot resume against a fresh handle.
 //
 // Determinism: ties are broken by first activation (relax keeps the
 // incumbent on equal scores), past-zone advancement precedes crossing
@@ -76,9 +77,9 @@ import (
 // resolving it against a checkpoint aligned to the prefix itself. That
 // invariant is what lets every Lawler child resolve against its parent
 // answer's cached checkpoint and still emit what a checkpoint aligned to
-// its own prefix would.
-// A lazy handle materializes the same DP the eager build would have, so
-// deferral is unobservable apart from when the work happens.
+// its own prefix would. Materialization is a function of the handle's
+// build inputs alone, so deferral is unobservable apart from when the
+// work happens.
 //
 // Weight-pushed pruning (see pushing.go): when a Bounds is supplied, the
 // resume enumerates boundary-crossing candidates while maintaining a
@@ -333,11 +334,11 @@ type ckView struct {
 	slab   ckSlab
 }
 
-// Checkpoint is the retained exact-prefix DP of BuildCheckpointBoundedCtx,
-// or a lazy handle to it (NewLazyCheckpoint). Safe for concurrent use by
-// any number of resumes: eager checkpoints are immutable after
-// construction, and lazy handles single-flight their deferred
-// materialization.
+// Checkpoint is a lazy handle to the retained exact-prefix DP of one
+// alignment string (NewLazyCheckpoint and its derived and extended
+// forms). Safe for concurrent use by any number of resumes: the handle
+// single-flights its deferred materialization, and the view it
+// publishes is immutable.
 type Checkpoint struct {
 	// Align is the alignment string the DP was restricted to.
 	Align  []automata.Symbol
@@ -345,18 +346,16 @@ type Checkpoint struct {
 	n      int // sequence length it was built against
 	zdim   int // len(Align)+1, the stride of the z coordinate
 
-	// view is the materialized DP; nil for a lazy handle no resume has
-	// touched yet. Eager checkpoints store it at construction; lazy
-	// handles publish it exactly once, on first touch.
+	// view is the materialized DP, published exactly once, on the first
+	// touch; nil until then.
 	view atomic.Pointer[ckView]
 
 	// Build inputs of the DP: the tables, the view, and the gating
-	// bounds. Lazy handles keep them until first touch, with mu
-	// single-flighting the materialization; eager checkpoints drop them
-	// once built (nt == nil marks an eager checkpoint). Concurrent first
-	// touches come from an engine and its append successor, which share
-	// carried handles and may drain at once, and from concurrent public
-	// calls on one ranked.Evaluator.
+	// bounds, with mu single-flighting the materialization. Recycle
+	// clears them (nt == nil marks a recycled checkpoint). Concurrent
+	// first touches come from an engine and its append successor, which
+	// share carried handles and may drain at once, and from concurrent
+	// public calls on one ranked.Evaluator.
 	mu sync.Mutex
 	nt *NFATables
 	v  *SeqView
@@ -383,7 +382,7 @@ type Checkpoint struct {
 	donor *Checkpoint
 
 	// matLayers counts DP layers actually relaxed: the build work done,
-	// against n per full eager build (0 for an untouched lazy handle).
+	// against n per full build (0 for an untouched handle).
 	matLayers atomic.Uint64
 }
 
@@ -406,18 +405,20 @@ func (ck *Checkpoint) Cells() int {
 }
 
 // MaterializedLayers returns the number of DP layers this checkpoint has
-// actually relaxed so far: n for a full build (eager, or lazy after its
-// first touch; fewer if the exact-prefix language died early), 0 for an
-// untouched lazy handle. The gap to Layers() is the prefix DP the lazy
-// path skipped.
+// relaxed: 0 until its first touch, then n (fewer if the exact-prefix
+// language died early, or if an extension aliased its base's layers).
+// The gap to Layers() is the prefix DP the deferral skipped.
 func (ck *Checkpoint) MaterializedLayers() int { return int(ck.matLayers.Load()) }
 
 // NewLazyCheckpoint returns a checkpoint handle for align with the DP
 // deferred: no layer is relaxed until a resume first reads one, at
-// which point the full DP is materialized exactly as
-// BuildCheckpointBoundedCtx would have built it. Resumes against a lazy
-// handle are therefore bit-identical to resumes against the eager
-// checkpoint. b may be nil, which disables gating of the deferred build.
+// which point the full DP is materialized once. O(1); it cannot fail.
+//
+// With b non-nil the build is gated by the potentials: cells with no
+// accepting completion (potential -Inf) are dropped from every retained
+// layer. Gated checkpoints resume to bit-identical results (the -Inf set
+// is closed under successors) while carrying fewer cells; nil disables
+// gating.
 func NewLazyCheckpoint(nt *NFATables, v *SeqView, align []automata.Symbol, b *Bounds) *Checkpoint {
 	if b != nil {
 		b.lazyHandles.Add(1)
@@ -578,8 +579,6 @@ func (ck *Checkpoint) ensureView(p *Poll, sc *ConstrainScratch) (*ckView, error)
 		return vw, nil
 	}
 	if ck.nt == nil {
-		// An eager checkpoint always has a view; reaching here means the
-		// checkpoint was recycled while still referenced.
 		panic("kernel: resume against a recycled checkpoint")
 	}
 	vw, built, err := materialize(p, ck, sc)
@@ -620,12 +619,11 @@ type crossCand struct {
 	rec   crossRec
 }
 
-// ConstrainScratch holds the reusable buffers of checkpoint builds and
-// resumes. The two use disjoint fields, so one scratch serves a
-// build-then-resume sequence — including a lazy materialization
-// triggered inside a resume, which runs before the resume touches its
-// own fields. Not safe for concurrent use; pass nil
-// to draw from an internal pool.
+// ConstrainScratch holds the reusable buffers of checkpoint
+// materializations and resumes. The two use disjoint fields, so one
+// scratch serves a resume together with the materialization it
+// triggers, which runs before the resume touches its own fields. Not
+// safe for concurrent use; pass nil to draw from an internal pool.
 type ConstrainScratch struct {
 	f         frontier // build: (x·|Q|+q)·Z+z cell space
 	prevBuf   []int32  // build: predecessor index per cell, rebuilt per layer
@@ -652,21 +650,26 @@ type ConstrainScratch struct {
 	slabHint, zoffHint int
 }
 
-// Recycle returns ck's materialized layer storage to the scratch
-// freelist, where the next checkpoint build through the same scratch
-// reuses it. Recycling ends the view's immutability: the caller must
-// have dropped every reference to ck and to data obtained from it, and
-// must never recycle a checkpoint other goroutines can still see (in
-// particular, checkpoints published to the ranked evaluator's shared LRU
-// are not recyclable). Recycling into the internal pool is not possible
-// — Recycle is only useful with an explicitly owned scratch, such as the
-// sliding-window sweeper's, whose per-window checkpoint rings are
-// private by construction.
+// Recycle retires ck and returns its materialized layer storage, if any,
+// to the scratch freelist, where the next materialization through the
+// same scratch reuses it. Recycling ends the view's immutability: the
+// caller must have dropped every reference to ck and to data obtained
+// from it, and must never recycle a checkpoint other goroutines can
+// still see (in particular, checkpoints published to the ranked
+// evaluator's shared LRU are not recyclable). A resume against a
+// recycled checkpoint, touched or not, panics instead of rebuilding.
+// Recycling into the internal pool is not possible — Recycle is only
+// useful with an explicitly owned scratch, such as the sliding-window
+// sweeper's, whose per-window checkpoint rings are private by
+// construction.
 func (sc *ConstrainScratch) Recycle(ck *Checkpoint) {
 	if ck == nil {
 		return
 	}
+	ck.mu.Lock()
+	ck.nt, ck.v, ck.b = nil, nil, nil
 	vw := ck.view.Swap(nil)
+	ck.mu.Unlock()
 	if vw == nil || vw.layers == nil {
 		return
 	}
@@ -705,52 +708,6 @@ func crossOK(align []automata.Symbol, l, z int, w []automata.Symbol, forb map[au
 		}
 	}
 	return !forb[w[k]]
-}
-
-// BuildCheckpointBoundedCtx runs the forward Viterbi DP restricted to
-// runs whose output is an exact prefix of align, retaining every
-// position's sparse frontier. One checkpoint aligned to a printed answer
-// o serves every Lawler child of o (their prefixes are all prefixes of
-// o). For drains that may never resolve those children,
-// NewLazyCheckpoint defers this work until a resume needs it.
-//
-// With b non-nil the build is gated by the potentials: cells with no
-// accepting completion (potential -Inf) are dropped from every retained
-// layer. Gated checkpoints resume to bit-identical results (the -Inf set
-// is closed under successors) while carrying fewer cells; nil disables
-// gating. The context is polled every DefaultPollInterval positions; on
-// cancellation the partial checkpoint is discarded and ctx.Err()
-// returned.
-func BuildCheckpointBoundedCtx(ctx context.Context, nt *NFATables, v *SeqView, align []automata.Symbol, b *Bounds, sc *ConstrainScratch) (*Checkpoint, error) {
-	return buildCheckpoint(NewPoll(ctx), nt, v, align, b, sc)
-}
-
-func buildCheckpoint(p *Poll, nt *NFATables, v *SeqView, align []automata.Symbol, b *Bounds, sc *ConstrainScratch) (*Checkpoint, error) {
-	if sc == nil {
-		sc = constrainScratchPool.Get().(*ConstrainScratch)
-		defer constrainScratchPool.Put(sc)
-	}
-	ck := &Checkpoint{
-		Align:  automata.CloneString(align),
-		states: nt.States,
-		n:      v.N,
-		zdim:   len(align) + 1,
-		nt:     nt,
-		v:      v,
-		b:      b,
-		gated:  b != nil,
-	}
-	vw, built, err := materialize(p, ck, sc)
-	if err != nil {
-		return nil, err
-	}
-	ck.nt, ck.v, ck.b = nil, nil, nil
-	ck.matLayers.Store(uint64(built))
-	if b != nil {
-		b.eagerLayers.Add(uint64(built))
-	}
-	ck.view.Store(vw)
-	return ck, nil
 }
 
 // alignMemo fills sc.zstep with the alignStep results of every
@@ -1644,17 +1601,12 @@ func (sc *ConstrainScratch) survive(heads []int32, n, start, pastSize int, back 
 }
 
 // ConstrainedViterbi solves the constrained top-answer problem from
-// scratch: a checkpoint aligned to the constraint's own prefix followed
-// by a resume, gated and pruned by b when it is non-nil (nil runs the
-// exhaustive sweep). The checkpoint is discarded; enumeration layers
-// that reuse checkpoints across Lawler children call
-// BuildCheckpointBoundedCtx and ResumeConstrainedBoundedCtx directly.
+// scratch: a resume against a fresh checkpoint handle aligned to the
+// constraint's own prefix, gated and pruned by b when it is non-nil (nil
+// runs the exhaustive sweep). The checkpoint is discarded; enumeration
+// layers that reuse checkpoints across Lawler children call
+// NewLazyCheckpoint and ResumeConstrainedBoundedCtx directly.
 func ConstrainedViterbi(nt *NFATables, v *SeqView, c transducer.Constraint, b *Bounds, sc *ConstrainScratch) (out, nodes []automata.Symbol, states []int, logp float64, ok bool) {
-	if sc == nil {
-		sc = constrainScratchPool.Get().(*ConstrainScratch)
-		defer constrainScratchPool.Put(sc)
-	}
-	ck, _ := buildCheckpoint(nil, nt, v, c.Prefix, b, sc)
-	out, nodes, states, logp, ok, _, _ = resumeConstrained(nil, nt, v, ck, c, b, nil, nil, sc)
+	out, nodes, states, logp, ok, _, _ = resumeConstrained(nil, nt, v, NewLazyCheckpoint(nt, v, c.Prefix, b), c, b, nil, nil, sc)
 	return out, nodes, states, logp, ok
 }

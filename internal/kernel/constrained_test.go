@@ -122,7 +122,7 @@ func TestResumeMatchesFromScratch(t *testing.T) {
 		nt := kernel.NewNFATables(tr)
 		v := m.View()
 		for _, o := range answers(tr, m) {
-			ck, _ := kernel.BuildCheckpointBoundedCtx(context.Background(), nt, v, o, nil, nil)
+			ck := kernel.NewLazyCheckpoint(nt, v, o, nil)
 			kids := transducer.Unconstrained().Children(o)
 			// Nested children exercise deeper prefixes against the same
 			// checkpoint (their prefixes still align with o).

@@ -1,8 +1,8 @@
 // Differential tests for lazy checkpoint materialization at the kernel
 // level: a lazy handle must materialize nothing until a resume touches
-// it, the DP it then builds must be the one the eager build would have
-// produced (bit-identical resumes), a recycled checkpoint must refuse to
-// serve, and steady-state resumes through a warm scratch must not
+// it, the DP it then builds must be the one a handle materialized up
+// front holds (bit-identical resumes), a recycled checkpoint must refuse
+// to serve, and steady-state resumes through a warm scratch must not
 // allocate beyond the returned answer slices.
 package kernel_test
 
@@ -20,9 +20,9 @@ import (
 // TestLazyCheckpointMatchesEager is the kernel half of the lazy
 // determinism contract: for every answer o, resuming each Lawler child
 // through a lazy handle is bit-identical (answer bytes, evidence,
-// states, score) to resuming through the eagerly built checkpoint, the
-// handle stays empty until the first resume, and one touch materializes
-// exactly the layers the eager build relaxed.
+// states, score) to resuming through a checkpoint materialized before
+// its first resume, the handle stays empty until the first resume, and
+// one touch materializes exactly the layers the up-front build relaxed.
 func TestLazyCheckpointMatchesEager(t *testing.T) {
 	ctx := context.Background()
 	in := automata.MustAlphabet("a", "b")
@@ -35,9 +35,9 @@ func TestLazyCheckpointMatchesEager(t *testing.T) {
 		v := m.View()
 		b := kernel.NewBounds(nt, v)
 		for _, o := range answers(tr, m) {
-			eager, err := kernel.BuildCheckpointBoundedCtx(ctx, nt, v, o, b, nil)
+			pre, err := kernel.MaterializedCheckpoint(ctx, nt, v, o, b, nil)
 			if err != nil {
-				t.Fatalf("trial %d: eager build: %v", trial, err)
+				t.Fatalf("trial %d: up-front build: %v", trial, err)
 			}
 			lazy := kernel.NewLazyCheckpoint(nt, v, o, b)
 			if got := lazy.MaterializedLayers(); got != 0 {
@@ -51,44 +51,45 @@ func TestLazyCheckpointMatchesEager(t *testing.T) {
 				if err != nil {
 					t.Fatalf("trial %d %v: lazy resume: %v", trial, c, err)
 				}
-				eo, en, es, elp, eok, err := kernel.ResumeConstrainedBoundedCtx(ctx, nt, v, eager, c, b, nil)
+				eo, en, es, elp, eok, err := kernel.ResumeConstrainedBoundedCtx(ctx, nt, v, pre, c, b, nil)
 				if err != nil {
-					t.Fatalf("trial %d %v: eager resume: %v", trial, c, err)
+					t.Fatalf("trial %d %v: pre-materialized resume: %v", trial, c, err)
 				}
 				if lok != eok {
-					t.Fatalf("trial %d %v: lazy ok=%v eager ok=%v", trial, c, lok, eok)
+					t.Fatalf("trial %d %v: lazy ok=%v pre-materialized ok=%v", trial, c, lok, eok)
 				}
 				if !lok {
 					continue
 				}
 				if llp != elp {
-					t.Fatalf("trial %d %v: lazy score %v != eager %v (must be bit-identical)", trial, c, llp, elp)
+					t.Fatalf("trial %d %v: lazy score %v != pre-materialized %v (must be bit-identical)", trial, c, llp, elp)
 				}
 				if automata.StringKey(lo) != automata.StringKey(eo) {
-					t.Fatalf("trial %d %v: lazy answer %v != eager %v", trial, c, lo, eo)
+					t.Fatalf("trial %d %v: lazy answer %v != pre-materialized %v", trial, c, lo, eo)
 				}
 				if automata.StringKey(ln) != automata.StringKey(en) {
-					t.Fatalf("trial %d %v: lazy nodes %v != eager %v", trial, c, ln, en)
+					t.Fatalf("trial %d %v: lazy nodes %v != pre-materialized %v", trial, c, ln, en)
 				}
 				for i := range ls {
 					if ls[i] != es[i] {
-						t.Fatalf("trial %d %v: lazy states %v != eager %v", trial, c, ls, es)
+						t.Fatalf("trial %d %v: lazy states %v != pre-materialized %v", trial, c, ls, es)
 					}
 				}
 			}
-			if got, want := lazy.MaterializedLayers(), eager.MaterializedLayers(); got != want {
-				t.Fatalf("trial %d: lazy handle materialized %d layers, eager build relaxed %d", trial, got, want)
+			if got, want := lazy.MaterializedLayers(), pre.MaterializedLayers(); got != want {
+				t.Fatalf("trial %d: lazy handle materialized %d layers, up-front build relaxed %d", trial, got, want)
 			}
-			if got, want := lazy.Cells(), eager.Cells(); got != want {
-				t.Fatalf("trial %d: lazy view holds %d cells, eager %d", trial, got, want)
+			if got, want := lazy.Cells(), pre.Cells(); got != want {
+				t.Fatalf("trial %d: lazy view holds %d cells, pre-materialized %d", trial, got, want)
 			}
 		}
 	}
 }
 
-// TestRecycledCheckpointPanics pins the Recycle contract: a checkpoint
-// whose layer storage has been returned to a scratch freelist must not
-// serve another resume — it panics instead of reading recycled memory.
+// TestRecycledCheckpointPanics pins the Recycle contract: a recycled
+// checkpoint must not serve another resume. A materialized one panics
+// instead of reading recycled memory, and an untouched lazy handle
+// panics instead of silently rebuilding its DP.
 func TestRecycledCheckpointPanics(t *testing.T) {
 	in := automata.MustAlphabet("a", "b")
 	out := automata.MustAlphabet("x", "y")
@@ -107,14 +108,27 @@ func TestRecycledCheckpointPanics(t *testing.T) {
 		}
 	}
 	sc := &kernel.ConstrainScratch{}
-	ck, _ := kernel.BuildCheckpointBoundedCtx(context.Background(), nt, v, o, nil, sc)
-	sc.Recycle(ck)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("resume against a recycled checkpoint did not panic")
-		}
-	}()
-	kernel.ResumeConstrainedBoundedCtx(context.Background(), nt, v, ck, transducer.Unconstrained(), nil, sc)
+	materialized, err := kernel.MaterializedCheckpoint(context.Background(), nt, v, o, nil, sc)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		ck   *kernel.Checkpoint
+	}{
+		{"materialized", materialized},
+		{"untouched", kernel.NewLazyCheckpoint(nt, v, o, nil)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc.Recycle(tc.ck)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("resume against a recycled checkpoint did not panic")
+				}
+			}()
+			kernel.ResumeConstrainedBoundedCtx(context.Background(), nt, v, tc.ck, transducer.Unconstrained(), nil, sc)
+		})
+	}
 }
 
 // lazyAllocWorkload builds a fixed random workload, its bounds, an
@@ -136,7 +150,7 @@ func lazyAllocWorkload(t *testing.T) (nt *kernel.NFATables, v *kernel.SeqView, b
 		if !ok {
 			continue
 		}
-		ck, _ := kernel.BuildCheckpointBoundedCtx(context.Background(), nt, v, o, nil, sc)
+		ck := kernel.NewLazyCheckpoint(nt, v, o, nil)
 		for _, kid := range transducer.Unconstrained().Children(o) {
 			if _, _, _, _, kok, _ := kernel.ResumeConstrainedBoundedCtx(context.Background(), nt, v, ck, kid, nil, sc); kok {
 				return nt, v, b, o, kid, sc
@@ -154,7 +168,7 @@ func lazyAllocWorkload(t *testing.T) (nt *kernel.NFATables, v *kernel.SeqView, b
 // come from the scratch.
 func TestResumeSteadyStateAllocs(t *testing.T) {
 	nt, v, b, o, c, sc := lazyAllocWorkload(t)
-	ck, err := kernel.BuildCheckpointBoundedCtx(context.Background(), nt, v, o, b, sc)
+	ck, err := kernel.MaterializedCheckpoint(context.Background(), nt, v, o, b, sc)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -181,7 +195,7 @@ func TestResumeSteadyStateAllocs(t *testing.T) {
 func TestBuildRecycleSteadyStateAllocs(t *testing.T) {
 	nt, v, b, o, _, sc := lazyAllocWorkload(t)
 	step := func() {
-		ck, err := kernel.BuildCheckpointBoundedCtx(context.Background(), nt, v, o, b, sc)
+		ck, err := kernel.MaterializedCheckpoint(context.Background(), nt, v, o, b, sc)
 		if err != nil {
 			t.Fatalf("build: %v", err)
 		}

@@ -47,7 +47,6 @@ type Bounds struct {
 	candsSkipped  atomic.Uint64
 	cellsSkipped  atomic.Uint64
 	lazyLayers    atomic.Uint64
-	eagerLayers   atomic.Uint64
 	lazyHandles   atomic.Uint64
 }
 
@@ -71,11 +70,11 @@ type PruneStats struct {
 	// edge fan-out was skipped by the selection threshold (their
 	// candidates are not in CandsSkipped — they were never enumerated).
 	BoundaryCellsSkipped uint64
-	// LazyLayers counts checkpoint DP layers materialized on demand by
-	// lazy handles; EagerLayers counts layers built eagerly. LazyHandles
-	// counts lazy handles created: LazyHandles·n − LazyLayers is the
-	// prefix DP the deferral skipped outright.
-	LazyLayers, EagerLayers, LazyHandles uint64
+	// LazyLayers counts checkpoint DP layers materialized by gated
+	// checkpoint handles on their first touch; LazyHandles counts gated
+	// handles created: LazyHandles·n − LazyLayers is the prefix DP the
+	// deferral skipped outright.
+	LazyLayers, LazyHandles uint64
 	// HandlesSkipped counts lazy checkpoint handles that were carried
 	// across an append extension without ever having relaxed a DP layer:
 	// the previous drain emitted its answers while every child aligned to
@@ -106,9 +105,24 @@ func (b *Bounds) Stats() PruneStats {
 		CandsSkipped:         b.candsSkipped.Load(),
 		BoundaryCellsSkipped: b.cellsSkipped.Load(),
 		LazyLayers:           b.lazyLayers.Load(),
-		EagerLayers:          b.eagerLayers.Load(),
 		LazyHandles:          b.lazyHandles.Load(),
 	}
+}
+
+// Add returns the field-wise sum of s and o.
+func (s PruneStats) Add(o PruneStats) PruneStats {
+	s.PrunedCells += o.PrunedCells
+	s.VisitedCells += o.VisitedCells
+	s.Resolves += o.Resolves
+	s.CandsSelected += o.CandsSelected
+	s.CandsSkipped += o.CandsSkipped
+	s.BoundaryCellsSkipped += o.BoundaryCellsSkipped
+	s.LazyLayers += o.LazyLayers
+	s.LazyHandles += o.LazyHandles
+	s.HandlesSkipped += o.HandlesSkipped
+	s.RankedReused += o.RankedReused
+	s.RankedReseeded += o.RankedReseeded
+	return s
 }
 
 // addStats folds one kernel call's locally accumulated counters in.
@@ -151,8 +165,9 @@ func (b *Bounds) Row(i int) []float64 {
 // building Bounds for a single top-k drain: the backward sweep plus
 // the bounded kernels' candidate bookkeeping cost more than the
 // pruning saves on very short views (measured crossover ≈ 32 events
-// on the RFID serving workload). Long-lived evaluators that amortize
-// one build over many resolves can ignore it.
+// on the RFID serving workload). Two callers select on it: core engines
+// pass nil bounds below it (ranked.WithBounds(nil), the exhaustive
+// sweep), and ranked.Sweeper builds no bounds for shorter windows.
 const BoundsMinN = 32
 
 // NewBounds computes the pushed weights for the pair (nt, v): one

@@ -78,11 +78,8 @@ func TestResumeBoundedDifferential(t *testing.T) {
 		nt, v, m, tr := randomInstance(rng)
 		b := kernel.NewBounds(nt, v)
 		for _, o := range answers(tr, m) {
-			bck, err := kernel.BuildCheckpointBoundedCtx(ctx, nt, v, o, b, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eck, _ := kernel.BuildCheckpointBoundedCtx(context.Background(), nt, v, o, nil, nil)
+			bck := kernel.NewLazyCheckpoint(nt, v, o, b)
+			eck := kernel.NewLazyCheckpoint(nt, v, o, nil)
 			for _, c := range transducer.Unconstrained().Children(o) {
 				if !automata.HasPrefix(o, c.Prefix) {
 					continue

@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 
 	"markovseq/internal/core"
+	"markovseq/internal/kernel"
 	"markovseq/internal/markov"
 )
 
@@ -76,44 +77,27 @@ type CacheStats struct {
 	// recompilation, and deliberately not counted as a miss or an
 	// invalidation.
 	Extensions uint64
-	// RankedPrunedCells / RankedVisitedCells / RankedResolves aggregate
-	// the weight-pushed pruning counters of the currently cached engines:
-	// frontier cells skipped vs. expanded, and kernel resolves, across
-	// their ranked enumerations and membership probes. They are a
+	// Ranked sums the kernel.PruneStats of the currently cached engines:
+	// the pruning, candidate-selection and lazy-checkpoint counters of
+	// their ranked enumerations and membership probes, plus the
+	// cross-append carry counters (RankedReused, RankedReseeded,
+	// HandlesSkipped) of enumerations carried by AppendEvents. It is a
 	// snapshot of the live cache — engines dropped by invalidation take
-	// their counts with them.
+	// their counts with them, so the sum can fall.
 	//
-	// These pruning counters, and the candidate-selection and
-	// lazy-checkpoint counters below, read zero for every query the
-	// store serves today: every transducer engine it binds is
-	// append-extendable (core.Prepared.ExtendValidated), whose resolves
-	// run unpruned; s-projector rankers are not Lawler-tree-based; and
-	// the store never calls the pruned membership probe
-	// (core.Engine.IsAnswer). Only the cross-append carry counters
-	// (RankedReused, RankedReseeded, RankedHandlesSkipped) move.
-	RankedPrunedCells, RankedVisitedCells, RankedResolves uint64
-	// RankedCandsSelected / RankedCandsSkipped aggregate the bounded
-	// candidate-selection counters: boundary-crossing candidates recorded
-	// vs. dropped at enumeration time because they could not reach the
-	// running optimum.
-	RankedCandsSelected, RankedCandsSkipped uint64
-	// RankedLazyLayers / RankedEagerLayers / RankedLazyHandles aggregate
-	// the lazy-checkpoint counters of the cached engines: DP layers
-	// materialized on demand vs. eagerly, and lazy handles created.
-	// RankedLazyHandles·n − RankedLazyLayers is the prefix DP the lazy
-	// path skipped outright.
-	RankedLazyLayers, RankedEagerLayers, RankedLazyHandles uint64
-	// RankedReused / RankedReseeded aggregate the cross-append ranked
-	// carry counters of the cached engines: previously emitted answers
-	// re-entered as exact singletons vs. unresolved subproblems
-	// re-entered with refreshed bounds when AppendEvents grew a stream
-	// under a cached ranked enumeration. RankedHandlesSkipped counts
-	// lazy checkpoint handles carried across appends without
-	// materialization.
-	RankedReused, RankedReseeded, RankedHandlesSkipped uint64
+	// Only the carry counters move for the queries the store serves
+	// today: every transducer engine it binds is append-extendable
+	// (core.Prepared.ExtendValidated), whose resolves run unpruned and
+	// whose checkpoints are ungated; s-projector rankers are not
+	// Lawler-tree-based; and the store never calls the pruned membership
+	// probe (core.Engine.IsAnswer).
+	Ranked kernel.PruneStats
 }
 
-// Stats returns a snapshot of the engine-cache counters.
+// Stats returns a snapshot of the engine-cache counters. It sums the
+// engines' counters outside db.mu: an engine's PruneStats waits for any
+// drain in progress on it, and holding the read lock across that wait
+// would let one queued writer stall every other query of the store.
 func (db *DB) Stats() CacheStats {
 	s := CacheStats{
 		Hits:          db.stats.hits.Load(),
@@ -122,21 +106,14 @@ func (db *DB) Stats() CacheStats {
 		Extensions:    db.stats.extensions.Load(),
 	}
 	db.mu.RLock()
+	engs := make([]*core.Engine, 0, len(db.engines))
 	for _, ent := range db.engines {
-		ps := ent.eng.PruneStats()
-		s.RankedPrunedCells += ps.PrunedCells
-		s.RankedVisitedCells += ps.VisitedCells
-		s.RankedResolves += ps.Resolves
-		s.RankedCandsSelected += ps.CandsSelected
-		s.RankedCandsSkipped += ps.CandsSkipped
-		s.RankedLazyLayers += ps.LazyLayers
-		s.RankedEagerLayers += ps.EagerLayers
-		s.RankedLazyHandles += ps.LazyHandles
-		s.RankedReused += ps.RankedReused
-		s.RankedReseeded += ps.RankedReseeded
-		s.RankedHandlesSkipped += ps.HandlesSkipped
+		engs = append(engs, ent.eng)
 	}
 	db.mu.RUnlock()
+	for _, eng := range engs {
+		s.Ranked = s.Ranked.Add(eng.PruneStats())
+	}
 	return s
 }
 

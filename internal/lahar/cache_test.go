@@ -1,15 +1,18 @@
 package lahar
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"markovseq/internal/automata"
 	"markovseq/internal/markov"
 	"markovseq/internal/paperex"
 	"markovseq/internal/regex"
+	"markovseq/internal/rfid"
 	"markovseq/internal/sproj"
 	"markovseq/internal/testutil"
 )
@@ -254,5 +257,87 @@ func TestSlidingTopKParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("window %d answer %d differs", i, j)
 			}
 		}
+	}
+}
+
+// TestStatsDuringDrainDoesNotStallStore: Stats must not hold the store
+// lock while it waits for an engine that is mid-drain. A Stats that did
+// would park a writer (PutStream) behind its read lock, and Go's RWMutex
+// then queues every later reader behind that writer, so one long drain
+// would stall a cached TopK on an unrelated stream until it ended. The
+// pauses only order the set-up (drain running, Stats waiting on it,
+// writer queued); the assertions wait on events.
+func TestStatsDuringDrainDoesNotStallStore(t *testing.T) {
+	f := rfid.Hospital(4, 2)
+	h := rfid.BuildHMM(f, rfid.DefaultNoise)
+	long, err := rfid.Simulate(h, 400, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, err := rfid.Simulate(h, 20, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := New()
+	db.RegisterTransducer("q", rfid.PlaceTransducer(f, "lab"))
+	for name, m := range map[string]*markov.Sequence{"long": long.Seq, "short": short.Seq} {
+		if err := db.PutStream(name, m); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.TopK(name, "q", 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		db.TopKCtx(ctx, "long", "q", 100000)
+	}()
+	statsDone, putDone, probeDone := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	defer func() {
+		cancel()
+		<-drained
+		<-statsDone
+		<-putDone
+		<-probeDone
+	}()
+	const pause = 100 * time.Millisecond
+	time.Sleep(pause)
+	go func() {
+		defer close(statsDone)
+		db.Stats()
+	}()
+	time.Sleep(pause)
+	go func() {
+		defer close(putDone)
+		if err := db.PutStream("other", short.Seq); err != nil {
+			t.Error(err)
+		}
+	}()
+	time.Sleep(pause)
+	start := time.Now()
+	go func() {
+		_, err := db.TopK("short", "q", 1)
+		probeDone <- err
+	}()
+	select {
+	case err := <-probeDone:
+		probeDone <- err
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-drained:
+		t.Fatal("a cached TopK on another stream waited for the whole drain")
+	case <-time.After(5 * time.Second):
+		t.Fatalf("a cached TopK on another stream stalled for %v behind Stats and a queued PutStream", time.Since(start))
+	}
+	select {
+	case <-putDone:
+	case <-drained:
+		t.Fatal("PutStream waited for the whole drain")
+	case <-time.After(5 * time.Second):
+		t.Fatal("PutStream stalled behind Stats")
 	}
 }

@@ -66,7 +66,7 @@ func TestRankedAppendGrid(t *testing.T) {
 						want := topKThroughTies(t, ref, "s", "q", k)
 						assertTopKMatches(t, fmt.Sprintf("%s L=%d", label, L), got, want, k)
 					}
-					if s := inc.Stats(); s.RankedReused == 0 {
+					if s := inc.Stats(); s.Ranked.RankedReused == 0 {
 						t.Fatalf("%s: incremental store carried no answers across appends: %+v", label, s)
 					}
 				}

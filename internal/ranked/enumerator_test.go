@@ -172,7 +172,7 @@ func TestEvaluatorConcurrentCalls(t *testing.T) {
 	for _, mode := range []struct {
 		name string
 		opts []Option
-	}{{"pruned", nil}, {"eager", []Option{WithEagerCheckpoints()}}, {"extendable", []Option{WithExtendable()}}} {
+	}{{"pruned", nil}, {"exhaustive", []Option{WithBounds(nil)}}, {"extendable", []Option{WithExtendable()}}} {
 		seq := NewEvaluator(tr, m, mode.opts...)
 		want := make([]evaluatorCall, len(calls))
 		for i, c := range calls {

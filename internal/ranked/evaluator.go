@@ -20,10 +20,11 @@ type Option func(*config)
 
 type config struct {
 	nt         *kernel.NFATables
-	exhaustive bool
-	eagerCk    bool
 	extendable bool
 	bounds     *kernel.Bounds
+	// boundsSet tells WithBounds(nil), the exhaustive sweep, from no
+	// WithBounds at all, which computes the potentials on first use.
+	boundsSet bool
 }
 
 // WithWorkers is a no-op: every enumeration resolves sequentially.
@@ -36,26 +37,18 @@ func WithWorkers(int) Option { return func(*config) {} }
 // builds them once at prepare time), avoiding a rebuild per evaluator.
 func WithTables(nt *kernel.NFATables) Option { return func(c *config) { c.nt = nt } }
 
-// WithExhaustive disables weight-pushed pruning, keeping the exhaustive
-// frontier sweep. The pruned kernel is bit-identical to it by
-// construction; this option exists as the differential reference and as
-// an escape hatch.
-func WithExhaustive() Option { return func(c *config) { c.exhaustive = true } }
-
-// WithEagerCheckpoints disables lazy checkpoint materialization: prefix
-// checkpoints are fully built when first requested, as before PR 8,
-// while weight-pushed pruning stays active. Lazy handles resume to
-// bit-identical answers by construction; this option exists as a
-// differential reference and as an escape hatch (e.g. to front-load
-// build cost outside a latency-critical drain). Implied by
-// WithExhaustive.
-func WithEagerCheckpoints() Option { return func(c *config) { c.eagerCk = true } }
-
-// WithBounds supplies pre-computed weight-pushed potentials for the
-// evaluator's (tables, sequence) pair, sharing one backward sweep across
-// evaluators and probes (core.Engine builds them once per binding).
-// Without it the evaluator computes its own on first use.
-func WithBounds(b *kernel.Bounds) Option { return func(c *config) { c.bounds = b } }
+// WithBounds supplies the weight-pushed potentials for the evaluator's
+// (tables, sequence) pair: the evaluator gates its checkpoints and
+// prunes its resolves exactly when it has potentials. A non-nil b
+// shares one backward sweep across evaluators and probes (core.Engine
+// builds them once per binding); nil runs the exhaustive sweep, which
+// the pruned kernel matches bit for bit (core.Engine selects it for
+// sequences shorter than kernel.BoundsMinN). Without this option the
+// evaluator computes its own potentials on first use. Ignored in
+// extendable mode.
+func WithBounds(b *kernel.Bounds) Option {
+	return func(c *config) { c.bounds, c.boundsSet = b, true }
+}
 
 // WithExtendable selects the append-extendable serving mode: resolves
 // run unpruned and retain their final past-zone frontier per
@@ -97,12 +90,9 @@ type Evaluator struct {
 	cache ckptCache
 
 	// bounds are the weight-pushed potentials driving checkpoint gating
-	// and resume pruning; nil when WithExhaustive selected the reference
-	// sweep. Built lazily (one backward pass) unless supplied. eagerCk
-	// forces full checkpoint builds at cache-miss time instead of lazy
-	// handles.
-	exhaustive bool
-	eagerCk    bool
+	// and resume pruning; nil when WithBounds(nil) selected the
+	// exhaustive sweep, and in extendable mode. Built lazily (one
+	// backward pass) unless supplied.
 	extendable bool
 	boundsOnce sync.Once
 	bounds     *kernel.Bounds
@@ -134,8 +124,8 @@ func NewEvaluator(t *transducer.Transducer, m *markov.Sequence, opts ...Option) 
 	if nt == nil {
 		nt = kernel.NewNFATables(t)
 	}
-	ev := &Evaluator{t: t, m: m, nt: nt, v: m.View(), exhaustive: cfg.exhaustive, eagerCk: cfg.eagerCk || cfg.exhaustive, extendable: cfg.extendable}
-	if !ev.exhaustive && !ev.extendable && cfg.bounds != nil {
+	ev := &Evaluator{t: t, m: m, nt: nt, v: m.View(), extendable: cfg.extendable}
+	if cfg.boundsSet && !cfg.extendable {
 		ev.bounds = cfg.bounds
 		ev.boundsOnce.Do(func() {})
 	}
@@ -153,11 +143,12 @@ func NewEvaluator(t *transducer.Transducer, m *markov.Sequence, opts ...Option) 
 func (ev *Evaluator) Tables() *kernel.NFATables { return ev.nt }
 
 // Bounds returns the evaluator's weight-pushed potentials, computing
-// them on first use; nil in exhaustive and extendable modes (an
-// extendable evaluator's retained state must be complete — unpruned
-// frontiers, ungated checkpoints — to stay admissible across appends).
+// them on first use unless WithBounds supplied them; nil after
+// WithBounds(nil) and in extendable mode (an extendable evaluator's
+// retained state must be complete — unpruned frontiers, ungated
+// checkpoints — to stay admissible across appends).
 func (ev *Evaluator) Bounds() *kernel.Bounds {
-	if ev.exhaustive || ev.extendable {
+	if ev.extendable {
 		return nil
 	}
 	ev.boundsOnce.Do(func() { ev.bounds = kernel.NewBounds(ev.nt, ev.v) })
@@ -177,38 +168,26 @@ func (ev *Evaluator) ExtendStats() (reused, reseeded, handlesSkipped uint64) {
 }
 
 // PruneStats reports the pruning-efficacy counters accumulated by the
-// evaluator's kernel calls (all zero in exhaustive mode).
+// evaluator's kernel calls: those of its potentials, so all zero while
+// it has none (WithBounds(nil), extendable mode).
 func (ev *Evaluator) PruneStats() kernel.PruneStats { return ev.bounds.Stats() }
 
-// checkpoint returns the cached checkpoint aligned to align, building
-// and caching it on a miss.
+// checkpoint returns the cached checkpoint handle aligned to align,
+// creating and caching one on a miss. Handles are O(1) and their DP is
+// materialized by the first resolve that reads it, so checkpoints of
+// parents whose children never reach the Lawler queue front are never
+// built at all, and a cancelled materialization publishes nothing and
+// is retried by the next resolve. Two concurrent public calls may both
+// miss on one alignment; put hands the later one the handle the earlier
+// one inserted, so both resume from one checkpoint.
 func (ev *Evaluator) checkpoint(align []automata.Symbol) *kernel.Checkpoint {
-	ck, _ := ev.checkpointCtx(context.Background(), align)
-	return ck
-}
-
-// checkpointCtx is checkpoint with cancellation. A cancelled eager build
-// caches nothing, so one request's deadline never poisons the cache for
-// the others. Two concurrent public calls may both miss on one
-// alignment; put hands the later one the checkpoint the earlier one
-// inserted, so both resume from one checkpoint.
-func (ev *Evaluator) checkpointCtx(ctx context.Context, align []automata.Symbol) (*kernel.Checkpoint, error) {
 	key := automata.StringKey(align)
 	if ck := ev.cache.get(key); ck != nil {
-		return ck, nil
+		return ck
 	}
 	var ck *kernel.Checkpoint
-	switch {
-	case ev.eagerCk:
-		var err error
-		if ck, err = kernel.BuildCheckpointBoundedCtx(ctx, ev.nt, ev.v, align, ev.Bounds(), nil); err != nil {
-			return nil, err
-		}
-	case ev.extendable:
-		// O(1), like every lazy handle: the DP is deferred until a resolve
-		// first reads a layer, so checkpoints of parents whose children
-		// never reach the Lawler queue front are never built at all. A new
-		// alignment here is almost always a freshly emitted answer
+	if ev.extendable {
+		// A new alignment here is almost always a freshly emitted answer
 		// extending an already-cached alignment by a symbol or two (its
 		// Lawler parent's output, or a sibling's): give the handle the
 		// longest cached strict-prefix donor so its build copies the
@@ -216,10 +195,10 @@ func (ev *Evaluator) checkpointCtx(ctx context.Context, align []automata.Symbol)
 		// already-materialized donor — deriving from one costs O(band) per
 		// position, while an unmaterialized donor builds first.
 		ck = kernel.NewLazyCheckpointFrom(ev.nt, ev.v, align, ev.donorFor(align))
-	default:
+	} else {
 		ck = kernel.NewLazyCheckpoint(ev.nt, ev.v, align, ev.Bounds())
 	}
-	return ev.cache.put(key, ck), nil
+	return ev.cache.put(key, ck)
 }
 
 // resolve solves the constrained top-answer problem for c against the
@@ -229,17 +208,14 @@ func (ev *Evaluator) resolve(c transducer.Constraint, align []automata.Symbol) (
 	return out, nodes, logE, ok
 }
 
-// resolveCtx is resolve with cancellation of both the checkpoint build
-// and the resume DP. In extendable mode the resume additionally
-// captures its final past-zone frontier and survivor store, retained
-// per constraint for the cross-append reseed; the next resolve of the
-// region after an append continues that capture over the appended
-// positions only, in O(appended suffix).
+// resolveCtx is resolve with cancellation of the resume DP, including
+// the checkpoint materialization it may trigger. In extendable mode the
+// resume additionally captures its final past-zone frontier and
+// survivor store, retained per constraint for the cross-append reseed;
+// the next resolve of the region after an append continues that capture
+// over the appended positions only, in O(appended suffix).
 func (ev *Evaluator) resolveCtx(ctx context.Context, c transducer.Constraint, align []automata.Symbol) (out, nodes []automata.Symbol, logE float64, ok bool, err error) {
-	ck, err := ev.checkpointCtx(ctx, align)
-	if err != nil {
-		return nil, nil, math.Inf(-1), false, err
-	}
+	ck := ev.checkpoint(align)
 	if ev.extendable {
 		key := constraintKey(c)
 		rs := new(kernel.ResumeState)

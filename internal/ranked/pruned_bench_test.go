@@ -35,25 +35,20 @@ func benchPrunedDrain(b *testing.B, opts ...Option) {
 	// PR 8 counters: bounded candidate selection (crossing candidates
 	// recorded vs. dropped against the running bound, boundary cells whose
 	// whole fan-out was skipped) and lazy checkpoint materialization
-	// (layers relaxed on demand vs. eagerly; the deferred gap is the DP
-	// the drain never paid for).
+	// (layers relaxed on demand; the deferred gap is the DP the drain
+	// never paid for).
 	b.ReportMetric(float64(st.CandsSelected), "cands-selected/op")
 	b.ReportMetric(float64(st.CandsSkipped), "cands-skipped/op")
 	b.ReportMetric(float64(st.BoundaryCellsSkipped), "cells-skipped/op")
 	b.ReportMetric(float64(st.LazyLayers), "lazy-layers/op")
-	b.ReportMetric(float64(st.EagerLayers), "eager-layers/op")
 	if st.LazyHandles > 0 {
 		deferred := st.LazyHandles*uint64(m.Len()) - st.LazyLayers
 		b.ReportMetric(float64(deferred), "ck-layers-deferred/op")
 	}
 }
 
-// BenchmarkRankedEagerCheckpoints isolates the lazy-materialization
-// delta: the same drain with checkpoints built at request time.
-func BenchmarkRankedEagerCheckpoints(b *testing.B) { benchPrunedDrain(b, WithEagerCheckpoints()) }
-
 func BenchmarkRankedPruned(b *testing.B)     { benchPrunedDrain(b) }
-func BenchmarkRankedExhaustive(b *testing.B) { benchPrunedDrain(b, WithExhaustive()) }
+func BenchmarkRankedExhaustive(b *testing.B) { benchPrunedDrain(b, WithBounds(nil)) }
 
 // TestPrunedBenchWorkloadSmoke keeps the benchmark pair honest under
 // plain `go test`: both paths emit the identical top-10 on the n=200
@@ -64,6 +59,6 @@ func TestPrunedBenchWorkloadSmoke(t *testing.T) {
 	}
 	tr, m := rfidRankedWorkload(t, 200)
 	got := drainAnswers(NewEnumerator(tr, m).Next, benchTopK)
-	want := drainAnswers(NewEnumerator(tr, m, WithExhaustive()).Next, benchTopK)
+	want := drainAnswers(NewEnumerator(tr, m, WithBounds(nil)).Next, benchTopK)
 	assertSameAnswerSequence(t, "rfid n=200 top-10", got, want)
 }

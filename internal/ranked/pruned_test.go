@@ -2,7 +2,7 @@
 // enumerator level: pruning is on by default and must be invisible — the
 // enumeration drained through the bounded kernels is required to be
 // bit-identical (outputs and Float64bits of every score) to the
-// exhaustive sweep behind WithExhaustive, across application workloads,
+// exhaustive sweep behind WithBounds(nil), across application workloads,
 // random instances, the Theorem 4.4 hardness adversaries, cancellation,
 // and append-then-rank.
 package ranked
@@ -65,7 +65,7 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 	testutil.CheckLeaks(t)
 	const cap = 40
 	for _, w := range prunedWorkloads(t) {
-		want := drainAnswers(NewEnumerator(w.t, w.m, WithExhaustive()).Next, cap)
+		want := drainAnswers(NewEnumerator(w.t, w.m, WithBounds(nil)).Next, cap)
 		got := drainAnswers(NewEnumerator(w.t, w.m).Next, cap)
 		assertSameAnswerSequence(t, w.name+" pruned", got, want)
 	}
@@ -77,7 +77,7 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 func TestPrunedResumeAfterCancel(t *testing.T) {
 	testutil.CheckLeaks(t)
 	for _, w := range prunedWorkloads(t) {
-		full := drainAnswers(NewEnumerator(w.t, w.m, WithExhaustive()).Next, 24)
+		full := drainAnswers(NewEnumerator(w.t, w.m, WithBounds(nil)).Next, 24)
 		if len(full) < 3 {
 			continue
 		}
@@ -124,28 +124,31 @@ func TestPrunedAppendThenRank(t *testing.T) {
 			}
 		}
 		got := drainAnswers(NewEnumerator(tr, grown).Next, 30)
-		want := drainAnswers(NewEnumerator(tr, full, WithExhaustive()).Next, 30)
+		want := drainAnswers(NewEnumerator(tr, full, WithBounds(nil)).Next, 30)
 		assertSameAnswerSequence(t, "append-then-rank", got, want)
 	}
 }
 
 // TestPruneStatsAccumulate pins the observability contract: a drained
-// pruned evaluator reports its bounded resolves (and visited cells),
-// while an exhaustive evaluator reports all zeros — the counters are
-// how operators confirm which kernel served a query.
+// pruned evaluator reports its bounded resolves (and visited cells) at
+// every length (kernel.BoundsMinN is for its callers to select on),
+// while an exhaustive evaluator reports all zeros — the counters are how
+// operators confirm which kernel served a query.
 func TestPruneStatsAccumulate(t *testing.T) {
-	tr, m := rfidRankedWorkload(t, 40)
+	for _, n := range []int{8, 40} {
+		tr, m := rfidRankedWorkload(t, n)
 
-	ev := NewEvaluator(tr, m)
-	drainAnswers(ev.Enumerate().Next, 15)
-	st := ev.PruneStats()
-	if st.Resolves == 0 || st.VisitedCells == 0 {
-		t.Fatalf("pruned evaluator reported no bounded work: %+v", st)
-	}
+		ev := NewEvaluator(tr, m)
+		drainAnswers(ev.Enumerate().Next, 15)
+		st := ev.PruneStats()
+		if st.Resolves == 0 || st.VisitedCells == 0 {
+			t.Fatalf("n=%d: pruned evaluator reported no bounded work: %+v", n, st)
+		}
 
-	ex := NewEvaluator(tr, m, WithExhaustive())
-	drainAnswers(ex.Enumerate().Next, 15)
-	if st := ex.PruneStats(); st.Resolves != 0 || st.PrunedCells != 0 || st.VisitedCells != 0 {
-		t.Fatalf("exhaustive evaluator accumulated pruning stats: %+v", st)
+		ex := NewEvaluator(tr, m, WithBounds(nil))
+		drainAnswers(ex.Enumerate().Next, 15)
+		if st := ex.PruneStats(); st.Resolves != 0 || st.PrunedCells != 0 || st.VisitedCells != 0 {
+			t.Fatalf("n=%d: exhaustive evaluator accumulated pruning stats: %+v", n, st)
+		}
 	}
 }

@@ -8,9 +8,13 @@
 //     (kernel.ConstrainedViterbi), with no per-call product transducer.
 //
 //   - Evaluator caches the base tables, the sequence view, and a bounded
-//     LRU of prefix checkpoints for one (transducer, sequence) pair, so
-//     repeated per-answer calls (Emax, BestEvidence) and the Lawler
-//     children of each printed answer reuse the shared-prefix DP work.
+//     LRU of lazy prefix-checkpoint handles for one (transducer,
+//     sequence) pair, so repeated per-answer calls (Emax, BestEvidence)
+//     and the Lawler children of each printed answer reuse the
+//     shared-prefix DP work. It gates checkpoints and prunes resolves
+//     with weight-pushed potentials exactly when it has them: computed
+//     on first use by default, supplied by WithBounds(b), none after
+//     WithBounds(nil) (the exhaustive sweep) or WithExtendable.
 //
 //   - Enumerator yields A^ω(μ) in decreasing E_max with polynomial delay
 //     (Theorem 4.3), via the generic Lawler–Murty core (internal/lawler):
@@ -80,8 +84,7 @@ type Enumerator struct {
 }
 
 // NewEnumerator prepares the decreasing-E_max enumeration of the answers
-// of t over m. Options: WithTables, WithExhaustive, WithEagerCheckpoints,
-// WithExtendable, WithBounds.
+// of t over m. Options: WithTables, WithBounds, WithExtendable.
 func NewEnumerator(t *transducer.Transducer, m *markov.Sequence, opts ...Option) *Enumerator {
 	return NewEvaluator(t, m, opts...).Enumerate()
 }

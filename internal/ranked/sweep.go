@@ -24,8 +24,9 @@ import (
 //     symbol content;
 //   - no locks: a Sweeper is single-goroutine by contract (parallel
 //     window fan-out uses one Sweeper per worker);
-//   - one ConstrainScratch reused across every checkpoint build and
-//     resume of the sweep, instead of per-call pool round trips.
+//   - one ConstrainScratch reused across every checkpoint
+//     materialization and resume of the sweep, instead of per-call pool
+//     round trips.
 //
 // Checkpoints never leak across windows: TopK resets the ring, since a
 // checkpoint is only meaningful against the view it was built from.
@@ -80,27 +81,18 @@ func sameAlign(a, b []automata.Symbol) bool {
 	return true
 }
 
-func (s *Sweeper) checkpoint(ctx context.Context, v *kernel.SeqView, align []automata.Symbol) (*kernel.Checkpoint, error) {
+// checkpoint returns the ring's handle aligned to align, adding one on a
+// miss. The window's drain materializes the DP only if a resolve reads
+// it, drawing from s.sc's slab freelist, and Recycle returns it there.
+func (s *Sweeper) checkpoint(v *kernel.SeqView, align []automata.Symbol) *kernel.Checkpoint {
 	for i := range s.ring {
 		if sameAlign(s.ring[i].align, align) {
-			return s.ring[i].ck, nil
+			return s.ring[i].ck
 		}
 	}
-	var ck *kernel.Checkpoint
-	if s.cur != nil {
-		// Lazy handle: the window's drain materializes (a z-capped slice
-		// of) the DP only if a resolve actually reads it; the build draws
-		// from and Recycle returns to s.sc's slab freelist either way.
-		ck = kernel.NewLazyCheckpoint(s.nt, v, align, s.cur)
-	} else {
-		var err error
-		ck, err = kernel.BuildCheckpointBoundedCtx(ctx, s.nt, v, align, s.cur, &s.sc)
-		if err != nil {
-			return nil, err
-		}
-	}
+	ck := kernel.NewLazyCheckpoint(s.nt, v, align, s.cur)
 	s.ring = append(s.ring, sweepCkpt{align: align, ck: ck})
-	return ck, nil
+	return ck
 }
 
 // TopK returns the k highest-E_max answers of the sweeper's transducer
@@ -133,11 +125,7 @@ func (s *Sweeper) TopK(ctx context.Context, m *markov.Sequence, k int) ([]Answer
 		s.cur = s.b
 	}
 	en := lawler.New(lawlerConfig(func(ctx context.Context, c transducer.Constraint, align []automata.Symbol) (Answer, bool, error) {
-		ck, err := s.checkpoint(ctx, v, align)
-		if err != nil {
-			return Answer{}, false, err
-		}
-		o, _, _, logE, ok, err := kernel.ResumeConstrainedBoundedCtx(ctx, s.nt, v, ck, c, s.cur, &s.sc)
+		o, _, _, logE, ok, err := kernel.ResumeConstrainedBoundedCtx(ctx, s.nt, v, s.checkpoint(v, align), c, s.cur, &s.sc)
 		return Answer{Output: o, LogEmax: logE}, ok, err
 	}))
 	out := make([]Answer, 0, k)
