@@ -31,10 +31,12 @@ cover:
 # percentiles; reference vs incremental) into
 # BENCH_ranked.json, and the cold sliding-window / fleet sweep (windows
 # per second and streams per second land in each result's "extra" map)
-# into BENCH_sliding.json, and the append-only ingestion pair
-# (incremental AppendEvents + resident watcher vs wholesale
-# PutStream-rebuild; events per second in "extra") into
-# BENCH_append.json.
+# into BENCH_sliding.json (with BenchmarkSlidingTopKSparse, the
+# sweep over a stream whose windows are half answerless), and the
+# append-only ingestion pair (incremental AppendEvents + resident
+# watcher vs wholesale PutStream-rebuild; events per second in "extra")
+# into BENCH_append.json. Sliding, ranked and append each have a
+# committed BENCH_<p>.base.json that `make verify` gates against.
 bench:
 	$(GO) test -run '^$$' -bench 'Kernel|Lahar' -benchmem ./... | $(GO) run ./cmd/benchjson -o BENCH_conf.json
 	$(GO) test -run '^$$' -bench 'Ranked' -benchmem ./internal/ranked/ | $(GO) run ./cmd/benchjson -o BENCH_ranked.json
@@ -46,6 +48,7 @@ bench:
 #
 #   make benchcmp OLD=BENCH_sliding.base.json NEW=BENCH_sliding.json
 #   make benchcmp OLD=BENCH_ranked.base.json NEW=BENCH_ranked.json MATCH=Ranked
+#   make benchcmp OLD=BENCH_append.base.json NEW=BENCH_append.json MATCH=AppendEvents
 OLD ?= BENCH_sliding.base.json
 NEW ?= BENCH_sliding.json
 MATCH ?= SlidingTopK|TopKAcross
@@ -69,7 +72,8 @@ slo-smoke:
 # The CI gate: vet + full race suite, a fuzz smoke pass, the SLO smoke
 # gate (skippable with SKIP_SLO=1 on machines too noisy to trust
 # latency budgets), and a benchmark-regression check for every pair
-# with a committed baseline.
+# with a committed baseline: sliding, ranked, append (AppendEvents
+# only — AppendRebuild runs too few iterations to gate) and slo.
 # Baselines are opt-in (rename a BENCH_<p>.json from a trusted run to
 # BENCH_<p>.base.json) so a fresh checkout still verifies cleanly — but
 # once a baseline exists the check is REQUIRED: a missing regenerated
@@ -82,11 +86,12 @@ verify: race fuzz-smoke
 	else \
 		$(MAKE) slo-smoke || exit 1; \
 	fi
-	@for p in sliding ranked slo; do \
+	@for p in sliding ranked append slo; do \
 		base=BENCH_$$p.base.json; new=BENCH_$$p.json; \
 		case $$p in \
 			sliding) match='SlidingTopK|TopKAcross';; \
 			ranked)  match='Ranked';; \
+			append)  match='AppendEvents';; \
 			slo)     match='SLO';; \
 		esac; \
 		if [ ! -f $$base ]; then \
@@ -141,6 +146,7 @@ fuzz:
 	$(GO) test ./internal/codec -fuzz FuzzDecodeTransducer -fuzztime 30s
 	$(GO) test ./internal/conf -fuzz FuzzSequenceValidate -fuzztime 30s
 	$(GO) test ./internal/slo -fuzz FuzzSLOScenarioConfig -fuzztime 30s
+	$(GO) test ./internal/lahar -fuzz FuzzSlidingWindows -fuzztime 30s
 
 # Quick per-target fuzz pass (a few seconds each; -run '^$$' skips the
 # unit tests so each invocation is pure fuzzing) — cheap enough for CI.
@@ -150,6 +156,7 @@ fuzz-smoke:
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzDecodeTransducer -fuzztime 3s
 	$(GO) test ./internal/conf -run '^$$' -fuzz FuzzSequenceValidate -fuzztime 3s
 	$(GO) test ./internal/slo -run '^$$' -fuzz FuzzSLOScenarioConfig -fuzztime 3s
+	$(GO) test ./internal/lahar -run '^$$' -fuzz FuzzSlidingWindows -fuzztime 3s
 
 clean:
 	$(GO) clean ./...

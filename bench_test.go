@@ -547,7 +547,7 @@ func BenchmarkLaharTopKCached(b *testing.B) {
 // BenchmarkSlidingTopK measures one cold sliding sweep per iteration on
 // the ISSUE workload: RFID hospital, 200-step stream, window 8, stride
 // 1, k = 3 (193 windows). "sweep" is the amortized path (zero-copy
-// windows, operator gate, per-window sweeper), "reference" the
+// windows, one ranked sweeper for every window), "reference" the
 // bind-per-window baseline it must match bit for bit
 // (TestSlidingSWAGMatchesReference), "sweep-parallel" the amortized path
 // with window fan-out. PutStream before each iteration bumps the stream
@@ -673,9 +673,9 @@ func appendBenchWorkload(b *testing.B) (*markov.Sequence, []Event, *transducer.T
 
 // BenchmarkAppendEvents measures the incremental ingestion path: a
 // standing WatchSlidingTopK subscription holds its window state
-// resident, each AppendEvents extends the cached engine in place
-// (forward marginals and SWAG stacks grow by one position), and the
-// subscriber reads exactly one fresh window delta per event. Setup —
+// resident, each AppendEvents grows its forward marginals by one row
+// and ranks the one window the event completes, and the subscriber
+// reads exactly one fresh window delta per event. Setup —
 // storing the prefix, registering the watcher, draining its catch-up
 // deltas — runs outside the timer; the timed region is the steady
 // state: one event in, one ranked delta out.

@@ -4,127 +4,110 @@ import (
 	"context"
 	"math"
 
-	"markovseq/internal/kernel"
 	"markovseq/internal/markov"
 	"markovseq/internal/ranked"
 )
 
-// Sliding-window sweep evaluation. The serving layer's SlidingTopK used
-// to rebind a fresh engine per window and redo the full window DP per
-// slide; a WindowRun instead walks the stream once:
+// Sliding-window evaluation. The serving layer's SlidingTopK used to
+// rebind a fresh engine per window and redo the full window DP per
+// slide; a StreamRun instead walks the stream once, and the same cursor
+// serves a frozen sweep and a live watcher whose stream keeps growing:
 //
 //   - window extraction is zero-copy (markov.Windower.SharedWindow: the
 //     parent's transition matrices and compiled CSR steps are shared, so
 //     a window costs O(|Σ|) instead of O(w·|Σ|²));
-//   - a kernel.WindowEvaluator maintains the composed MaxLog step
-//     operator of the current window with two-stack sliding-window
-//     aggregation (amortized O(1) operator combines per stride advance)
-//     and yields each window's frontier, whose accepting reachability
-//     gates the per-window top-k: a window with no structurally
-//     reachable accepting cell provably has no answers at any k, so it
-//     is skipped without binding anything — an exact (float-independent)
-//     optimization. The gate is adaptive: composing operators costs
-//     more per window than the savings on workloads where every window
-//     has answers, so after gateProbeWindows consecutive non-empty
-//     windows the gate drops out for the rest of the sweep (results are
-//     exact either way — the gate only ever skips provably-empty work);
+//   - the only resident DP state is the windower's forward marginals,
+//     grown by O(|Σ|²) per appended event (markov.Windower.Extend) and
+//     reclaimed behind the cursor (see Next);
 //   - for transducer plans, per-window top-k runs on a ranked.Sweeper —
 //     the lean sequential form of the ranked enumerator — instead of a
 //     full Engine with its mutex, memo, and checkpoint LRU. The emitted
-//     answers are bit-identical to the engine path. Other plan classes
-//     fall back to a per-window engine over the shared window.
-type WindowRun struct {
+//     answers are bit-identical to the engine path, and an answerless
+//     window costs the sweeper about one pass over it, because its
+//     drain finds no root answer. Other plan classes fall back to a
+//     per-window engine over the shared window.
+//
+// Yielded windows are bit-identical to a fresh run over the extended
+// sequence (shared CSR steps and identical marginal arithmetic preserve
+// value bits).
+
+// StreamRun is a sliding-window cursor: it yields every complete window
+// of the current sequence, returns ok=false when it has caught up with
+// the frontier, and resumes after each Extend. It is a sequential cursor
+// owned by one goroutine at a time; Extend and Next must be serialized by
+// the caller. Per-window top-k (NewEval) may then be fanned out.
+type StreamRun struct {
 	pr             *Prepared
-	wr             *markov.Windower
-	gate           *kernel.WindowEvaluator // nil for non-transducer plans or a dropped gate
-	gateHits       int                     // empty windows the gate found so far
-	n              int
+	wr             *markov.Windower // covers the current sequence
 	window, stride int
-	count          int
 	idx            int // next window index
 	start          int // next window start position, 1-based
 }
 
-// gateProbeWindows is the adaptive-gate probe length: the emptiness gate
-// runs for this many windows, and if none of them was empty it is
-// dropped for the remainder of the sweep. On dense workloads (every
-// window has answers) the gate's operator composes are pure overhead;
-// on sparse ones (a selective transducer over a long stream) each empty
-// window it catches saves a full ranked enumeration. A handful of
-// windows is enough to tell the regimes apart.
-const gateProbeWindows = 8
-
-// Window is one window of a sweep. Empty means the gate proved the
-// window has no answers for any k (no accepting cell of the base
-// transducer is reachable); Seq is nil in that case.
+// Window is one window of a sweep, answerless or not.
 type Window struct {
 	Index      int
 	Start, End int // 1-based inclusive stream positions
-	Empty      bool
-	// Seq is the window's marginal sequence as a zero-copy overlay of
-	// the stream (read-only; see markov.Windower.SharedWindow).
+	// Seq is the window's marginal sequence, never nil, as a zero-copy
+	// overlay of the stream (read-only; see markov.Windower.SharedWindow).
 	Seq *markov.Sequence
 }
 
 // Windows starts a sliding sweep of m with the given window and stride
-// (both ≥ 1; window > m.Len() yields an empty run). The run is a
-// sequential cursor — call Next from one goroutine; per-window top-k
-// (NewEval) may then be fanned out.
-func (pr *Prepared) Windows(m *markov.Sequence, window, stride int) *WindowRun {
+// (both ≥ 1). The sequence may be shorter than the window; windows are
+// yielded as Extend grows it past the threshold.
+func (pr *Prepared) Windows(m *markov.Sequence, window, stride int) *StreamRun {
 	if window < 1 || stride < 1 {
 		panic("core: Windows window and stride must be >= 1")
 	}
-	r := &WindowRun{
-		pr:     pr,
-		wr:     m.Windower(),
-		n:      m.Len(),
-		window: window,
-		stride: stride,
-		start:  1,
-	}
-	if r.n >= window {
-		r.count = (r.n-window)/stride + 1
-	}
-	// The gate runs the base transducer's MaxLog operator product over
-	// the raw stream view. It is exact for transducer plans: the ranked
-	// enumeration's answers are exactly the outputs of accepting runs
-	// over positive-probability worlds, so "no accepting cell reachable"
-	// ⟺ "top-k empty for every k". S-projector plans rank by different
-	// scores (confidence / I_max) whose emptiness we do not gate here.
-	if pr.t != nil && r.count > 0 {
-		r.gate = kernel.NewWindowEvaluator(pr.baseNT, m.View(), r.wr, window, stride, kernel.MaxLog)
-	}
-	return r
+	return &StreamRun{pr: pr, wr: m.Windower(), window: window, stride: stride, start: 1}
 }
 
-// Len returns the total number of windows of the sweep.
-func (r *WindowRun) Len() int { return r.count }
+// Deprecated: StreamWindows is an alias of Windows.
+func (pr *Prepared) StreamWindows(m *markov.Sequence, window, stride int) *StreamRun {
+	return pr.Windows(m, window, stride)
+}
 
-// Next yields the next window, or ok=false when the sweep is done.
-func (r *WindowRun) Next() (Window, bool) {
-	if r.idx >= r.count {
+// Len returns the number of complete windows of the current sequence,
+// yielded or not.
+func (r *StreamRun) Len() int {
+	if n := r.wr.Len(); n >= r.window {
+		return (n-r.window)/r.stride + 1
+	}
+	return 0
+}
+
+// Extend grows the sweep over m2, an extension of the current sequence
+// (markov.Sequence.Extended). Only the appended positions' marginals are
+// computed; every already-yielded window carries over.
+func (r *StreamRun) Extend(m2 *markov.Sequence) { r.wr.Extend(m2) }
+
+// Next yields the next complete window, or ok=false once the cursor has
+// caught up with the stream frontier (call again after Extend).
+//
+// Marginal rows older than the next window's start are reclaimed after
+// each yield (markov.Windower.EvictBefore): no future window or Extend
+// can read them, so a caught-up watcher holds O(window) resident
+// marginal state no matter how long the stream has run.
+func (r *StreamRun) Next() (Window, bool) {
+	end := r.start + r.window - 1
+	if end > r.wr.Len() {
 		return Window{}, false
 	}
-	w := Window{Index: r.idx, Start: r.start, End: r.start + r.window - 1}
-	if r.gate != nil {
-		wf, ok := r.gate.Next()
-		if !ok || wf.Start != w.Start {
-			panic("core: window gate out of sync with sweep cursor")
-		}
-		w.Empty = !wf.NonEmpty
-		if w.Empty {
-			r.gateHits++
-		} else if r.idx+1 >= gateProbeWindows && r.gateHits == 0 {
-			r.gate = nil // dense sweep: gating costs more than it saves
-		}
-	}
-	if !w.Empty {
-		w.Seq = r.wr.SharedWindow(w.Start, w.End)
-	}
+	w := Window{Index: r.idx, Start: r.start, End: end, Seq: r.wr.SharedWindow(r.start, end)}
 	r.idx++
 	r.start += r.stride
+	// The next window (1-based start) seeds from marginal row start-1;
+	// older rows can never be read again. EvictBefore clamps to keep the
+	// final row, which Extend seeds the appended marginals from.
+	r.wr.EvictBefore(r.start - 1)
 	return w, true
 }
+
+// ResidentMarginals reports the number of marginal rows the run's
+// windower currently holds — bounded on a caught-up stream (see Next),
+// exposed so serving layers and tests can assert flat memory.
+func (r *StreamRun) ResidentMarginals() int { return r.wr.Resident() }
 
 // WindowEval holds the per-goroutine evaluation state of a sweep: a
 // ranked.Sweeper for transducer plans (engine-free fast path), or
@@ -136,27 +119,22 @@ type WindowEval struct {
 	sw *ranked.Sweeper
 }
 
-// NewEval returns fresh evaluation state for this run's plan.
-func (r *WindowRun) NewEval() *WindowEval { return r.pr.newEval() }
-
-// newEval returns fresh per-goroutine window evaluation state: a
-// ranked.Sweeper over the prepared base tables for transducer plans.
-func (pr *Prepared) newEval() *WindowEval {
-	ev := &WindowEval{pr: pr}
-	if pr.t != nil {
-		ev.sw = ranked.NewSweeper(pr.pt, ranked.WithTables(pr.baseNT))
+// NewEval returns fresh per-goroutine evaluation state for this run's
+// plan: a ranked.Sweeper over the prepared base tables for transducer
+// plans.
+func (r *StreamRun) NewEval() *WindowEval {
+	ev := &WindowEval{pr: r.pr}
+	if r.pr.t != nil {
+		ev.sw = ranked.NewSweeper(r.pr.pt, ranked.WithTables(r.pr.baseNT))
 	}
 	return ev
 }
 
 // TopK evaluates one window's top-k under the plan's ranking, in ranked
-// order. Empty windows return nil without work. The answers are
-// bit-identical to BindValidated(w.Seq).TopKCtx(ctx, k). On a context
-// error the window is incomplete and no partial answers are returned.
+// order. The answers are bit-identical to BindValidated(w.Seq).TopKCtx(ctx,
+// k); an answerless window returns no answers. On a context error the
+// window is incomplete and no partial answers are returned.
 func (ev *WindowEval) TopK(ctx context.Context, w Window, k int) ([]Answer, error) {
-	if w.Empty {
-		return nil, ctx.Err()
-	}
 	if ev.sw != nil {
 		top, err := ev.sw.TopK(ctx, w.Seq, k)
 		if err != nil {

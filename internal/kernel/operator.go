@@ -29,6 +29,12 @@ import "math"
 // transducer edges (q,y,q') with distinct emissions collapse to one
 // entry — both semirings here range over runs as state sequences, and
 // parallel edges carry the same transition probability μ_i(x,y).
+//
+// No production path composes operators any more: sliding windows go
+// straight to the ranked sweeper (core.StreamRun). This file and swag.go
+// stay only because the frozen laharbench traced pass C times the
+// emptiness gate through NewWindowEvaluator and MaxLog; they go with
+// that call when the benchmark is next revised (ROADMAP item 3).
 
 // Semiring selects the weight algebra of a step operator.
 type Semiring uint8

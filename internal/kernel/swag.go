@@ -13,6 +13,12 @@ import "math"
 // front empties, the back flips over — each element composed into a
 // running suffix — so every operator is composed at most three times
 // over its queue lifetime regardless of window length or stride.
+//
+// WindowEvaluator has no production caller: sliding windows go straight
+// to the ranked sweeper (core.StreamRun), whose drain finds an
+// answerless window empty. It stays only for the frozen laharbench
+// traced pass C, and goes with that call when the benchmark is next
+// revised (ROADMAP item 3).
 
 // opQueue is the two-stack SWAG queue. Popped and flipped operators are
 // recycled through a freelist, so steady-state sliding performs no

@@ -19,9 +19,9 @@ type Event [][]float64
 //     prepared plan rebinds to the grown snapshot in O(1)
 //     (CacheStats.Extensions, not Invalidations);
 //   - every WatchSlidingTopK subscription on the stream advances with
-//     resident window state: forward marginals and two-stack SWAG window
-//     operators extend incrementally, so each appended event costs
-//     amortized O(1) operator combines (core.StreamRun), not a rebuild;
+//     resident window state: its forward marginals extend by one row per
+//     event (core.StreamRun), and only the windows the events complete
+//     are ranked, not a rebuild;
 //   - concurrent queries keep reading their immutable snapshot — they
 //     never observe a half-applied append.
 //

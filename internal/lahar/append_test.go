@@ -126,25 +126,7 @@ func appendWorkloads(t *testing.T, n int) []appendWorkload {
 	t.Helper()
 	var out []appendWorkload
 
-	f := rfid.Hospital(3, 2)
-	h := rfid.BuildHMM(f, rfid.DefaultNoise)
-	trc, err := rfid.Simulate(h, n, rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := rfid.PlaceTransducer(f, "lab")
-	out = append(out, appendWorkload{
-		name: "rfid",
-		full: trc.Seq,
-		mk: func(m *markov.Sequence, opts ...Option) *DB {
-			db := New(opts...)
-			if err := db.PutStream("s", m); err != nil {
-				t.Fatal(err)
-			}
-			db.RegisterTransducer("q", q)
-			return db
-		},
-	})
+	out = append(out, rfidAppendWorkload(t, "rfid", rfid.DefaultNoise, "lab", n))
 
 	rng := rand.New(rand.NewSource(7))
 	ab := textgen.Alphabet()
@@ -488,37 +470,94 @@ func TestWatchSlidingTopKMatchesSliding(t *testing.T) {
 	for _, wl := range appendWorkloads(t, n) {
 		t.Run(wl.name, func(t *testing.T) {
 			for _, sweep := range [][2]int{{4, 2}, {1, 1}, {8, 3}} {
-				window, stride := sweep[0], sweep[1]
-				const p = 10
-				db := wl.mk(wl.full.Window(1, p))
-				sub, err := db.WatchSlidingTopK("s", "q", window, stride, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				catchup := readDeltas(t, sub, windowsIn(p, window, stride))
-				for L := p; L < n; L++ {
-					if _, err := db.AppendEvents("s", eventsOf(wl.full, L, L+1)); err != nil {
-						t.Fatal(err)
-					}
-				}
-				live := readDeltas(t, sub, windowsIn(n, window, stride)-len(catchup))
-				sub.Close()
-
-				scratch := wl.mk(wl.full)
-				want, err := scratch.SlidingTopK("s", "q", window, stride, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := append(catchup, live...)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("w=%d s=%d: watched deltas diverge from SlidingTopK\ngot  %+v\nwant %+v",
-						window, stride, got, want)
-				}
-				if err := sub.Err(); err != nil {
-					t.Fatalf("closed subscription reports %v", err)
-				}
+				watchMatchesSliding(t, wl, 10, sweep[0], sweep[1], 2)
 			}
 		})
+	}
+	// The sparse stream of TestSlidingSparseGateFindsEmptyWindows, whose
+	// answerless windows the watcher must deliver with a nil Top, on both
+	// sides of kernel.BoundsMinN: the unpruned sweeper at window 8 and the
+	// pruned one at window 32.
+	t.Run("sparse", func(t *testing.T) {
+		wl := rfidAppendWorkload(t, "sparse", rfid.Noise{Miss: 0.02, Confuse: 0, Dwell: 0.5}, "r3", 200)
+		for _, window := range []int{8, 32} {
+			empty, full := 0, 0
+			for _, stride := range []int{1, 3} {
+				for _, w := range watchMatchesSliding(t, wl, 100, window, stride, 2) {
+					if w.Top == nil {
+						empty++
+					} else {
+						full++
+					}
+				}
+			}
+			if empty == 0 || full == 0 {
+				t.Fatalf("w=%d: %d answerless, %d answered deltas (want both > 0)", window, empty, full)
+			}
+		}
+	})
+}
+
+// watchMatchesSliding subscribes a top-k watcher to the first p
+// positions of wl's sequence, appends the rest event by event, and checks
+// that the delivered deltas equal SlidingTopK over the full sequence bit
+// for bit. It returns the deltas.
+func watchMatchesSliding(t *testing.T, wl appendWorkload, p, window, stride, k int) []WindowResult {
+	t.Helper()
+	n := wl.full.Len()
+	db := wl.mk(wl.full.Window(1, p))
+	sub, err := db.WatchSlidingTopK("s", "q", window, stride, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close() // on a failed read; Close is idempotent
+	catchup := readDeltas(t, sub, windowsIn(p, window, stride))
+	for L := p; L < n; L++ {
+		if _, err := db.AppendEvents("s", eventsOf(wl.full, L, L+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := readDeltas(t, sub, windowsIn(n, window, stride)-len(catchup))
+	sub.Close()
+
+	scratch := wl.mk(wl.full)
+	want, err := scratch.SlidingTopK("s", "q", window, stride, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := append(catchup, live...)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("p=%d w=%d s=%d k=%d: watched deltas diverge from SlidingTopK\ngot  %+v\nwant %+v",
+			p, window, stride, k, got, want)
+	}
+	if err := sub.Err(); err != nil {
+		t.Fatalf("closed subscription reports %v", err)
+	}
+	return got
+}
+
+// rfidAppendWorkload is an RFID Hospital(3,2) trace of n positions
+// (seed 7) under the given noise, queried by the place transducer of
+// the trigger room.
+func rfidAppendWorkload(t *testing.T, name string, noise rfid.Noise, trigger string, n int) appendWorkload {
+	t.Helper()
+	f := rfid.Hospital(3, 2)
+	trc, err := rfid.Simulate(rfid.BuildHMM(f, noise), n, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := rfid.PlaceTransducer(f, trigger)
+	return appendWorkload{
+		name: name,
+		full: trc.Seq,
+		mk: func(m *markov.Sequence, opts ...Option) *DB {
+			db := New(opts...)
+			if err := db.PutStream("s", m); err != nil {
+				t.Fatal(err)
+			}
+			db.RegisterTransducer("q", q)
+			return db
+		},
 	}
 }
 

@@ -168,14 +168,14 @@ type WindowResult struct {
 // cart doing in each half-hour slice?".
 //
 // The sweep is amortized end to end (core.Prepared.Windows): windows
-// are zero-copy overlays of the stream, a two-stack operator aggregation
-// gates provably-empty windows, and transducer plans rank through the
-// lean sequential sweeper instead of a fresh engine per window — with
-// results bit-identical to binding one engine per window, the reference
-// the sliding tests check against. With the ParallelWindows option
-// the windows fan out over the store's worker pool. Equivalent to
-// SlidingTopKCtx with context.Background() — the store's deadline and
-// in-flight limit still apply.
+// are zero-copy overlays of the stream, and transducer plans rank every
+// window, answerless ones included, through the lean sequential sweeper
+// instead of a fresh engine per window — with results bit-identical to
+// binding one engine per window, the reference the sliding tests check
+// against. An answerless window reports a nil Top. With the
+// ParallelWindows option the windows fan out over the store's worker
+// pool. Equivalent to SlidingTopKCtx with context.Background() — the
+// store's deadline and in-flight limit still apply.
 func (db *DB) SlidingTopK(stream, qname string, window, stride, k int) ([]WindowResult, error) {
 	return db.SlidingTopKCtx(context.Background(), stream, qname, window, stride, k)
 }
@@ -206,7 +206,7 @@ func (db *DB) slidingTopK(ctx context.Context, stream, qname string, window, str
 // sweepSerial drains the sweep on the calling goroutine, polling ctx
 // between windows so a mid-sweep deadline costs at most one window of
 // extra work before the completed prefix is returned.
-func (db *DB) sweepSerial(ctx context.Context, run *core.WindowRun, k int) ([]WindowResult, error) {
+func (db *DB) sweepSerial(ctx context.Context, run *core.StreamRun, k int) ([]WindowResult, error) {
 	out := make([]WindowResult, 0, run.Len())
 	eval := run.NewEval()
 	for {
@@ -229,12 +229,12 @@ func (db *DB) sweepSerial(ctx context.Context, run *core.WindowRun, k int) ([]Wi
 }
 
 // sweepParallel fans the windows out over the worker pool. The cursor
-// stays on the calling goroutine (the sliding aggregation is inherently
-// sequential and costs microseconds per window); each worker owns one
-// evaluator for the whole sweep. On cancellation no new windows start,
-// every spawned worker is awaited, and the completed prefix of windows
-// is returned with ctx.Err().
-func (db *DB) sweepParallel(ctx context.Context, run *core.WindowRun, k int) ([]WindowResult, error) {
+// stays on the calling goroutine (it is sequential and costs about a
+// microsecond per window); each worker owns one evaluator for the whole
+// sweep. On cancellation no new windows start, every spawned worker is
+// awaited, and the completed prefix of windows is returned with
+// ctx.Err().
+func (db *DB) sweepParallel(ctx context.Context, run *core.StreamRun, k int) ([]WindowResult, error) {
 	type slot struct {
 		res  WindowResult
 		err  error

@@ -87,7 +87,7 @@ func identityTieStore(t *testing.T, n int) *DB {
 
 // slidingSweeps is the window/stride grid the differential tests run:
 // length-1 windows, stride splitting the stream unevenly, stride larger
-// than the window (the operator queue resets across the gap), the whole
+// than the window (the cursor skips positions), the whole
 // stream as a single window, and the dense stride-1 sweep.
 func slidingSweeps(n int) [][2]int {
 	return [][2]int{{1, 1}, {3, 2}, {4, 5}, {n, 1}, {5, 3}, {8, 1}}
@@ -95,7 +95,7 @@ func slidingSweeps(n int) [][2]int {
 
 // TestSlidingSWAGMatchesReference is the end-to-end differential test
 // of the amortized sweep: for dense (every window answerable) and
-// sparse (most windows provably empty) workloads, across the full
+// sparse (most windows answerless) workloads, across the full
 // window/stride grid, the amortized path must be reflect.DeepEqual —
 // float bits included — to the bind-per-window reference. The ties case
 // makes every answer of a window tie exactly, so the sweep must break
@@ -169,8 +169,10 @@ func TestSlidingSWAGParallelMatchesReference(t *testing.T) {
 
 // TestSlidingSparseGateFindsEmptyWindows pins the workload shape of the
 // sparse differential case: the low-noise trace with a rarely-visited
-// trigger room must actually produce empty windows (otherwise the
-// gate's skip path is never exercised) and non-empty ones.
+// trigger room must actually produce answerless windows (otherwise the
+// sweeper's empty drain, which finds no root answer and reports a nil
+// Top, is never exercised) and answered ones. The name recalls the
+// emptiness gate that used to skip these windows before ranking.
 func TestSlidingSparseGateFindsEmptyWindows(t *testing.T) {
 	const n = 120
 	mk := slidingWorkload(t, rfid.Noise{Miss: 0.02, Confuse: 0, Dwell: 0.5}, "r3", n, 7)

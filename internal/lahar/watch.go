@@ -26,8 +26,8 @@ type Subscription struct {
 	window, stride int
 	k              int
 
-	// run/eval hold the resident window state: forward marginals and SWAG
-	// window operators extend per append (core.StreamRun), and the ranked
+	// run/eval hold the resident window state: the cursor's forward
+	// marginals extend per append (core.StreamRun), and the ranked
 	// sweeper is reused across windows. Both are guarded by the stream
 	// entry's appendMu: only appenders (and the registering call) touch
 	// them.
@@ -49,15 +49,18 @@ type Subscription struct {
 // the named stream: every length-`window` slice (stride apart) that is —
 // or becomes, via AppendEvents — complete produces one WindowDelta on
 // the subscription's channel, in window order. Windows already complete
-// at subscribe time are delivered first. The per-event cost is amortized
-// O(1) operator combines: window state stays resident across appends
-// instead of being recomputed (core.StreamRun).
+// at subscribe time are delivered first, ranked while the call holds the
+// stream's append lock. Each appended event costs one O(|Σ|²) marginal
+// row plus the ranked sweep of every window it completes: window state
+// stays resident across appends instead of being recomputed
+// (core.StreamRun), and every window goes through the same ranked
+// sweeper as SlidingTopK.
 //
 // The subscription ends when Close is called or the stream is replaced
 // by PutStream (Err then reports the replacement). The stream may be
 // shorter than the window at subscribe time; deltas start once appends
-// grow it past the threshold. Empty windows (provably no answers at any
-// k) are emitted with a nil Top.
+// grow it past the threshold. Answerless windows are emitted with a nil
+// Top.
 func (db *DB) WatchSlidingTopK(stream, qname string, window, stride, k int) (*Subscription, error) {
 	if window < 1 || stride < 1 || k < 1 {
 		return nil, fmt.Errorf("lahar: window, stride and k must be ≥ 1")
@@ -98,7 +101,7 @@ func (db *DB) WatchSlidingTopK(stream, qname string, window, stride, k int) (*Su
 		}
 		db.watchers[stream] = append(db.watchers[stream], sub)
 		db.mu.Unlock()
-		sub.run = qe.prepared.StreamWindows(m, window, stride)
+		sub.run = qe.prepared.Windows(m, window, stride)
 		sub.eval = sub.run.NewEval()
 		sub.advance() // catch up on windows already complete
 		se.appendMu.Unlock()
@@ -160,14 +163,10 @@ func (s *Subscription) advance(m2 ...*markov.Sequence) {
 		if !ok {
 			return
 		}
-		var top []core.Answer
-		if !w.Empty {
-			var err error
-			top, err = s.eval.TopK(context.Background(), w, s.k)
-			if err != nil {
-				s.fail(fmt.Errorf("lahar: watch %q/%q window [%d,%d]: %w", s.stream, s.qname, w.Start, w.End, err))
-				return
-			}
+		top, err := s.eval.TopK(context.Background(), w, s.k)
+		if err != nil {
+			s.fail(fmt.Errorf("lahar: watch %q/%q window [%d,%d]: %w", s.stream, s.qname, w.Start, w.End, err))
+			return
 		}
 		s.enqueue(WindowDelta{
 			Stream:       s.stream,

@@ -528,6 +528,12 @@ func (w *Windower) Resident() int { return len(w.rows) }
 // Row calls below i panic. The final row is always kept (Extend seeds
 // the appended marginals from it), so i is clamped to Len()-1.
 // EvictBefore is a writer operation, like Extend.
+//
+// It costs O(evicted rows): the evicted slots are cleared and the table
+// is resliced past them, so resident rows keep their slots and a
+// cursor that evicts one row per window moves no rows at all. Extend's
+// append reallocates the table with only the resident rows once the
+// resliced capacity runs out.
 func (w *Windower) EvictBefore(i int) {
 	if max := w.Len() - 1; i > max {
 		i = max
@@ -536,11 +542,8 @@ func (w *Windower) EvictBefore(i int) {
 	if d <= 0 {
 		return
 	}
-	n := copy(w.rows, w.rows[d:])
-	for j := n; j < len(w.rows); j++ {
-		w.rows[j] = nil
-	}
-	w.rows = w.rows[:n]
+	clear(w.rows[:d])
+	w.rows = w.rows[d:]
 	w.base = i
 }
 
