@@ -28,8 +28,8 @@ cover:
 # allocation counts, summarized into BENCH_conf.json (raw benchstat-
 # compatible lines are preserved inside the JSON), followed by the
 # ranked-enumeration delay suite (top-k, TTFA, per-answer delay
-# percentiles; reference vs incremental) into
-# BENCH_ranked.json, and the cold sliding-window / fleet sweep (windows
+# percentiles; reference vs incremental; the append-then-rank pair with
+# the live heap it retains) into BENCH_ranked.json, and the cold sliding-window / fleet sweep (windows
 # per second and streams per second land in each result's "extra" map)
 # into BENCH_sliding.json (with BenchmarkSlidingTopKSparse, the
 # sweep over a stream whose windows are half answerless), and the
@@ -44,7 +44,10 @@ bench:
 	$(GO) test -run '^$$' -bench 'Append' -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_append.json
 
 # Diff two bench JSON files produced by `make bench`, failing on a >10%
-# ns/op (or >15% Extra-metric) regression in the named hot benchmarks:
+# ns/op (or >15% Extra-metric) regression in the named hot benchmarks.
+# Extra metrics gate by name: rates must not fall, times, burn rates and
+# retained memory ("…-MB", such as BenchmarkRankedAppendIncremental's
+# live-MB) must not rise:
 #
 #   make benchcmp OLD=BENCH_sliding.base.json NEW=BENCH_sliding.json
 #   make benchcmp OLD=BENCH_ranked.base.json NEW=BENCH_ranked.json MATCH=Ranked
@@ -147,6 +150,7 @@ fuzz:
 	$(GO) test ./internal/conf -fuzz FuzzSequenceValidate -fuzztime 30s
 	$(GO) test ./internal/slo -fuzz FuzzSLOScenarioConfig -fuzztime 30s
 	$(GO) test ./internal/lahar -fuzz FuzzSlidingWindows -fuzztime 30s
+	$(GO) test ./internal/lahar -fuzz FuzzAppendTopK -fuzztime 30s
 
 # Quick per-target fuzz pass (a few seconds each; -run '^$$' skips the
 # unit tests so each invocation is pure fuzzing) — cheap enough for CI.
@@ -157,6 +161,7 @@ fuzz-smoke:
 	$(GO) test ./internal/conf -run '^$$' -fuzz FuzzSequenceValidate -fuzztime 3s
 	$(GO) test ./internal/slo -run '^$$' -fuzz FuzzSLOScenarioConfig -fuzztime 3s
 	$(GO) test ./internal/lahar -run '^$$' -fuzz FuzzSlidingWindows -fuzztime 3s
+	$(GO) test ./internal/lahar -run '^$$' -fuzz FuzzAppendTopK -fuzztime 3s
 
 clean:
 	$(GO) clean ./...

@@ -21,8 +21,9 @@
 // SLO burn metrics ("burn", "shed-pct", "…miss-pct", "err-pct" — see
 // cmd/sloharness) form their own lower-is-better class, gated with an
 // absolute-increase floor so ratios idling near zero don't trip the
-// relative threshold on noise. Regressions beyond -extra-threshold
-// percent on gating benchmarks fail the run like an ns/op regression.
+// relative threshold on noise. Memory metrics ("…-MB", like live-MB)
+// regress by going up. Regressions beyond -extra-threshold percent on
+// gating benchmarks fail the run like an ns/op regression.
 package main
 
 import (

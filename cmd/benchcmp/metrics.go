@@ -9,10 +9,10 @@ import "strings"
 // metricClass is the diff behaviour of one Extra metric.
 type metricClass struct {
 	// dir: +1 higher is better (throughput), -1 lower is better
-	// (latency, burn), 0 informational only.
+	// (latency, burn, memory), 0 informational only.
 	dir int
 	// tag is the label printed in the diff ("rate", "time", "burn-rate",
-	// "info").
+	// "memory", "info").
 	tag string
 }
 
@@ -25,7 +25,8 @@ const burnAbsFloor = 0.1
 // classifyMetric maps an Extra metric name to its class. Precedence:
 // extreme-value metrics are pinned informational first, then the SLO
 // burn family (error-budget burn, shed/miss/error percentages — lower
-// is better), then throughput rates, then times.
+// is better), then throughput rates, then times, then retained memory
+// ("…-mb", lower is better).
 func classifyMetric(name string) metricClass {
 	n := strings.ToLower(name)
 	switch {
@@ -47,6 +48,8 @@ func classifyMetric(name string) metricClass {
 		strings.HasSuffix(n, "-ns"), strings.HasSuffix(n, "ns/op"),
 		strings.HasSuffix(n, "_ns"):
 		return metricClass{-1, "time"}
+	case strings.HasSuffix(n, "-mb"):
+		return metricClass{-1, "memory"}
 	}
 	return metricClass{0, "info"}
 }

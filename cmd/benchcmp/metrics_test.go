@@ -28,6 +28,10 @@ func TestClassifyMetric(t *testing.T) {
 		{"deadline-miss-pct", -1, "burn-rate"},
 		{"err-pct", -1, "burn-rate"},
 		{"error-rate", -1, "burn-rate"},
+		// Retained memory: lower is better.
+		{"live-MB", -1, "memory"},
+		{"heap-mb", -1, "memory"},
+		{"mb-per-append", 0, "info"}, // the suffix, not a substring
 		// Unknown names never gate.
 		{"pruned-cells/op", 0, "info"},
 	}
@@ -45,6 +49,7 @@ func TestMetricRegressed(t *testing.T) {
 	rate := classifyMetric("windows/sec")
 	tm := classifyMetric("p99-ns")
 	burn := classifyMetric("burn")
+	mem := classifyMetric("live-MB")
 	info := classifyMetric("qps")
 
 	cases := []struct {
@@ -63,6 +68,9 @@ func TestMetricRegressed(t *testing.T) {
 		// The absolute floor: +100% relative but +0.002 absolute is
 		// noise on a ratio that idles near zero.
 		{"burn noise near zero passes", burn, 0.002, 0.004, false},
+		{"memory growth beyond threshold fails", mem, 50, 60, true},
+		{"memory growth within threshold passes", mem, 50, 55, false},
+		{"memory drop passes", mem, 95, 75, false},
 		{"info never gates", info, 100, 1000, false},
 	}
 	for _, c := range cases {

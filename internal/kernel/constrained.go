@@ -23,12 +23,12 @@ import (
 //   - A Checkpoint is the forward Viterbi DP over cells (node x, state
 //     q, matched-prefix count z) restricted to runs whose output so far
 //     is an exact prefix of an alignment string. Each per-position layer
-//     of active cells — scores plus backpointers into the previous layer
-//     — is retained, so the checkpoint is the whole constrained frontier
-//     history, sparse, in activation order. Each layer additionally
-//     carries a z-bucket index (a counting sort of its cells by
-//     matched-prefix count), so a resume jumps straight to the cells at
-//     its constraint boundary instead of scanning the layer.
+//     of active cells — scores, backpointers into the previous layer, and
+//     a z-bucket index (a counting sort by matched-prefix count) that
+//     takes a resume straight to the cells at its constraint boundary —
+//     is retained, so the checkpoint is the whole constrained frontier
+//     history, sparse, in activation order. A layer is a 24-byte header
+//     into a slab, the exactly sized cell storage of the view that built it.
 //
 //   - Every checkpoint is a lazy handle (NewLazyCheckpoint): an O(1)
 //     constructor with the DP deferred, so nothing is relaxed until a
@@ -112,35 +112,43 @@ import (
 // makes the -Inf set closed under successors, so gated cells only ever
 // relax gated cells and removing them is unobservable.
 
-// ckLayer is one position's frontier snapshot: the active cells in
-// activation order, their best log scores, and for each the index of its
-// predecessor in the previous layer (-1 at position 0). zidx holds the
-// layer-local cell indices counting-sorted into z buckets — the sort is
-// stable, so each bucket preserves activation order — with bucket z
-// spanning zidx[zoff[z]:zoff[z+1]]. The slices are views into the
-// checkpoint's shared slab (see ckSlab); off, n, and zo locate the layer
-// inside the slab while it is still being appended to, before seal
-// materializes the views. vid is the id of the view that relaxed the
-// layer: an extension aliases its base's layer headers, vid included, so
-// two views hold a layer with the same vid exactly when they share every
-// layer up to it.
+// ckLayer is one position's frontier snapshot, a 24-byte header into the
+// slab that holds it: the layer's n active cells in activation order
+// start at off in the slab's cell arrays, with their best log scores and,
+// for each, the index of its predecessor in the previous layer (-1 at
+// position 0). zidx holds the layer-local cell indices counting-sorted
+// into z buckets — the sort is stable, so each bucket preserves
+// activation order — with bucket z spanning zidx[zoff[z]:zoff[z+1]] for
+// the maxZ+2 offsets at slab offset zo. An empty layer (n = 0: the
+// exact-prefix language died at or before its position) reads as empty
+// through every accessor. An extension copies its base's headers, so two
+// views hold a layer in the same slab — the same s.vid — exactly when
+// they share every layer up to it.
 type ckLayer struct {
-	cells []int32
-	score []float64
-	prev  []int32
-	zidx  []int32
-	zoff  []int32
-	vid   uint64
-	maxZ  int32
-	off   int32
-	n     int32
-	zo    int32
+	s    *ckSlab
+	off  int32
+	n    int32
+	zo   int32
+	maxZ int32
 }
 
-// viewSeq numbers materialized views (see ckLayer.vid). A captured
+// viewSeq numbers materialized views (see ckSlab.vid). A captured
 // ResumeState records an id rather than a view pointer so that retaining
 // it never pins an evicted checkpoint's slab.
 var viewSeq atomic.Uint64
+
+// cells, scores, prev and zidx return the layer's per-cell arrays, and
+// zoff its z-bucket offsets (none for an empty layer).
+func (l *ckLayer) cells() []int32    { return l.s.cells[l.off : l.off+l.n] }
+func (l *ckLayer) scores() []float64 { return l.s.score[l.off : l.off+l.n] }
+func (l *ckLayer) prev() []int32     { return l.s.prev[l.off : l.off+l.n] }
+func (l *ckLayer) zidx() []int32     { return l.s.zidx[l.off : l.off+l.n] }
+func (l *ckLayer) zoff() []int32 {
+	if l.n == 0 {
+		return nil
+	}
+	return l.s.zoff[l.zo : l.zo+l.maxZ+2]
+}
 
 // bucket returns the layer-local indices of cells with matched-prefix
 // count z, in activation order.
@@ -148,7 +156,8 @@ func (l *ckLayer) bucket(z int) []int32 {
 	if l.n == 0 || z < 0 || int32(z) > l.maxZ {
 		return nil
 	}
-	return l.zidx[l.zoff[z]:l.zoff[z+1]]
+	zo := l.zoff()
+	return l.zidx()[zo[z]:zo[z+1]]
 }
 
 // window returns the layer-local indices of cells with z in [lo, hi].
@@ -169,68 +178,50 @@ func (l *ckLayer) window(lo, hi int, buf *[]int32) []int32 {
 	if lo > hi {
 		return nil
 	}
+	zo, zidx := l.zoff(), l.zidx()
 	if lo == hi {
-		return l.zidx[l.zoff[lo]:l.zoff[lo+1]]
+		return zidx[zo[lo]:zo[lo+1]]
 	}
-	span := l.zidx[l.zoff[lo]:l.zoff[hi+1]]
-	*buf = append((*buf)[:0], span...)
+	*buf = append((*buf)[:0], zidx[zo[lo]:zo[hi+1]]...)
 	slices.Sort(*buf)
 	return *buf
 }
 
-// ckSlab is the recyclable backing storage of one checkpoint view: every
-// layer's cells/score/prev/zidx concatenated into flat arrays (plus the
-// z-bucket offset segments and the layers header slice itself). Building
-// into a slab instead of fresh slices per layer is what makes checkpoints
-// recyclable — a ConstrainScratch keeps a freelist of slabs (see
-// Recycle), which on sweep workloads (one checkpoint ring per window,
-// thousands of windows) removes the dominant allocation source of the
-// build path.
+// ckSlab is the cell storage of the layers one view relaxed: their
+// cells/score/prev/zidx concatenated into flat arrays and their z-bucket
+// offsets into zoff, each array exactly as long as its contents — a
+// build relaxes into the growable buffer of its ConstrainScratch, itself
+// a ckSlab that only grows, and seal copies that out. vid is the id of
+// the view that built the slab. A slab is an object of its own, apart
+// from its view's header array, so an extension that aliases a base's
+// layers pins the base's slab but not the base's headers.
 type ckSlab struct {
-	cells  []int32
-	score  []float64
-	prev   []int32
-	zidx   []int32
-	zoff   []int32
-	layers []ckLayer
+	cells []int32
+	score []float64
+	prev  []int32
+	zidx  []int32
+	zoff  []int32
+	vid   uint64
 }
 
-// growI32 extends s by n elements, reusing capacity when present.
-func growI32(s []int32, n int) []int32 {
+// grow extends s by n elements, reusing capacity when present.
+func grow[T int32 | float64](s []T, n int) []T {
 	if need := len(s) + n; cap(s) >= need {
 		return s[:need]
 	}
-	return append(s, make([]int32, n)...)
+	return append(s, make([]T, n)...)
 }
 
-// growF64 extends s by n elements, reusing capacity when present.
-func growF64(s []float64, n int) []float64 {
-	if need := len(s) + n; cap(s) >= need {
-		return s[:need]
-	}
-	return append(s, make([]float64, n)...)
-}
-
-// reserve gives an empty slab room for cells layer cells and zoffs
-// z-bucket offsets.
-func (s *ckSlab) reserve(cells, zoffs int) {
-	s.cells = make([]int32, 0, cells)
-	s.score = make([]float64, 0, cells)
-	s.prev = make([]int32, 0, cells)
-	s.zidx = make([]int32, 0, cells)
-	s.zoff = make([]int32, 0, zoffs)
-}
-
-// snapshot appends one layer to the slab and resets the frontier for the
-// next position. A derived position passes its donor layer d (nil
-// otherwise): the layer then starts with d's cells verbatim, their ids
-// re-encoded from stride dzdim to zdim, so d's layer-local prev indices
-// and z buckets carry over unchanged. The frontier's active cells follow
-// in activation order — on a derived position they all lie in columns
-// above d's — and are counting-sorted into z buckets above d's. The
-// layer's slice views stay nil until seal: appends may still relocate
-// the slab arrays. zcur is the counting-sort cursor scratch; zbuf holds
-// the per-cell z values so the modulo is computed once per cell.
+// snapshot appends one layer to the build buffer s, points layer at it
+// and resets the frontier for the next position. A derived position
+// passes its donor layer d (nil otherwise): the layer then starts with
+// d's cells verbatim, their ids re-encoded from stride dzdim to zdim, so
+// d's layer-local prev indices and z buckets carry over unchanged. The
+// frontier's active cells follow in activation order — on a derived
+// position they all lie in columns above d's — and are counting-sorted
+// into z buckets above d's. zcur is the counting-sort cursor scratch;
+// zbuf holds the per-cell z values so the modulo is computed once per
+// cell.
 func (s *ckSlab) snapshot(layer *ckLayer, f *frontier, prevBuf []int32, zdim int, d *ckLayer, dzdim int, zcur, zbuf *[]int32) {
 	off := len(s.cells)
 	dn, dMaxZ := 0, int32(-1)
@@ -238,22 +229,26 @@ func (s *ckSlab) snapshot(layer *ckLayer, f *frontier, prevBuf []int32, zdim int
 		dn, dMaxZ = int(d.n), d.maxZ
 	}
 	nn := len(f.list)
-	s.cells = growI32(s.cells, dn+nn)
-	s.score = growF64(s.score, dn+nn)
-	s.prev = growI32(s.prev, dn+nn)
-	s.zidx = growI32(s.zidx, dn+nn)
+	*layer = ckLayer{s: s}
+	if dn+nn == 0 {
+		return // the exact-prefix language died here; f is already empty
+	}
+	s.cells = grow(s.cells, dn+nn)
+	s.score = grow(s.score, dn+nn)
+	s.prev = grow(s.prev, dn+nn)
+	s.zidx = grow(s.zidx, dn+nn)
 	cells := s.cells[off:]
 	score := s.score[off:]
 	prev := s.prev[off:]
 	zidx := s.zidx[off:]
 	if dn > 0 {
 		stride := int32(zdim - dzdim)
-		for j, c := range d.cells {
+		for j, c := range d.cells() {
 			cells[j] = c + (c/int32(dzdim))*stride
 		}
-		copy(score, d.score)
-		copy(prev, d.prev)
-		copy(zidx, d.zidx)
+		copy(score, d.scores())
+		copy(prev, d.prev())
+		copy(zidx, d.zidx())
 	}
 	if cap(*zbuf) < nn {
 		*zbuf = make([]int32, nn)
@@ -282,7 +277,7 @@ func (s *ckSlab) snapshot(layer *ckLayer, f *frontier, prevBuf []int32, zdim int
 	}
 	zoff := s.zoff[zo:]
 	if dn > 0 {
-		copy(zoff, d.zoff)
+		copy(zoff, d.zoff())
 	}
 	for _, z := range zs {
 		zoff[z+1]++
@@ -304,34 +299,42 @@ func (s *ckSlab) snapshot(layer *ckLayer, f *frontier, prevBuf []int32, zdim int
 	f.reset()
 }
 
-// seal materializes every layer's slice views into the (now final) slab
-// arrays and stamps them with the view id vid. Layers past an early
-// build break have off = n = 0 and get empty views.
-func (s *ckSlab) seal(layers []ckLayer, vid uint64) {
-	for i := range layers {
-		l := &layers[i]
-		end := l.off + l.n
-		l.cells = s.cells[l.off:end:end]
-		l.score = s.score[l.off:end:end]
-		l.prev = s.prev[l.off:end:end]
-		l.zidx = s.zidx[l.off:end:end]
-		if l.n > 0 {
-			ze := l.zo + l.maxZ + 2
-			l.zoff = s.zoff[l.zo:ze:ze]
-		} else {
-			l.zoff = nil
-		}
-		l.vid = vid
+// seal copies the build buffer b into s, each array sized exactly (a
+// recycled slab reuses an array that has room), stamps s with a fresh
+// view id and points the view's own layers at it; their offsets carry
+// over, because the copy is verbatim. Layers past an early build break
+// are zero headers and read as empty.
+func (s *ckSlab) seal(b *ckSlab, own []ckLayer) {
+	s.cells = fit(s.cells, b.cells)
+	s.score = fit(s.score, b.score)
+	s.prev = fit(s.prev, b.prev)
+	s.zidx = fit(s.zidx, b.zidx)
+	s.zoff = fit(s.zoff, b.zoff)
+	s.vid = viewSeq.Add(1)
+	for i := range own {
+		own[i].s = s
 	}
 }
 
-// ckView is the materialized DP of a checkpoint: every position's
-// retained frontier layer plus the slab backing them. A view is
-// immutable once published; a resume captures it once for its whole
-// call, so its traceback indices stay consistent.
+// fit copies src into dst's array when it has room, else into a new one
+// of exactly len(src).
+func fit[T int32 | float64](dst, src []T) []T {
+	if cap(dst) < len(src) {
+		dst = make([]T, len(src))
+	}
+	dst = dst[:len(src)]
+	copy(dst, src)
+	return dst
+}
+
+// ckView is the materialized DP of a checkpoint: the header array of
+// every position's retained frontier layer, and the slab of the layers
+// it relaxed itself (an extension's lower layers sit in its ancestors'
+// slabs). A view is immutable once published; a resume captures it once
+// for its whole call, so its traceback indices stay consistent.
 type ckView struct {
 	layers []ckLayer
-	slab   ckSlab
+	slab   *ckSlab
 }
 
 // Checkpoint is a lazy handle to the retained exact-prefix DP of one
@@ -364,12 +367,15 @@ type Checkpoint struct {
 	// base links an extended checkpoint (NewExtendedLazyCheckpoint) to
 	// the checkpoint over the shorter sequence it continues: the first
 	// base.n layers of this DP are exactly base's layers, so
-	// materialization aliases instead of relaxing them. gated records
-	// whether the build drops potential -Inf cells; a gated layer set is
-	// incomplete forward state once the sequence grows (a cell dead at
-	// length n can regain accepting completions at n+Δ), so only ungated
-	// checkpoints are extendable.
-	base  *Checkpoint
+	// materialization aliases instead of relaxing them. Cleared once the
+	// view is published: the view holds copies of the headers it aliased,
+	// and nothing reads past the first materialized view of a chain, so
+	// dropping the link lets every ancestor's header array be collected.
+	// gated records whether the build drops potential -Inf cells; a gated
+	// layer set is incomplete forward state once the sequence grows (a
+	// cell dead at length n can regain accepting completions at n+Δ), so
+	// only ungated checkpoints are extendable.
+	base  atomic.Pointer[Checkpoint]
 	gated bool
 
 	// donor optionally links a lazy checkpoint to an already-cached
@@ -399,7 +405,7 @@ func (ck *Checkpoint) Cells() int {
 	}
 	total := 0
 	for i := range vw.layers {
-		total += len(vw.layers[i].cells)
+		total += int(vw.layers[i].n)
 	}
 	return total
 }
@@ -479,21 +485,21 @@ func (ck *Checkpoint) Extendable(nt *NFATables, v *SeqView) bool {
 // view v that continues base's exact-prefix DP instead of re-running it.
 // The exact-prefix DP is position-local, so base's retained layers are
 // bit-identical to the first base.n layers of a from-scratch build over
-// v. Materialization therefore aliases them, without copying, from the
-// deepest already-materialized view in base's chain (published views
-// are immutable and sealed headers carry their own slices, so aliasing
-// races with nothing), and relaxes only the appended positions: the
-// per-append cost is O(Δ relaxed layers), not O(n) — copying the whole
-// slab per extension made a long append chain quadratic in the stream.
-// When nothing in the chain has materialized, the full DP runs from
-// position 0, so extension never forces prefix work that a from-scratch
-// lazy handle would have deferred. base must satisfy Extendable(nt, v)
-// and v must extend the view base was built against (SeqView.Extend /
+// v. Materialization therefore aliases them from the first materialized
+// view in base's chain: it copies their 24-byte headers, which point
+// into that view's immutable slabs, and relaxes only the appended
+// positions into a slab of its own. The DP work is O(Δ relaxed layers);
+// only the header copy is O(n). When nothing in the chain has
+// materialized, the full DP runs from position 0, so extension never
+// forces prefix work that a from-scratch lazy handle would have
+// deferred. base must satisfy Extendable(nt, v) and v must extend the
+// view base was built against (SeqView.Extend /
 // markov.Sequence.Extended); base is never mutated, so an evaluator over
 // the old snapshot can keep serving from it concurrently. When v has
 // base's own length, base itself is returned. The handle is always
 // ungated, hence extendable in turn: extension chains across any number
-// of appends.
+// of appends, and once a link materializes it drops its base, so a
+// chain never retains more than one materialized view.
 func NewExtendedLazyCheckpoint(nt *NFATables, v *SeqView, base *Checkpoint) *Checkpoint {
 	if !base.Extendable(nt, v) {
 		panic("kernel: NewExtendedLazyCheckpoint base is not extendable to the given view")
@@ -503,30 +509,46 @@ func NewExtendedLazyCheckpoint(nt *NFATables, v *SeqView, base *Checkpoint) *Che
 	// dropping them keeps chains short across many appends — a handle
 	// that never materializes would otherwise add one dead link per
 	// append and make every chain walk linear in the append count. A
-	// plain lazy handle (base.base == nil) is kept: it owns the
-	// from-scratch build inputs.
-	for base.base != nil && base.view.Load() == nil {
-		base = base.base
+	// plain lazy handle (no base) is kept: it owns the from-scratch build
+	// inputs. The link is loaded before the view (see firstView).
+	for next := base.base.Load(); next != nil && base.view.Load() == nil; next = base.base.Load() {
+		base = next
 	}
 	if v.N == base.n {
 		return base
 	}
-	return &Checkpoint{
+	ck := &Checkpoint{
 		Align:  base.Align,
 		states: nt.States,
 		n:      v.N,
 		zdim:   base.zdim,
 		nt:     nt,
 		v:      v,
-		base:   base,
 	}
+	ck.base.Store(base)
+	return ck
 }
 
-// FrontierAt returns the final retained layer of the deepest
-// materialized view in ck's extension chain covering at most maxN
-// positions: the active cells (in (x·|Q|+z-dim) checkpoint encoding,
-// stride zdim) with their forward scores, and the length n of the view
-// they came from. ok is false when no view in the chain up to maxN has
+// firstView returns the first checkpoint of the extension chain starting
+// at c whose view is published, with that view; nil when none is. Each
+// link is loaded before its view: ensureView publishes a view before it
+// clears the link, so a cleared link guarantees a visible view.
+func firstView(c *Checkpoint) (*Checkpoint, *ckView) {
+	for c != nil {
+		next := c.base.Load()
+		if vw := c.view.Load(); vw != nil {
+			return c, vw
+		}
+		c = next
+	}
+	return nil, nil
+}
+
+// FrontierAt returns the layer at position min(n, maxN)-1 of the first
+// materialized view in ck's extension chain, where n is the length that
+// view covers: the active cells (in (x·|Q|+z-dim) checkpoint encoding,
+// stride zdim) with their forward scores, and the length min(n, maxN)
+// they reach. ok is false when maxN < 1 or no view in the chain has
 // materialized. The returned slices alias an immutable published view
 // and must be treated as read-only.
 //
@@ -538,37 +560,27 @@ func NewExtendedLazyCheckpoint(nt *NFATables, v *SeqView, base *Checkpoint) *Che
 // ungated (Extendable guarantees the chain root is too) — so
 // max over the layer of score + potential-at-(n-1) bounds the best
 // completion of every such run even when the layer is several appends
-// stale.
+// stale. When the view covers more than maxN positions, its interior
+// layer at maxN-1 is exactly the zone frontier at that position (the
+// DP is position-local), a tighter anchor than any older view's final
+// layer.
 func (ck *Checkpoint) FrontierAt(maxN int) (cells []int32, scores []float64, zdim, n int, ok bool) {
-	if maxN < 1 {
+	c, vw := firstView(ck)
+	if maxN < 1 || vw == nil {
 		return nil, nil, 0, 0, false
 	}
-	for c := ck; c != nil; c = c.base {
-		vw := c.view.Load()
-		if vw == nil {
-			continue
-		}
-		if c.n <= maxN {
-			last := &vw.layers[len(vw.layers)-1]
-			return last.cells, last.score, c.zdim, c.n, true
-		}
-		// This view covers more positions than asked for; its interior
-		// layer at maxN-1 is exactly the zone frontier at that position —
-		// a tighter anchor than any older view's final layer, and found
-		// without walking the chain further. The exact-prefix DP is
-		// position-local, so the layer is identical to the final layer of
-		// a build stopped at maxN.
-		l := &vw.layers[maxN-1]
-		return l.cells, l.score, c.zdim, maxN, true
-	}
-	return nil, nil, 0, 0, false
+	n = min(c.n, maxN)
+	l := &vw.layers[n-1]
+	return l.cells(), l.scores(), c.zdim, n, true
 }
 
 // ensureView returns the checkpoint's view, materializing the deferred
 // DP on the first touch of a lazy handle. Concurrent first touches
 // serialize on ck.mu (single-flight); every later caller takes the
-// lock-free fast path. A cancelled materialization publishes nothing, so
-// the next caller retries cleanly.
+// lock-free fast path. Publishing the view releases the donor and cuts
+// the extension link, after the view is visible (see firstView). A
+// cancelled materialization publishes nothing, so the next caller
+// retries cleanly.
 func (ck *Checkpoint) ensureView(p *Poll, sc *ConstrainScratch) (*ckView, error) {
 	if vw := ck.view.Load(); vw != nil {
 		return vw, nil
@@ -591,6 +603,7 @@ func (ck *Checkpoint) ensureView(p *Poll, sc *ConstrainScratch) (*ckView, error)
 		ck.b.lazyLayers.Add(uint64(built))
 	}
 	ck.view.Store(vw)
+	ck.base.Store(nil)
 	return vw, nil
 }
 
@@ -622,8 +635,11 @@ type crossCand struct {
 // ConstrainScratch holds the reusable buffers of checkpoint
 // materializations and resumes. The two use disjoint fields, so one
 // scratch serves a resume together with the materialization it
-// triggers, which runs before the resume touches its own fields. Not
-// safe for concurrent use; pass nil to draw from an internal pool.
+// triggers, which runs before the resume touches its own fields. Builds
+// relax into buf, which only grows, so they stop regrowing once it
+// reaches their high-water mark; seal copies each build out exactly
+// sized. Not safe for concurrent use; pass nil to draw from an internal
+// pool.
 type ConstrainScratch struct {
 	f         frontier // build: (x·|Q|+q)·Z+z cell space
 	prevBuf   []int32  // build: predecessor index per cell, rebuilt per layer
@@ -633,6 +649,7 @@ type ConstrainScratch struct {
 	xof, qof  []int32  // build: xq → (x, q) decode tables for the current (K, |Q|)
 	xqK, xqS  int      // build: the (K, |Q|) the decode tables were sized for
 	iota      []int32  // build: 0, 1, 2, …: the activation-order predecessor list
+	buf       ckSlab   // build: the layers being relaxed, before seal copies them out
 	cur, next frontier // resume: past-zone (x·|Q|+q) cell space
 	back      []int32  // resume: per-position past-zone backpointers of the swept positions
 	cross     []crossRec
@@ -642,26 +659,21 @@ type ConstrainScratch struct {
 	mark      []int32     // resume: cell → entry of the position survive is filling, else -1
 	head      []int32     // resume: cell → index in a continued prior's Cells
 	src, nsrc []int32     // resume: prior entries a compacting survive copies, per position
-	freeSlabs []ckSlab    // recycled checkpoint storage, popped by builds
-	// slabHint/zoffHint are the final slab sizes of the last build through
-	// this scratch: successive builds in one drain are about the same
-	// size, so pre-sizing to the previous high-water mark replaces the
-	// append-doubling regrowth (and its copies) with one allocation.
-	slabHint, zoffHint int
+	free      []*ckView   // recycled views, whose header arrays and slabs builds reuse
 }
 
-// Recycle retires ck and returns its materialized layer storage, if any,
-// to the scratch freelist, where the next materialization through the
-// same scratch reuses it. Recycling ends the view's immutability: the
-// caller must have dropped every reference to ck and to data obtained
-// from it, and must never recycle a checkpoint other goroutines can
-// still see (in particular, checkpoints published to the ranked
-// evaluator's shared LRU are not recyclable). A resume against a
-// recycled checkpoint, touched or not, panics instead of rebuilding.
-// Recycling into the internal pool is not possible — Recycle is only
-// useful with an explicitly owned scratch, such as the sliding-window
-// sweeper's, whose per-window checkpoint rings are private by
-// construction.
+// Recycle retires ck and hands its materialized view, if any — header
+// array and slab — to the scratch freelist, where the next
+// materialization through the same scratch reuses whatever has room.
+// Recycling ends the view's immutability: the caller must have dropped
+// every reference to ck and to data obtained from it, and must never
+// recycle a checkpoint other goroutines can still see (in particular,
+// checkpoints published to the ranked evaluator's shared LRU are not
+// recyclable). A resume against a recycled checkpoint, touched or not,
+// panics instead of rebuilding. Recycling into the internal pool is not
+// possible — Recycle is only useful with an explicitly owned scratch,
+// such as the sliding-window sweeper's, whose per-window checkpoint
+// rings are private by construction.
 func (sc *ConstrainScratch) Recycle(ck *Checkpoint) {
 	if ck == nil {
 		return
@@ -670,12 +682,9 @@ func (sc *ConstrainScratch) Recycle(ck *Checkpoint) {
 	ck.nt, ck.v, ck.b = nil, nil, nil
 	vw := ck.view.Swap(nil)
 	ck.mu.Unlock()
-	if vw == nil || vw.layers == nil {
-		return
+	if vw != nil {
+		sc.free = append(sc.free, vw)
 	}
-	slab := vw.slab
-	slab.layers = vw.layers
-	sc.freeSlabs = append(sc.freeSlabs, slab)
 }
 
 var constrainScratchPool = sync.Pool{New: func() any { return new(ConstrainScratch) }}
@@ -777,8 +786,8 @@ func decodeTables(sc *ConstrainScratch, k, states int) (xof, qof []int32) {
 // does not alias, fewer only when the exact-prefix language dies early.
 // Each position's layer has one of three sources:
 //
-//   - positions below the deepest materialized view in ck.base's chain
-//     alias that view's layer headers (extension; see
+//   - positions below the first materialized view in ck's base chain
+//     copy that view's layer headers (extension; see
 //     NewExtendedLazyCheckpoint) — bit-identical to relaxing them, since
 //     the DP is position-local and relax keeps the incumbent on equal
 //     scores;
@@ -789,16 +798,15 @@ func decodeTables(sc *ConstrainScratch, k, states int) (xof, qof []int32) {
 //   - every other position relaxes its predecessors in full, in
 //     activation order, gated by ck.b when it is set.
 //
-// On cancellation the slab goes back to the scratch freelist and the
-// error is returned; sc.f is empty at every poll point (snapshot resets
-// it), so no other cleanup is needed.
+// Layers relax into the scratch's build buffer, read back through it
+// until seal copies them into the view's own slab. A recycled view lends
+// its header array and slab and leaves the freelist only on completion,
+// so a cancelled build returns the error and leaves the scratch as it
+// was (sc.f is empty at every poll point: snapshot resets it).
 func materialize(p *Poll, ck *Checkpoint, sc *ConstrainScratch) (*ckView, int, error) {
 	var alias []ckLayer
-	for c := ck.base; c != nil; c = c.base {
-		if vw := c.view.Load(); vw != nil {
-			alias = vw.layers[:c.n]
-			break
-		}
+	if c, vw := firstView(ck.base.Load()); vw != nil {
+		alias = vw.layers[:c.n]
 	}
 	// The donor materializes first, through the same scratch, before this
 	// build claims the scratch's build fields.
@@ -831,29 +839,22 @@ func materialize(p *Poll, ck *Checkpoint, sc *ConstrainScratch) (*ckView, int, e
 	syms := nt.Syms
 	band := max(dlen+1-nt.MaxEmit, 0)
 
-	var slab ckSlab
-	if len(alias) > 0 {
-		// An extension relaxes only the appended positions: size its slab
-		// from the final aliased layer, not from the last full build.
-		last := &alias[len(alias)-1]
-		slab.reserve(len(last.cells)*(2+v.N-len(alias))+16, len(last.zoff)+zdim*(v.N-len(alias)))
-	} else if k := len(sc.freeSlabs); k > 0 {
-		slab = sc.freeSlabs[k-1]
-		sc.freeSlabs[k-1] = ckSlab{}
-		sc.freeSlabs = sc.freeSlabs[:k-1]
-		slab.cells, slab.score, slab.prev = slab.cells[:0], slab.score[:0], slab.prev[:0]
-		slab.zidx, slab.zoff = slab.zidx[:0], slab.zoff[:0]
-	} else if sc.slabHint > 0 {
-		slab.reserve(sc.slabHint, sc.zoffHint)
-	}
-	var layers []ckLayer
-	if cap(slab.layers) >= v.N {
-		layers = slab.layers[:v.N]
-		clear(layers)
+	buf := &sc.buf
+	buf.cells, buf.score, buf.prev = buf.cells[:0], buf.score[:0], buf.prev[:0]
+	buf.zidx, buf.zoff = buf.zidx[:0], buf.zoff[:0]
+	free := len(sc.free)
+	var vw *ckView
+	if free > 0 {
+		vw = sc.free[free-1]
 	} else {
+		vw = &ckView{slab: new(ckSlab)}
+	}
+	layers := vw.layers
+	if cap(layers) < v.N {
 		layers = make([]ckLayer, v.N)
 	}
-	slab.layers = nil
+	layers = layers[:v.N]
+	clear(layers)
 	copy(layers, alias)
 
 	neg := math.Inf(-1)
@@ -861,8 +862,6 @@ func materialize(p *Poll, ck *Checkpoint, sc *ConstrainScratch) (*ckView, int, e
 	built := 0
 	for i := len(alias); i < v.N; i++ {
 		if err := p.Step(); err != nil {
-			slab.layers = layers
-			sc.freeSlabs = append(sc.freeSlabs, slab)
 			return nil, 0, err
 		}
 		// zmin is the highest column this position does not relax into:
@@ -899,14 +898,9 @@ func materialize(p *Poll, ck *Checkpoint, sc *ConstrainScratch) (*ckView, int, e
 			if pl.n == 0 {
 				break // the exact-prefix language died; later layers stay empty
 			}
-			// An aliased predecessor is sealed; a built one is read through
-			// the slab, whose views are not sealed yet. Safe: the slab only
-			// grows at the snapshot below, after this iteration is done
-			// with them.
-			pcells, pscore := pl.cells, pl.score
-			if i > len(alias) {
-				pcells, pscore = slab.cells[pl.off:pl.off+pl.n], slab.score[pl.off:pl.off+pl.n]
-			}
+			// A built predecessor reads the build buffer, which only grows
+			// at the snapshot below, after this iteration is done with it.
+			pcells, pscore := pl.cells(), pl.scores()
 			// Predecessors relax in activation order, except on a derived
 			// position: there only the boundary band can reach a new column,
 			// buckets band..maxZ, contiguous in the z-bucket index.
@@ -915,8 +909,8 @@ func materialize(p *Poll, ck *Checkpoint, sc *ConstrainScratch) (*ckView, int, e
 			}
 			preds := sc.iota[:len(pcells)]
 			if d != nil {
-				zo := slab.zoff[pl.zo : pl.zo+pl.maxZ+2]
-				preds = slab.zidx[pl.off+zo[min(band, int(pl.maxZ)+1)] : pl.off+zo[pl.maxZ+1]]
+				zo := pl.zoff()
+				preds = pl.zidx()[zo[min(band, int(pl.maxZ)+1)]:zo[pl.maxZ+1]]
 			}
 			st := &v.Steps[i-1]
 			for _, pj := range preds {
@@ -949,17 +943,15 @@ func materialize(p *Poll, ck *Checkpoint, sc *ConstrainScratch) (*ckView, int, e
 				}
 			}
 		}
-		slab.snapshot(&layers[i], &sc.f, prevBuf, zdim, d, dzdim, &sc.zcur, &sc.zbuf)
+		buf.snapshot(&layers[i], &sc.f, prevBuf, zdim, d, dzdim, &sc.zcur, &sc.zbuf)
 		built++
 	}
-	if n := len(slab.cells); n > sc.slabHint {
-		sc.slabHint = n
+	if free > 0 {
+		sc.free[free-1], sc.free = nil, sc.free[:free-1]
 	}
-	if n := len(slab.zoff); n > sc.zoffHint {
-		sc.zoffHint = n
-	}
-	slab.seal(layers[len(alias):], viewSeq.Add(1))
-	return &ckView{layers: layers, slab: slab}, built, nil
+	vw.layers = layers
+	vw.slab.seal(buf, layers[len(alias):])
+	return vw, built, nil
 }
 
 // walkPrefix reconstructs nodes/states for positions 0..li by following
@@ -967,10 +959,10 @@ func materialize(p *Poll, ck *Checkpoint, sc *ConstrainScratch) (*ckView, int, e
 func (ck *Checkpoint) walkPrefix(layers []ckLayer, li, pj int, nodes []automata.Symbol, states []int) {
 	for li >= 0 {
 		layer := &layers[li]
-		xq := int(layer.cells[pj]) / ck.zdim
+		xq := int(layer.cells()[pj]) / ck.zdim
 		nodes[li] = automata.Symbol(xq / ck.states)
 		states[li] = xq % ck.states
-		pj = int(layer.prev[pj])
+		pj = int(layer.prev()[pj])
 		li--
 	}
 }
@@ -1180,11 +1172,12 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 	exactBest, exactIdx := neg, -1
 	if c.Mode != transducer.ExtensionsOnly {
 		last := &layers[v.N-1]
+		lcells, lscores := last.cells(), last.scores()
 		for _, j32 := range last.bucket(l) {
 			j := int(j32)
-			cell := int(last.cells[j])
-			if nt.Accept[(cell/zdim)%nt.States] && last.score[j] > exactBest {
-				exactBest, exactIdx = last.score[j], j
+			cell := int(lcells[j])
+			if nt.Accept[(cell/zdim)%nt.States] && lscores[j] > exactBest {
+				exactBest, exactIdx = lscores[j], j
 			}
 		}
 	}
@@ -1210,7 +1203,7 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 	// entry in the store.
 	start := 0
 	if rs != nil && prior != nil && prior.N >= 1 && prior.N < v.N &&
-		prior.pastSize == pastSize && layers[prior.N-1].vid == prior.vid {
+		prior.pastSize == pastSize && layers[prior.N-1].s.vid == prior.vid {
 		start, continued = prior.N, true
 		if len(sc.head) < pastSize {
 			sc.head = make([]int32, pastSize)
@@ -1291,10 +1284,11 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 			prow0 = b.pot[(i-1)*pastSize : i*pastSize]
 			prow1 = b.pot[i*pastSize : (i+1)*pastSize]
 		}
+		pcells, pscores := prevLayer.cells(), prevLayer.scores()
 		for _, pj := range win {
 			pi := int(pj)
-			pcell := prevLayer.cells[pi]
-			base := prevLayer.score[pi]
+			pcell := pcells[pi]
+			base := pscores[pi]
 			xq := int(pcell) / zdim
 			if prune && base+prow0[xq] < tau {
 				// The backward recurrence makes score + past-zone
@@ -1441,7 +1435,7 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 		for _, idx := range sc.cur.list {
 			rs.Scores = append(rs.Scores, sc.cur.val[idx])
 		}
-		rs.pastSize, rs.vid = pastSize, layers[v.N-1].vid
+		rs.pastSize, rs.vid = pastSize, layers[v.N-1].s.vid
 		if len(sc.cur.list) > 0 {
 			var ps *survivors
 			if continued {
@@ -1470,7 +1464,7 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 	rec, crossPos := surv.trace(head, v.N-1, nt.States, nodes, states)
 	z := 0
 	if rec.layer >= 0 {
-		z = int(layers[rec.layer].cells[rec.pi]) % zdim
+		z = int(layers[rec.layer].cells()[rec.pi]) % zdim
 		ck.walkPrefix(layers, int(rec.layer), int(rec.pi), nodes, states)
 	}
 	w := nt.Emit[nt.EmitPtr[rec.edge]:nt.EmitPtr[rec.edge+1]]

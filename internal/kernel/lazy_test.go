@@ -188,10 +188,11 @@ func TestResumeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestBuildRecycleSteadyStateAllocs pins the slab freelist: a
+// TestBuildRecycleSteadyStateAllocs pins the view freelist: a
 // build-recycle cycle through one scratch reuses the previous
-// checkpoint's layer storage, allocating only the fixed-size handle
-// (checkpoint struct, alignment copy, view struct).
+// checkpoint's view — header array, slab and the view struct itself —
+// allocating only the fixed-size handle (checkpoint struct and
+// alignment copy; the bound leaves room for one more).
 func TestBuildRecycleSteadyStateAllocs(t *testing.T) {
 	nt, v, b, o, _, sc := lazyAllocWorkload(t)
 	step := func() {

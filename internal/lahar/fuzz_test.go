@@ -1,8 +1,12 @@
 package lahar
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"markovseq/internal/automata"
@@ -23,14 +27,60 @@ func (b *fuzzBytes) next() int {
 	return int(v)
 }
 
+// fuzzInstance decodes the instance that opens every serving-path fuzz
+// input: a Markov sequence over 2 or 3 nodes with n ≤ 40 positions (so
+// windows and prefixes fall on both sides of kernel.BoundsMinN) and some
+// zero transitions, and a 1–3-state deterministic transducer emitting at
+// most one of two output symbols per transition, with a random accepting
+// set and missing transitions so that some inputs are answerless. Byte
+// layout: |Σ|, n, density, two seed bytes, |Q|, accepting mask, |Q|·|Σ|
+// transition bytes (low two bits: emit x, emit y, emit nothing, no
+// transition; the rest: target state).
+func fuzzInstance(in *fuzzBytes) (*markov.Sequence, *transducer.Transducer) {
+	sigma := 2 + in.next()%2
+	nodes := automata.MustAlphabet([]string{"a", "b", "c"}[:sigma]...)
+	n := 1 + in.next()%40
+	density := float64(1+in.next()%7) / 8
+	seed := int64(in.next()<<8 | in.next())
+	m := markov.Random(nodes, n, density, rand.New(rand.NewSource(seed)))
+
+	states := 1 + in.next()%3
+	tr := transducer.New(nodes, automata.MustAlphabet("x", "y"), states, 0)
+	accepting := in.next()
+	for q := 0; q < states; q++ {
+		tr.SetAccepting(q, accepting>>q&1 == 1)
+		for s := 0; s < sigma; s++ {
+			e := in.next()
+			var out []automata.Symbol
+			switch e % 4 {
+			case 0, 1:
+				out = []automata.Symbol{automata.Symbol(e % 4)}
+			case 3:
+				continue // no transition
+			}
+			tr.AddTransition(q, automata.Symbol(s), e/4%states, out)
+		}
+	}
+	return m, tr
+}
+
+// fuzzStore returns a factory stamping a sequence (stream "s") and tr
+// (query "q") into a fresh store.
+func fuzzStore(t *testing.T, tr *transducer.Transducer) func(m *markov.Sequence, opts ...Option) *DB {
+	return func(m *markov.Sequence, opts ...Option) *DB {
+		db := New(opts...)
+		if err := db.PutStream("s", m); err != nil {
+			t.Fatal(err)
+		}
+		db.RegisterTransducer("q", tr)
+		return db
+	}
+}
+
 // FuzzSlidingWindows is the serving-path differential for sliding
-// windows. The input decodes into a small random instance: a Markov
-// sequence over 2 or 3 nodes with n ≤ 40 positions (so windows fall on
-// both sides of kernel.BoundsMinN) and some zero transitions, a 1–3-state
-// deterministic transducer emitting at most one of two output symbols
-// per transition, with a random accepting set and missing transitions so
-// that some windows are answerless, and a window, stride, k and watcher
-// prefix length. Then:
+// windows. The input decodes into a small random instance (see
+// fuzzInstance) and a window, stride, k and watcher prefix length.
+// Then:
 //
 //   - serial SlidingTopK equals the bind-per-window reference bit for bit;
 //   - the parallel sweep equals the serial one;
@@ -39,9 +89,7 @@ func (b *fuzzBytes) next() int {
 //   - a window's Top is nil exactly when the unranked enumeration of that
 //     window (Theorem 4.1, an independent nonemptiness path) is empty.
 func FuzzSlidingWindows(f *testing.F) {
-	// Byte layout: |Σ|, n, density, two seed bytes, |Q|, accepting mask,
-	// |Q|·|Σ| transition bytes (low two bits: emit x, emit y, emit
-	// nothing, no transition; the rest: target state), window, stride,
+	// Byte layout: the instance (see fuzzInstance), then window, stride,
 	// k, watcher prefix.
 	f.Add([]byte{0, 11, 5, 1, 2, 1, 0b01, 4, 1, 2, 7, 7, 0, 1, 9})
 	// The whole stream as one window, and a watcher on a 1-position
@@ -57,43 +105,14 @@ func FuzzSlidingWindows(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		testutil.CheckLeaks(t)
 		in := fuzzBytes(data)
-		sigma := 2 + in.next()%2
-		nodes := automata.MustAlphabet([]string{"a", "b", "c"}[:sigma]...)
-		n := 1 + in.next()%40
-		density := float64(1+in.next()%7) / 8
-		seed := int64(in.next()<<8 | in.next())
-		m := markov.Random(nodes, n, density, rand.New(rand.NewSource(seed)))
-
-		states := 1 + in.next()%3
-		tr := transducer.New(nodes, automata.MustAlphabet("x", "y"), states, 0)
-		accepting := in.next()
-		for q := 0; q < states; q++ {
-			tr.SetAccepting(q, accepting>>q&1 == 1)
-			for s := 0; s < sigma; s++ {
-				e := in.next()
-				var out []automata.Symbol
-				switch e % 4 {
-				case 0, 1:
-					out = []automata.Symbol{automata.Symbol(e % 4)}
-				case 3:
-					continue // no transition
-				}
-				tr.AddTransition(q, automata.Symbol(s), e/4%states, out)
-			}
-		}
+		m, tr := fuzzInstance(&in)
+		n := m.Len()
 		window := 1 + in.next()%n
 		stride := 1 + in.next()%4
 		k := 1 + in.next()%4
 		p := 1 + in.next()%n
 
-		mk := func(m *markov.Sequence, opts ...Option) *DB {
-			db := New(opts...)
-			if err := db.PutStream("s", m); err != nil {
-				t.Fatal(err)
-			}
-			db.RegisterTransducer("q", tr)
-			return db
-		}
+		mk := fuzzStore(t, tr)
 		db := mk(m)
 		got, err := db.SlidingTopK("s", "q", window, stride, k)
 		if err != nil {
@@ -125,6 +144,114 @@ func FuzzSlidingWindows(f *testing.F) {
 			if answerless := len(eng.Enumerate(1)) == 0; answerless != (w.Top == nil) {
 				t.Fatalf("n=%d w=%d s=%d: window [%d,%d] has Top %v but unranked enumeration answerless=%v",
 					n, window, stride, w.Start, w.End, w.Top, answerless)
+			}
+		}
+	})
+}
+
+// FuzzAppendTopK is the serving-path differential for ranked answers
+// kept fresh across appends. The input decodes into a small random
+// instance (see fuzzInstance), a prefix length p, k ∈ [1, 4], a flag
+// that flattens the rows of the first four positions to uniform over
+// their support (so exact E_max ties, and k boundaries that split a tie
+// class, are common), and the call to cancel. A store holding the p-position prefix
+// drains TopK(k); then the rest of the sequence arrives one event per
+// AppendEvents, each followed by TopK(1) and TopK(k), append-rank's
+// request shape, so every carry starts from a drained tree and every
+// TopK(k) extends a partly drained one. Then:
+//
+//   - every list matches a reference store built from scratch over the
+//     same prefix: bit-identical scores rank by rank, set-identical tie
+//     classes (topKThroughTies, assertTopKMatches);
+//   - TopK(1) is the head of the TopK(k) that follows it;
+//   - the chosen call first runs once on an already-cancelled context,
+//     which returns context.Canceled with a ranked prefix of the
+//     reference or the whole answer, and the live call after it still
+//     matches.
+func FuzzAppendTopK(f *testing.F) {
+	// Byte layout: the instance (see fuzzInstance), then prefix length,
+	// k, flatten flag, cancelled call.
+	f.Add([]byte{0, 11, 5, 1, 2, 1, 0b01, 4, 1, 2, 7, 3, 2, 0, 3})
+	// A long append run from a 1-position prefix, cancelling a TopK(1).
+	f.Add([]byte{0, 39, 6, 0, 9, 1, 0b11, 4, 1, 2, 0, 0, 3, 0, 17})
+	// Only state 2 accepts, reached on "c" then "a": 13 of the 27
+	// lengths are answerless.
+	f.Add([]byte{1, 29, 0, 4, 2, 2, 0b100, 2, 2, 6, 9, 2, 6, 8, 10, 10, 3, 2, 0, 5})
+	// Answerless throughout: nothing accepts.
+	f.Add([]byte{0, 19, 4, 3, 1, 1, 0b00, 4, 1, 2, 7, 5, 3, 0, 2})
+	// Flattened rows: at every length k splits a tie class (19 lengths
+	// at |Σ| = 2, 14 at |Σ| = 3).
+	f.Add([]byte{0, 24, 5, 2, 1, 1, 0b11, 4, 1, 2, 7, 6, 1, 1, 4})
+	f.Add([]byte{1, 17, 5, 5, 5, 2, 0b111, 0, 5, 2, 1, 4, 8, 4, 6, 1, 4, 3, 1, 6})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		testutil.CheckLeaks(t)
+		in := fuzzBytes(data)
+		full, tr := fuzzInstance(&in)
+		n := full.Len()
+		p := 1 + in.next()%n
+		k := 1 + in.next()%4
+		if in.next()%2 == 1 {
+			// Only the first flatPositions positions: a tie class then
+			// holds at most |Σ|^flatPositions answers, so the reference's
+			// drain through the last tied class stays short.
+			const flatPositions = 4
+			trans := full.Trans[:min(flatPositions-1, len(full.Trans))]
+			for _, row := range append([][]float64{full.Initial}, slices.Concat(trans...)...) {
+				support := 0
+				for _, v := range row {
+					if v > 0 {
+						support++
+					}
+				}
+				for i, v := range row {
+					if v > 0 {
+						row[i] = 1 / float64(support)
+					}
+				}
+			}
+		}
+		calls := 1 + 2*(n-p)
+		cancelAt := in.next() % calls
+
+		mk := fuzzStore(t, tr)
+		db := mk(full.Window(1, p))
+		cancelled, cancel := context.WithCancel(context.Background())
+		cancel()
+		call := 0
+		// topK runs call number call, with a cancelled rehearsal first
+		// when it is the chosen one, and checks it against want.
+		topK := func(kk int, want []Result, label string) []Result {
+			t.Helper()
+			if call == cancelAt {
+				got, err := db.TopKCtx(cancelled, "s", "q", kk)
+				switch {
+				case err == nil:
+					assertTopKMatches(t, label+", cancelled", got, want, kk)
+				case !errors.Is(err, context.Canceled):
+					t.Fatalf("%s, cancelled: %v", label, err)
+				case len(got) > 0:
+					assertTopKMatches(t, label+", cancelled prefix", got, want, len(got))
+				}
+			}
+			call++
+			got, err := db.TopK("s", "q", kk)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			assertTopKMatches(t, label, got, want, kk)
+			return got
+		}
+		topK(k, topKThroughTies(t, mk(full.Window(1, p)), "s", "q", k), fmt.Sprintf("n=%d p=%d k=%d warm", n, p, k))
+		for L := p; L < n; L++ {
+			if _, err := db.AppendEvents("s", eventsOf(full, L, L+1)); err != nil {
+				t.Fatalf("append at %d: %v", L, err)
+			}
+			want := topKThroughTies(t, mk(full.Window(1, L+1)), "s", "q", k)
+			label := fmt.Sprintf("n=%d p=%d k=%d length %d", n, p, k, L+1)
+			head := topK(1, want, label+" TopK(1)")
+			all := topK(k, want, label+" TopK(k)")
+			if len(all) > 0 && !reflect.DeepEqual(head, all[:1]) || len(all) == 0 && len(head) > 0 {
+				t.Fatalf("%s: TopK(1) %v is not the head of TopK(k) %v", label, head, all)
 			}
 		}
 	})

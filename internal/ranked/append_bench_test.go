@@ -19,12 +19,17 @@
 // not depend on b.N or -benchtime. The incremental benchmark reports
 // reused/append and reseeded/append — the average number of answers
 // re-entered as exact singletons and of subproblems re-seeded with
-// refreshed bounds per append — as extra metrics; the tracked speedup is
-// the ns/op ratio of the pair.
+// refreshed bounds per append — as extra metrics, and live-MB, the live
+// heap after the op's last drain while the carried enumerator is still
+// referenced (read after a forced GC with the timer stopped, averaged
+// over ops): the retained state a stream pays to keep its top-k fresh.
+// The tracked speedup is the ns/op ratio of the pair.
 package ranked
 
 import (
 	"math/rand"
+	"runtime"
+	"runtime/metrics"
 	"testing"
 
 	"markovseq/internal/markov"
@@ -73,7 +78,8 @@ func appendBenchStep(b *testing.B, full, grown *markov.Sequence) *markov.Sequenc
 
 func BenchmarkRankedAppendIncremental(b *testing.B) {
 	tr, full := appendBenchWorkload(b)
-	var reused, reseeded uint64
+	var reused, reseeded, live uint64
+	heap := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -95,12 +101,17 @@ func BenchmarkRankedAppendIncremental(b *testing.B) {
 		r, s, _ := e.ExtendStats()
 		reused += r
 		reseeded += s
+		runtime.GC()
+		metrics.Read(heap)
+		live += heap[0].Value.Uint64()
+		runtime.KeepAlive(e)
 		b.StartTimer()
 	}
 	b.StopTimer()
 	appends := float64(b.N * appendBenchAppends)
 	b.ReportMetric(float64(reused)/appends, "reused/append")
 	b.ReportMetric(float64(reseeded)/appends, "reseeded/append")
+	b.ReportMetric(float64(live)/float64(b.N)/1e6, "live-MB")
 }
 
 func BenchmarkRankedAppendRebuild(b *testing.B) {

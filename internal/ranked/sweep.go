@@ -83,7 +83,7 @@ func sameAlign(a, b []automata.Symbol) bool {
 
 // checkpoint returns the ring's handle aligned to align, adding one on a
 // miss. The window's drain materializes the DP only if a resolve reads
-// it, drawing from s.sc's slab freelist, and Recycle returns it there.
+// it, reusing a view from s.sc's freelist, and Recycle returns it there.
 func (s *Sweeper) checkpoint(v *kernel.SeqView, align []automata.Symbol) *kernel.Checkpoint {
 	for i := range s.ring {
 		if sameAlign(s.ring[i].align, align) {
