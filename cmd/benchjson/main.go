@@ -7,6 +7,11 @@
 // The JSON keeps the raw benchmark lines alongside the parsed fields,
 // so the original benchstat-compatible text can always be recovered
 // from the file (benchstat consumes the "raw" strings directly).
+//
+// Each repeatable -meta key=value flag adds a line of run metadata to
+// the summary's config, so a committed file can say how it was made:
+//
+//	... | benchjson -o BENCH_ranked.json -meta commit=$(git rev-parse --short HEAD) -meta count=9 -meta benchtime=1s
 package main
 
 import (
@@ -14,7 +19,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -35,34 +42,44 @@ type Result struct {
 // File is the schema of the output document.
 type File struct {
 	// Config holds the `key: value` context lines go test prints before
-	// the results (goos, goarch, pkg, cpu).
+	// the results (goos, goarch, pkg, cpu), then the -meta pairs.
 	Config  map[string]string `json:"config"`
 	Results []Result          `json:"results"`
 }
 
+// meta is the repeatable -meta key=value flag.
+type meta map[string]string
+
+func (m meta) String() string {
+	pairs := make([]string, 0, len(m))
+	for k, v := range m {
+		pairs = append(pairs, k+"="+v)
+	}
+	sort.Strings(pairs)
+	return strings.Join(pairs, ",")
+}
+
+func (m meta) Set(s string) error {
+	k, v, ok := strings.Cut(s, "=")
+	if !ok || k == "" {
+		return fmt.Errorf("want key=value, got %q", s)
+	}
+	m[k] = v
+	return nil
+}
+
 func main() {
 	out := flag.String("o", "", "write the JSON summary to this file (required)")
+	md := meta{}
+	flag.Var(md, "meta", "add `key=value` run metadata to the summary's config (repeatable)")
 	flag.Parse()
 	if *out == "" {
 		fmt.Fprintln(os.Stderr, "benchjson: -o FILE is required")
 		os.Exit(2)
 	}
 
-	doc := File{Config: map[string]string{}}
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		fmt.Println(line) // pass-through: the pipeline stays observable
-		if r, ok := parseBench(line); ok {
-			doc.Results = append(doc.Results, r)
-			continue
-		}
-		if k, v, ok := parseConfig(line); ok {
-			doc.Config[k] = v
-		}
-	}
-	if err := sc.Err(); err != nil {
+	doc, err := summarize(os.Stdin, os.Stdout, md)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: reading stdin: %v\n", err)
 		os.Exit(1)
 	}
@@ -78,6 +95,29 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %d results to %s\n", len(doc.Results), *out)
+}
+
+// summarize parses go test -bench output from in, echoing every line to
+// echo (the pipeline stays observable), and adds md to the config.
+func summarize(in io.Reader, echo io.Writer, md meta) (File, error) {
+	doc := File{Config: map[string]string{}}
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		fmt.Fprintln(echo, line)
+		if r, ok := parseBench(line); ok {
+			doc.Results = append(doc.Results, r)
+			continue
+		}
+		if k, v, ok := parseConfig(line); ok {
+			doc.Config[k] = v
+		}
+	}
+	for k, v := range md {
+		doc.Config[k] = v
+	}
+	return doc, sc.Err()
 }
 
 // parseBench parses a benchmark result line:

@@ -28,7 +28,9 @@ import (
 //     takes a resume straight to the cells at its constraint boundary —
 //     is retained, so the checkpoint is the whole constrained frontier
 //     history, sparse, in activation order. A layer is a 24-byte header
-//     into a slab, the exactly sized cell storage of the view that built it.
+//     into a slab, the exactly sized cell storage of the view that built
+//     it; a derived layer shares its donor's fully relaxed layer and
+//     stores only the cells above it.
 //
 //   - Every checkpoint is a lazy handle (NewLazyCheckpoint): an O(1)
 //     constructor with the DP deferred, so nothing is relaxed until a
@@ -43,7 +45,7 @@ import (
 //     One routine, materialize, builds every kind; the source of each
 //     position's layer is data in its one loop: layers an extension
 //     shares with its base are aliased, layers a derivation donor covers
-//     start from the donor's and relax only the boundary band, and every
+//     share the donor's cells and relax only the boundary band, and every
 //     other layer relaxes in full.
 //
 //   - ResumeConstrainedBoundedCtx answers any prefix constraint whose
@@ -113,17 +115,24 @@ import (
 // relax gated cells and removing them is unobservable.
 
 // ckLayer is one position's frontier snapshot, a 24-byte header into the
-// slab that holds it: the layer's n active cells in activation order
-// start at off in the slab's cell arrays, with their best log scores and,
-// for each, the index of its predecessor in the previous layer (-1 at
-// position 0). zidx holds the layer-local cell indices counting-sorted
-// into z buckets — the sort is stable, so each bucket preserves
-// activation order — with bucket z spanning zidx[zoff[z]:zoff[z+1]] for
-// the maxZ+2 offsets at slab offset zo. An empty layer (n = 0: the
-// exact-prefix language died at or before its position) reads as empty
-// through every accessor. An extension copies its base's headers, so two
-// views hold a layer in the same slab — the same s.vid — exactly when
-// they share every layer up to it.
+// slab s of the view that built it. The layer's n active cells, in
+// activation order, are the cells of its root followed by its own: a
+// derived layer at position i (i < len(s.roots)) shares s.roots[i], a
+// fully relaxed layer of an earlier view, and owns the cells above it;
+// every other layer has no root and owns all n. Each cell carries its
+// best log score and the index of its predecessor in the previous layer
+// (-1 at position 0). Indices are layer-local, root cells first, so a
+// layer's indices stay valid in every layer derived from it. zidx holds
+// the layer-local indices counting-sorted into z buckets — the sort is
+// stable, so each bucket preserves activation order. The root's buckets
+// are its own; the layer's own cells all lie in higher columns, with own
+// bucket z spanning its own zidx[zoff[z-b]:zoff[z-b+1]] for the maxZ-b+2
+// offsets at slab offset zo, where b is the column above the root's
+// top (0 without a root). An empty layer (n = 0: the exact-prefix
+// language died at or before its position) reads as empty through every
+// accessor. An extension copies its base's headers, so two views hold a
+// layer in the same slab — the same s.vid — exactly when they share
+// every layer up to it; a derived layer is always in its own view's slab.
 type ckLayer struct {
 	s    *ckSlab
 	off  int32
@@ -137,70 +146,105 @@ type ckLayer struct {
 // it never pins an evicted checkpoint's slab.
 var viewSeq atomic.Uint64
 
-// cells, scores, prev and zidx return the layer's per-cell arrays, and
-// zoff its z-bucket offsets (none for an empty layer).
-func (l *ckLayer) cells() []int32    { return l.s.cells[l.off : l.off+l.n] }
-func (l *ckLayer) scores() []float64 { return l.s.score[l.off : l.off+l.n] }
-func (l *ckLayer) prev() []int32     { return l.s.prev[l.off : l.off+l.n] }
-func (l *ckLayer) zidx() []int32     { return l.s.zidx[l.off : l.off+l.n] }
-func (l *ckLayer) zoff() []int32 {
-	if l.n == 0 {
-		return nil
+// noRoot is the root of a layer that has none.
+var noRoot = ckLayer{s: new(ckSlab)}
+
+// root returns the shared root of the layer at position i, noRoot unless
+// the layer is derived.
+func (l *ckLayer) root(i int) *ckLayer {
+	if i < len(l.s.roots) {
+		return &l.s.roots[i]
 	}
-	return l.s.zoff[l.zo : l.zo+l.maxZ+2]
+	return &noRoot
 }
 
-// bucket returns the layer-local indices of cells with matched-prefix
-// count z, in activation order.
-func (l *ckLayer) bucket(z int) []int32 {
-	if l.n == 0 || z < 0 || int32(z) > l.maxZ {
-		return nil
+// top returns the highest column of a layer without a root, -1 when it
+// is empty.
+func (l *ckLayer) top() int {
+	if l.n == 0 {
+		return -1
 	}
-	zo := l.zoff()
-	return l.zidx()[zo[z]:zo[z+1]]
+	return int(l.maxZ)
 }
 
-// window returns the layer-local indices of cells with z in [lo, hi].
-// The single-bucket case is a direct slice; spanning windows are merged
-// into buf and sorted, because candidate recording order must match the
-// exhaustive layer scan (ascending activation index) for the resume's
-// tie-breaking contract.
-func (l *ckLayer) window(lo, hi int, buf *[]int32) []int32 {
-	if l.n == 0 {
+// cells and scores return the per-cell arrays of the layer at position i
+// as two spans, the root's and the layer's own.
+func (l *ckLayer) cells(i int) (r, o []int32) {
+	rt := l.root(i)
+	return rt.s.cells[rt.off : rt.off+rt.n], l.s.cells[l.off : l.off+l.n-rt.n]
+}
+
+func (l *ckLayer) scores(i int) (r, o []float64) {
+	rt := l.root(i)
+	return rt.s.score[rt.off : rt.off+rt.n], l.s.score[l.off : l.off+l.n-rt.n]
+}
+
+// loc returns the slab holding layer-local cell j of the layer at
+// position i and the cell's index in the slab's arrays.
+func (l *ckLayer) loc(i, j int) (*ckSlab, int32) {
+	rt := l.root(i)
+	if int32(j) < rt.n {
+		return rt.s, rt.off + int32(j)
+	}
+	return l.s, l.off + int32(j) - rt.n
+}
+
+// zrange returns the layer-local indices of the cells at position i with
+// z in [lo, hi], 0 ≤ lo ≤ hi ≤ maxZ, bucket after bucket: those in the
+// root's buckets, then those in the layer's own.
+func (l *ckLayer) zrange(i, lo, hi int) (r, o []int32) {
+	rt := l.root(i)
+	top := rt.top()
+	if lo <= top {
+		zo := rt.s.zoff[rt.zo:]
+		r = rt.s.zidx[rt.off+zo[lo] : rt.off+zo[min(hi, top)+1]]
+	}
+	if hi > top {
+		zo, b := l.s.zoff[l.zo:], top+1
+		o = l.s.zidx[l.off+zo[max(lo, b)-b] : l.off+zo[hi-b+1]]
+	}
+	return r, o
+}
+
+// window returns the layer-local indices of cells at position i with z in
+// [lo, hi]. A single bucket is a direct slice, in activation order;
+// spanning windows are merged into buf and sorted, because candidate
+// recording order must match the exhaustive layer scan (ascending
+// activation index) for the resume's tie-breaking contract.
+func (l *ckLayer) window(i, lo, hi int, buf *[]int32) []int32 {
+	lo, hi = max(lo, 0), min(hi, int(l.maxZ))
+	if l.n == 0 || lo > hi {
 		return nil
 	}
-	if lo < 0 {
-		lo = 0
-	}
-	if m := int(l.maxZ); hi > m {
-		hi = m
-	}
-	if lo > hi {
-		return nil
-	}
-	zo, zidx := l.zoff(), l.zidx()
+	r, o := l.zrange(i, lo, hi)
 	if lo == hi {
-		return zidx[zo[lo]:zo[lo+1]]
+		if len(r) > 0 {
+			return r
+		}
+		return o
 	}
-	*buf = append((*buf)[:0], zidx[zo[lo]:zo[hi+1]]...)
+	*buf = append(append((*buf)[:0], r...), o...)
 	slices.Sort(*buf)
 	return *buf
 }
 
-// ckSlab is the cell storage of the layers one view relaxed: their
-// cells/score/prev/zidx concatenated into flat arrays and their z-bucket
-// offsets into zoff, each array exactly as long as its contents — a
+// ckSlab is the cell storage of the layers one view relaxed: their own
+// cells/score/prev/zidx concatenated into flat arrays, their z-bucket
+// offsets into zoff, and, for a derived view, the root each derived layer
+// shares, by position; each array exactly as long as its contents — a
 // build relaxes into the growable buffer of its ConstrainScratch, itself
 // a ckSlab that only grows, and seal copies that out. vid is the id of
 // the view that built the slab. A slab is an object of its own, apart
 // from its view's header array, so an extension that aliases a base's
-// layers pins the base's slab but not the base's headers.
+// layers pins the base's slab but not the base's headers, and a root
+// pins the slab it lies in.
 type ckSlab struct {
 	cells []int32
 	score []float64
 	prev  []int32
 	zidx  []int32
 	zoff  []int32
+	roots []ckLayer
 	vid   uint64
 }
 
@@ -212,63 +256,71 @@ func grow[T int32 | float64](s []T, n int) []T {
 	return append(s, make([]T, n)...)
 }
 
-// snapshot appends one layer to the build buffer s, points layer at it
-// and resets the frontier for the next position. A derived position
-// passes its donor layer d (nil otherwise): the layer then starts with
-// d's cells verbatim, their ids re-encoded from stride dzdim to zdim, so
+// snapshot appends the layer at position i to the build buffer s, points
+// layer at it and resets the frontier for the next position. A derived
+// position passes its donor's layer d (nil otherwise). The layer then
+// shares d's root, or d itself when d has none, so it owns a copy of d's
+// own cells only, verbatim: cell ids do not depend on the alignment, and
 // d's layer-local prev indices and z buckets carry over unchanged. The
 // frontier's active cells follow in activation order — on a derived
 // position they all lie in columns above d's — and are counting-sorted
-// into z buckets above d's. zcur is the counting-sort cursor scratch;
-// zbuf holds the per-cell z values so the modulo is computed once per
-// cell.
-func (s *ckSlab) snapshot(layer *ckLayer, f *frontier, prevBuf []int32, zdim int, d *ckLayer, dzdim int, zcur, zbuf *[]int32) {
-	off := len(s.cells)
-	dn, dMaxZ := 0, int32(-1)
-	if d != nil && d.n > 0 {
-		dn, dMaxZ = int(d.n), d.maxZ
+// into z buckets above d's. kq is K·|Q|, the stride of z in a cell id;
+// zcur is the counting-sort cursor scratch; zbuf holds the per-cell z
+// values so the division is computed once per cell.
+func (s *ckSlab) snapshot(layer *ckLayer, i int, f *frontier, prevBuf []int32, kq int32, d *ckLayer, zcur, zbuf *[]int32) {
+	rt, dn := &noRoot, 0
+	if d != nil {
+		if rt = d.root(i); rt == &noRoot {
+			rt = d
+		}
+		dn = int(d.n - rt.n)
+		s.roots = append(s.roots, *rt)
 	}
+	top := rt.top()
 	nn := len(f.list)
+	own := dn + nn
 	*layer = ckLayer{s: s}
-	if dn+nn == 0 {
+	if int(rt.n)+own == 0 {
 		return // the exact-prefix language died here; f is already empty
 	}
-	s.cells = grow(s.cells, dn+nn)
-	s.score = grow(s.score, dn+nn)
-	s.prev = grow(s.prev, dn+nn)
-	s.zidx = grow(s.zidx, dn+nn)
+	off := len(s.cells)
+	s.cells = grow(s.cells, own)
+	s.score = grow(s.score, own)
+	s.prev = grow(s.prev, own)
+	s.zidx = grow(s.zidx, own)
 	cells := s.cells[off:]
 	score := s.score[off:]
 	prev := s.prev[off:]
 	zidx := s.zidx[off:]
+	dm := top // the highest column of the copied cells
 	if dn > 0 {
-		stride := int32(zdim - dzdim)
-		for j, c := range d.cells() {
-			cells[j] = c + (c/int32(dzdim))*stride
-		}
-		copy(score, d.scores())
-		copy(prev, d.prev())
-		copy(zidx, d.zidx())
+		dm = int(d.maxZ)
+		copy(cells, d.s.cells[d.off:d.off+int32(dn)])
+		copy(score, d.s.score[d.off:d.off+int32(dn)])
+		copy(prev, d.s.prev[d.off:d.off+int32(dn)])
+		copy(zidx, d.s.zidx[d.off:d.off+int32(dn)])
 	}
 	if cap(*zbuf) < nn {
 		*zbuf = make([]int32, nn)
 	}
 	zs := (*zbuf)[:nn]
-	maxZ := max(dMaxZ, 0)
-	zd := int32(zdim)
+	maxZ := int32(max(dm, 0))
 	for t, cell := range f.list {
 		cells[dn+t] = cell
 		score[dn+t] = f.val[cell]
 		prev[dn+t] = prevBuf[cell]
-		z := cell % zd
+		z := cell / kq
 		zs[t] = z
 		if z > maxZ {
 			maxZ = z
 		}
 	}
 
+	// Own offsets cover columns b..maxZ, b = top+1; the copied ones carry
+	// over, so only the band's columns are counted.
+	b := int32(top + 1)
 	zo := len(s.zoff)
-	zlen := int(maxZ) + 2
+	zlen := int(maxZ-b) + 2
 	if need := zo + zlen; cap(s.zoff) >= need {
 		s.zoff = s.zoff[:need]
 		clear(s.zoff[zo:])
@@ -277,13 +329,13 @@ func (s *ckSlab) snapshot(layer *ckLayer, f *frontier, prevBuf []int32, zdim int
 	}
 	zoff := s.zoff[zo:]
 	if dn > 0 {
-		copy(zoff, d.zoff())
+		copy(zoff, d.s.zoff[d.zo:int(d.zo)+dm-top+1])
 	}
 	for _, z := range zs {
-		zoff[z+1]++
+		zoff[z-b+1]++
 	}
-	for z := dMaxZ + 1; z <= maxZ; z++ {
-		zoff[z+1] += zoff[z]
+	for k := dm - top + 1; k < zlen; k++ {
+		zoff[k] += zoff[k-1]
 	}
 	if cap(*zcur) < zlen-1 {
 		*zcur = make([]int32, zlen-1)
@@ -291,11 +343,11 @@ func (s *ckSlab) snapshot(layer *ckLayer, f *frontier, prevBuf []int32, zdim int
 	cur := (*zcur)[:zlen-1]
 	copy(cur, zoff[:zlen-1])
 	for t, z := range zs {
-		zidx[cur[z]] = int32(dn + t)
-		cur[z]++
+		zidx[cur[z-b]] = rt.n + int32(dn+t)
+		cur[z-b]++
 	}
 
-	layer.off, layer.n, layer.maxZ, layer.zo = int32(off), int32(dn+nn), maxZ, int32(zo)
+	layer.off, layer.n, layer.maxZ, layer.zo = int32(off), rt.n+int32(own), maxZ, int32(zo)
 	f.reset()
 }
 
@@ -303,13 +355,15 @@ func (s *ckSlab) snapshot(layer *ckLayer, f *frontier, prevBuf []int32, zdim int
 // recycled slab reuses an array that has room), stamps s with a fresh
 // view id and points the view's own layers at it; their offsets carry
 // over, because the copy is verbatim. Layers past an early build break
-// are zero headers and read as empty.
+// are zero headers and read as empty. The buffer lets go of its roots.
 func (s *ckSlab) seal(b *ckSlab, own []ckLayer) {
 	s.cells = fit(s.cells, b.cells)
 	s.score = fit(s.score, b.score)
 	s.prev = fit(s.prev, b.prev)
 	s.zidx = fit(s.zidx, b.zidx)
 	s.zoff = fit(s.zoff, b.zoff)
+	s.roots = fit(s.roots, b.roots)
+	clear(b.roots)
 	s.vid = viewSeq.Add(1)
 	for i := range own {
 		own[i].s = s
@@ -318,7 +372,7 @@ func (s *ckSlab) seal(b *ckSlab, own []ckLayer) {
 
 // fit copies src into dst's array when it has room, else into a new one
 // of exactly len(src).
-func fit[T int32 | float64](dst, src []T) []T {
+func fit[T any](dst, src []T) []T {
 	if cap(dst) < len(src) {
 		dst = make([]T, len(src))
 	}
@@ -330,8 +384,9 @@ func fit[T int32 | float64](dst, src []T) []T {
 // ckView is the materialized DP of a checkpoint: the header array of
 // every position's retained frontier layer, and the slab of the layers
 // it relaxed itself (an extension's lower layers sit in its ancestors'
-// slabs). A view is immutable once published; a resume captures it once
-// for its whole call, so its traceback indices stay consistent.
+// slabs, a derived layer's root in an earlier view's). A view is
+// immutable once published; a resume captures it once for its whole
+// call, so its traceback indices stay consistent.
 type ckView struct {
 	layers []ckLayer
 	slab   *ckSlab
@@ -347,7 +402,7 @@ type Checkpoint struct {
 	Align  []automata.Symbol
 	states int // |Q| of the tables it was built against
 	n      int // sequence length it was built against
-	zdim   int // len(Align)+1, the stride of the z coordinate
+	kq     int // K·|Q| of that sequence: cell z·kq + x·|Q| + q, whatever Align
 
 	// view is the materialized DP, published exactly once, on the first
 	// touch; nil until then.
@@ -380,11 +435,12 @@ type Checkpoint struct {
 
 	// donor optionally links a lazy checkpoint to an already-cached
 	// checkpoint whose alignment is a strict prefix of Align
-	// (NewLazyCheckpointFrom). Materialization then copies the donor's
+	// (NewLazyCheckpointFrom). Materialization then shares the donor's
 	// zone columns — the exact-prefix DP over a shared alignment prefix
 	// is identical cell for cell — and relaxes only the appended zone
 	// columns, instead of re-running the full DP. Cleared once the view
-	// is published so the donor can be evicted independently.
+	// is published so the donor's handle and header array can be evicted
+	// independently; the slabs its roots lie in stay pinned.
 	donor *Checkpoint
 
 	// matLayers counts DP layers actually relaxed: the build work done,
@@ -395,9 +451,9 @@ type Checkpoint struct {
 // Layers returns the number of retained positions (the sequence length).
 func (ck *Checkpoint) Layers() int { return ck.n }
 
-// Cells returns the total number of currently materialized DP cells, a
-// memory diagnostic for the checkpoint LRU. Zero for an untouched lazy
-// handle.
+// Cells returns the number of cells in the materialized DP's layers,
+// those a derived view shares with its donor included: the size of the
+// DP, not of the memory the view owns. Zero for an untouched lazy handle.
 func (ck *Checkpoint) Cells() int {
 	vw := ck.view.Load()
 	if vw == nil {
@@ -433,7 +489,7 @@ func NewLazyCheckpoint(nt *NFATables, v *SeqView, align []automata.Symbol, b *Bo
 		Align:  automata.CloneString(align),
 		states: nt.States,
 		n:      v.N,
-		zdim:   len(align) + 1,
+		kq:     v.K * nt.States,
 		nt:     nt,
 		v:      v,
 		b:      b,
@@ -443,27 +499,30 @@ func NewLazyCheckpoint(nt *NFATables, v *SeqView, align []automata.Symbol, b *Bo
 
 // NewLazyCheckpointFrom is NewLazyCheckpoint with a derivation donor: a
 // checkpoint whose alignment is a strict prefix of align. The deferred
-// build then starts from the donor's materialized columns (every zone
-// column z ≤ |donor.Align| of the two DPs is identical, because the
-// exact-prefix dynamics up to a shared alignment prefix cannot depend
-// on the symbols past it) and relaxes only the new columns — O(zone
-// boundary band) per position instead of O(all columns). Only predecessors
-// in the band z ≥ |donor.Align|+1-MaxEmit can reach a new column (an edge
-// advances z by at most MaxEmit). The donor must be ungated (complete
-// layers); otherwise the build falls back to the full DP. The result is
-// identical either way up to tie order: cell scores, buckets and
-// traceback validity all match a from-scratch build, while the
-// within-layer activation order of donor columns is the donor's own — a
-// payload-order difference a tied emission may observe, which callers
-// under the ranked tie-class contract (set-identity within exactly tied
-// scores) do not. When the donor covers fewer positions than v (a handle
-// carried from before an append), the remaining positions relax in full.
-// The ranked evaluator uses this for the checkpoint of a freshly emitted
-// answer, whose alignment extends an already-cached one by a symbol or
-// two.
+// build then shares the donor's materialized columns (every zone column
+// z ≤ |donor.Align| of the two DPs is identical, because the exact-prefix
+// dynamics up to a shared alignment prefix cannot depend on the symbols
+// past it) and relaxes only the new columns — O(zone boundary band) per
+// position instead of O(all columns). Only predecessors in the band
+// z ≥ |donor.Align|+1-MaxEmit can reach a new column (an edge advances z
+// by at most MaxEmit). A cell id does not depend on the alignment, so
+// each derived layer refers to the nearest fully relaxed layer down the
+// donor chain as its root and copies only the cells the donor stacked
+// above that root; its own slab holds those and its band. The donor must
+// be ungated (complete layers); otherwise the build falls back to the
+// full DP. The result is identical either way up to tie order: cell
+// scores, buckets and traceback validity all match a from-scratch build,
+// while the within-layer activation order of donor columns is the
+// donor's own — a payload-order difference a tied emission may observe,
+// which callers under the ranked tie-class contract (set-identity within
+// exactly tied scores) do not. When the donor covers fewer positions than
+// v (a handle carried from before an append), the remaining positions
+// relax in full. The ranked evaluator uses this for the checkpoint of a
+// freshly emitted answer, whose alignment extends an already-cached one
+// by a symbol or two.
 func NewLazyCheckpointFrom(nt *NFATables, v *SeqView, align []automata.Symbol, donor *Checkpoint) *Checkpoint {
 	ck := NewLazyCheckpoint(nt, v, align, nil)
-	if donor != nil && !donor.gated && donor.states == nt.States &&
+	if donor != nil && !donor.gated && donor.states == nt.States && donor.kq == ck.kq &&
 		donor.n >= 1 && donor.n <= v.N && len(donor.Align) < len(align) &&
 		automata.HasPrefix(align, donor.Align) {
 		ck.donor = donor
@@ -505,7 +564,7 @@ func NewExtendedLazyCheckpoint(nt *NFATables, v *SeqView, base *Checkpoint) *Che
 		panic("kernel: NewExtendedLazyCheckpoint base is not extendable to the given view")
 	}
 	// Skip unmaterialized extension links: they carry no DP (both
-	// materialization and FrontierAt would walk past them anyway), and
+	// materialization and FrontierBound would walk past them anyway), and
 	// dropping them keeps chains short across many appends — a handle
 	// that never materializes would otherwise add one dead link per
 	// append and make every chain walk linear in the append count. A
@@ -521,7 +580,7 @@ func NewExtendedLazyCheckpoint(nt *NFATables, v *SeqView, base *Checkpoint) *Che
 		Align:  base.Align,
 		states: nt.States,
 		n:      v.N,
-		zdim:   base.zdim,
+		kq:     base.kq,
 		nt:     nt,
 		v:      v,
 	}
@@ -544,34 +603,48 @@ func firstView(c *Checkpoint) (*Checkpoint, *ckView) {
 	return nil, nil
 }
 
-// FrontierAt returns the layer at position min(n, maxN)-1 of the first
-// materialized view in ck's extension chain, where n is the length that
-// view covers: the active cells (in (x·|Q|+z-dim) checkpoint encoding,
-// stride zdim) with their forward scores, and the length min(n, maxN)
-// they reach. ok is false when maxN < 1 or no view in the chain has
-// materialized. The returned slices alias an immutable published view
-// and must be treated as read-only.
+// FrontierBound prices the zone frontier of ck against b: the maximum,
+// over the cells of the layer at position m-1 of the first materialized
+// view in ck's extension chain, of the cell's forward score plus b's
+// potential of its (x, q) at m-1, where m = min(n, maxN) and n is the
+// length that view covers. b must cover at least m positions. ok is
+// false when maxN < 1 or no view in the chain has materialized; an empty
+// layer prices at -Inf.
 //
 // The incremental ranked reseed uses this as an admissible anchor for
 // runs still inside a subproblem's matched zone: every exact-prefix
-// partial run alive at position n-1 appears in that layer, forward
+// partial run alive at position m-1 appears in that layer, forward
 // scores only decrease along a run (each step weight is a log
 // probability ≤ 0), and the layer is complete because the build is
-// ungated (Extendable guarantees the chain root is too) — so
-// max over the layer of score + potential-at-(n-1) bounds the best
-// completion of every such run even when the layer is several appends
-// stale. When the view covers more than maxN positions, its interior
-// layer at maxN-1 is exactly the zone frontier at that position (the
-// DP is position-local), a tighter anchor than any older view's final
-// layer.
-func (ck *Checkpoint) FrontierAt(maxN int) (cells []int32, scores []float64, zdim, n int, ok bool) {
+// ungated (Extendable guarantees the chain root is too) — so the bound
+// covers the best completion of every such run even when the layer is
+// several appends stale. When the view covers more than maxN positions,
+// its interior layer at maxN-1 is exactly the zone frontier at that
+// position (the DP is position-local), a tighter anchor than any older
+// view's final layer.
+func (ck *Checkpoint) FrontierBound(maxN int, b *Bounds) (bd float64, ok bool) {
 	c, vw := firstView(ck)
 	if maxN < 1 || vw == nil {
-		return nil, nil, 0, 0, false
+		return 0, false
 	}
-	n = min(c.n, maxN)
-	l := &vw.layers[n-1]
-	return l.cells(), l.scores(), c.zdim, n, true
+	i := min(c.n, maxN) - 1
+	l := &vw.layers[i]
+	row := b.Row(i)
+	bd = math.Inf(-1)
+	rc, oc := l.cells(i)
+	rsc, osc := l.scores(i)
+	kq := uint32(c.kq)
+	for j, cell := range rc {
+		if s := rsc[j] + row[uint32(cell)%kq]; s > bd {
+			bd = s
+		}
+	}
+	for j, cell := range oc {
+		if s := osc[j] + row[uint32(cell)%kq]; s > bd {
+			bd = s
+		}
+	}
+	return bd, true
 }
 
 // ensureView returns the checkpoint's view, materializing the deferred
@@ -641,7 +714,7 @@ type crossCand struct {
 // sized. Not safe for concurrent use; pass nil to draw from an internal
 // pool.
 type ConstrainScratch struct {
-	f         frontier // build: (x·|Q|+q)·Z+z cell space
+	f         frontier // build: z·K·|Q| + x·|Q|+q cell space
 	prevBuf   []int32  // build: predecessor index per cell, rebuilt per layer
 	zcur      []int32  // build: counting-sort cursor for the z-bucket index
 	zbuf      []int32  // build: per-cell z values of the layer being snapshotted
@@ -669,11 +742,14 @@ type ConstrainScratch struct {
 // every reference to ck and to data obtained from it, and must never
 // recycle a checkpoint other goroutines can still see (in particular,
 // checkpoints published to the ranked evaluator's shared LRU are not
-// recyclable). A resume against a recycled checkpoint, touched or not,
-// panics instead of rebuilding. Recycling into the internal pool is not
-// possible — Recycle is only useful with an explicitly owned scratch,
-// such as the sliding-window sweeper's, whose per-window checkpoint
-// rings are private by construction.
+// recyclable). Nor may ck have served as a derivation donor, whose
+// layers other views share as roots; no recycled slab ever is one,
+// because only the sliding-window sweeper recycles and it never derives.
+// A resume against a recycled checkpoint, touched or not, panics instead
+// of rebuilding. Recycling into the internal pool is not possible —
+// Recycle is only useful with an explicitly owned scratch, such as the
+// sweeper's, whose per-window checkpoint rings are private by
+// construction.
 func (sc *ConstrainScratch) Recycle(ck *Checkpoint) {
 	if ck == nil {
 		return
@@ -791,10 +867,10 @@ func decodeTables(sc *ConstrainScratch, k, states int) (xof, qof []int32) {
 //     NewExtendedLazyCheckpoint) — bit-identical to relaxing them, since
 //     the DP is position-local and relax keeps the incumbent on equal
 //     scores;
-//   - positions the donor covers start from the donor's layer and relax
-//     only the boundary band into new columns z > |donor.Align|
-//     (derivation; see NewLazyCheckpointFrom), enumerating the band
-//     through the previous layer's z-bucket index;
+//   - positions the donor covers share the donor's layer and relax only
+//     the boundary band into new columns z > |donor.Align| (derivation;
+//     see NewLazyCheckpointFrom), enumerating the band through the
+//     previous layer's z-bucket index;
 //   - every other position relaxes its predecessors in full, in
 //     activation order, gated by ck.b when it is set.
 //
@@ -811,20 +887,21 @@ func materialize(p *Poll, ck *Checkpoint, sc *ConstrainScratch) (*ckView, int, e
 	// The donor materializes first, through the same scratch, before this
 	// build claims the scratch's build fields.
 	var donor []ckLayer
-	dlen, dzdim := -1, 0
+	dlen := -1
 	if ck.donor != nil {
 		dvw, err := ck.donor.ensureView(p, sc)
 		if err != nil {
 			return nil, 0, err
 		}
 		donor = dvw.layers[:ck.donor.n]
-		dlen, dzdim = len(ck.donor.Align), ck.donor.zdim
+		dlen = len(ck.donor.Align)
 	}
 
 	nt, v, b := ck.nt, ck.v, ck.b
-	zdim := ck.zdim
+	zdim := len(ck.Align) + 1
 	states := nt.States
-	kq := v.K * states
+	kq := ck.kq
+	kq32 := int32(kq)
 	size := kq * zdim
 	sc.f.ensure(size)
 	sc.f.reset()
@@ -841,7 +918,7 @@ func materialize(p *Poll, ck *Checkpoint, sc *ConstrainScratch) (*ckView, int, e
 
 	buf := &sc.buf
 	buf.cells, buf.score, buf.prev = buf.cells[:0], buf.score[:0], buf.prev[:0]
-	buf.zidx, buf.zoff = buf.zidx[:0], buf.zoff[:0]
+	buf.zidx, buf.zoff, buf.roots = buf.zidx[:0], buf.zoff[:0], buf.roots[:0]
 	free := len(sc.free)
 	var vw *ckView
 	if free > 0 {
@@ -862,6 +939,7 @@ func materialize(p *Poll, ck *Checkpoint, sc *ConstrainScratch) (*ckView, int, e
 	built := 0
 	for i := len(alias); i < v.N; i++ {
 		if err := p.Step(); err != nil {
+			clear(buf.roots)
 			return nil, 0, err
 		}
 		// zmin is the highest column this position does not relax into:
@@ -887,7 +965,7 @@ func materialize(p *Poll, ck *Checkpoint, sc *ConstrainScratch) (*ckView, int, e
 					if prow != nil && prow[int(x)*states+q2] == neg {
 						continue
 					}
-					cell := int32(int(x)*states+q2)*int32(zdim) + z2
+					cell := z2*kq32 + int32(int(x)*states+q2)
 					if sc.f.relax(cell, lp) {
 						prevBuf[cell] = -1
 					}
@@ -900,50 +978,61 @@ func materialize(p *Poll, ck *Checkpoint, sc *ConstrainScratch) (*ckView, int, e
 			}
 			// A built predecessor reads the build buffer, which only grows
 			// at the snapshot below, after this iteration is done with it.
-			pcells, pscore := pl.cells(), pl.scores()
+			rc, oc := pl.cells(i - 1)
+			rsc, osc := pl.scores(i - 1)
 			// Predecessors relax in activation order, except on a derived
 			// position: there only the boundary band can reach a new column,
-			// buckets band..maxZ, contiguous in the z-bucket index.
-			for len(sc.iota) < len(pcells) {
-				sc.iota = append(sc.iota, int32(len(sc.iota)))
-			}
-			preds := sc.iota[:len(pcells)]
+			// buckets band..maxZ, in bucket order. preds[0] indexes the
+			// root's span, preds[1] the layer's own.
+			var preds [2][]int32
 			if d != nil {
-				zo := pl.zoff()
-				preds = pl.zidx()[zo[min(band, int(pl.maxZ)+1)]:zo[pl.maxZ+1]]
+				if band <= int(pl.maxZ) {
+					preds[0], preds[1] = pl.zrange(i-1, band, int(pl.maxZ))
+				}
+			} else {
+				for len(sc.iota) < int(pl.n) {
+					sc.iota = append(sc.iota, int32(len(sc.iota)))
+				}
+				preds[0], preds[1] = sc.iota[:len(rc)], sc.iota[len(rc):pl.n]
 			}
 			st := &v.Steps[i-1]
-			for _, pj := range preds {
-				pcell, base := int(pcells[pj]), pscore[pj]
-				xq := pcell / zdim
-				z := pcell - xq*zdim
-				x := int(xof[xq])
-				q := int(qof[xq])
-				zrow := zstep[z*nT : (z+1)*nT]
-				for e := st.RowPtr[x]; e < st.RowPtr[x+1]; e++ {
-					y := int(st.Col[e])
-					lp := base + st.LogVal[e]
-					ti := q*syms + y
-					tlo, thi := off[ti], off[ti+1]
-					yBase := y * states
-					for t := tlo; t < thi; t++ {
-						z2 := zrow[t]
-						if int(z2) <= zmin {
-							continue
-						}
-						q2 := int(nt.Succ[t])
-						if prow != nil && prow[yBase+q2] == neg {
-							continue
-						}
-						cell := int32(yBase+q2)*int32(zdim) + z2
-						if sc.f.relax(cell, lp) {
-							prevBuf[cell] = pj
+			for part, list := range preds {
+				pcells, pscore, first := rc, rsc, int32(0)
+				if part == 1 {
+					pcells, pscore, first = oc, osc, int32(len(rc))
+				}
+				for _, pj := range list {
+					pcell, base := pcells[pj-first], pscore[pj-first]
+					z := pcell / kq32
+					xq := int(pcell - z*kq32)
+					x := int(xof[xq])
+					q := int(qof[xq])
+					zrow := zstep[int(z)*nT : (int(z)+1)*nT]
+					for e := st.RowPtr[x]; e < st.RowPtr[x+1]; e++ {
+						y := int(st.Col[e])
+						lp := base + st.LogVal[e]
+						ti := q*syms + y
+						tlo, thi := off[ti], off[ti+1]
+						yBase := y * states
+						for t := tlo; t < thi; t++ {
+							z2 := zrow[t]
+							if int(z2) <= zmin {
+								continue
+							}
+							q2 := int(nt.Succ[t])
+							if prow != nil && prow[yBase+q2] == neg {
+								continue
+							}
+							cell := z2*kq32 + int32(yBase+q2)
+							if sc.f.relax(cell, lp) {
+								prevBuf[cell] = pj
+							}
 						}
 					}
 				}
 			}
 		}
-		buf.snapshot(&layers[i], &sc.f, prevBuf, zdim, d, dzdim, &sc.zcur, &sc.zbuf)
+		buf.snapshot(&layers[i], i, &sc.f, prevBuf, kq32, d, &sc.zcur, &sc.zbuf)
 		built++
 	}
 	if free > 0 {
@@ -957,13 +1046,12 @@ func materialize(p *Poll, ck *Checkpoint, sc *ConstrainScratch) (*ckView, int, e
 // walkPrefix reconstructs nodes/states for positions 0..li by following
 // the view's prev chain from cell pj of layer li.
 func (ck *Checkpoint) walkPrefix(layers []ckLayer, li, pj int, nodes []automata.Symbol, states []int) {
-	for li >= 0 {
-		layer := &layers[li]
-		xq := int(layer.cells()[pj]) / ck.zdim
+	for ; li >= 0; li-- {
+		s, k := layers[li].loc(li, pj)
+		xq := int(uint32(s.cells[k]) % uint32(ck.kq))
 		nodes[li] = automata.Symbol(xq / ck.states)
 		states[li] = xq % ck.states
-		pj = int(layer.prev()[pj])
-		li--
+		pj = int(s.prev[k])
 	}
 }
 
@@ -1150,7 +1238,7 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 	}
 	l := len(c.Prefix)
 	align := ck.Align
-	zdim := ck.zdim
+	kq, kq32 := ck.kq, int32(ck.kq)
 	neg := math.Inf(-1)
 
 	if sc == nil {
@@ -1172,12 +1260,10 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 	exactBest, exactIdx := neg, -1
 	if c.Mode != transducer.ExtensionsOnly {
 		last := &layers[v.N-1]
-		lcells, lscores := last.cells(), last.scores()
-		for _, j32 := range last.bucket(l) {
-			j := int(j32)
-			cell := int(lcells[j])
-			if nt.Accept[(cell/zdim)%nt.States] && lscores[j] > exactBest {
-				exactBest, exactIdx = lscores[j], j
+		for _, j := range last.window(v.N-1, l, l, nil) {
+			s, k := last.loc(v.N-1, int(j))
+			if nt.Accept[int(s.cells[k])%nt.States] && s.score[k] > exactBest {
+				exactBest, exactIdx = s.score[k], int(j)
 			}
 		}
 	}
@@ -1274,7 +1360,7 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 		if int(prevLayer.maxZ)+nt.MaxEmit <= l || prevLayer.n == 0 {
 			continue
 		}
-		win := prevLayer.window(winLo, l, &sc.win)
+		win := prevLayer.window(i-1, winLo, l, &sc.win)
 		if len(win) == 0 {
 			continue
 		}
@@ -1284,12 +1370,12 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 			prow0 = b.pot[(i-1)*pastSize : i*pastSize]
 			prow1 = b.pot[i*pastSize : (i+1)*pastSize]
 		}
-		pcells, pscores := prevLayer.cells(), prevLayer.scores()
 		for _, pj := range win {
 			pi := int(pj)
-			pcell := pcells[pi]
-			base := pscores[pi]
-			xq := int(pcell) / zdim
+			s, k := prevLayer.loc(i-1, pi)
+			pcell, base := s.cells[k], s.score[k]
+			z := int(pcell / kq32)
+			xq := int(pcell) - z*kq
 			if prune && base+prow0[xq] < tau {
 				// The backward recurrence makes score + past-zone
 				// potential an upper bound on every candidate this cell
@@ -1297,7 +1383,6 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 				skipCells++
 				continue
 			}
-			z := int(pcell) - xq*zdim
 			x := xq / nt.States
 			q := xq - x*nt.States
 			for e := st.RowPtr[x]; e < st.RowPtr[x+1]; e++ {
@@ -1464,7 +1549,8 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 	rec, crossPos := surv.trace(head, v.N-1, nt.States, nodes, states)
 	z := 0
 	if rec.layer >= 0 {
-		z = int(layers[rec.layer].cells()[rec.pi]) % zdim
+		s, k := layers[rec.layer].loc(int(rec.layer), int(rec.pi))
+		z = int(s.cells[k]) / kq
 		ck.walkPrefix(layers, int(rec.layer), int(rec.pi), nodes, states)
 	}
 	w := nt.Emit[nt.EmitPtr[rec.edge]:nt.EmitPtr[rec.edge+1]]

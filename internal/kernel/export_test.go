@@ -29,12 +29,14 @@ const LayerHeaderBytes = unsafe.Sizeof(ckLayer{})
 // ViewStorage is what a materialized view owns: its header array, the
 // cells and z-bucket offsets of the layers it relaxed itself, and the
 // length and capacity of each array of its slab (cells, score, prev,
-// zidx, zoff). Base reports whether the handle still links an extension
-// base.
+// zidx, zoff, roots). Shared counts the cells its layers read from roots
+// in other views' slabs. Base reports whether the handle still links an
+// extension base.
 type ViewStorage struct {
 	Headers, HeadersCap int
 	Cells, ZOffs        int
-	Len, Cap            [5]int
+	Shared              int
+	Len, Cap            [6]int
 	Base                bool
 }
 
@@ -47,17 +49,40 @@ func CheckpointStorage(ck *Checkpoint) (st ViewStorage, ok bool) {
 	}
 	s := vw.slab
 	for i := range vw.layers {
-		if l := &vw.layers[i]; l.s == s && l.n > 0 {
-			st.Cells += int(l.n)
-			st.ZOffs += int(l.maxZ) + 2
+		l := &vw.layers[i]
+		rt := l.root(i)
+		st.Shared += int(rt.n)
+		if l.s == s && l.n > 0 {
+			st.Cells += int(l.n - rt.n)
+			st.ZOffs += int(l.maxZ) - rt.top() + 1
 		}
 	}
 	st.Headers, st.HeadersCap = len(vw.layers), cap(vw.layers)
-	st.Len = [5]int{len(s.cells), len(s.score), len(s.prev), len(s.zidx), len(s.zoff)}
-	st.Cap = [5]int{cap(s.cells), cap(s.score), cap(s.prev), cap(s.zidx), cap(s.zoff)}
+	st.Len = [6]int{len(s.cells), len(s.score), len(s.prev), len(s.zidx), len(s.zoff), len(s.roots)}
+	st.Cap = [6]int{cap(s.cells), cap(s.score), cap(s.prev), cap(s.zidx), cap(s.zoff), cap(s.roots)}
 	st.Base = ck.base.Load() != nil
 	return st, true
 }
+
+// FrontierLayer returns the layer FrontierBound(maxN, ·) prices: the
+// cells, in activation order, and forward scores at position n-1 of the
+// first materialized view in ck's extension chain, n = min(its length,
+// maxN). ok is false exactly when FrontierBound's is.
+func FrontierLayer(ck *Checkpoint, maxN int) (cells []int32, scores []float64, n int, ok bool) {
+	c, vw := firstView(ck)
+	if maxN < 1 || vw == nil {
+		return nil, nil, 0, false
+	}
+	n = min(c.n, maxN)
+	l := &vw.layers[n-1]
+	rc, oc := l.cells(n - 1)
+	rsc, osc := l.scores(n - 1)
+	return append(rc[:len(rc):len(rc)], oc...), append(rsc[:len(rsc):len(rsc)], osc...), n, true
+}
+
+// ViewsBuilt returns the number of views materialized so far by every
+// checkpoint in the process.
+func ViewsBuilt() uint64 { return viewSeq.Load() }
 
 // HeaderArrays counts the layer-header arrays reachable from ck: those
 // of the materialized views along its extension links, its own included.

@@ -47,9 +47,11 @@ func extendTo(t *testing.T, full, m *markov.Sequence, n int) *markov.Sequence {
 // most 24 bytes; a full build, a derived build and one- and five-position
 // extensions each own a header array of exactly the sequence length and
 // slab arrays that hold exactly the cells and z offsets the build
-// relaxed, with no spare capacity (an extension's slab holds its
-// appended layers only); and a materialized handle keeps no extension
-// base.
+// relaxed, with no spare capacity. An extension's slab holds its
+// appended layers only. A derived build from a fully relaxed donor owns
+// only its band — the fresh build's cells less the donor's — and reads
+// the donor's cells through one root per position, kept in its slab. A
+// materialized handle keeps no extension base.
 func TestCheckpointStorageExact(t *testing.T) {
 	if kernel.LayerHeaderBytes > 24 {
 		t.Errorf("a layer header takes %d bytes, want at most 24", kernel.LayerHeaderBytes)
@@ -63,7 +65,7 @@ func TestCheckpointStorageExact(t *testing.T) {
 			nt := kernel.NewNFATables(tr)
 			n := full.Len()
 			v := full.View()
-			check := func(label string, ck *kernel.Checkpoint, v *kernel.SeqView, relaxed int) {
+			check := func(label string, ck *kernel.Checkpoint, v *kernel.SeqView, relaxed, shared, roots int) {
 				t.Helper()
 				touch(t, nt, v, ck)
 				st, ok := kernel.CheckpointStorage(ck)
@@ -73,12 +75,15 @@ func TestCheckpointStorageExact(t *testing.T) {
 				if st.Cells == 0 || st.Cells != relaxed {
 					t.Errorf("%s: view owns %d cells, want the %d it relaxed (> 0)", label, st.Cells, relaxed)
 				}
+				if st.Shared != shared {
+					t.Errorf("%s: view shares %d cells, want %d", label, st.Shared, shared)
+				}
 				if st.Headers != v.N || st.HeadersCap != v.N {
 					t.Errorf("%s: header array len %d cap %d, want %d", label, st.Headers, st.HeadersCap, v.N)
 				}
-				want := [5]int{st.Cells, st.Cells, st.Cells, st.Cells, st.ZOffs}
+				want := [6]int{st.Cells, st.Cells, st.Cells, st.Cells, st.ZOffs, roots}
 				if st.Len != want || st.Cap != want {
-					t.Errorf("%s: slab arrays (cells, score, prev, zidx, zoff) len %v cap %v, want exactly %v", label, st.Len, st.Cap, want)
+					t.Errorf("%s: slab arrays (cells, score, prev, zidx, zoff, roots) len %v cap %v, want exactly %v", label, st.Len, st.Cap, want)
 				}
 				if st.Base {
 					t.Errorf("%s: materialized handle keeps its extension base", label)
@@ -87,11 +92,11 @@ func TestCheckpointStorageExact(t *testing.T) {
 
 			fresh := kernel.NewLazyCheckpoint(nt, v, o, nil)
 			touch(t, nt, v, fresh)
-			check("full", kernel.NewLazyCheckpoint(nt, v, o, nil), v, fresh.Cells())
+			check("full", kernel.NewLazyCheckpoint(nt, v, o, nil), v, fresh.Cells(), 0, 0)
 
 			donor := kernel.NewLazyCheckpoint(nt, v, o[:len(o)-1], nil)
 			touch(t, nt, v, donor)
-			check("derived", kernel.NewLazyCheckpointFrom(nt, v, o, donor), v, fresh.Cells())
+			check("derived", kernel.NewLazyCheckpointFrom(nt, v, o, donor), v, fresh.Cells()-donor.Cells(), donor.Cells(), v.N)
 
 			for _, d := range []int{1, 5} {
 				bv := full.Window(1, n-5).View()
@@ -100,7 +105,7 @@ func TestCheckpointStorageExact(t *testing.T) {
 				ev := extendTo(t, full, full.Window(1, n-5), n-5+d).View()
 				prefix := kernel.NewLazyCheckpoint(nt, ev, o, nil)
 				touch(t, nt, ev, prefix)
-				check(fmt.Sprintf("extension by %d", d), kernel.NewExtendedLazyCheckpoint(nt, ev, base), ev, prefix.Cells()-base.Cells())
+				check(fmt.Sprintf("extension by %d", d), kernel.NewExtendedLazyCheckpoint(nt, ev, base), ev, prefix.Cells()-base.Cells(), 0, 0)
 			}
 		})
 	}
@@ -141,16 +146,16 @@ func newChainFixture(t *testing.T, n0, appends int) *chainFixture {
 	return fx
 }
 
-// frontierMismatch reports an error unless ck.FrontierAt(maxN) returns
-// the layer a fresh build holds at the position it reports.
+// frontierMismatch reports an error unless the layer ck.FrontierBound(maxN,
+// ·) prices is the layer a fresh build holds at the position it reports.
 func (fx *chainFixture) frontierMismatch(ck *kernel.Checkpoint, maxN int) error {
-	cells, scores, zdim, n, ok := ck.FrontierAt(maxN)
+	cells, scores, n, ok := kernel.FrontierLayer(ck, maxN)
 	if !ok || n < 1 || n > maxN {
-		return fmt.Errorf("FrontierAt(%d) = n %d ok %v", maxN, n, ok)
+		return fmt.Errorf("FrontierLayer(%d) = n %d ok %v", maxN, n, ok)
 	}
-	wc, ws, wz, wn, _ := fx.fresh.FrontierAt(n)
-	if zdim != wz || n != wn || !slices.Equal(cells, wc) || !slices.Equal(scores, ws) {
-		return fmt.Errorf("FrontierAt(%d) at n %d: %d cells differ from the fresh build's layer %d (%d cells)", maxN, n, len(cells), n-1, len(wc))
+	wc, ws, wn, _ := kernel.FrontierLayer(fx.fresh, n)
+	if n != wn || !slices.Equal(cells, wc) || !slices.Equal(scores, ws) {
+		return fmt.Errorf("FrontierLayer(%d) at n %d: %d cells differ from the fresh build's layer %d (%d cells)", maxN, n, len(cells), n-1, len(wc))
 	}
 	return nil
 }

@@ -190,10 +190,10 @@ func (ev *Evaluator) checkpoint(align []automata.Symbol) *kernel.Checkpoint {
 		// A new alignment here is almost always a freshly emitted answer
 		// extending an already-cached alignment by a symbol or two (its
 		// Lawler parent's output, or a sibling's): give the handle the
-		// longest cached strict-prefix donor so its build copies the
-		// shared zone columns instead of re-running the full DP. Prefer an
-		// already-materialized donor — deriving from one costs O(band) per
-		// position, while an unmaterialized donor builds first.
+		// longest cached strict-prefix donor, materialized or not, so its
+		// build shares the donor's zone columns and relaxes O(band) per
+		// position instead of re-running the full DP. An unmaterialized
+		// donor builds first, once, when the handle is first read.
 		ck = kernel.NewLazyCheckpointFrom(ev.nt, ev.v, align, ev.donorFor(align))
 	} else {
 		ck = kernel.NewLazyCheckpoint(ev.nt, ev.v, align, ev.Bounds())

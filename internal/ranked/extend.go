@@ -181,20 +181,13 @@ func ExtendEnumerator(e *Enumerator, mNew *markov.Sequence, _ int) (*Enumerator,
 			if ck == nil {
 				return 0, false
 			}
-			cells, scores, zdim, n, ok := ck.FrontierAt(rs.N)
+			bd, ok := ck.FrontierBound(rs.N, b)
 			if !ok {
 				return 0, false
 			}
-			bd := math.Inf(-1)
 			frow := b.Row(rs.N - 1)
 			for i, cell := range rs.Cells {
 				if s := rs.Scores[i] + frow[cell]; s > bd {
-					bd = s
-				}
-			}
-			zrow := b.Row(n - 1)
-			for i, cell := range cells {
-				if s := scores[i] + zrow[int(cell)/zdim]; s > bd {
 					bd = s
 				}
 			}
