@@ -36,12 +36,16 @@ cover:
 # append-only ingestion pair (incremental AppendEvents + resident
 # watcher vs wholesale PutStream-rebuild; events per second in "extra")
 # into BENCH_append.json. Sliding, ranked and append each have a
-# committed BENCH_<p>.base.json that `make verify` gates against.
+# committed BENCH_<p>.base.json that `make verify` gates against. Each
+# file's config records how it was made (cmd/benchjson -meta): the
+# commit, marked -dirty when the tree has uncommitted changes, and the
+# GOMAXPROCS the benchmarks ran with.
+BENCHMETA = -meta commit=$$(git describe --always --dirty 2>/dev/null || echo unknown) -meta gomaxprocs=$${GOMAXPROCS:-$$(nproc)}
 bench:
-	$(GO) test -run '^$$' -bench 'Kernel|Lahar' -benchmem ./... | $(GO) run ./cmd/benchjson -o BENCH_conf.json
-	$(GO) test -run '^$$' -bench 'Ranked' -benchmem ./internal/ranked/ | $(GO) run ./cmd/benchjson -o BENCH_ranked.json
-	$(GO) test -run '^$$' -bench 'SlidingTopK|TopKAcross' -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_sliding.json
-	$(GO) test -run '^$$' -bench 'Append' -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_append.json
+	$(GO) test -run '^$$' -bench 'Kernel|Lahar' -benchmem ./... | $(GO) run ./cmd/benchjson -o BENCH_conf.json $(BENCHMETA)
+	$(GO) test -run '^$$' -bench 'Ranked' -benchmem ./internal/ranked/ | $(GO) run ./cmd/benchjson -o BENCH_ranked.json $(BENCHMETA)
+	$(GO) test -run '^$$' -bench 'SlidingTopK|TopKAcross' -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_sliding.json $(BENCHMETA)
+	$(GO) test -run '^$$' -bench 'Append' -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_append.json $(BENCHMETA)
 
 # Diff two bench JSON files produced by `make bench`, failing on a >10%
 # ns/op (or >15% Extra-metric) regression in the named hot benchmarks.

@@ -182,12 +182,13 @@ func TestExtendValidatedDifferential(t *testing.T) {
 }
 
 // TestExtendValidatedConcurrentGenerations: three engines along one
-// ExtendValidated chain share carried checkpoint handles and one
-// retained-frontier map. Each is drained partly, then all three run
-// TopK(25) at once from separate goroutines, and each result must match
-// a fresh BindValidated drain of its own sequence. Under -race this
-// exercises the lazy handles' single-flight materialization, the
-// retention mutex and the reuse counters across generations.
+// ExtendValidated chain share carried checkpoint handles, and each
+// carried Lawler tree shares the resolve captures its predecessor held.
+// Each is drained partly, then all three run TopK(25) at once from
+// separate goroutines, and each result must match a fresh BindValidated
+// drain of its own sequence. Under -race this exercises the lazy
+// handles' single-flight materialization, concurrent continuations of
+// one shared capture and the reuse counters across generations.
 func TestExtendValidatedConcurrentGenerations(t *testing.T) {
 	testutil.CheckLeaks(t)
 	const k = 25

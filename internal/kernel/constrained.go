@@ -1208,8 +1208,8 @@ func ResumeConstrainedBoundedCtx(ctx context.Context, nt *NFATables, v *SeqView,
 // layers ck does not share (a checkpoint evicted and rebuilt, or one of
 // another alignment), or the constraint is ExactOnly (whose final-layer
 // read needs no sweep at all). The caller must guarantee prior really
-// came from a resolve of c — the ranked evaluator's retention map keys
-// entries by canonical constraint identity.
+// came from a resolve of c — the ranked enumerator's Lawler tree keeps
+// each capture with the region whose resolve took it.
 func ResumeConstrainedIncCtx(ctx context.Context, nt *NFATables, v *SeqView, ck *Checkpoint, c transducer.Constraint, prior, rs *ResumeState, sc *ConstrainScratch) (out, nodes []automata.Symbol, states []int, logp float64, ok bool, continued bool, err error) {
 	return resumeConstrained(NewPoll(ctx), nt, v, ck, c, nil, prior, rs, sc)
 }

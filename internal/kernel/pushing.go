@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 )
 
@@ -181,6 +182,9 @@ func NewBounds(nt *NFATables, v *SeqView) *Bounds {
 // NewBoundsInto is NewBounds reusing b's storage when possible (the
 // sliding-window sweeper rebuilds bounds per window; recycling the
 // potential array makes that alloc-free at steady state). b may be nil.
+// A recycled array too small for v grows geometrically, so a caller
+// whose view grows by a row per append (the cross-append ranked reseed)
+// reallocates O(log n) times, not on every append.
 func NewBoundsInto(b *Bounds, nt *NFATables, v *SeqView) *Bounds {
 	kq := v.K * nt.States
 	size := v.N * kq
@@ -188,10 +192,7 @@ func NewBoundsInto(b *Bounds, nt *NFATables, v *SeqView) *Bounds {
 		b = &Bounds{}
 	}
 	b.states, b.n, b.k = nt.States, v.N, v.K
-	if cap(b.pot) < size {
-		b.pot = make([]float64, size)
-	}
-	b.pot = b.pot[:size]
+	b.pot = slices.Grow(b.pot[:0], size)[:size]
 	pot := b.pot
 	neg := math.Inf(-1)
 	last := (v.N - 1) * kq

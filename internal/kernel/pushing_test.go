@@ -11,6 +11,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"markovseq/internal/automata"
@@ -177,6 +178,47 @@ func TestNewBoundsIntoRecycles(t *testing.T) {
 				t.Fatalf("trial %d %v: recycled bounds disagree with fresh", trial, c)
 			}
 		}
+	}
+}
+
+// TestNewBoundsIntoGrowsGeometrically: the cross-append ranked reseed
+// rebuilds its bounds into recycled storage over a view one position
+// longer at every append. The potential array must grow geometrically
+// — 25 one-position growths from n = 200 reallocate at most twice — and
+// every rebuild must equal a fresh NewBounds bit for bit. The instance
+// has 12 nodes and 8 states, so the array (150 KB at n = 200) is far
+// larger than the rounding of its allocation size, which alone would
+// absorb a few rows of growth.
+func TestNewBoundsIntoGrowsGeometrically(t *testing.T) {
+	rng := rand.New(rand.NewSource(26100))
+	in := automata.MustAlphabet("a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l")
+	out := automata.MustAlphabet("x", "y")
+	full := markov.Random(in, 225, 0.3, rng)
+	nt := kernel.NewNFATables(randomVarNFATransducer(in, out, 8, rng))
+	grown := full.Window(1, 200)
+	b := kernel.NewBounds(nt, grown.View())
+	sameBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	reallocs := 0
+	for grown.Len() < full.Len() {
+		var err error
+		if grown, err = grown.Extended([][][]float64{full.TransAt(grown.Len())}); err != nil {
+			t.Fatal(err)
+		}
+		v := grown.View()
+		before := &b.Row(0)[0]
+		b = kernel.NewBoundsInto(b, nt, v)
+		if &b.Row(0)[0] != before {
+			reallocs++
+		}
+		fresh := kernel.NewBounds(nt, v)
+		for i := 0; i < v.N; i++ {
+			if !slices.EqualFunc(b.Row(i), fresh.Row(i), sameBits) {
+				t.Fatalf("n=%d: recycled row %d differs from a fresh sweep", v.N, i)
+			}
+		}
+	}
+	if reallocs > 2 {
+		t.Fatalf("25 one-position growths from n=200 reallocated the potentials %d times, want at most 2", reallocs)
 	}
 }
 

@@ -20,6 +20,7 @@
 package lawler
 
 import (
+	"cmp"
 	"container/heap"
 	"context"
 	"slices"
@@ -37,13 +38,17 @@ type Config[T any] struct {
 	// ok=false when the subproblem is empty. parent is the payload of
 	// the resolved parent subproblem this constraint was derived from
 	// (the zero T at the root, distinguished by root=true); resolvers
-	// use it to locate shared work such as prefix checkpoints. Resolve
-	// must be deterministic. A non-nil error (normally ctx.Err() from a
+	// use it to locate shared work such as prefix checkpoints. prior is
+	// the payload the region's previous resolve returned, carried in by
+	// a Seed (the zero T when the region never resolved): a resolver may
+	// return state in its payload, also with ok=false, for the region's
+	// next resolve after an append to continue from. Resolve must be
+	// deterministic. A non-nil error (normally ctx.Err() from a
 	// cancelled context) aborts the resolution without deciding the
-	// subproblem: the item is pushed back unresolved, so a later NextCtx
-	// call with a live context resumes the enumeration at exactly the
-	// same point.
-	Resolve func(ctx context.Context, c transducer.Constraint, parent T, root bool) (T, float64, bool, error)
+	// subproblem: the item is pushed back unresolved with its prior, so
+	// a later NextCtx call with a live context resumes the enumeration
+	// at exactly the same point.
+	Resolve func(ctx context.Context, c transducer.Constraint, parent T, root bool, prior T) (T, float64, bool, error)
 	// Children partitions the subproblem's remaining answers after its
 	// top has been emitted. The returned order is part of the
 	// deterministic tie-break and must not depend on timing.
@@ -65,23 +70,26 @@ type Config[T any] struct {
 	// unresolved when its floor already sorts after the front: no answer
 	// of its region could be emitted first, so the emitted sequence is
 	// the one Floor nil yields, with far fewer resolutions inside large
-	// exact-tie classes.
+	// exact-tie classes. Floor is called again whenever an unresolved
+	// item meets an exact score tie in the queue, so it must be cheap
+	// and deterministic.
 	Floor func(c transducer.Constraint) (floor T, strict bool)
 }
 
 type item[T any] struct {
-	c        transducer.Constraint
-	parent   T
-	root     bool
-	seq      int64
-	resolved bool
-	dead     bool
-	top      T
-	score    float64
-	// rank and floor place the item within its score's tie class (see
-	// tieOrder); floor is only meaningful while the item is unresolved.
-	rank  int8
-	floor T
+	c      transducer.Constraint
+	parent T
+	// top is the payload of the region's last resolve: its best answer
+	// once resolved, whatever Resolve returned when the region is dead,
+	// and the seed's Prior before the region resolves here.
+	top                  T
+	seq                  int64
+	score                float64
+	root, resolved, dead bool
+	// rank places the item within its score's tie class (see tieOrder).
+	// An unresolved item's floor is not stored: tieOrder asks Floor for
+	// it again, which happens only on exact score ties.
+	rank int8
 }
 
 // Tie-class ranks. An unresolved item without a floor could hold answers
@@ -97,8 +105,9 @@ const (
 )
 
 type queue[T any] struct {
-	its []*item[T]
-	tie func(a, b T) int
+	its   []*item[T]
+	tie   func(a, b T) int
+	floor func(c transducer.Constraint) (T, bool)
 }
 
 func (q *queue[T]) Len() int { return len(q.its) }
@@ -124,7 +133,7 @@ func (q *queue[T]) tieOrder(a, b *item[T]) int {
 	if a.rank == rankOpen || b.rank == rankOpen {
 		return int(a.rank) - int(b.rank)
 	}
-	if c := q.tie(a.payload(), b.payload()); c != 0 {
+	if c := q.tie(q.payload(a), q.payload(b)); c != 0 {
 		return c
 	}
 	return int(a.rank) - int(b.rank)
@@ -132,11 +141,12 @@ func (q *queue[T]) tieOrder(a, b *item[T]) int {
 
 // payload is the item's position in its tie class: the resolved top, or
 // the floor of an unresolved region.
-func (it *item[T]) payload() T {
+func (q *queue[T]) payload(it *item[T]) T {
 	if it.resolved {
 		return it.top
 	}
-	return it.floor
+	floor, _ := q.floor(it.c)
+	return floor
 }
 func (q *queue[T]) Swap(i, j int) { q.its[i], q.its[j] = q.its[j], q.its[i] }
 func (q *queue[T]) Push(x any)    { q.its = append(q.its, x.(*item[T])) }
@@ -180,14 +190,17 @@ type Emitted[T any] struct {
 }
 
 // Pending is one unemitted subproblem of a paused enumeration: still
-// queued, or decided empty over the current input (Dead=true). Resolved
-// state and old scores are deliberately omitted — neither survives an
-// append, which is what Frontier exists to serve.
+// queued, or decided empty over the current input (Dead=true). Prior is
+// the payload of the region's last resolve (see Config.Resolve), the
+// zero T when it never resolved; old scores are omitted, since none
+// survives an append, which is what Frontier exists to serve.
 type Pending[T any] struct {
 	C      transducer.Constraint
 	Parent T
+	Prior  T
 	Root   bool
 	Dead   bool
+	seq    int64
 }
 
 // EmittedLog returns the emissions so far, oldest first. The slice is
@@ -198,39 +211,26 @@ func (e *Enumerator[T]) EmittedLog() []Emitted[T] { return e.emitted }
 // in insertion-sequence order (the deterministic tie-break order).
 // Read-only: the queue is not reordered or popped.
 func (e *Enumerator[T]) Frontier() []Pending[T] {
-	type rec struct {
-		p   Pending[T]
-		seq int64
-	}
-	recs := make([]rec, 0, len(e.q.its)+len(e.dead))
+	out := make([]Pending[T], 0, len(e.q.its)+len(e.dead))
 	for _, it := range e.q.its {
-		recs = append(recs, rec{Pending[T]{C: it.c, Parent: it.parent, Root: it.root}, it.seq})
+		out = append(out, Pending[T]{C: it.c, Parent: it.parent, Prior: it.top, Root: it.root, seq: it.seq})
 	}
 	for _, it := range e.dead {
-		recs = append(recs, rec{Pending[T]{C: it.c, Parent: it.parent, Root: it.root, Dead: true}, it.seq})
+		out = append(out, Pending[T]{C: it.c, Parent: it.parent, Prior: it.top, Root: it.root, Dead: true, seq: it.seq})
 	}
-	slices.SortFunc(recs, func(a, b rec) int {
-		switch {
-		case a.seq < b.seq:
-			return -1
-		case a.seq > b.seq:
-			return 1
-		}
-		return 0
-	})
-	out := make([]Pending[T], len(recs))
-	for i := range recs {
-		out[i] = recs[i].p
-	}
+	slices.SortFunc(out, func(a, b Pending[T]) int { return cmp.Compare(a.seq, b.seq) })
 	return out
 }
 
 // Seed is one carried subproblem for NewSeeded: a constraint, the
-// parent payload its resolver should locate shared work through, and an
-// externally computed admissible bound on its best score.
+// parent payload its resolver should locate shared work through, the
+// prior its first resolve here receives (Pending.Prior, or the part of
+// it the resolver needs), and an externally computed admissible bound
+// on its best score.
 type Seed[T any] struct {
 	C      transducer.Constraint
 	Parent T
+	Prior  T
 	Root   bool
 	Bound  float64
 }
@@ -245,36 +245,45 @@ type Seed[T any] struct {
 // lazy-resolution invariant (nothing emits while an unresolved item
 // with a higher bound is queued) then carries over unchanged.
 func NewSeeded[T any](cfg Config[T], seeds []Seed[T]) *Enumerator[T] {
-	e := &Enumerator[T]{cfg: cfg}
-	e.q.tie = cfg.Tie
+	e := newEnumerator(cfg)
+	e.q.its = make([]*item[T], 0, len(seeds))
 	for _, s := range seeds {
-		e.push(s.C, s.Parent, s.Root, s.Bound)
+		e.push(s.C, s.Parent, s.Prior, s.Root, s.Bound)
 	}
 	return e
 }
 
 // push queues region c unresolved under the bound score, numbered next
 // in insertion order and placed in its tie class by cfg.Floor.
-func (e *Enumerator[T]) push(c transducer.Constraint, parent T, root bool, score float64) {
-	it := &item[T]{c: c, parent: parent, root: root, seq: e.seq, score: score, rank: rankOpen}
+func (e *Enumerator[T]) push(c transducer.Constraint, parent, prior T, root bool, score float64) {
+	it := &item[T]{c: c, parent: parent, top: prior, root: root, seq: e.seq, score: score, rank: rankOpen}
 	e.seq++
-	if e.cfg.Tie != nil && e.cfg.Floor != nil {
-		floor, strict := e.cfg.Floor(c)
-		it.floor, it.rank = floor, rankFloor
-		if strict {
+	if e.q.floor != nil {
+		it.rank = rankFloor
+		if _, strict := e.q.floor(c); strict {
 			it.rank = rankStrictFloor
 		}
 	}
 	heap.Push(&e.q, it)
 }
 
+// newEnumerator is the empty enumeration of cfg. Its queue consults
+// Floor only together with Tie.
+func newEnumerator[T any](cfg Config[T]) *Enumerator[T] {
+	e := &Enumerator[T]{cfg: cfg}
+	e.q.tie = cfg.Tie
+	if cfg.Tie != nil {
+		e.q.floor = cfg.Floor
+	}
+	return e
+}
+
 // New prepares the enumeration of cfg.Root's answers in decreasing
 // score. No resolution work happens until the first Next call.
 func New[T any](cfg Config[T]) *Enumerator[T] {
-	e := &Enumerator[T]{cfg: cfg}
-	e.q.tie = cfg.Tie
+	e := newEnumerator(cfg)
 	var zero T
-	e.push(cfg.Root, zero, true, 0) // any finite bound works: the root is resolved on first pop
+	e.push(cfg.Root, zero, zero, true, 0) // any finite bound works: the root is resolved on first pop
 	return e
 }
 
@@ -299,13 +308,14 @@ func (e *Enumerator[T]) NextCtx(ctx context.Context) (top T, score float64, ok b
 		}
 		it := heap.Pop(&e.q).(*item[T])
 		if !it.resolved {
-			top, sc, ok, err := e.cfg.Resolve(ctx, it.c, it.parent, it.root)
+			top, sc, ok, err := e.cfg.Resolve(ctx, it.c, it.parent, it.root, it.top)
 			if err != nil {
 				// Undecided: push back unresolved so the enumeration can
 				// resume deterministically.
 				heap.Push(&e.q, it)
 				return zero, 0, false, err
 			}
+			it.top = top
 			if !ok {
 				// Empty over the current input; retained for Frontier so a
 				// cross-append reseed can re-offer the region.
@@ -313,14 +323,14 @@ func (e *Enumerator[T]) NextCtx(ctx context.Context) (top T, score float64, ok b
 				e.dead = append(e.dead, it)
 				continue
 			}
-			it.resolved, it.top, it.score, it.rank = true, top, sc, rankResolved
+			it.resolved, it.score, it.rank = true, sc, rankResolved
 			heap.Push(&e.q, it)
 			continue
 		}
 		for _, child := range e.cfg.Children(it.c, it.top) {
 			// A child's best cannot exceed its parent's resolved score,
 			// which therefore serves as the admissible upper bound.
-			e.push(child, it.top, false, it.score)
+			e.push(child, it.top, zero, false, it.score)
 		}
 		e.emitted = append(e.emitted, Emitted[T]{C: it.c, Parent: it.parent, Root: it.root, Top: it.top, Score: it.score})
 		return it.top, it.score, true, nil

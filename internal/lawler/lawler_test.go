@@ -2,6 +2,7 @@ package lawler_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync/atomic"
@@ -42,7 +43,7 @@ func (u *universe) members(c transducer.Constraint) []int {
 	return out
 }
 
-func (u *universe) resolve(_ context.Context, c transducer.Constraint, _ string, _ bool) (string, float64, bool, error) {
+func (u *universe) resolve(_ context.Context, c transducer.Constraint, _ string, _ bool, _ string) (string, float64, bool, error) {
 	u.resolves.Add(1)
 	best := -1
 	for _, m := range u.members(c) {
@@ -238,6 +239,63 @@ func TestEmittedLogAndFrontier(t *testing.T) {
 	// — both still live.
 	if dead != 1 || live != 2 {
 		t.Fatalf("frontier has %d dead / %d live, want 1 / 2", dead, live)
+	}
+}
+
+// TestPriorRoundTrip: Frontier reports with each queued or dead region
+// the payload of its last resolve — its top, what Resolve returned with
+// ok=false for a dead region, the zero T for a region that never
+// resolved — and NewSeeded hands a seed's Prior to the region's first
+// resolve, which is how a resolver's state crosses an append.
+func TestPriorRoundTrip(t *testing.T) {
+	u := &universe{names: []string{"aa", "bb", "cc"}, scores: []float64{3, 2, 1}}
+	cfg := u.config(false)
+	// Children: the remainder as singletons plus one empty region, told
+	// apart by a Forbidden tag naming the answer it was split from.
+	cfg.Children = func(c transducer.Constraint, top string) []transducer.Constraint {
+		empty := u.region(nil)
+		empty.Forbidden = map[automata.Symbol]bool{automata.Symbol(u.index(top)): true}
+		out := []transducer.Constraint{empty}
+		for _, m := range u.members(c) {
+			if m != u.index(top) {
+				out = append(out, u.region([]int{m}))
+			}
+		}
+		return out
+	}
+	id := func(c transducer.Constraint) string { return fmt.Sprint(c.Prefix, c.Forbidden) }
+	got := map[string]string{}
+	cfg.Resolve = func(ctx context.Context, c transducer.Constraint, parent string, root bool, prior string) (string, float64, bool, error) {
+		got[id(c)] = prior
+		top, sc, ok, err := u.resolve(ctx, c, parent, root, prior)
+		if !ok {
+			top = "state of an empty region"
+		}
+		return top, sc, ok, err
+	}
+	e := lawler.New(cfg)
+	drain(e, 2)
+	// After aa and bb: aa's empty child resolved dead, cc's singleton
+	// resolved but unemitted, bb's empty child never resolved.
+	want := map[string]string{}
+	var seeds []lawler.Seed[string]
+	for _, p := range e.Frontier() {
+		want[id(p.C)] = p.Prior
+		seeds = append(seeds, lawler.Seed[string]{C: p.C, Parent: p.Parent, Prior: p.Prior, Root: p.Root, Bound: 10})
+	}
+	if wantPriors := map[string]string{
+		id(cfg.Children(u.region(allOf(3)), "aa")[0]):    "state of an empty region",
+		id(u.region([]int{2})):                           "cc",
+		id(cfg.Children(u.region([]int{1, 2}), "bb")[0]): "",
+	}; !reflect.DeepEqual(want, wantPriors) {
+		t.Fatalf("frontier priors = %q, want %q", want, wantPriors)
+	}
+	clear(got)
+	drain(lawler.NewSeeded(cfg, seeds), 10)
+	for c, prior := range want {
+		if p, ok := got[c]; !ok || p != prior {
+			t.Fatalf("seeded region %s: first resolve received prior %q (resolved: %v), want %q", c, p, ok, prior)
+		}
 	}
 }
 

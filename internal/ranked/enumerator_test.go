@@ -156,9 +156,9 @@ func (c evaluatorCall) same(d evaluatorCall) bool {
 // results to the same calls made one after another, in every serving
 // mode. The goroutines start at different offsets of one call list, so
 // they miss on the same alignments at once: under -race this exercises
-// the checkpoint cache's mutex, duplicate misses resolved by put, the
-// lazy handles' single-flight materialization and, in extendable mode,
-// the retention map.
+// the checkpoint cache's mutex, duplicate misses resolved by put and the
+// lazy handles' single-flight materialization, in extendable mode on
+// the ungated handles the append path builds.
 func TestEvaluatorConcurrentCalls(t *testing.T) {
 	testutil.CheckLeaks(t)
 	tr, m := rfidRankedWorkload(t, 60)

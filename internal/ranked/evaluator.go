@@ -3,9 +3,7 @@ package ranked
 import (
 	"container/list"
 	"context"
-	"encoding/binary"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -51,15 +49,16 @@ func WithBounds(b *kernel.Bounds) Option {
 }
 
 // WithExtendable selects the append-extendable serving mode: resolves
-// run unpruned and retain their final past-zone frontier per
-// constraint, and prefix checkpoints are built ungated as lazy handles
-// — so the whole drain state (checkpoint cache, retained frontiers,
-// Lawler tree) remains valid forward state when the sequence grows and
-// can be carried by Evaluator.Extend / ExtendEnumerator instead of
-// being rebuilt. The answer sequence stays bit-identical to every other
-// mode; the cost is forgoing the pruning win on each cold drain
-// (~1.15×, see EXPERIMENTS.md "Weight-pushed pruning") plus the
-// retained frontiers' memory, repaid after the first append.
+// run unpruned and capture their final past-zone frontier, which the
+// Lawler tree keeps with the region that resolved, and prefix
+// checkpoints are built ungated as lazy handles — so the whole drain
+// state (checkpoint cache, Lawler tree with its captures) remains valid
+// forward state when the sequence grows and can be carried by
+// Evaluator.Extend / ExtendEnumerator instead of being rebuilt. The
+// answer sequence stays bit-identical to every other mode; the cost is
+// forgoing the pruning win on each cold drain (~1.15×, see
+// EXPERIMENTS.md "Weight-pushed pruning") plus the captures' memory,
+// repaid after the first append.
 // core.Engine turns this on automatically for engines reached through
 // the append path (Prepared.ExtendValidated).
 func WithExtendable() Option { return func(c *config) { c.extendable = true } }
@@ -68,7 +67,7 @@ const defaultCheckpointCap = 32
 
 // extendableCheckpointCap is the default LRU capacity in extendable
 // mode. The cross-append reseed prices every carried subproblem from
-// its retained frontier plus the checkpoint of its alignment — the
+// its resolve capture plus the checkpoint of its alignment — the
 // cache's working set is the whole live Lawler frontier, not the
 // handful of alignments one drain touches. A cap sized for cold drains
 // evicts most of that set between appends, and every evicted alignment
@@ -97,10 +96,13 @@ type Evaluator struct {
 	boundsOnce sync.Once
 	bounds     *kernel.Bounds
 
-	// ret is the cross-append reuse state (extendable mode only, nil
-	// otherwise), shared by every evaluator generation in one extension
-	// chain — see retention.
-	ret *retention
+	// bscratch recycles the reseed's throwaway backward-sweep storage
+	// (kernel.NewBoundsInto) along the extension chain: ExtendEnumerator
+	// takes it from the evaluator it carries from and leaves it on the
+	// one it carries to, so a lineage holds one N·K·Q float64 array
+	// instead of allocating one per append. A concurrent second carry
+	// from one evaluator finds it taken and allocates afresh.
+	bscratch atomic.Pointer[kernel.Bounds]
 
 	// Cross-append reuse counters (kernel.PruneStats.RankedReused etc.);
 	// Extend copies them into the successor evaluator so cache-level sums
@@ -128,12 +130,6 @@ func NewEvaluator(t *transducer.Transducer, m *markov.Sequence, opts ...Option) 
 	if cfg.boundsSet && !cfg.extendable {
 		ev.bounds = cfg.bounds
 		ev.boundsOnce.Do(func() {})
-	}
-	if ev.extendable {
-		ev.ret = &retention{
-			frontier: make(map[string]*kernel.ResumeState),
-			origin:   make(map[string]transducer.Constraint),
-		}
 	}
 	ev.cache.init(ckCap, 0)
 	return ev
@@ -202,119 +198,30 @@ func (ev *Evaluator) checkpoint(align []automata.Symbol) *kernel.Checkpoint {
 }
 
 // resolve solves the constrained top-answer problem for c against the
-// checkpoint aligned to align (which must extend c.Prefix).
+// checkpoint aligned to align (which must extend c.Prefix), for the
+// public one-call methods: nothing is captured, since no Lawler region
+// will continue from it.
 func (ev *Evaluator) resolve(c transducer.Constraint, align []automata.Symbol) (out, nodes []automata.Symbol, logE float64, ok bool) {
-	out, nodes, logE, ok, _ = ev.resolveCtx(context.Background(), c, align)
+	out, nodes, _, logE, ok, _ = kernel.ResumeConstrainedBoundedCtx(context.Background(), ev.nt, ev.v, ev.checkpoint(align), c, ev.Bounds(), nil)
 	return out, nodes, logE, ok
 }
 
-// resolveCtx is resolve with cancellation of the resume DP, including
-// the checkpoint materialization it may trigger. In extendable mode the
-// resume additionally captures its final past-zone frontier and
-// survivor store, retained per constraint for the cross-append reseed;
-// the next resolve of the region after an append continues that capture
-// over the appended positions only, in O(appended suffix).
-func (ev *Evaluator) resolveCtx(ctx context.Context, c transducer.Constraint, align []automata.Symbol) (out, nodes []automata.Symbol, logE float64, ok bool, err error) {
+// resolveAnswer resolves one Lawler region with cancellation of the
+// resume DP, including the checkpoint materialization it may trigger.
+// In extendable mode the resume also captures its final past-zone
+// frontier and survivor store into the returned resolution's rs, which
+// the tree keeps with the region; the region's next resolve after an
+// append receives it as prior and continues it over the appended
+// positions only, in O(appended suffix).
+func (ev *Evaluator) resolveAnswer(ctx context.Context, c transducer.Constraint, align []automata.Symbol, prior *kernel.ResumeState) (resolution, bool, error) {
 	ck := ev.checkpoint(align)
-	if ev.extendable {
-		key := constraintKey(c)
-		rs := new(kernel.ResumeState)
-		out, nodes, _, logE, ok, _, err = kernel.ResumeConstrainedIncCtx(ctx, ev.nt, ev.v, ck, c, ev.retainedByKey(key), rs, nil)
-		if err == nil {
-			ev.retainKey(key, rs)
-		}
-		return out, nodes, logE, ok, err
+	if !ev.extendable {
+		o, _, _, logE, ok, err := kernel.ResumeConstrainedBoundedCtx(ctx, ev.nt, ev.v, ck, c, ev.Bounds(), nil)
+		return resolution{Answer: Answer{Output: o, LogEmax: logE}}, ok, err
 	}
-	out, nodes, _, logE, ok, err = kernel.ResumeConstrainedBoundedCtx(ctx, ev.nt, ev.v, ck, c, ev.Bounds(), nil)
-	return out, nodes, logE, ok, err
-}
-
-// resolveAnswer is resolveCtx in the shape lawlerConfig resolves with.
-func (ev *Evaluator) resolveAnswer(ctx context.Context, c transducer.Constraint, align []automata.Symbol) (Answer, bool, error) {
-	o, _, logE, ok, err := ev.resolveCtx(ctx, c, align)
-	return Answer{Output: o, LogEmax: logE}, ok, err
-}
-
-// retainCap bounds the retained-frontier map of one extendable
-// evaluator. Overflow entries are simply not inserted: their
-// subproblems fall back to coarser (still admissible) bounds at reseed
-// time, trading a little pruning power for bounded memory.
-const retainCap = 16384
-
-// retention is the append-carryable resolve state shared by every
-// evaluator generation in one extension chain. frontier maps constraint
-// keys to the final past-zone frontier of the constraint's most recent
-// resolve; origin maps an emitted answer's output key to the
-// non-singleton constraint whose resolve first emitted it (carried
-// children of that answer bound themselves through its retained
-// frontier at reseed time even after the answer itself has been
-// re-emitted as an exact singleton, whose empty frontier says nothing
-// about the children's regions). Entries are immutable pointers
-// replaced wholesale, and a reseed rejects any frontier captured past
-// its own view (rs.N > v.N), so generations can share one map instead
-// of copying O(frontier) entries per append.
-type retention struct {
-	// mu serves the generations sharing the maps: an engine and its
-	// ExtendValidated successor may resolve, carry and drain at once.
-	mu       sync.Mutex
-	frontier map[string]*kernel.ResumeState
-	origin   map[string]transducer.Constraint
-	// bscratch recycles the reseed's throwaway backward-sweep storage
-	// (kernel.NewBoundsInto) across carries: one N·K·Q float64 array per
-	// lineage instead of per append. Taken (nilled) at the start of a
-	// carry and put back at the end, so an unusual concurrent carry just
-	// allocates fresh instead of racing.
-	bscratch *kernel.Bounds
-}
-
-// retainKey stores the frontier of the latest resolve under its
-// constraint key. Entries are always fresh pointers, never mutated in
-// place, so concurrent readers (an Extend running against an old
-// generation) stay safe.
-func (ev *Evaluator) retainKey(key string, rs *kernel.ResumeState) {
-	ev.ret.mu.Lock()
-	if _, ok := ev.ret.frontier[key]; ok || len(ev.ret.frontier) < retainCap {
-		ev.ret.frontier[key] = rs
-	}
-	ev.ret.mu.Unlock()
-}
-
-// retainedByKey returns the most recent retained frontier under key,
-// possibly from a resolve several append generations old, or nil.
-func (ev *Evaluator) retainedByKey(key string) *kernel.ResumeState {
-	ev.ret.mu.Lock()
-	rs := ev.ret.frontier[key]
-	ev.ret.mu.Unlock()
-	return rs
-}
-
-// constraintKey is a canonical encoding of a constraint's region
-// identity: mode, prefix, and sorted forbidden set. Two constraints
-// with equal keys admit the same output set, so a retained frontier
-// keyed this way transfers exactly.
-func constraintKey(c transducer.Constraint) string {
-	return string(appendConstraintKey(nil, c))
-}
-
-// appendConstraintKey appends constraintKey's encoding to dst and
-// returns the extended slice, letting the reseed loop probe the
-// retention map with one reused buffer (indexing with string(buf) does
-// not allocate). The prefix is length-delimited rather than separated:
-// symbol encodings can contain any byte value, so no separator byte
-// would be unambiguous.
-func appendConstraintKey(dst []byte, c transducer.Constraint) []byte {
-	dst = append(dst, byte('0'+int(c.Mode)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(c.Prefix)))
-	dst = automata.AppendKey(dst, c.Prefix)
-	if len(c.Forbidden) > 0 {
-		syms := make([]automata.Symbol, 0, len(c.Forbidden))
-		for s := range c.Forbidden {
-			syms = append(syms, s)
-		}
-		slices.Sort(syms)
-		dst = automata.AppendKey(dst, syms)
-	}
-	return dst
+	rs := new(kernel.ResumeState)
+	o, _, _, logE, ok, _, err := kernel.ResumeConstrainedIncCtx(ctx, ev.nt, ev.v, ck, c, prior, rs, nil)
+	return resolution{Answer{Output: o, LogEmax: logE}, rs}, ok, err
 }
 
 // donorFor looks up the longest cached checkpoint whose alignment is a
@@ -333,8 +240,7 @@ func (ev *Evaluator) donorFor(align []automata.Symbol) *kernel.Checkpoint {
 
 // Extend derives an evaluator over mNew — an append-grown snapshot of
 // the receiver's sequence (markov.Sequence.Extended) — that carries the
-// receiver's checkpoint cache and retained resolve frontiers instead of
-// starting cold. Carried checkpoints become O(1) extension handles
+// receiver's checkpoint cache instead of starting cold. Carried checkpoints become O(1) extension handles
 // (kernel.NewExtendedLazyCheckpoint): the DP over the shared prefix is
 // reused and only the appended layers are ever relaxed. The receiver is
 // only read, so it may keep serving concurrently; the new evaluator is
@@ -351,11 +257,6 @@ func (ev *Evaluator) Extend(mNew *markov.Sequence) *Evaluator {
 		nt:         ev.nt,
 		v:          mNew.View(),
 		extendable: true,
-		// Shared, not copied: see retention. A frontier captured by a
-		// resolve against the old generation is still the newest state for
-		// its constraint, and one written later against the new view is
-		// rejected by the old generation's reseed bound check.
-		ret: ev.ret,
 	}
 	carried := ev.cache.snapshot()
 	nev.cache.init(ev.cache.cap, len(carried))

@@ -27,12 +27,12 @@ import (
 // The bounds come from a throwaway backward sweep (kernel.NewBounds) over
 // the grown view. It is used for arithmetic only and never installed as a
 // pruning threshold: extendable evaluators resolve unpruned so that the
-// retained frontiers and lazily extended checkpoints stay complete.
+// captured frontiers and lazily extended checkpoints stay complete.
 //
-// Admissibility of the re-seed bound for a region R with retained resolve
-// frontier rs (captured at epoch length N_rs) and prefix checkpoint ck
-// aligned to the region's parent output: every accepting run contributing
-// to max E_max over R either
+// Admissibility of the re-seed bound for a region R with resolve
+// capture rs (taken at epoch length N_rs) and prefix checkpoint ck
+// aligned to the region's parent output: every accepting run
+// contributing to max E_max over R either
 //
 //   (a) had crossed the region boundary by position N_rs-1 — then its
 //       partial score is dominated by a cell of rs, and its completion by
@@ -49,13 +49,16 @@ import (
 // side. The resolve that captured rs materialized its checkpoint view at
 // N_rs, so the anchor exists whenever the handle survived in the cache.
 //
-// Subproblems that never resolved have no frontier of their own; their
-// region is contained in the region of the non-singleton constraint that
+// The Lawler tree owns every capture by pointer (see resolution): a
+// region's last resolve returns its capture in the payload, lawler keeps
+// it with the region, queued or dead, and hands it to the region's next
+// resolve, and an emitted answer's payload points at the capture of the
+// region that emitted it. Subproblems that never resolved have no
+// capture of their own; their region is contained in the region that
 // emitted their parent answer (Constraint.Children partitions the
-// remainder), whose frontier the evaluator's origin map locates even
-// after later epochs re-emitted the parent as a singleton. When any piece
-// is missing — evicted checkpoint, capped retention map — the bound falls
-// back to G, the global root bound, which is always admissible.
+// remainder), whose capture the parent payload holds. When any piece is
+// missing — an evicted checkpoint, a region with no capture — the bound
+// falls back to G, the global root bound, which is always admissible.
 
 // extendSlack inflates an admissible bound by a relative epsilon so that
 // float re-association between the bound arithmetic and the kernel's own
@@ -89,8 +92,18 @@ func extendSlack(x float64) float64 {
 // they surface. The third argument is ignored: it once sized a
 // speculative-resolution pool, and every drain is now sequential.
 func ExtendEnumerator(e *Enumerator, mNew *markov.Sequence, _ int) (*Enumerator, bool) {
-	if e == nil || e.ev == nil || !e.ev.extendable {
+	nev, seeds, ok := reseed(e, mNew)
+	if !ok {
 		return nil, false
+	}
+	return &Enumerator{inner: lawler.NewSeeded(lawlerConfig(nev.resolveAnswer), seeds), ev: nev}, true
+}
+
+// reseed is ExtendEnumerator up to the seeded queue: the extended
+// evaluator and the carried seeds with their re-priced bounds.
+func reseed(e *Enumerator, mNew *markov.Sequence) (*Evaluator, []lawler.Seed[resolution], bool) {
+	if e == nil || e.ev == nil || !e.ev.extendable {
+		return nil, nil, false
 	}
 	emitted := e.inner.EmittedLog()
 	pending := e.inner.Frontier()
@@ -107,34 +120,15 @@ func ExtendEnumerator(e *Enumerator, mNew *markov.Sequence, _ int) (*Enumerator,
 			}
 		}
 		if !carried {
-			return nil, false
+			return nil, nil, false
 		}
 	}
 	nev := e.ev.Extend(mNew)
-	// Arithmetic only; never installed. The potential array is recycled
-	// through the lineage-shared retention so steady-state carries do not
-	// allocate (or zero) N·K·Q floats apiece.
-	nev.ret.mu.Lock()
-	bs := nev.ret.bscratch
-	nev.ret.bscratch = nil
-	nev.ret.mu.Unlock()
-	b := kernel.NewBoundsInto(bs, nev.nt, nev.v)
+	// Arithmetic only; never installed. The potential array moves along
+	// the evaluator chain (see Evaluator.bscratch), so steady-state
+	// carries neither allocate nor zero N·K·Q floats apiece.
+	b := kernel.NewBoundsInto(e.ev.bscratch.Swap(nil), nev.nt, nev.v)
 	states := nev.nt.States
-
-	// Record the originating non-singleton region of each emitted answer
-	// before seeding: carried children of an answer bound themselves
-	// through this constraint's retained frontier (see above).
-	nev.ret.mu.Lock()
-	for _, rec := range emitted {
-		if rec.C.Mode == transducer.ExactOnly {
-			continue
-		}
-		key := automata.StringKey(rec.Top.Output)
-		if _, dup := nev.ret.origin[key]; !dup && len(nev.ret.origin) < retainCap {
-			nev.ret.origin[key] = rec.C
-		}
-	}
-	nev.ret.mu.Unlock()
 
 	// G: admissible bound on every answer — best initial log weight plus
 	// the exact completion potential of the entered cell.
@@ -151,23 +145,28 @@ func ExtendEnumerator(e *Enumerator, mNew *markov.Sequence, _ int) (*Enumerator,
 	}
 	G = extendSlack(G)
 
-	// regionBound prices a region from its retained resolve frontier plus
-	// the zone frontier of the alignment's checkpoint anchored at or
-	// below the capture epoch. ok=false when either piece is missing —
-	// the result would cover only part of the region.
+	// regionBound prices a region from its resolve capture plus the zone
+	// frontier of the alignment's checkpoint anchored at or below the
+	// capture epoch. ok=false when either piece is missing — the result
+	// would cover only part of the region.
 	//
-	// The result is memoized per carry, keyed by the frontier pointer: a
-	// retained frontier is stored under its constraint's key, and every
-	// caller pairs it with that region's own alignment, so one rs never
-	// prices two different (align, frontier) combinations. Tie-heavy
-	// drains re-seed many siblings of one region; without the memo each
-	// sibling would re-scan the same frontier and zone rows.
+	// The result is memoized per carry, keyed by the capture pointer.
+	// One capture can meet two alignments: a region R's capture prices
+	// R's own answer under R's alignment (its parent's output), then each
+	// unresolved child of that answer under the answer's output, and
+	// every later caller gets the price memoized first. Either price is
+	// admissible for all of them: the runs that (b) above covers have
+	// not yet left R's prefix constraint, so their output is an exact
+	// prefix of R's prefix, and hence of both alignments, and each
+	// alignment's zone frontier dominates them. Tie-heavy drains re-seed
+	// many siblings of one region; without the memo each sibling would
+	// re-scan the same frontier and zone rows.
 	type rbRes struct {
 		bd float64
 		ok bool
 	}
 	rbMemo := make(map[*kernel.ResumeState]rbRes)
-	var keyBuf []byte // reused across every map probe below; see AppendKey
+	var keyBuf []byte // reused across every checkpoint probe below; see AppendKey
 	regionBound := func(rs *kernel.ResumeState, align []automata.Symbol) (float64, bool) {
 		if rs == nil || rs.N < 1 || rs.N > nev.v.N {
 			return 0, false
@@ -198,66 +197,55 @@ func ExtendEnumerator(e *Enumerator, mNew *markov.Sequence, _ int) (*Enumerator,
 		return bd, ok
 	}
 
-	// retained is Evaluator.retainedFor with the key assembled into a
-	// reused buffer: the reseed probes the retention map once per carried
-	// subproblem, and constraint keys embed full output prefixes.
-	var ckBuf []byte
-	retained := func(c transducer.Constraint) *kernel.ResumeState {
-		ckBuf = appendConstraintKey(ckBuf[:0], c)
-		nev.ret.mu.Lock()
-		rs := nev.ret.frontier[string(ckBuf)]
-		nev.ret.mu.Unlock()
-		return rs
-	}
-
-	seeds := make([]lawler.Seed[Answer], 0, len(emitted))
+	seeds := make([]lawler.Seed[resolution], 0, len(emitted)+len(pending))
 	// Emitted answers first, in emission order: each re-enters as an
-	// exact singleton whose bound is its old emitting region's re-priced
-	// bound (the singleton is a subset of that region).
+	// exact singleton whose bound is its emitting region's re-priced
+	// bound (the singleton is a subset of that region). A singleton that
+	// emitted itself is the same region again and keeps its capture; one
+	// split off a wider region starts without one.
 	for _, rec := range emitted {
 		align := rec.Parent.Output
 		if rec.Root {
 			align = rec.C.Prefix
 		}
-		bd, ok := regionBound(retained(rec.C), align)
+		bd, ok := regionBound(rec.Top.rs, align)
 		if !ok {
 			bd = G
 		}
-		seeds = append(seeds, lawler.Seed[Answer]{
+		s := lawler.Seed[resolution]{
 			C:      transducer.Constraint{Prefix: rec.Top.Output, Mode: transducer.ExactOnly},
 			Parent: rec.Top,
 			Bound:  bd,
-		})
+		}
+		if rec.C.Mode == transducer.ExactOnly {
+			s.Prior.rs = rec.Top.rs
+		}
+		seeds = append(seeds, s)
 	}
 	// Then the unemitted frontier — queued and decided-empty subproblems —
 	// in insertion order. A subproblem that resolved in some prior epoch
-	// prices itself from its own frontier; one that never resolved prices
-	// itself from its parent's originating region; either way the zone is
-	// anchored on the subproblem's own alignment.
+	// prices itself from its own capture; one that never resolved prices
+	// itself from the capture of the region that emitted its parent
+	// answer; either way the zone is anchored on the subproblem's own
+	// alignment. Only the capture pointer is carried: a resolved but
+	// unemitted answer is re-resolved after the append anyway, and
+	// carrying it would keep its output alive.
 	for _, p := range pending {
 		align := p.Parent.Output
 		if p.Root {
 			align = p.C.Prefix
 		}
-		bd, ok := regionBound(retained(p.C), align)
+		bd, ok := regionBound(p.Prior.rs, align)
 		if !ok && !p.Root {
-			ckBuf = automata.AppendKey(ckBuf[:0], p.Parent.Output)
-			nev.ret.mu.Lock()
-			ce, has := nev.ret.origin[string(ckBuf)]
-			nev.ret.mu.Unlock()
-			if has {
-				bd, ok = regionBound(retained(ce), align)
-			}
+			bd, ok = regionBound(p.Parent.rs, align)
 		}
 		if !ok {
 			bd = G
 		}
-		seeds = append(seeds, lawler.Seed[Answer]{C: p.C, Parent: p.Parent, Root: p.Root, Bound: bd})
+		seeds = append(seeds, lawler.Seed[resolution]{C: p.C, Parent: p.Parent, Prior: resolution{rs: p.Prior.rs}, Root: p.Root, Bound: bd})
 	}
 	nev.reused.Add(uint64(len(emitted)))
 	nev.reseeded.Add(uint64(len(pending)))
-	nev.ret.mu.Lock()
-	nev.ret.bscratch = b // seeds hold plain floats; b is free to recycle
-	nev.ret.mu.Unlock()
-	return &Enumerator{inner: lawler.NewSeeded(lawlerConfig(nev.resolveAnswer), seeds), ev: nev}, true
+	nev.bscratch.Store(b) // seeds hold plain floats; b is free to recycle
+	return nev, seeds, true
 }

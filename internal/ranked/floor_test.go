@@ -7,6 +7,7 @@ import (
 
 	"markovseq/internal/automata"
 	"markovseq/internal/hardness"
+	"markovseq/internal/kernel"
 	"markovseq/internal/lawler"
 	"markovseq/internal/transducer"
 )
@@ -29,20 +30,20 @@ func TestFloorOnFlatInstance(t *testing.T) {
 	}{{"pruned", nil}, {"extendable", []Option{WithExtendable()}}} {
 		drain := func(floors bool) (out []Answer, resolves int) {
 			ev := NewEvaluator(hi.T, m, mode.opts...)
-			cfg := lawlerConfig(func(ctx context.Context, c transducer.Constraint, align []automata.Symbol) (Answer, bool, error) {
+			cfg := lawlerConfig(func(ctx context.Context, c transducer.Constraint, align []automata.Symbol, prior *kernel.ResumeState) (resolution, bool, error) {
 				resolves++
-				return ev.resolveAnswer(ctx, c, align)
+				return ev.resolveAnswer(ctx, c, align, prior)
 			})
 			if !floors {
 				cfg.Floor = nil
 			}
 			e := lawler.New(cfg)
 			for len(out) < k {
-				a, _, ok := e.Next()
+				r, _, ok := e.Next()
 				if !ok {
 					break
 				}
-				out = append(out, a)
+				out = append(out, r.Answer)
 			}
 			return out, resolves
 		}

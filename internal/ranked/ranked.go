@@ -74,12 +74,23 @@ type Answer struct {
 	LogEmax float64
 }
 
+// resolution is the Lawler payload of a ranked enumeration: the answer a
+// resolve found and, in extendable mode, rs, the capture of that resolve
+// (kept also when it found the region empty). The tree owns each
+// capture by pointer: a carried region's next resolve continues from
+// it, and the cross-append reseed prices the region, and the children
+// of the answer it emitted, from it. Answers handed to callers drop rs.
+type resolution struct {
+	Answer
+	rs *kernel.ResumeState
+}
+
 // Enumerator yields A^ω(μ) in decreasing E_max with polynomial delay
 // (Theorem 4.3). Create with NewEnumerator and drain with Next. Each
 // subproblem is resolved lazily against its parent answer's prefix
 // checkpoint. Not safe for concurrent use.
 type Enumerator struct {
-	inner *lawler.Enumerator[Answer]
+	inner *lawler.Enumerator[resolution]
 	ev    *Evaluator
 }
 
@@ -90,28 +101,29 @@ func NewEnumerator(t *transducer.Transducer, m *markov.Sequence, opts ...Option)
 }
 
 // resolveFunc solves one Lawler subproblem c against the prefix
-// checkpoint aligned to align (which extends c.Prefix).
-type resolveFunc func(ctx context.Context, c transducer.Constraint, align []automata.Symbol) (Answer, bool, error)
+// checkpoint aligned to align (which extends c.Prefix), continuing
+// prior, the capture of the region's previous resolve (nil if none).
+type resolveFunc func(ctx context.Context, c transducer.Constraint, align []automata.Symbol, prior *kernel.ResumeState) (resolution, bool, error)
 
 // lawlerConfig is the Lawler–Murty wiring shared by Enumerate, the
 // cross-append reseed (ExtendEnumerator) and the per-window Sweeper:
 // resolve against the parent answer's prefix checkpoint, partition with
 // Constraint.Children, and break exact ties by one rule, so every path
 // emits the same sequence.
-func lawlerConfig(resolve resolveFunc) lawler.Config[Answer] {
-	return lawler.Config[Answer]{
+func lawlerConfig(resolve resolveFunc) lawler.Config[resolution] {
+	return lawler.Config[resolution]{
 		Root: transducer.Unconstrained(),
-		Resolve: func(ctx context.Context, c transducer.Constraint, parent Answer, root bool) (Answer, float64, bool, error) {
+		Resolve: func(ctx context.Context, c transducer.Constraint, parent resolution, root bool, prior resolution) (resolution, float64, bool, error) {
 			// Children of a printed answer share its checkpoint: every
 			// child prefix is a prefix of the parent's output.
 			align := parent.Output
 			if root {
 				align = c.Prefix
 			}
-			a, ok, err := resolve(ctx, c, align)
-			return a, a.LogEmax, ok, err
+			r, ok, err := resolve(ctx, c, align, prior.rs)
+			return r, r.LogEmax, ok, err
 		},
-		Children: func(c transducer.Constraint, top Answer) []transducer.Constraint {
+		Children: func(c transducer.Constraint, top resolution) []transducer.Constraint {
 			return c.Children(top.Output)
 		},
 		// Exact E_max ties emit in lexicographic output order — a
@@ -120,7 +132,7 @@ func lawlerConfig(resolve resolveFunc) lawler.Config[Answer] {
 		// emits the same sequence as a from-scratch one. Distinct queue
 		// items hold disjoint regions, so resolved tops never compare
 		// equal and the order is total.
-		Tie: func(a, b Answer) int {
+		Tie: func(a, b resolution) int {
 			return slices.Compare(a.Output, b.Output)
 		},
 		Floor: outputFloor,
@@ -132,8 +144,8 @@ func lawlerConfig(resolve resolveFunc) lawler.Config[Answer] {
 // tied score class (the flat landscapes of the hardness instances) it
 // lets the tree emit a tied answer without first resolving every
 // bound-tied child whose outputs all sort after it.
-func outputFloor(c transducer.Constraint) (Answer, bool) {
-	return Answer{Output: c.Prefix}, c.Mode == transducer.ExtensionsOnly
+func outputFloor(c transducer.Constraint) (resolution, bool) {
+	return resolution{Answer: Answer{Output: c.Prefix}}, c.Mode == transducer.ExtensionsOnly
 }
 
 // Enumerate starts a decreasing-E_max enumeration sharing this
@@ -158,8 +170,8 @@ func (e *Enumerator) ExtendStats() (reused, reseeded, handlesSkipped uint64) {
 // answers have been enumerated. Each answer is produced exactly once: the
 // Lawler children of a popped constraint partition its remaining answers.
 func (e *Enumerator) Next() (Answer, bool) {
-	a, _, ok := e.inner.Next()
-	return a, ok
+	r, _, ok := e.inner.Next()
+	return r.Answer, ok
 }
 
 // NextCtx is Next with cancellation: a non-nil error (ctx.Err()) means
@@ -167,8 +179,8 @@ func (e *Enumerator) Next() (Answer, bool) {
 // later call with a live context resumes the ranked order exactly where
 // it stopped.
 func (e *Enumerator) NextCtx(ctx context.Context) (Answer, bool, error) {
-	a, _, ok, err := e.inner.NextCtx(ctx)
-	return a, ok, err
+	r, _, ok, err := e.inner.NextCtx(ctx)
+	return r.Answer, ok, err
 }
 
 // Emax computes E_max(o) = max{Pr(s) : s →[A^ω]→ o} in log space, using

@@ -124,20 +124,20 @@ func (s *Sweeper) TopK(ctx context.Context, m *markov.Sequence, k int) ([]Answer
 		s.b = kernel.NewBoundsInto(s.b, s.nt, v)
 		s.cur = s.b
 	}
-	en := lawler.New(lawlerConfig(func(ctx context.Context, c transducer.Constraint, align []automata.Symbol) (Answer, bool, error) {
+	en := lawler.New(lawlerConfig(func(ctx context.Context, c transducer.Constraint, align []automata.Symbol, _ *kernel.ResumeState) (resolution, bool, error) {
 		o, _, _, logE, ok, err := kernel.ResumeConstrainedBoundedCtx(ctx, s.nt, v, s.checkpoint(v, align), c, s.cur, &s.sc)
-		return Answer{Output: o, LogEmax: logE}, ok, err
+		return resolution{Answer: Answer{Output: o, LogEmax: logE}}, ok, err
 	}))
 	out := make([]Answer, 0, k)
 	for len(out) < k {
-		a, _, ok, err := en.NextCtx(ctx)
+		r, _, ok, err := en.NextCtx(ctx)
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			break
 		}
-		out = append(out, a)
+		out = append(out, r.Answer)
 	}
 	return out, nil
 }

@@ -499,7 +499,7 @@ type ImaxEnumerator struct {
 func (p *SProjector) EnumerateImax(m *markov.Sequence) *ImaxEnumerator {
 	return &ImaxEnumerator{inner: lawler.New(lawler.Config[StringAnswer]{
 		Root: transducer.Unconstrained(),
-		Resolve: func(ctx context.Context, c transducer.Constraint, _ StringAnswer, _ bool) (StringAnswer, float64, bool, error) {
+		Resolve: func(ctx context.Context, c transducer.Constraint, _ StringAnswer, _ bool, _ StringAnswer) (StringAnswer, float64, bool, error) {
 			top, ok, err := p.TopIndexedCtx(ctx, m, c)
 			if err != nil || !ok {
 				return StringAnswer{}, 0, false, err
