@@ -7,12 +7,19 @@ GO ?= go
 
 all: build test
 
+# laharbench/ is its own module, which the root ./... skips: build, test
+# and race vet and test it as well, so a change to a name the benchmark
+# calls fails here rather than only when the benchmark runs.
+LAHARBENCH = cd laharbench && $(GO) vet ./... && $(GO) test
+
 build:
 	$(GO) build ./...
 	$(GO) vet ./...
+	$(LAHARBENCH) ./...
 
 test:
 	$(GO) test ./...
+	$(LAHARBENCH) ./...
 
 # The race target is the serving-layer gate: vet plus the full suite
 # under the race detector (the lahar cache tests exercise concurrent
@@ -20,6 +27,7 @@ test:
 race:
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	$(LAHARBENCH) -race ./...
 
 cover:
 	$(GO) test -cover ./...

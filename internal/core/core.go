@@ -300,8 +300,9 @@ func (pr *Prepared) ExtendValidated(old *Engine, m *markov.Sequence) (*Engine, e
 	if old == nil {
 		return eng, nil
 	}
-	// Holding old.mu keeps the carried tree consistent against a
-	// concurrent drain of the predecessor.
+	// A ranked enumerator is not safe for concurrent use, its carry
+	// included: holding old.mu keeps a drain of the predecessor, or a
+	// second carry from it, out of this one.
 	old.mu.Lock()
 	if old.topEnum != nil {
 		if ne, ok := ranked.ExtendEnumerator(old.topEnum, m, 1); ok {

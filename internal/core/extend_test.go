@@ -9,6 +9,7 @@ import (
 	"markovseq/internal/automata"
 	"markovseq/internal/kernel"
 	"markovseq/internal/markov"
+	"markovseq/internal/ranked"
 	"markovseq/internal/rfid"
 	"markovseq/internal/testutil"
 	"markovseq/internal/transducer"
@@ -369,11 +370,14 @@ func TestEnsureBoundsRejectsStaleSweep(t *testing.T) {
 	}
 }
 
-// TestRankedModeSelection pins which evaluator mode each engine drains
-// through: a binding shorter than kernel.BoundsMinN runs the exhaustive
+// TestRankedModeSelection pins which mode each engine's enumerator
+// drains in: a binding shorter than kernel.BoundsMinN runs the exhaustive
 // sweep (no potentials, so no pruned resolves), a longer one prunes with
 // the engine's shared bounds, and an ExtendValidated engine is
-// extendable whatever its length.
+// extendable whatever its length. The mode shows from outside: only an
+// extendable enumerator is carried across an append (ExtendEnumerator
+// refuses the others), and only a pruned one counts resolves, into the
+// engine's own bounds.
 func TestRankedModeSelection(t *testing.T) {
 	wl := extendWorkloads(t, kernel.BoundsMinN)[0]
 	prep := PrepareTransducer(wl.q)
@@ -401,20 +405,25 @@ func TestRankedModeSelection(t *testing.T) {
 		if len(e.TopK(3)) == 0 {
 			t.Fatalf("%s: no answers", tc.name)
 		}
-		ev := e.topEnum.Evaluator()
 		resolves := e.PruneStats().Resolves
+		own := e.topEnum.PruneStats().Resolves
+		grown, err := m.Extended([][][]float64{wl.full.TransAt(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, carried := ranked.ExtendEnumerator(e.topEnum, grown, 1)
 		switch {
 		case tc.extend:
-			if !ev.Extendable() || ev.Bounds() != nil || resolves != 0 {
-				t.Fatalf("%s: extendable=%v bounds=%v pruned resolves=%d, want an unpruned extendable drain", tc.name, ev.Extendable(), ev.Bounds() != nil, resolves)
+			if !carried || resolves != 0 || own != 0 {
+				t.Fatalf("%s: carried=%v pruned resolves=%d (enumerator %d), want an unpruned extendable drain", tc.name, carried, resolves, own)
 			}
 		case tc.n < kernel.BoundsMinN:
-			if ev.Extendable() || ev.Bounds() != nil || resolves != 0 {
-				t.Fatalf("%s: extendable=%v bounds=%v pruned resolves=%d, want the exhaustive sweep", tc.name, ev.Extendable(), ev.Bounds() != nil, resolves)
+			if carried || resolves != 0 || own != 0 {
+				t.Fatalf("%s: carried=%v pruned resolves=%d (enumerator %d), want the exhaustive sweep", tc.name, carried, resolves, own)
 			}
 		default:
-			if ev.Extendable() || ev.Bounds() == nil || ev.Bounds() != e.ensureBounds() || resolves == 0 {
-				t.Fatalf("%s: extendable=%v pruned resolves=%d, want a drain pruned by the engine's shared bounds", tc.name, ev.Extendable(), resolves)
+			if carried || resolves == 0 || own != resolves {
+				t.Fatalf("%s: carried=%v pruned resolves=%d (enumerator %d), want a drain pruned by the engine's shared bounds", tc.name, carried, resolves, own)
 			}
 		}
 	}

@@ -412,8 +412,7 @@ type Checkpoint struct {
 	// bounds, with mu single-flighting the materialization. Recycle
 	// clears them (nt == nil marks a recycled checkpoint). Concurrent
 	// first touches come from an engine and its append successor, which
-	// share carried handles and may drain at once, and from concurrent
-	// public calls on one ranked.Evaluator.
+	// share carried handles and may drain at once.
 	mu sync.Mutex
 	nt *NFATables
 	v  *SeqView
@@ -517,7 +516,7 @@ func NewLazyCheckpoint(nt *NFATables, v *SeqView, align []automata.Symbol, b *Bo
 // which callers under the ranked tie-class contract (set-identity within
 // exactly tied scores) do not. When the donor covers fewer positions than
 // v (a handle carried from before an append), the remaining positions
-// relax in full. The ranked evaluator uses this for the checkpoint of a
+// relax in full. The ranked enumerator uses this for the checkpoint of a
 // freshly emitted answer, whose alignment extends an already-cached one
 // by a symbol or two.
 func NewLazyCheckpointFrom(nt *NFATables, v *SeqView, align []automata.Symbol, donor *Checkpoint) *Checkpoint {
@@ -553,7 +552,7 @@ func (ck *Checkpoint) Extendable(nt *NFATables, v *SeqView) bool {
 // forces prefix work that a from-scratch lazy handle would have
 // deferred. base must satisfy Extendable(nt, v) and v must extend the
 // view base was built against (SeqView.Extend /
-// markov.Sequence.Extended); base is never mutated, so an evaluator over
+// markov.Sequence.Extended); base is never mutated, so an enumerator over
 // the old snapshot can keep serving from it concurrently. When v has
 // base's own length, base itself is returned. The handle is always
 // ungated, hence extendable in turn: extension chains across any number
@@ -741,8 +740,8 @@ type ConstrainScratch struct {
 // Recycling ends the view's immutability: the caller must have dropped
 // every reference to ck and to data obtained from it, and must never
 // recycle a checkpoint other goroutines can still see (in particular,
-// checkpoints published to the ranked evaluator's shared LRU are not
-// recyclable). Nor may ck have served as a derivation donor, whose
+// checkpoints cached by a ranked enumerator, whose append successor
+// shares them, are not recyclable). Nor may ck have served as a derivation donor, whose
 // layers other views share as roots; no recycled slab ever is one,
 // because only the sliding-window sweeper recycles and it never derives.
 // A resume against a recycled checkpoint, touched or not, panics instead

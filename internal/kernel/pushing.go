@@ -81,14 +81,14 @@ type PruneStats struct {
 	// the previous drain emitted its answers while every child aligned to
 	// the handle stayed bound-dominated by the k-th answer score, so the
 	// materialization was skipped outright (not merely deferred). Filled
-	// at the ranked-evaluator layer; zero in a raw Bounds snapshot.
+	// at the ranked-enumerator layer; zero in a raw Bounds snapshot.
 	HandlesSkipped uint64
 	// RankedReused counts previously emitted answers carried across an
 	// append extension as exact singleton subproblems (re-scored over
 	// only the appended suffix); RankedReseeded counts unresolved or
 	// decided-empty frontier subproblems re-seeded with updated
 	// completion bounds instead of being rebuilt. Filled at the
-	// ranked-evaluator layer; zero in a raw Bounds snapshot.
+	// ranked-enumerator layer; zero in a raw Bounds snapshot.
 	RankedReused, RankedReseeded uint64
 }
 

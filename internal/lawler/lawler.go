@@ -20,10 +20,8 @@
 package lawler
 
 import (
-	"cmp"
 	"container/heap"
 	"context"
-	"slices"
 
 	"markovseq/internal/transducer"
 )
@@ -40,7 +38,7 @@ type Config[T any] struct {
 	// (the zero T at the root, distinguished by root=true); resolvers
 	// use it to locate shared work such as prefix checkpoints. prior is
 	// the payload the region's previous resolve returned, carried in by
-	// a Seed (the zero T when the region never resolved): a resolver may
+	// Carry (the zero T when the region never resolved): a resolver may
 	// return state in its payload, also with ok=false, for the region's
 	// next resolve after an append to continue from. Resolve must be
 	// deterministic. A non-nil error (normally ctx.Err() from a
@@ -81,7 +79,7 @@ type item[T any] struct {
 	parent T
 	// top is the payload of the region's last resolve: its best answer
 	// once resolved, whatever Resolve returned when the region is dead,
-	// and the seed's Prior before the region resolves here.
+	// and the prior Carry gave it before the region resolves here.
 	top                  T
 	seq                  int64
 	score                float64
@@ -167,104 +165,95 @@ type Enumerator[T any] struct {
 
 	// dead retains subproblems that resolved empty instead of dropping
 	// them: a region empty over the current sequence can become nonempty
-	// once the sequence grows, so the cross-append reseed must re-offer
-	// them (Frontier reports Dead=true for these).
+	// once the sequence grows, so Carry re-offers them.
 	dead []*item[T]
-	// emitted logs every emission with the subproblem that produced it,
-	// in emission order — the record the cross-append reseed needs to
-	// re-offer prior answers as exact singletons and to anchor fallback
-	// bounds for their carried children (see EmittedLog).
-	emitted []Emitted[T]
+	// emitted holds every emitted item in emission order: Carry re-offers
+	// each answer, and the region that emitted it, ahead of the rest.
+	emitted []*item[T]
 }
 
-// Emitted is one emitted answer together with the subproblem that
-// produced it: the constraint, the parent payload it was resolved
-// against (the zero T with Root=true at the enumeration root), and the
-// emitted payload and score.
-type Emitted[T any] struct {
-	C      transducer.Constraint
-	Parent T
-	Root   bool
-	Top    T
-	Score  float64
+// Region is one region of an enumeration being carried, as Carry hands
+// it to its reprice function. On the way in, C, Parent and Root describe
+// the region and Top is the payload of its last resolve: for an emitted
+// answer (Emitted), the answer, emitted by region C; for a queued or dead
+// region, its resolved top, whatever Resolve returned when it found the
+// region empty, or the prior it was carried with (the zero T when it
+// never resolved). reprice rewrites the fields into the successor's
+// region, with Top the prior that region's first resolve receives, and
+// sets Bound, an admissible bound on the region's best score.
+type Region[T any] struct {
+	C       transducer.Constraint
+	Parent  T
+	Top     T
+	Root    bool
+	Emitted bool
+	Bound   float64
 }
 
-// Pending is one unemitted subproblem of a paused enumeration: still
-// queued, or decided empty over the current input (Dead=true). Prior is
-// the payload of the region's last resolve (see Config.Resolve), the
-// zero T when it never resolved; old scores are omitted, since none
-// survives an append, which is what Frontier exists to serve.
-type Pending[T any] struct {
-	C      transducer.Constraint
-	Parent T
-	Prior  T
-	Root   bool
-	Dead   bool
-	seq    int64
-}
-
-// EmittedLog returns the emissions so far, oldest first. The slice is
-// owned by the enumerator; callers must not mutate it.
-func (e *Enumerator[T]) EmittedLog() []Emitted[T] { return e.emitted }
-
-// Frontier snapshots the unemitted subproblems — queue and dead list —
-// in insertion-sequence order (the deterministic tie-break order).
-// Read-only: the queue is not reordered or popped.
-func (e *Enumerator[T]) Frontier() []Pending[T] {
-	out := make([]Pending[T], 0, len(e.q.its)+len(e.dead))
-	for _, it := range e.q.its {
-		out = append(out, Pending[T]{C: it.c, Parent: it.parent, Prior: it.top, Root: it.root, seq: it.seq})
+// Carry starts the successor of this enumeration over a grown input,
+// resolving through cfg (its Root is not used). Every emitted answer, in
+// emission order, then every queued or dead region is handed to reprice,
+// and each enters the successor's queue unresolved, as reprice rewrote
+// it, with its Bound as the provisional score. reprice must not keep the
+// *Region: Carry reuses it for every region. Correct ranked emission
+// needs each Bound to be admissible (at least the true best score of the
+// region) and the regions to be pairwise disjoint with union equal to
+// the intended answer set; the lazy-resolution invariant (nothing emits
+// while an unresolved item with a higher bound is queued) then carries
+// over unchanged.
+//
+// Among equal bounds the successor keeps the receiver's order: the
+// emitted answers first, in emission order, then the other regions in
+// insertion order. Carry returns nil, without calling reprice, when
+// there is nothing to carry: nothing emitted and nothing queued but the
+// root. The receiver is only read and stays drainable.
+func (e *Enumerator[T]) Carry(cfg Config[T], reprice func(*Region[T])) *Enumerator[T] {
+	if len(e.emitted) == 0 && e.seq <= 1 {
+		return nil
 	}
-	for _, it := range e.dead {
-		out = append(out, Pending[T]{C: it.c, Parent: it.parent, Prior: it.top, Root: it.root, Dead: true, seq: it.seq})
+	ne := newEnumerator(cfg)
+	ne.q.its = make([]*item[T], 0, len(e.emitted)+len(e.q.its)+len(e.dead))
+	// One Region for the whole pass: handing reprice a fresh one per
+	// region would allocate each on the heap.
+	r := new(Region[T])
+	for i, it := range e.emitted {
+		*r = Region[T]{C: it.c, Parent: it.parent, Top: it.top, Root: it.root, Emitted: true}
+		reprice(r)
+		ne.q.its = append(ne.q.its, ne.newItem(r.C, r.Parent, r.Top, r.Root, r.Bound, int64(i)))
 	}
-	slices.SortFunc(out, func(a, b Pending[T]) int { return cmp.Compare(a.seq, b.seq) })
-	return out
-}
-
-// Seed is one carried subproblem for NewSeeded: a constraint, the
-// parent payload its resolver should locate shared work through, the
-// prior its first resolve here receives (Pending.Prior, or the part of
-// it the resolver needs), and an externally computed admissible bound
-// on its best score.
-type Seed[T any] struct {
-	C      transducer.Constraint
-	Parent T
-	Prior  T
-	Root   bool
-	Bound  float64
-}
-
-// NewSeeded prepares an enumeration over an explicit initial frontier
-// instead of a single root: every seed enters the queue unresolved with
-// its Bound as the provisional heap score, numbered in slice order (the
-// caller's order is the deterministic tie-break among equal bounds).
-// Correct ranked emission needs each Bound to be admissible — at least
-// the true best score of the seed's region — and the regions to be
-// pairwise disjoint with union equal to the intended answer set; the
-// lazy-resolution invariant (nothing emits while an unresolved item
-// with a higher bound is queued) then carries over unchanged.
-func NewSeeded[T any](cfg Config[T], seeds []Seed[T]) *Enumerator[T] {
-	e := newEnumerator(cfg)
-	e.q.its = make([]*item[T], 0, len(seeds))
-	for _, s := range seeds {
-		e.push(s.C, s.Parent, s.Prior, s.Root, s.Bound)
+	// Unemitted regions keep their insertion numbers, shifted past the
+	// emitted ones, so their relative order needs no sort.
+	off := int64(len(e.emitted))
+	for _, its := range [...][]*item[T]{e.q.its, e.dead} {
+		for _, it := range its {
+			*r = Region[T]{C: it.c, Parent: it.parent, Top: it.top, Root: it.root}
+			reprice(r)
+			ne.q.its = append(ne.q.its, ne.newItem(r.C, r.Parent, r.Top, r.Root, r.Bound, off+it.seq))
+		}
 	}
-	return e
+	ne.seq = off + e.seq
+	heap.Init(&ne.q)
+	return ne
 }
 
-// push queues region c unresolved under the bound score, numbered next
-// in insertion order and placed in its tie class by cfg.Floor.
-func (e *Enumerator[T]) push(c transducer.Constraint, parent, prior T, root bool, score float64) {
-	it := &item[T]{c: c, parent: parent, top: prior, root: root, seq: e.seq, score: score, rank: rankOpen}
-	e.seq++
+// newItem is region c unresolved under the bound score, numbered seq and
+// placed in its tie class by cfg.Floor.
+func (e *Enumerator[T]) newItem(c transducer.Constraint, parent, prior T, root bool, score float64, seq int64) *item[T] {
+	it := &item[T]{c: c, parent: parent, top: prior, root: root, seq: seq, score: score, rank: rankOpen}
 	if e.q.floor != nil {
 		it.rank = rankFloor
 		if _, strict := e.q.floor(c); strict {
 			it.rank = rankStrictFloor
 		}
 	}
-	heap.Push(&e.q, it)
+	return it
+}
+
+// push queues region c unresolved under the bound score, numbered next
+// in insertion order.
+func (e *Enumerator[T]) push(c transducer.Constraint, parent, prior T, root bool, score float64) {
+	heap.Push(&e.q, e.newItem(c, parent, prior, root, score, e.seq))
+	e.seq++
 }
 
 // newEnumerator is the empty enumeration of cfg. Its queue consults
@@ -317,8 +306,8 @@ func (e *Enumerator[T]) NextCtx(ctx context.Context) (top T, score float64, ok b
 			}
 			it.top = top
 			if !ok {
-				// Empty over the current input; retained for Frontier so a
-				// cross-append reseed can re-offer the region.
+				// Empty over the current input; retained so Carry can
+				// re-offer the region.
 				it.dead = true
 				e.dead = append(e.dead, it)
 				continue
@@ -332,7 +321,7 @@ func (e *Enumerator[T]) NextCtx(ctx context.Context) (top T, score float64, ok b
 			// which therefore serves as the admissible upper bound.
 			e.push(child, it.top, zero, false, it.score)
 		}
-		e.emitted = append(e.emitted, Emitted[T]{C: it.c, Parent: it.parent, Root: it.root, Top: it.top, Score: it.score})
+		e.emitted = append(e.emitted, it)
 		return it.top, it.score, true, nil
 	}
 	return zero, 0, false, nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -183,15 +184,16 @@ func TestLazyResolution(t *testing.T) {
 	}
 }
 
-// TestEmittedLogAndFrontier: the emission log records every emission in
-// order with its producing subproblem, and Frontier reports the
-// unemitted remainder — queued regions plus regions decided empty
-// (Dead), in insertion order.
-func TestEmittedLogAndFrontier(t *testing.T) {
+// TestCarryHandsEmittedThenFrontier: Carry hands reprice every emitted
+// answer first, in emission order, with the region that emitted it, then
+// the unemitted remainder — queued regions and regions decided empty. The
+// successor drains what reprice rewrote, and the receiver stays
+// drainable.
+func TestCarryHandsEmittedThenFrontier(t *testing.T) {
 	u := &universe{names: []string{"aa", "bb", "cc"}, scores: []float64{3, 2, 1}}
 	cfg := u.config(false)
 	// Children: remainder split into singletons plus one always-empty
-	// region, so the dead list is exercised.
+	// region, so a region is decided empty.
 	cfg.Children = func(c transducer.Constraint, top string) []transducer.Constraint {
 		out := []transducer.Constraint{u.region(nil)}
 		ti := u.index(top)
@@ -203,50 +205,80 @@ func TestEmittedLogAndFrontier(t *testing.T) {
 		return out
 	}
 	e := lawler.New(cfg)
-	tops, scores := drain(e, 2)
+	tops, _ := drain(e, 2)
 	if !reflect.DeepEqual(tops, []string{"aa", "bb"}) {
 		t.Fatalf("drain = %v", tops)
 	}
-	log := e.EmittedLog()
-	if len(log) != 2 {
-		t.Fatalf("emitted log has %d records, want 2", len(log))
+	var got []lawler.Region[string]
+	ne := e.Carry(cfg, func(r *lawler.Region[string]) {
+		got = append(got, *r)
+		if r.Emitted {
+			r.C, r.Parent, r.Root = u.region([]int{u.index(r.Top)}), r.Top, false
+		}
+		r.Bound = 10
+	})
+	if ne == nil {
+		t.Fatal("Carry refused a drained enumeration")
 	}
-	for i, rec := range log {
-		if rec.Top != tops[i] || rec.Score != scores[i] {
-			t.Fatalf("log[%d] = %+v, want top %q score %v", i, rec, tops[i], scores[i])
+	// Two emissions, then three unemitted regions: aa's empty child,
+	// resolved empty on the way to bb; cc's singleton, resolved but not
+	// emitted; bb's empty child, never resolved.
+	if len(got) != 5 {
+		t.Fatalf("Carry handed %d regions, want 5: %+v", len(got), got)
+	}
+	if r := got[0]; !r.Emitted || !r.Root || r.Top != "aa" {
+		t.Fatalf("first region %+v, want aa emitted by the root", r)
+	}
+	if r := got[1]; !r.Emitted || r.Root || r.Parent != "aa" || r.Top != "bb" || !reflect.DeepEqual(r.C, u.region([]int{1})) {
+		t.Fatalf("second region %+v, want bb emitted by aa's child {1}", r)
+	}
+	var empty int
+	for _, r := range got[2:] {
+		switch {
+		case r.Emitted || r.Root:
+			t.Fatalf("unemitted region misreported: %+v", r)
+		case len(r.C.Prefix) == 0:
+			empty++
+		case !reflect.DeepEqual(r.C, u.region([]int{2})) || r.Top != "cc":
+			t.Fatalf("unexpected unemitted region %+v", r)
 		}
 	}
-	if !log[0].Root {
-		t.Fatal("first emission did not come from the root subproblem")
+	if empty != 2 {
+		t.Fatalf("Carry handed %d empty regions, want 2", empty)
 	}
-	if log[1].Root || log[1].Parent != "aa" {
-		t.Fatalf("second emission's producing subproblem misrecorded: %+v", log[1])
+	if carried, _ := drain(ne, 10); !reflect.DeepEqual(carried, []string{"aa", "bb", "cc"}) {
+		t.Fatalf("successor drain = %v, want every answer once", carried)
 	}
-	var live, dead int
-	for _, p := range e.Frontier() {
-		if p.Dead {
-			dead++
-			if len(p.C.Prefix) != 0 {
-				t.Fatalf("nonempty region reported dead: %+v", p)
-			}
-		} else {
-			live++
-		}
-	}
-	// After two emissions: the first empty region was resolved (dead) on
-	// the way to the second emission; cc's singleton was resolved but not
-	// emitted, and the second emission's empty region was never resolved
-	// — both still live.
-	if dead != 1 || live != 2 {
-		t.Fatalf("frontier has %d dead / %d live, want 1 / 2", dead, live)
+	if rest, _ := drain(e, 10); !reflect.DeepEqual(rest, []string{"cc"}) {
+		t.Fatalf("receiver drain after Carry = %v, want the remaining cc", rest)
 	}
 }
 
-// TestPriorRoundTrip: Frontier reports with each queued or dead region
-// the payload of its last resolve — its top, what Resolve returned with
-// ok=false for a dead region, the zero T for a region that never
-// resolved — and NewSeeded hands a seed's Prior to the region's first
-// resolve, which is how a resolver's state crosses an append.
+// TestCarryRefusesRootOnly: an enumeration that has emitted nothing and
+// queued nothing but its root has nothing to carry, also once its root
+// is decided empty.
+func TestCarryRefusesRootOnly(t *testing.T) {
+	reprice := func(r *lawler.Region[string]) { t.Fatalf("reprice called for %+v", r) }
+	u := &universe{names: []string{"aa"}, scores: []float64{1}}
+	if lawler.New(u.config(false)).Carry(u.config(false), reprice) != nil {
+		t.Fatal("undrained enumeration carried")
+	}
+	none := &universe{}
+	e := lawler.New(none.config(false))
+	if _, _, ok := e.Next(); ok {
+		t.Fatal("empty universe emitted an answer")
+	}
+	if e.Carry(none.config(false), reprice) != nil {
+		t.Fatal("enumeration with an empty root carried")
+	}
+}
+
+// TestPriorRoundTrip: Carry hands reprice, with each queued or dead
+// region, the payload of its last resolve — its top, what Resolve
+// returned with ok=false for a dead region, the zero T for a region that
+// never resolved — and the successor hands the Top reprice leaves to the
+// region's first resolve, which is how a resolver's state crosses an
+// append.
 func TestPriorRoundTrip(t *testing.T) {
 	u := &universe{names: []string{"aa", "bb", "cc"}, scores: []float64{3, 2, 1}}
 	cfg := u.config(false)
@@ -264,9 +296,13 @@ func TestPriorRoundTrip(t *testing.T) {
 		return out
 	}
 	id := func(c transducer.Constraint) string { return fmt.Sprint(c.Prefix, c.Forbidden) }
+	// got records the prior of each region's first resolve: a region's
+	// later namesakes, the children of carried singletons, come after.
 	got := map[string]string{}
 	cfg.Resolve = func(ctx context.Context, c transducer.Constraint, parent string, root bool, prior string) (string, float64, bool, error) {
-		got[id(c)] = prior
+		if _, seen := got[id(c)]; !seen {
+			got[id(c)] = prior
+		}
 		top, sc, ok, err := u.resolve(ctx, c, parent, root, prior)
 		if !ok {
 			top = "state of an empty region"
@@ -276,25 +312,99 @@ func TestPriorRoundTrip(t *testing.T) {
 	e := lawler.New(cfg)
 	drain(e, 2)
 	// After aa and bb: aa's empty child resolved dead, cc's singleton
-	// resolved but unemitted, bb's empty child never resolved.
-	want := map[string]string{}
-	var seeds []lawler.Seed[string]
-	for _, p := range e.Frontier() {
-		want[id(p.C)] = p.Prior
-		seeds = append(seeds, lawler.Seed[string]{C: p.C, Parent: p.Parent, Prior: p.Prior, Root: p.Root, Bound: 10})
-	}
+	// resolved but unemitted, bb's empty child never resolved. Each
+	// emitted answer is re-offered as its singleton with itself as prior.
+	frontier, want := map[string]string{}, map[string]string{}
+	ne := e.Carry(cfg, func(r *lawler.Region[string]) {
+		if r.Emitted {
+			r.C, r.Parent, r.Root = u.region([]int{u.index(r.Top)}), r.Top, false
+		} else {
+			frontier[id(r.C)] = r.Top
+		}
+		want[id(r.C)] = r.Top
+		r.Bound = 10
+	})
 	if wantPriors := map[string]string{
 		id(cfg.Children(u.region(allOf(3)), "aa")[0]):    "state of an empty region",
 		id(u.region([]int{2})):                           "cc",
 		id(cfg.Children(u.region([]int{1, 2}), "bb")[0]): "",
-	}; !reflect.DeepEqual(want, wantPriors) {
-		t.Fatalf("frontier priors = %q, want %q", want, wantPriors)
+	}; !reflect.DeepEqual(frontier, wantPriors) {
+		t.Fatalf("frontier priors = %q, want %q", frontier, wantPriors)
 	}
 	clear(got)
-	drain(lawler.NewSeeded(cfg, seeds), 10)
+	drain(ne, 10)
+	if len(want) != 5 {
+		t.Fatalf("Carry handed %d distinct regions, want 5", len(want))
+	}
 	for c, prior := range want {
 		if p, ok := got[c]; !ok || p != prior {
-			t.Fatalf("seeded region %s: first resolve received prior %q (resolved: %v), want %q", c, p, ok, prior)
+			t.Fatalf("carried region %s: first resolve received prior %q (resolved: %v), want %q", c, p, ok, prior)
+		}
+	}
+}
+
+// TestCarryKeepsInsertionOrder: with Tie nil the insertion order breaks
+// every tie, so when all regions carry one bound the successor resolves
+// and emits in the order Carry numbered them. That order must be the
+// seeded enumeration's over the emitted answers' singletons, in emission
+// order, followed by the unemitted regions in the order they were
+// pushed.
+func TestCarryKeepsInsertionOrder(t *testing.T) {
+	key := func(c transducer.Constraint) string { return fmt.Sprint(c.Prefix) }
+	for trial := 0; trial < 30; trial++ {
+		rng := rand.New(rand.NewSource(int64(1300 + trial)))
+		u := randomUniverse(rng, 3+rng.Intn(40))
+		cfg := u.config(false)
+		pushed := []transducer.Constraint{cfg.Root}
+		cfg.Children = func(c transducer.Constraint, top string) []transducer.Constraint {
+			kids := u.childrenBinary(c, top)
+			pushed = append(pushed, kids...)
+			return kids
+		}
+		e := lawler.New(cfg)
+		tops, _ := drain(e, 1+rng.Intn(len(u.names)))
+		bound := slices.Max(u.scores)
+
+		// logged is the successors' configuration: plain children, and a
+		// resolve that records which region it resolved.
+		logged := func(log *[]string) lawler.Config[string] {
+			c := u.config(false)
+			c.Resolve = func(ctx context.Context, c transducer.Constraint, parent string, root bool, prior string) (string, float64, bool, error) {
+				*log = append(*log, key(c))
+				return u.resolve(ctx, c, parent, root, prior)
+			}
+			return c
+		}
+		var carriedLog, seededLog []string
+		unemitted := map[string]lawler.Region[string]{}
+		ne := e.Carry(logged(&carriedLog), func(r *lawler.Region[string]) {
+			if r.Emitted {
+				r.C, r.Parent, r.Root = u.region([]int{u.index(r.Top)}), r.Top, false
+			} else {
+				unemitted[key(r.C)] = *r
+			}
+			r.Bound = bound
+		})
+		var seeds []lawler.Seed[string]
+		for _, top := range tops {
+			seeds = append(seeds, lawler.Seed[string]{C: u.region([]int{u.index(top)}), Parent: top, Prior: top, Bound: bound})
+		}
+		for _, c := range pushed {
+			if r, ok := unemitted[key(c)]; ok {
+				seeds = append(seeds, lawler.Seed[string]{C: r.C, Parent: r.Parent, Prior: r.Top, Root: r.Root, Bound: bound})
+				delete(unemitted, key(c))
+			}
+		}
+		if len(unemitted) != 0 {
+			t.Fatalf("trial %d: Carry handed regions that were never pushed: %v", trial, unemitted)
+		}
+		got, gotScores := drain(ne, len(u.names)+1)
+		want, wantScores := drain(lawler.NewSeeded(logged(&seededLog), seeds), len(u.names)+1)
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotScores, wantScores) {
+			t.Fatalf("trial %d: carried emissions diverge from the seeded order\ngot  %v\nwant %v", trial, got, want)
+		}
+		if !reflect.DeepEqual(carriedLog, seededLog) {
+			t.Fatalf("trial %d: carried resolves diverge from the seeded order\ngot  %v\nwant %v", trial, carriedLog, seededLog)
 		}
 	}
 }

@@ -40,8 +40,8 @@ func (m *Sequence) Extended(mats [][][]float64) (*Sequence, error) {
 				return nil, fmt.Errorf("markov: appended transition %d row %s has %d entries, want %d",
 					n+j, m.Nodes.Name(automata.Symbol(s)), len(row), k)
 			}
-			if err := checkRow(row, fmt.Sprintf("appended transition %d row %s", n+j, m.Nodes.Name(automata.Symbol(s)))); err != nil {
-				return nil, err
+			if err := checkRow(row); err != nil {
+				return nil, fmt.Errorf("markov: appended transition %d row %s %w", n+j, m.Nodes.Name(automata.Symbol(s)), err)
 			}
 			cp[s] = append([]float64(nil), row...)
 		}

@@ -115,8 +115,8 @@ func (m *Sequence) Validate() error {
 	if got, want := len(m.Initial), m.Nodes.Size(); got != want {
 		return fmt.Errorf("markov: initial distribution has %d entries, want %d", got, want)
 	}
-	if err := checkRow(m.Initial, "initial distribution"); err != nil {
-		return err
+	if err := checkRow(m.Initial); err != nil {
+		return fmt.Errorf("markov: initial distribution %w", err)
 	}
 	for i, mat := range m.Trans {
 		if len(mat) != m.Nodes.Size() {
@@ -127,24 +127,27 @@ func (m *Sequence) Validate() error {
 				return fmt.Errorf("markov: transition %d row %s has %d entries, want %d",
 					i+1, m.Nodes.Name(automata.Symbol(s)), len(row), m.Nodes.Size())
 			}
-			if err := checkRow(row, fmt.Sprintf("transition %d row %s", i+1, m.Nodes.Name(automata.Symbol(s)))); err != nil {
-				return err
+			if err := checkRow(row); err != nil {
+				return fmt.Errorf("markov: transition %d row %s %w", i+1, m.Nodes.Name(automata.Symbol(s)), err)
 			}
 		}
 	}
 	return nil
 }
 
-func checkRow(row []float64, what string) error {
+// checkRow checks that row is a probability distribution. Its error
+// names no row, so a valid row costs no formatting; callers wrap it with
+// the row's label.
+func checkRow(row []float64) error {
 	sum := 0.0
 	for _, p := range row {
 		if p < 0 || p > 1 || math.IsNaN(p) {
-			return fmt.Errorf("markov: %s has invalid probability %v", what, p)
+			return fmt.Errorf("has invalid probability %v", p)
 		}
 		sum += p
 	}
 	if math.Abs(sum-1) > Tolerance {
-		return fmt.Errorf("markov: %s sums to %v, want 1", what, sum)
+		return fmt.Errorf("sums to %v, want 1", sum)
 	}
 	return nil
 }

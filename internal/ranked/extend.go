@@ -26,7 +26,7 @@ import (
 //
 // The bounds come from a throwaway backward sweep (kernel.NewBounds) over
 // the grown view. It is used for arithmetic only and never installed as a
-// pruning threshold: extendable evaluators resolve unpruned so that the
+// pruning threshold: extendable enumerators resolve unpruned so that the
 // captured frontiers and lazily extended checkpoints stay complete.
 //
 // Admissibility of the re-seed bound for a region R with resolve
@@ -72,9 +72,9 @@ func extendSlack(x float64) float64 {
 
 // ExtendEnumerator carries a (possibly partially drained) ranked
 // enumeration across an append: mNew must be an extension of the
-// enumerator's sequence, and the enumerator's evaluator must be in
-// extendable mode. It returns ok=false — and the caller falls back to a
-// fresh NewEnumerator — when the enumerator cannot be carried: nil, not
+// enumerator's sequence, and the enumerator must be in extendable mode.
+// It returns ok=false — and the caller falls back to a fresh
+// NewEnumerator — when the enumerator cannot be carried: nil, not
 // extendable, or nothing emitted yet (an undrained tree has no resolved
 // state worth carrying).
 //
@@ -91,59 +91,58 @@ func extendSlack(x float64) float64 {
 // each, and unemitted subproblems re-enter bounded, resolved only if
 // they surface. The third argument is ignored: it once sized a
 // speculative-resolution pool, and every drain is now sequential.
+//
+// Concurrency: the carry reads e's Lawler tree and checkpoint cache and
+// takes its recycled sweep storage, so, like every other use of an
+// Enumerator, it must not run concurrently with a drain or another carry
+// of e (core.Prepared.ExtendValidated holds the predecessor engine's
+// mutex across it). e stays drainable afterwards. The two enumerations
+// share carried checkpoint handles, whose materialization is safe for
+// concurrent use.
 func ExtendEnumerator(e *Enumerator, mNew *markov.Sequence, _ int) (*Enumerator, bool) {
-	nev, seeds, ok := reseed(e, mNew)
-	if !ok {
+	if e == nil || !e.extendable {
 		return nil, false
 	}
-	return &Enumerator{inner: lawler.NewSeeded(lawlerConfig(nev.resolveAnswer), seeds), ev: nev}, true
+	ne, reprice := reseed(e, mNew)
+	if ne.inner = e.inner.Carry(lawlerConfig(ne.resolveAnswer), reprice); ne.inner == nil {
+		return nil, false
+	}
+	return ne, true
 }
 
-// reseed is ExtendEnumerator up to the seeded queue: the extended
-// evaluator and the carried seeds with their re-priced bounds.
-func reseed(e *Enumerator, mNew *markov.Sequence) (*Evaluator, []lawler.Seed[resolution], bool) {
-	if e == nil || e.ev == nil || !e.ev.extendable {
-		return nil, nil, false
-	}
-	emitted := e.inner.EmittedLog()
-	pending := e.inner.Frontier()
-	if len(emitted) == 0 {
-		// Nothing emitted since construction. A fresh tree (root-only
-		// frontier) has no resolved state worth carrying; a previously
-		// carried tree that was never drained still holds its re-seeded
-		// singletons and bounds, which survive another carry.
-		carried := false
-		for _, p := range pending {
-			if !p.Root {
-				carried = true
-				break
+// reseed returns e's successor over mNew, with the checkpoint cache
+// carried and no Lawler tree yet, and the function that re-prices each
+// region lawler's Carry hands it. The backward sweep runs on the first
+// call, so a carry that Carry refuses costs none.
+func reseed(e *Enumerator, mNew *markov.Sequence) (*Enumerator, func(*lawler.Region[resolution])) {
+	ne := e.extend(mNew)
+	var (
+		b *kernel.Bounds
+		// G: admissible bound on every answer — best initial log weight
+		// plus the exact completion potential of the entered cell.
+		G float64
+	)
+	sweep := func() {
+		// Arithmetic only; never installed. The potential array moves
+		// along the extension chain (see Enumerator.bscratch), so
+		// steady-state carries neither allocate nor zero N·K·Q floats
+		// apiece; the bounds the carry hands out are plain floats, so the
+		// successor may recycle b at its own carry.
+		b = kernel.NewBoundsInto(e.bscratch, ne.nt, ne.v)
+		e.bscratch, ne.bscratch = nil, b
+		G = math.Inf(-1)
+		row0, states := b.Row(0), ne.nt.States
+		for ii, x := range ne.v.InitIdx {
+			lp := math.Log(ne.v.InitVal[ii])
+			base := int(x) * states
+			for q := 0; q < states; q++ {
+				if s := lp + row0[base+q]; s > G {
+					G = s
+				}
 			}
 		}
-		if !carried {
-			return nil, nil, false
-		}
+		G = extendSlack(G)
 	}
-	nev := e.ev.Extend(mNew)
-	// Arithmetic only; never installed. The potential array moves along
-	// the evaluator chain (see Evaluator.bscratch), so steady-state
-	// carries neither allocate nor zero N·K·Q floats apiece.
-	b := kernel.NewBoundsInto(e.ev.bscratch.Swap(nil), nev.nt, nev.v)
-	states := nev.nt.States
-
-	// G: admissible bound on every answer — best initial log weight plus
-	// the exact completion potential of the entered cell.
-	G := math.Inf(-1)
-	row0 := b.Row(0)
-	for ii, x := range nev.v.InitIdx {
-		lp := math.Log(nev.v.InitVal[ii])
-		base := int(x) * states
-		for q := 0; q < states; q++ {
-			if s := lp + row0[base+q]; s > G {
-				G = s
-			}
-		}
-	}
-	G = extendSlack(G)
 
 	// regionBound prices a region from its resolve capture plus the zone
 	// frontier of the alignment's checkpoint anchored at or below the
@@ -154,7 +153,8 @@ func reseed(e *Enumerator, mNew *markov.Sequence) (*Evaluator, []lawler.Seed[res
 	// One capture can meet two alignments: a region R's capture prices
 	// R's own answer under R's alignment (its parent's output), then each
 	// unresolved child of that answer under the answer's output, and
-	// every later caller gets the price memoized first. Either price is
+	// every later caller gets the price memoized first — which is why
+	// Carry hands the emitted answers over first. Either price is
 	// admissible for all of them: the runs that (b) above covers have
 	// not yet left R's prefix constraint, so their output is an exact
 	// prefix of R's prefix, and hence of both alignments, and each
@@ -166,17 +166,15 @@ func reseed(e *Enumerator, mNew *markov.Sequence) (*Evaluator, []lawler.Seed[res
 		ok bool
 	}
 	rbMemo := make(map[*kernel.ResumeState]rbRes)
-	var keyBuf []byte // reused across every checkpoint probe below; see AppendKey
 	regionBound := func(rs *kernel.ResumeState, align []automata.Symbol) (float64, bool) {
-		if rs == nil || rs.N < 1 || rs.N > nev.v.N {
+		if rs == nil || rs.N < 1 || rs.N > ne.v.N {
 			return 0, false
 		}
 		if r, hit := rbMemo[rs]; hit {
 			return r.bd, r.ok
 		}
 		price := func() (float64, bool) {
-			keyBuf = automata.AppendKey(keyBuf[:0], align)
-			ck := nev.cache.peekBytes(keyBuf)
+			ck := ne.cache.get(align, false)
 			if ck == nil {
 				return 0, false
 			}
@@ -197,55 +195,46 @@ func reseed(e *Enumerator, mNew *markov.Sequence) (*Evaluator, []lawler.Seed[res
 		return bd, ok
 	}
 
-	seeds := make([]lawler.Seed[resolution], 0, len(emitted)+len(pending))
-	// Emitted answers first, in emission order: each re-enters as an
-	// exact singleton whose bound is its emitting region's re-priced
-	// bound (the singleton is a subset of that region). A singleton that
-	// emitted itself is the same region again and keeps its capture; one
-	// split off a wider region starts without one.
-	for _, rec := range emitted {
-		align := rec.Parent.Output
-		if rec.Root {
-			align = rec.C.Prefix
+	// reprice re-enters an emitted answer as an exact singleton whose
+	// bound is its emitting region's re-priced bound (the singleton is a
+	// subset of that region); a singleton that emitted itself is the same
+	// region again and keeps its capture, one split off a wider region
+	// starts without one. An unemitted subproblem — queued or decided
+	// empty — that resolved in some prior epoch prices itself from its
+	// own capture; one that never resolved prices itself from the capture
+	// of the region that emitted its parent answer; either way the zone
+	// is anchored on the subproblem's own alignment. Only the capture
+	// pointer is carried: a resolved but unemitted answer is re-resolved
+	// after the append anyway, and carrying it would keep its output
+	// alive.
+	reprice := func(r *lawler.Region[resolution]) {
+		if b == nil {
+			sweep()
 		}
-		bd, ok := regionBound(rec.Top.rs, align)
-		if !ok {
-			bd = G
+		align := r.Parent.Output
+		if r.Root {
+			align = r.C.Prefix
 		}
-		s := lawler.Seed[resolution]{
-			C:      transducer.Constraint{Prefix: rec.Top.Output, Mode: transducer.ExactOnly},
-			Parent: rec.Top,
-			Bound:  bd,
-		}
-		if rec.C.Mode == transducer.ExactOnly {
-			s.Prior.rs = rec.Top.rs
-		}
-		seeds = append(seeds, s)
-	}
-	// Then the unemitted frontier — queued and decided-empty subproblems —
-	// in insertion order. A subproblem that resolved in some prior epoch
-	// prices itself from its own capture; one that never resolved prices
-	// itself from the capture of the region that emitted its parent
-	// answer; either way the zone is anchored on the subproblem's own
-	// alignment. Only the capture pointer is carried: a resolved but
-	// unemitted answer is re-resolved after the append anyway, and
-	// carrying it would keep its output alive.
-	for _, p := range pending {
-		align := p.Parent.Output
-		if p.Root {
-			align = p.C.Prefix
-		}
-		bd, ok := regionBound(p.Prior.rs, align)
-		if !ok && !p.Root {
-			bd, ok = regionBound(p.Parent.rs, align)
+		bd, ok := regionBound(r.Top.rs, align)
+		if !ok && !r.Root && !r.Emitted {
+			bd, ok = regionBound(r.Parent.rs, align)
 		}
 		if !ok {
 			bd = G
 		}
-		seeds = append(seeds, lawler.Seed[resolution]{C: p.C, Parent: p.Parent, Prior: resolution{rs: p.Prior.rs}, Root: p.Root, Bound: bd})
+		r.Bound = bd
+		if !r.Emitted {
+			r.Top = resolution{rs: r.Top.rs}
+			ne.reseeded++
+			return
+		}
+		prior := resolution{}
+		if r.C.Mode == transducer.ExactOnly {
+			prior.rs = r.Top.rs
+		}
+		r.C = transducer.Constraint{Prefix: r.Top.Output, Mode: transducer.ExactOnly}
+		r.Parent, r.Top, r.Root = r.Top, prior, false
+		ne.reused++
 	}
-	nev.reused.Add(uint64(len(emitted)))
-	nev.reseeded.Add(uint64(len(pending)))
-	nev.bscratch.Store(b) // seeds hold plain floats; b is free to recycle
-	return nev, seeds, true
+	return ne, reprice
 }

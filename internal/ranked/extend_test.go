@@ -111,8 +111,7 @@ func TestExtendEnumeratorMatchesFresh(t *testing.T) {
 		grown := full.Window(1, p)
 
 		rng.Intn(2) // formerly drew a worker count; kept so later draws stay the same
-		ev := NewEvaluator(tr, grown, WithExtendable())
-		e := ev.Enumerate()
+		e := NewEnumerator(tr, grown, WithExtendable())
 		lastCount := len(drainAnswers(e.Next, 5))
 		if lastCount == 0 {
 			continue // empty language: nothing to carry, fresh path covers it
@@ -132,7 +131,7 @@ func TestExtendEnumeratorMatchesFresh(t *testing.T) {
 				if lastCount > 0 {
 					t.Fatalf("trial %d epoch %d: ExtendEnumerator refused a drained extendable enumerator", trial, epoch)
 				}
-				ne = NewEvaluator(tr, grown, WithExtendable()).Enumerate()
+				ne = NewEnumerator(tr, grown, WithExtendable())
 			}
 			e = ne
 			k := 1 + rng.Intn(8)
@@ -167,8 +166,7 @@ func TestExtendEnumeratorApplicationWorkloads(t *testing.T) {
 			n := w.m.Len()
 			p := n - 7
 			grown := w.m.Window(1, p)
-			ev := NewEvaluator(w.t, grown, WithExtendable())
-			e := ev.Enumerate()
+			e := NewEnumerator(w.t, grown, WithExtendable())
 			drainAnswers(e.Next, k)
 			for p < n {
 				step := 2
@@ -203,8 +201,7 @@ func TestExtendEnumeratorCancelResume(t *testing.T) {
 	n := full.Len()
 	p := n - 4
 	grown := full.Window(1, p)
-	ev := NewEvaluator(tr, grown, WithExtendable())
-	e := ev.Enumerate()
+	e := NewEnumerator(tr, grown, WithExtendable())
 	if _, err := drainCtx(context.Background(), e, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +232,7 @@ func TestExtendEnumeratorRefusals(t *testing.T) {
 	if _, ok := ExtendEnumerator(plain, full, 1); ok {
 		t.Fatal("non-extendable enumerator carried")
 	}
-	fresh := NewEvaluator(tr, grown, WithExtendable()).Enumerate()
+	fresh := NewEnumerator(tr, grown, WithExtendable())
 	if _, ok := ExtendEnumerator(fresh, full, 1); ok {
 		t.Fatal("undrained enumerator carried — nothing resolved is worth carrying")
 	}

@@ -29,10 +29,10 @@ func TestFloorOnFlatInstance(t *testing.T) {
 		opts []Option
 	}{{"pruned", nil}, {"extendable", []Option{WithExtendable()}}} {
 		drain := func(floors bool) (out []Answer, resolves int) {
-			ev := NewEvaluator(hi.T, m, mode.opts...)
+			en := NewEnumerator(hi.T, m, mode.opts...)
 			cfg := lawlerConfig(func(ctx context.Context, c transducer.Constraint, align []automata.Symbol, prior *kernel.ResumeState) (resolution, bool, error) {
 				resolves++
-				return ev.resolveAnswer(ctx, c, align, prior)
+				return en.resolveAnswer(ctx, c, align, prior)
 			})
 			if !floors {
 				cfg.Floor = nil

@@ -3,9 +3,8 @@
 // potentials in the default pruned mode, ungated under WithBounds(nil)
 // — and the deferral must be invisible: the enumeration drained through
 // deferred checkpoint builds is required to be bit-identical (outputs
-// and Float64bits of every score) to a redrain over the handles it left
-// materialized and to the exhaustive sweep, across the shared
-// workload pool, cancellation, and append-then-rank. The stats tests pin
+// and Float64bits of every score) to the exhaustive sweep, across the
+// shared workload pool, cancellation, and append-then-rank. The stats tests pin
 // the observable side: where the DP work lands (LazyLayers) and which
 // handles never materialize.
 package ranked
@@ -18,10 +17,9 @@ import (
 	"markovseq/internal/automata"
 	"markovseq/internal/markov"
 	"markovseq/internal/testutil"
-	"markovseq/internal/transducer"
 )
 
-// lazyModes are the evaluator modes whose checkpoints the lazy
+// lazyModes are the enumerator modes whose checkpoints the lazy
 // differentials drain: pruned with gated handles (the default), and the
 // exhaustive sweep with ungated handles (WithBounds(nil), which core
 // engines run below kernel.BoundsMinN).
@@ -32,21 +30,16 @@ var lazyModes = []struct {
 
 // TestLazyMatchesEagerCheckpoints is the tentpole's second correctness
 // contract: for every workload and mode, a cold drain, whose handles
-// materialize on first touch, and a second drain on the same evaluator,
-// which resumes against the handles the first one left materialized in
-// the cache, both yield the exact answer sequence of the exhaustive
-// reference, bit for bit.
+// materialize on first touch, yields the exact answer sequence of the
+// exhaustive reference, bit for bit.
 func TestLazyMatchesEagerCheckpoints(t *testing.T) {
 	testutil.CheckLeaks(t)
 	const cap = 40
 	for _, w := range prunedWorkloads(t) {
 		want := drainAnswers(NewEnumerator(w.t, w.m, WithBounds(nil)).Next, cap)
 		for _, mode := range lazyModes {
-			ev := NewEvaluator(w.t, w.m, mode.opts...)
-			cold := drainAnswers(ev.Enumerate().Next, cap)
+			cold := drainAnswers(NewEnumerator(w.t, w.m, mode.opts...).Next, cap)
 			assertSameAnswerSequence(t, w.name+" "+mode.name+" lazy", cold, want)
-			warm := drainAnswers(ev.Enumerate().Next, cap)
-			assertSameAnswerSequence(t, w.name+" "+mode.name+" warm", warm, want)
 		}
 	}
 }
@@ -116,20 +109,21 @@ func TestLazyAppendThenRank(t *testing.T) {
 }
 
 // TestLazyCheckpointDeferred pins the laziness itself: in every mode, a
-// checkpoint handle handed out by the evaluator has materialized nothing
-// until a resolve touches it, and the first touch builds the full DP.
+// checkpoint handle handed out by the enumerator has materialized
+// nothing until a resolve touches it, and the first touch (the root
+// resolve, aligned to the empty prefix) builds the full DP.
 func TestLazyCheckpointDeferred(t *testing.T) {
 	tr, m := rfidRankedWorkload(t, 40)
 	for _, mode := range lazyModes {
-		ev := NewEvaluator(tr, m, mode.opts...)
-		ck := ev.checkpoint(nil)
+		e := NewEnumerator(tr, m, mode.opts...)
+		ck := e.checkpoint(nil)
 		if got := ck.MaterializedLayers(); got != 0 {
 			t.Fatalf("%s: untouched lazy handle materialized %d layers, want 0", mode.name, got)
 		}
 		if got := ck.Cells(); got != 0 {
 			t.Fatalf("%s: untouched lazy handle holds %d cells, want 0", mode.name, got)
 		}
-		if _, _, ok := ev.TopEmax(transducer.Unconstrained()); !ok {
+		if _, ok := e.Next(); !ok {
 			t.Fatalf("%s: unconstrained top answer missing", mode.name)
 		}
 		if got, want := ck.MaterializedLayers(), ck.Layers(); got != want {
@@ -139,24 +133,24 @@ func TestLazyCheckpointDeferred(t *testing.T) {
 }
 
 // TestLazyStatsAccumulate pins the observability contract of the lazy
-// path: a drained pruned evaluator reports its handles and the layers
+// path: a drained pruned enumerator reports its handles and the layers
 // they relaxed on demand (never more than a full build per handle) — the
 // counters are how operators confirm where the DP work landed.
 func TestLazyStatsAccumulate(t *testing.T) {
 	tr, m := rfidRankedWorkload(t, 40)
 	n := uint64(40)
 
-	ev := NewEvaluator(tr, m)
-	drainAnswers(ev.Enumerate().Next, 15)
-	st := ev.PruneStats()
+	e := NewEnumerator(tr, m)
+	drainAnswers(e.Next, 15)
+	st := e.PruneStats()
 	if st.LazyHandles == 0 || st.LazyLayers == 0 {
-		t.Fatalf("lazy evaluator reported no deferred builds: %+v", st)
+		t.Fatalf("lazy enumerator reported no deferred builds: %+v", st)
 	}
 	if st.LazyLayers > st.LazyHandles*n {
 		t.Fatalf("lazy drain relaxed %d layers over %d handles of %d: a handle materialized more than once",
 			st.LazyLayers, st.LazyHandles, n)
 	}
 	if st.CandsSelected == 0 {
-		t.Fatalf("lazy evaluator reported no bounded candidate selection: %+v", st)
+		t.Fatalf("lazy enumerator reported no bounded candidate selection: %+v", st)
 	}
 }

@@ -1,32 +1,39 @@
 // Benchmark pair for the weight-pushed pruned kernel: the same RFID
-// top-10 drain through the default (bounded) path and the exhaustive
-// reference, feeding `make bench` / BENCH_ranked.json. The evaluator is
-// rebuilt per iteration, so each iteration pays the full serving cost
-// including the one-time backward potential sweep — the speedup shown
-// is the end-to-end one a cold query sees. The pruning-efficacy
-// counters (cells pruned, cells visited, occupancy) land in the
-// result's "extra" map for EXPERIMENTS.md and cmd/benchcmp.
+// top-10 drain through the bounded path and the exhaustive reference,
+// feeding `make bench` / BENCH_ranked.json. The tables, the potentials
+// and the enumerator are rebuilt per iteration, so each iteration pays
+// the full serving cost including the one-time backward potential sweep
+// — the speedup shown is the end-to-end one a cold query sees. The
+// pruning-efficacy counters (cells pruned, cells visited, occupancy)
+// land in the result's "extra" map for EXPERIMENTS.md and cmd/benchcmp.
 package ranked
 
 import (
 	"testing"
+
+	"markovseq/internal/kernel"
 )
 
 // benchPrunedDrain drains the top-benchTopK answers of the n=200 RFID
-// workload once per iteration and reports the final iteration's
-// pruning counters.
-func benchPrunedDrain(b *testing.B, opts ...Option) {
+// workload once per iteration, pruned by potentials built in the
+// iteration or exhaustive, and reports the final iteration's pruning
+// counters (all zero when exhaustive).
+func benchPrunedDrain(b *testing.B, pruned bool) {
 	tr, m := rfidRankedWorkload(b, 200)
 	b.ReportAllocs()
 	b.ResetTimer()
-	var ev *Evaluator
+	var bd *kernel.Bounds
 	for i := 0; i < b.N; i++ {
-		ev = NewEvaluator(tr, m, opts...)
-		if got := drainAnswers(ev.Enumerate().Next, benchTopK); len(got) < benchTopK {
+		nt := kernel.NewNFATables(tr)
+		if pruned {
+			bd = kernel.NewBounds(nt, m.View())
+		}
+		e := NewEnumerator(tr, m, WithTables(nt), WithBounds(bd))
+		if got := drainAnswers(e.Next, benchTopK); len(got) < benchTopK {
 			b.Fatalf("drained %d answers, want %d", len(got), benchTopK)
 		}
 	}
-	st := ev.PruneStats()
+	st := bd.Stats()
 	b.ReportMetric(float64(st.PrunedCells), "pruned-cells/op")
 	b.ReportMetric(float64(st.VisitedCells), "visited-cells/op")
 	if total := st.PrunedCells + st.VisitedCells; total > 0 {
@@ -47,8 +54,8 @@ func benchPrunedDrain(b *testing.B, opts ...Option) {
 	}
 }
 
-func BenchmarkRankedPruned(b *testing.B)     { benchPrunedDrain(b) }
-func BenchmarkRankedExhaustive(b *testing.B) { benchPrunedDrain(b, WithBounds(nil)) }
+func BenchmarkRankedPruned(b *testing.B)     { benchPrunedDrain(b, true) }
+func BenchmarkRankedExhaustive(b *testing.B) { benchPrunedDrain(b, false) }
 
 // TestPrunedBenchWorkloadSmoke keeps the benchmark pair honest under
 // plain `go test`: both paths emit the identical top-10 on the n=200

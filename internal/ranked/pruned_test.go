@@ -130,25 +130,25 @@ func TestPrunedAppendThenRank(t *testing.T) {
 }
 
 // TestPruneStatsAccumulate pins the observability contract: a drained
-// pruned evaluator reports its bounded resolves (and visited cells) at
+// pruned enumerator reports its bounded resolves (and visited cells) at
 // every length (kernel.BoundsMinN is for its callers to select on),
-// while an exhaustive evaluator reports all zeros — the counters are how
+// while an exhaustive enumerator reports all zeros — the counters are how
 // operators confirm which kernel served a query.
 func TestPruneStatsAccumulate(t *testing.T) {
 	for _, n := range []int{8, 40} {
 		tr, m := rfidRankedWorkload(t, n)
 
-		ev := NewEvaluator(tr, m)
-		drainAnswers(ev.Enumerate().Next, 15)
-		st := ev.PruneStats()
+		e := NewEnumerator(tr, m)
+		drainAnswers(e.Next, 15)
+		st := e.PruneStats()
 		if st.Resolves == 0 || st.VisitedCells == 0 {
-			t.Fatalf("n=%d: pruned evaluator reported no bounded work: %+v", n, st)
+			t.Fatalf("n=%d: pruned enumerator reported no bounded work: %+v", n, st)
 		}
 
-		ex := NewEvaluator(tr, m, WithBounds(nil))
-		drainAnswers(ex.Enumerate().Next, 15)
+		ex := NewEnumerator(tr, m, WithBounds(nil))
+		drainAnswers(ex.Next, 15)
 		if st := ex.PruneStats(); st.Resolves != 0 || st.PrunedCells != 0 || st.VisitedCells != 0 {
-			t.Fatalf("n=%d: exhaustive evaluator accumulated pruning stats: %+v", n, st)
+			t.Fatalf("n=%d: exhaustive enumerator accumulated pruning stats: %+v", n, st)
 		}
 	}
 }

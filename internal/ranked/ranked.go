@@ -6,23 +6,26 @@
 //     constraint-incremental Viterbi kernel: the constraint's zone
 //     tracker is composed with the base transducer tables on the fly
 //     (kernel.ConstrainedViterbi), with no per-call product transducer.
-//
-//   - Evaluator caches the base tables, the sequence view, and a bounded
-//     LRU of lazy prefix-checkpoint handles for one (transducer,
-//     sequence) pair, so repeated per-answer calls (Emax, BestEvidence)
-//     and the Lawler children of each printed answer reuse the
-//     shared-prefix DP work. It gates checkpoints and prunes resolves
-//     with weight-pushed potentials exactly when it has them: computed
-//     on first use by default, supplied by WithBounds(b), none after
-//     WithBounds(nil) (the exhaustive sweep) or WithExtendable.
+//     Emax and BestEvidence are its exact-output forms.
 //
 //   - Enumerator yields A^ω(μ) in decreasing E_max with polynomial delay
 //     (Theorem 4.3), via the generic Lawler–Murty core (internal/lawler):
 //     the answer space is recursively partitioned with prefix
 //     constraints, and each part's top answer is resolved lazily, one at
-//     a time, against its parent's checkpoint. The pre-incremental
-//     product path survives in the tests (legacy_test.go) as the
-//     differential reference and benchmark baseline.
+//     a time, against its parent's checkpoint. An Enumerator is the one
+//     unit of ranked state for a (transducer, sequence) pair: the base
+//     tables, the sequence's view, the weight-pushed potentials, a
+//     bounded LRU of lazy prefix-checkpoint handles and the Lawler tree.
+//     It prunes exactly when it has potentials: computed on first use by
+//     default, supplied by WithBounds(b), none after WithBounds(nil) (the
+//     exhaustive sweep) or WithExtendable. ExtendEnumerator carries an
+//     extendable one across an append. The pre-incremental product path
+//     survives in the tests (legacy_test.go) as the differential
+//     reference and benchmark baseline.
+//
+//   - Sweeper is the lean per-window form for sliding-window sweeps.
+//
+// An Enumerator is not safe for concurrent use; neither is a Sweeper.
 //
 // Probabilities are handled in log space, so long Markov sequences do not
 // underflow (see DESIGN.md ablation A3).
@@ -49,8 +52,7 @@ import (
 // and restricting the DP to constraint-admissible outputs preserves this
 // argument within the constrained answer set.
 //
-// This is the one-shot form (base tables are built per call); use an
-// Evaluator to amortize tables and checkpoints across calls.
+// Base tables are built per call.
 func TopEmax(t *transducer.Transducer, m *markov.Sequence, c transducer.Constraint) (o []automata.Symbol, logE float64, ok bool) {
 	o, _, _, logE, ok = kernel.ConstrainedViterbi(kernel.NewNFATables(t), m.View(), c, nil, nil)
 	return o, logE, ok
@@ -59,9 +61,6 @@ func TopEmax(t *transducer.Transducer, m *markov.Sequence, c transducer.Constrai
 // BestEvidence returns the maximum-probability possible world of μ that is
 // transduced into answer o, together with its log probability — i.e. a
 // witness of E_max(o) (Example 4.2). ok is false when o is not an answer.
-//
-// One-shot form; Evaluator.BestEvidence amortizes the base tables and
-// reuses the enumerator's prefix checkpoints.
 func BestEvidence(t *transducer.Transducer, m *markov.Sequence, o []automata.Symbol) (s []automata.Symbol, logE float64, ok bool) {
 	c := transducer.Constraint{Prefix: o, Mode: transducer.ExactOnly}
 	_, nodes, _, lp, ok := kernel.ConstrainedViterbi(kernel.NewNFATables(t), m.View(), c, nil, nil)
@@ -91,13 +90,54 @@ type resolution struct {
 // checkpoint. Not safe for concurrent use.
 type Enumerator struct {
 	inner *lawler.Enumerator[resolution]
-	ev    *Evaluator
+	nt    *kernel.NFATables
+	v     *kernel.SeqView
+	cache ckptCache
+
+	// bounds are the weight-pushed potentials driving checkpoint gating
+	// and resume pruning; nil for the exhaustive sweep (WithBounds(nil))
+	// and in extendable mode. Without WithBounds the enumerator computes
+	// its own on first use (lazyBounds), so the backward sweep counts
+	// towards its first answer.
+	bounds     *kernel.Bounds
+	lazyBounds bool
+	extendable bool
+
+	// bscratch recycles the reseed's throwaway backward-sweep storage
+	// (kernel.NewBoundsInto) along the extension chain: a carry takes it
+	// from the enumerator it carries from and leaves it on the one it
+	// carries to, so a lineage holds one N·K·Q float64 array instead of
+	// allocating one per append.
+	bscratch *kernel.Bounds
+
+	// Cross-append reuse counters (see ExtendStats), cumulative along the
+	// extension chain and fixed once the carry has built the enumerator.
+	reused, reseeded, handlesSkipped uint64
 }
 
 // NewEnumerator prepares the decreasing-E_max enumeration of the answers
 // of t over m. Options: WithTables, WithBounds, WithExtendable.
 func NewEnumerator(t *transducer.Transducer, m *markov.Sequence, opts ...Option) *Enumerator {
-	return NewEvaluator(t, m, opts...).Enumerate()
+	var cfg config
+	for _, o := range opts {
+		o(&cfg)
+	}
+	e := &Enumerator{nt: cfg.nt, v: m.View(), extendable: cfg.extendable}
+	if e.nt == nil {
+		e.nt = kernel.NewNFATables(t)
+	}
+	ckCap := defaultCheckpointCap
+	switch {
+	case cfg.extendable:
+		ckCap = extendableCheckpointCap
+	case cfg.boundsSet:
+		e.bounds = cfg.bounds
+	default:
+		e.lazyBounds = true
+	}
+	e.cache.init(ckCap, 0)
+	e.inner = lawler.New(lawlerConfig(e.resolveAnswer))
+	return e
 }
 
 // resolveFunc solves one Lawler subproblem c against the prefix
@@ -105,8 +145,8 @@ func NewEnumerator(t *transducer.Transducer, m *markov.Sequence, opts ...Option)
 // prior, the capture of the region's previous resolve (nil if none).
 type resolveFunc func(ctx context.Context, c transducer.Constraint, align []automata.Symbol, prior *kernel.ResumeState) (resolution, bool, error)
 
-// lawlerConfig is the Lawler–Murty wiring shared by Enumerate, the
-// cross-append reseed (ExtendEnumerator) and the per-window Sweeper:
+// lawlerConfig is the Lawler–Murty wiring shared by NewEnumerator, the
+// cross-append carry (ExtendEnumerator) and the per-window Sweeper:
 // resolve against the parent answer's prefix checkpoint, partition with
 // Constraint.Children, and break exact ties by one rule, so every path
 // emits the same sequence.
@@ -148,23 +188,19 @@ func outputFloor(c transducer.Constraint) (resolution, bool) {
 	return resolution{Answer: Answer{Output: c.Prefix}}, c.Mode == transducer.ExtensionsOnly
 }
 
-// Enumerate starts a decreasing-E_max enumeration sharing this
-// evaluator's tables and checkpoint cache.
-func (ev *Evaluator) Enumerate() *Enumerator {
-	return &Enumerator{inner: lawler.New(lawlerConfig(ev.resolveAnswer)), ev: ev}
-}
-
-// Evaluator returns the evaluator backing this enumeration.
-func (e *Enumerator) Evaluator() *Evaluator { return e.ev }
-
-// ExtendStats reports the backing evaluator's cross-append reuse
-// counters (zero for enumerations that never crossed an append).
+// ExtendStats returns the cross-append reuse counters: answers carried
+// as exact singletons, frontier subproblems re-seeded with fresh bounds,
+// and carried checkpoint handles that never materialized. Cumulative
+// across carries; zero for an enumeration that never crossed an append.
 func (e *Enumerator) ExtendStats() (reused, reseeded, handlesSkipped uint64) {
-	if e.ev == nil {
-		return 0, 0, 0
-	}
-	return e.ev.ExtendStats()
+	return e.reused, e.reseeded, e.handlesSkipped
 }
+
+// PruneStats reports the pruning-efficacy counters accumulated by the
+// enumerator's kernel calls: those of its potentials, so all zero while
+// it has none (WithBounds(nil), extendable mode, no resolve yet). Shared
+// potentials (WithBounds) report every call made with them.
+func (e *Enumerator) PruneStats() kernel.PruneStats { return e.bounds.Stats() }
 
 // Next returns the next answer in decreasing E_max, or ok=false when all
 // answers have been enumerated. Each answer is produced exactly once: the
@@ -185,8 +221,7 @@ func (e *Enumerator) NextCtx(ctx context.Context) (Answer, bool, error) {
 
 // Emax computes E_max(o) = max{Pr(s) : s →[A^ω]→ o} in log space, using
 // the exact-output constraint and the constrained Viterbi kernel. It
-// returns -Inf when o is not an answer. One-shot form; see
-// Evaluator.Emax for the amortized path.
+// returns -Inf when o is not an answer.
 func Emax(t *transducer.Transducer, m *markov.Sequence, o []automata.Symbol) float64 {
 	_, lp, ok := TopEmax(t, m, transducer.Constraint{Prefix: o, Mode: transducer.ExactOnly})
 	if !ok {

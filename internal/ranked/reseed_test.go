@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"markovseq/internal/automata"
+	"markovseq/internal/hardness"
 	"markovseq/internal/kernel"
 	"markovseq/internal/lawler"
 	"markovseq/internal/markov"
@@ -37,16 +38,16 @@ func regionID(c transducer.Constraint) string {
 	return fmt.Sprint(c.Mode, c.Prefix, forb)
 }
 
-func (a *captureAudit) resolve(ev *Evaluator) resolveFunc {
+func (a *captureAudit) resolve(e *Enumerator) resolveFunc {
 	return func(ctx context.Context, c transducer.Constraint, align []automata.Symbol, prior *kernel.ResumeState) (resolution, bool, error) {
 		id := regionID(c)
 		if want := a.last[id]; prior != want {
-			a.t.Fatalf("n=%d: resolve of %v got prior %p, want its last capture %p", ev.v.N, c, prior, want)
+			a.t.Fatalf("n=%d: resolve of %v got prior %p, want its last capture %p", e.v.N, c, prior, want)
 		}
 		if prior != nil {
 			a.carried++
 		}
-		r, ok, err := ev.resolveAnswer(ctx, c, align, prior)
+		r, ok, err := e.resolveAnswer(ctx, c, align, prior)
 		if err == nil {
 			a.last[id] = r.rs
 		}
@@ -56,57 +57,66 @@ func (a *captureAudit) resolve(ev *Evaluator) resolveFunc {
 
 // auditCarries grows full's first start positions by one event at a
 // time up to its full length, draining k answers after every carry, and
-// checks at each carry that (a) every seed's bound is at least its
-// region's best score over the grown sequence — the seed's constraint
-// resolved afresh; empty regions are exempt — and (b) every region
-// gets its own capture back (captureAudit). It returns the number of
-// resolves that received a carried capture.
+// checks at each carry that (a) every carried region's bound is at least
+// its best score over the grown sequence — the region's constraint
+// resolved afresh; empty regions are exempt — and (b) every region gets
+// its own capture back (captureAudit). It returns the number of resolves
+// that received a carried capture.
 func auditCarries(t *testing.T, label string, tr *transducer.Transducer, full *markov.Sequence, start, k int) int {
 	t.Helper()
 	audit := &captureAudit{t: t, last: map[string]*kernel.ResumeState{}}
 	grown := full.Window(1, start)
-	ev := NewEvaluator(tr, grown, WithExtendable())
-	e := &Enumerator{inner: lawler.New(lawlerConfig(audit.resolve(ev))), ev: ev}
+	e := NewEnumerator(tr, grown, WithExtendable())
+	e.inner = lawler.New(lawlerConfig(audit.resolve(e)))
 	if len(drainAnswers(e.Next, k)) == 0 {
 		return 0 // empty language: nothing to carry
 	}
+	align := func(r lawler.Region[resolution]) []automata.Symbol {
+		if r.Root {
+			return r.C.Prefix
+		}
+		return r.Parent.Output
+	}
 	for grown.Len() < full.Len() {
 		grown = growBy(t, grown, full, grown.Len(), 1)
-		nev, seeds, ok := reseed(e, grown)
-		if !ok {
+		ne, reprice := reseed(e, grown)
+		var regions []lawler.Region[resolution]
+		ne.inner = e.inner.Carry(lawlerConfig(audit.resolve(ne)), func(r *lawler.Region[resolution]) {
+			reprice(r)
+			regions = append(regions, *r)
+		})
+		if ne.inner == nil {
 			t.Fatalf("%s n=%d: carry refused", label, grown.Len())
 		}
-		// The reference resolves each seed on a fresh pruned evaluator
-		// against its own alignment, seeds of one alignment in a row, so
-		// each alignment's checkpoint is built once per carry.
-		ref := NewEvaluator(tr, grown)
-		align := func(s lawler.Seed[resolution]) []automata.Symbol {
-			if s.Root {
-				return s.C.Prefix
+		// The reference resolves each region on a fresh pruned enumerator
+		// against its own alignment, regions of one alignment in a row,
+		// so each alignment's checkpoint is built once per carry.
+		ref := NewEnumerator(tr, grown)
+		slices.SortStableFunc(regions, func(a, b lawler.Region[resolution]) int { return slices.Compare(align(a), align(b)) })
+		for _, r := range regions {
+			best, nonempty, err := ref.resolveAnswer(context.Background(), r.C, align(r), nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return s.Parent.Output
-		}
-		order := make([]lawler.Seed[resolution], len(seeds))
-		copy(order, seeds)
-		slices.SortStableFunc(order, func(a, b lawler.Seed[resolution]) int { return slices.Compare(align(a), align(b)) })
-		for _, s := range order {
-			if _, _, best, nonempty := ref.resolve(s.C, align(s)); nonempty && s.Bound < best {
-				t.Fatalf("%s n=%d: seed %v bound %v is below its region's best score %v", label, grown.Len(), s.C, s.Bound, best)
+			if nonempty && r.Bound < best.LogEmax {
+				t.Fatalf("%s n=%d: region %v bound %v is below its best score %v", label, grown.Len(), r.C, r.Bound, best.LogEmax)
 			}
 		}
-		e = &Enumerator{inner: lawler.NewSeeded(lawlerConfig(audit.resolve(nev)), seeds), ev: nev}
+		e = ne
 		drainAnswers(e.Next, k)
 	}
 	return audit.carried
 }
 
 // TestReseedBoundsAdmissibleAndCapturesCarried: at every carry, every
-// seed's bound is admissible and every region that resolved before
+// region's bound is admissible and every region that resolved before
 // continues from its own capture. Neither shows in the answers — an
 // inadmissible bound on a region outside the drained top-k, or a prior
 // that stops arriving, leaves every answer bit-identical, and only
 // brings back full re-sweeps — so they are checked here directly, on
-// the RFID serving workload and on small random instances.
+// the RFID serving workload, on small random instances and on the flat
+// E_max landscape of the Theorem 4.4 reduction, where every answer ties
+// and tie order and bounds are at their most fragile.
 func TestReseedBoundsAdmissibleAndCapturesCarried(t *testing.T) {
 	const start, appends, k = 200, 20, 10
 	tr, full := rfidRankedWorkload(t, start+appends)
@@ -126,5 +136,16 @@ func TestReseedBoundsAdmissibleAndCapturesCarried(t *testing.T) {
 	}
 	if carried == 0 {
 		t.Fatal("random instances: no resolve continued from a carried capture")
+	}
+
+	// The amplified Max-3-DNF reduction, its last 12 positions appended
+	// one at a time with a top-12 drain after each.
+	for _, seed := range []int64{100, 7, 8} {
+		hi := hardness.NewMealyInstance(hardness.RandomMax3DNF(6, 5, rand.New(rand.NewSource(seed))))
+		full := hi.Amplify(10)
+		label := fmt.Sprintf("max3dnf seed %d", seed)
+		if auditCarries(t, label, hi.T, full, full.Len()-12, 12) == 0 {
+			t.Fatalf("%s: no resolve continued from a carried capture", label)
+		}
 	}
 }

@@ -15,18 +15,16 @@ import (
 // sweep. It emits exactly the answer sequence of
 // NewEnumerator(t, m, WithTables(nt)) — same resolve alignments, same
 // kernel calls, same deterministic tie handling — but strips the parts
-// of the general evaluator that profiling shows dominate at window
+// of the general enumerator that profiling shows dominate at window
 // scale, where each enumeration is a few dozen microseconds:
 //
 //   - no string checkpoint keys or LRU bookkeeping: within one window's
 //     top-k drain at most k+1 alignments exist (the root's plus one per
 //     emitted answer), so checkpoints live in a small ring compared by
 //     symbol content;
-//   - no locks: a Sweeper is single-goroutine by contract (parallel
-//     window fan-out uses one Sweeper per worker);
 //   - one ConstrainScratch reused across every checkpoint
 //     materialization and resume of the sweep, instead of per-call pool
-//     round trips.
+//     round trips (parallel window fan-out uses one Sweeper per worker).
 //
 // Checkpoints never leak across windows: TopK resets the ring, since a
 // checkpoint is only meaningful against the view it was built from.

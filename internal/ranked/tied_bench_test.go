@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"markovseq/internal/hardness"
+	"markovseq/internal/kernel"
 )
 
 func BenchmarkRankedTopKTied(b *testing.B) {
@@ -20,12 +21,13 @@ func BenchmarkRankedTopKTied(b *testing.B) {
 	m := hi.Amplify(10) // n = 60
 	b.ReportAllocs()
 	b.ResetTimer()
-	var ev *Evaluator
+	var bd *kernel.Bounds
 	for i := 0; i < b.N; i++ {
-		ev = NewEvaluator(hi.T, m)
-		if got := drainAnswers(ev.Enumerate().Next, k); len(got) < k {
+		nt := kernel.NewNFATables(hi.T)
+		bd = kernel.NewBounds(nt, m.View())
+		if got := drainAnswers(NewEnumerator(hi.T, m, WithTables(nt), WithBounds(bd)).Next, k); len(got) < k {
 			b.Fatalf("drained %d answers, want %d", len(got), k)
 		}
 	}
-	b.ReportMetric(float64(ev.PruneStats().Resolves), "resolves/op")
+	b.ReportMetric(float64(bd.Stats().Resolves), "resolves/op")
 }
