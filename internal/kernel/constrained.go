@@ -69,7 +69,11 @@ import (
 //     traceback, captured or not, reads a survivor store (a non-capturing
 //     resume builds one for its best cell alone).
 //
-//   - ConstrainedViterbi is a one-shot resume against a fresh handle.
+//   - ConstrainedViterbi is a one-shot resume against a fresh handle,
+//     and the one entry point that returns the run's evidence (nodes and
+//     states): the resumes trace only the past-zone suffix their output
+//     needs, into scratch rows, so the checkpoint's backpointers are read
+//     only for evidence.
 //
 // Determinism: ties are broken by first activation (relax keeps the
 // incumbent on equal scores), past-zone advancement precedes crossing
@@ -602,6 +606,21 @@ func firstView(c *Checkpoint) (*Checkpoint, *ckView) {
 	return nil, nil
 }
 
+// FrontierAnchor returns m, the position count FrontierBound(maxN, ·)
+// prices at: min(n, maxN), where n is the length the first materialized
+// view in ck's extension chain covers. ok is false exactly when
+// FrontierBound's is. A caller pricing many regions against one b prices
+// each (ck, m) once, as FrontierBound(m, b): a view that materializes
+// later in the chain is longer and holds the same layer at m-1, so the
+// price of (ck, m) never changes.
+func (ck *Checkpoint) FrontierAnchor(maxN int) (m int, ok bool) {
+	c, vw := firstView(ck)
+	if maxN < 1 || vw == nil {
+		return 0, false
+	}
+	return min(c.n, maxN), true
+}
+
 // FrontierBound prices the zone frontier of ck against b: the maximum,
 // over the cells of the layer at position m-1 of the first materialized
 // view in ck's extension chain, of the cell's forward score plus b's
@@ -732,6 +751,11 @@ type ConstrainScratch struct {
 	head      []int32     // resume: cell → index in a continued prior's Cells
 	src, nsrc []int32     // resume: prior entries a compacting survive copies, per position
 	free      []*ckView   // recycled views, whose header arrays and slabs builds reuse
+
+	// resume: the nodes and states of the past-zone suffix a traceback
+	// fills when no evidence is asked for.
+	nodes  []automata.Symbol
+	states []int
 }
 
 // Recycle retires ck and hands its materialized view, if any — header
@@ -1055,12 +1079,15 @@ func (ck *Checkpoint) walkPrefix(layers []ckLayer, li, pj int, nodes []automata.
 }
 
 // exactAnswer assembles the answer of a run that never leaves the
-// matched zone: output align[:l], evidence walked back through the
-// checkpoint from cell j of the final layer.
-func (ck *Checkpoint) exactAnswer(layers []ckLayer, j, l int) (out, nodes []automata.Symbol, states []int) {
-	nodes = make([]automata.Symbol, len(layers))
-	states = make([]int, len(layers))
-	ck.walkPrefix(layers, len(layers)-1, j, nodes, states)
+// matched zone: output align[:l] and, with evidence, the nodes and
+// states walked back through the checkpoint from cell j of the final
+// layer.
+func (ck *Checkpoint) exactAnswer(layers []ckLayer, j, l int, evidence bool) (out, nodes []automata.Symbol, states []int) {
+	if evidence {
+		nodes = make([]automata.Symbol, len(layers))
+		states = make([]int, len(layers))
+		ck.walkPrefix(layers, len(layers)-1, j, nodes, states)
+	}
 	return automata.CloneString(ck.Align[:l]), nodes, states
 }
 
@@ -1157,9 +1184,10 @@ func (s *survivors) trace(g int32, i, nstates int, nodes []automata.Symbol, stat
 // ResumeConstrainedBoundedCtx solves the constrained top-answer problem
 // — the maximum-probability accepting run whose output c admits —
 // against a checkpoint whose alignment string extends c.Prefix. It
-// returns the answer output, the evidence node string, the visited
-// transducer states, and the log probability; ok is false when c admits
-// no answer over a positive-probability world.
+// returns the answer output and its log probability; ok is false when c
+// admits no answer over a positive-probability world. The run's
+// evidence is not assembled (ConstrainedViterbi returns it), so a
+// resume allocates only its output.
 //
 // With b non-nil the resume prunes by weight pushing: crossing
 // candidates are selected against a running bound on the optimum and the
@@ -1169,9 +1197,9 @@ func (s *survivors) trace(g int32, i, nstates int, nodes []automata.Symbol, stat
 // and any deferred checkpoint materialization (the ExactOnly fast path
 // against an already materialized view only reads the final retained
 // layer and completes regardless).
-func ResumeConstrainedBoundedCtx(ctx context.Context, nt *NFATables, v *SeqView, ck *Checkpoint, c transducer.Constraint, b *Bounds, sc *ConstrainScratch) (out, nodes []automata.Symbol, states []int, logp float64, ok bool, err error) {
-	out, nodes, states, logp, ok, _, err = resumeConstrained(NewPoll(ctx), nt, v, ck, c, b, nil, nil, sc)
-	return out, nodes, states, logp, ok, err
+func ResumeConstrainedBoundedCtx(ctx context.Context, nt *NFATables, v *SeqView, ck *Checkpoint, c transducer.Constraint, b *Bounds, sc *ConstrainScratch) (out []automata.Symbol, logp float64, ok bool, err error) {
+	out, _, _, logp, ok, _, err = resumeConstrained(NewPoll(ctx), nt, v, ck, c, b, nil, nil, sc, false)
+	return out, logp, ok, err
 }
 
 // ResumeConstrainedIncCtx is the unpruned resume that captures its
@@ -1208,18 +1236,24 @@ func ResumeConstrainedBoundedCtx(ctx context.Context, nt *NFATables, v *SeqView,
 // another alignment), or the constraint is ExactOnly (whose final-layer
 // read needs no sweep at all). The caller must guarantee prior really
 // came from a resolve of c — the ranked enumerator's Lawler tree keeps
-// each capture with the region whose resolve took it.
-func ResumeConstrainedIncCtx(ctx context.Context, nt *NFATables, v *SeqView, ck *Checkpoint, c transducer.Constraint, prior, rs *ResumeState, sc *ConstrainScratch) (out, nodes []automata.Symbol, states []int, logp float64, ok bool, continued bool, err error) {
-	return resumeConstrained(NewPoll(ctx), nt, v, ck, c, nil, prior, rs, sc)
+// each capture with the region whose resolve took it. Like
+// ResumeConstrainedBoundedCtx, it returns no evidence.
+func ResumeConstrainedIncCtx(ctx context.Context, nt *NFATables, v *SeqView, ck *Checkpoint, c transducer.Constraint, prior, rs *ResumeState, sc *ConstrainScratch) (out []automata.Symbol, logp float64, ok bool, continued bool, err error) {
+	out, _, _, logp, ok, continued, err = resumeConstrained(NewPoll(ctx), nt, v, ck, c, nil, prior, rs, sc, false)
+	return out, logp, ok, continued, err
 }
 
 // resumeConstrained is the one past-zone sweep behind both resume entry
-// points: a full sweep from position 0, or — given a prior it may
-// continue (see ResumeConstrainedIncCtx) — a continuation from prior.N
-// seeded with prior's frontier, selecting crossing candidates only at
-// the positions it sweeps and tracing back through prior's survivor
-// store below them.
-func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c transducer.Constraint, b *Bounds, prior, rs *ResumeState, sc *ConstrainScratch) (out, nodes []automata.Symbol, states []int, logp float64, ok, continued bool, err error) {
+// points and ConstrainedViterbi: a full sweep from position 0, or —
+// given a prior it may continue (see ResumeConstrainedIncCtx) — a
+// continuation from prior.N seeded with prior's frontier, selecting
+// crossing candidates only at the positions it sweeps and tracing back
+// through prior's survivor store below them. With evidence it also
+// returns the run's nodes and states, walking the checkpoint's
+// backpointers through the matched zone; without, nodes and states are
+// nil and only the past-zone suffix the output needs is traced, into
+// scratch rows.
+func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c transducer.Constraint, b *Bounds, prior, rs *ResumeState, sc *ConstrainScratch, evidence bool) (out, nodes []automata.Symbol, states []int, logp float64, ok, continued bool, err error) {
 	if ck.states != nt.States || ck.n != v.N {
 		panic("kernel: resume checkpoint was built against different tables or sequence")
 	}
@@ -1270,7 +1304,7 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 		if exactIdx < 0 {
 			return nil, nil, nil, neg, false, false, nil
 		}
-		out, nodes, states = ck.exactAnswer(layers, exactIdx, l)
+		out, nodes, states = ck.exactAnswer(layers, exactIdx, l, evidence)
 		return out, nodes, states, exactBest, true, false, nil
 	}
 
@@ -1536,21 +1570,29 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 	}
 	sc.cur.reset()
 	if exactIdx >= 0 && exactBest >= best {
-		out, nodes, states = ck.exactAnswer(layers, exactIdx, l)
+		out, nodes, states = ck.exactAnswer(layers, exactIdx, l, evidence)
 		return out, nodes, states, exactBest, true, continued, nil
 	}
 	if bestCell < 0 {
 		return nil, nil, nil, neg, false, continued, nil
 	}
 
-	nodes = make([]automata.Symbol, v.N)
-	states = make([]int, v.N)
+	if evidence {
+		nodes = make([]automata.Symbol, v.N)
+		states = make([]int, v.N)
+	} else {
+		sc.nodes = slices.Grow(sc.nodes[:0], v.N)[:v.N]
+		sc.states = slices.Grow(sc.states[:0], v.N)[:v.N]
+		nodes, states = sc.nodes, sc.states
+	}
 	rec, crossPos := surv.trace(head, v.N-1, nt.States, nodes, states)
 	z := 0
 	if rec.layer >= 0 {
 		s, k := layers[rec.layer].loc(int(rec.layer), int(rec.pi))
 		z = int(s.cells[k]) / kq
-		ck.walkPrefix(layers, int(rec.layer), int(rec.pi), nodes, states)
+		if evidence {
+			ck.walkPrefix(layers, int(rec.layer), int(rec.pi), nodes, states)
+		}
 	}
 	w := nt.Emit[nt.EmitPtr[rec.edge]:nt.EmitPtr[rec.edge+1]]
 	// MaxEmit bounds each remaining position's emission, so the answer is
@@ -1571,6 +1613,9 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 			}
 		}
 		q = states[j]
+	}
+	if !evidence {
+		nodes, states = nil, nil
 	}
 	return out, nodes, states, best, true, continued, nil
 }
@@ -1682,10 +1727,13 @@ func (sc *ConstrainScratch) survive(heads []int32, n, start, pastSize int, back 
 // ConstrainedViterbi solves the constrained top-answer problem from
 // scratch: a resume against a fresh checkpoint handle aligned to the
 // constraint's own prefix, gated and pruned by b when it is non-nil (nil
-// runs the exhaustive sweep). The checkpoint is discarded; enumeration
+// runs the exhaustive sweep). Besides the answer and its log
+// probability it returns the run's evidence: the node string and the
+// visited transducer states. The checkpoint is discarded; enumeration
 // layers that reuse checkpoints across Lawler children call
-// NewLazyCheckpoint and ResumeConstrainedBoundedCtx directly.
+// NewLazyCheckpoint and ResumeConstrainedBoundedCtx directly, and get no
+// evidence.
 func ConstrainedViterbi(nt *NFATables, v *SeqView, c transducer.Constraint, b *Bounds, sc *ConstrainScratch) (out, nodes []automata.Symbol, states []int, logp float64, ok bool) {
-	out, nodes, states, logp, ok, _, _ = resumeConstrained(nil, nt, v, NewLazyCheckpoint(nt, v, c.Prefix, b), c, b, nil, nil, sc)
+	out, nodes, states, logp, ok, _, _ = resumeConstrained(nil, nt, v, NewLazyCheckpoint(nt, v, c.Prefix, b), c, b, nil, nil, sc, true)
 	return out, nodes, states, logp, ok
 }

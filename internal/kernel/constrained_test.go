@@ -135,7 +135,7 @@ func TestResumeMatchesFromScratch(t *testing.T) {
 				if !automata.HasPrefix(o, c.Prefix) {
 					continue
 				}
-				ro, rn, rs, rlp, rok, _ := kernel.ResumeConstrainedBoundedCtx(context.Background(), nt, v, ck, c, nil, nil)
+				ro, rn, rs, rlp, rok, _, _ := kernel.ResumeEvidence(context.Background(), nt, v, ck, c, nil, nil, nil, nil)
 				so, sn, ss, slp, sok := kernel.ConstrainedViterbi(nt, v, c, nil, nil)
 				if rok != sok {
 					t.Fatalf("trial %d %v: resume ok=%v scratch ok=%v", trial, c, rok, sok)
@@ -267,21 +267,19 @@ func TestResumeIncContinuesAcrossAppend(t *testing.T) {
 				label := fmt.Sprintf("trial %d p=%d/%d %v", trial, p, n, c)
 				base := kernel.NewLazyCheckpoint(nt, vs, o, nil)
 				prior := &kernel.ResumeState{}
-				if _, _, _, _, _, _, err := kernel.ResumeConstrainedIncCtx(ctx, nt, vs, base, c, nil, prior, nil); err != nil {
+				if _, _, _, _, err := kernel.ResumeConstrainedIncCtx(ctx, nt, vs, base, c, nil, prior, nil); err != nil {
 					t.Fatal(err)
 				}
 
 				var cont, want kernel.ResumeState
-				co, cn, _, clp, cok, continued, err := kernel.ResumeConstrainedIncCtx(ctx, nt, vg,
-					kernel.NewExtendedLazyCheckpoint(nt, vg, base), c, prior, &cont, nil)
+				co, cn, _, clp, cok, continued, err := kernel.ResumeEvidence(ctx, nt, vg, kernel.NewExtendedLazyCheckpoint(nt, vg, base), c, nil, prior, &cont, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !continued {
 					t.Fatalf("%s: resume against the extended checkpoint did not continue the prior sweep", label)
 				}
-				fo, fn, _, flp, fok, fcont, err := kernel.ResumeConstrainedIncCtx(ctx, nt, vg,
-					kernel.NewLazyCheckpoint(nt, vg, o, nil), c, nil, &want, nil)
+				fo, fn, _, flp, fok, fcont, err := kernel.ResumeEvidence(ctx, nt, vg, kernel.NewLazyCheckpoint(nt, vg, o, nil), c, nil, nil, &want, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -357,17 +355,17 @@ func TestResumeIncFallsBackOnForeignPrior(t *testing.T) {
 				c := transducer.Constraint{Prefix: o[:cut], Mode: mode}
 				label := fmt.Sprintf("trial %d p=%d/%d %v", trial, p, n, c)
 				prior := &kernel.ResumeState{}
-				if _, _, _, _, _, _, err := kernel.ResumeConstrainedIncCtx(ctx, nt, vs, kernel.NewLazyCheckpoint(nt, vs, o, nil), c, nil, prior, nil); err != nil {
+				if _, _, _, _, err := kernel.ResumeConstrainedIncCtx(ctx, nt, vs, kernel.NewLazyCheckpoint(nt, vs, o, nil), c, nil, prior, nil); err != nil {
 					t.Fatal(err)
 				}
 				donor := kernel.NewLazyCheckpoint(nt, vg, o[:len(o)-1], nil)
 				derived := kernel.NewLazyCheckpointFrom(nt, vg, o, donor)
 				var got, want kernel.ResumeState
-				go_, gn, gs, glp, gok, continued, err := kernel.ResumeConstrainedIncCtx(ctx, nt, vg, derived, c, prior, &got, nil)
+				go_, gn, gs, glp, gok, continued, err := kernel.ResumeEvidence(ctx, nt, vg, derived, c, nil, prior, &got, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wo, wn, ws, wlp, wok, _, err := kernel.ResumeConstrainedIncCtx(ctx, nt, vg, derived, c, nil, &want, nil)
+				wo, wn, ws, wlp, wok, _, err := kernel.ResumeEvidence(ctx, nt, vg, derived, c, nil, nil, &want, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -453,7 +451,7 @@ func TestResumeIncChainedContinuations(t *testing.T) {
 				c := transducer.Constraint{Prefix: o[:cut], Mode: mode}
 				ck := kernel.NewLazyCheckpoint(nt, views[0], o, nil)
 				prior := &kernel.ResumeState{}
-				if _, _, _, _, _, _, err := kernel.ResumeConstrainedIncCtx(ctx, nt, views[0], ck, c, nil, prior, nil); err != nil {
+				if _, _, _, _, err := kernel.ResumeConstrainedIncCtx(ctx, nt, views[0], ck, c, nil, prior, nil); err != nil {
 					t.Fatal(err)
 				}
 				for k := 1; k < len(views); k++ {
@@ -461,14 +459,14 @@ func TestResumeIncChainedContinuations(t *testing.T) {
 					label := fmt.Sprintf("trial %d %v round %d (n=%d)", trial, c, k, v.N)
 					ck = kernel.NewExtendedLazyCheckpoint(nt, v, ck)
 					next, want := &kernel.ResumeState{}, &kernel.ResumeState{}
-					co, cn, cs, clp, cok, continued, err := kernel.ResumeConstrainedIncCtx(ctx, nt, v, ck, c, prior, next, nil)
+					co, cn, cs, clp, cok, continued, err := kernel.ResumeEvidence(ctx, nt, v, ck, c, nil, prior, next, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !continued {
 						t.Fatalf("%s: did not continue the previous round's capture", label)
 					}
-					fo, fn, fs, flp, fok, _, err := kernel.ResumeConstrainedIncCtx(ctx, nt, v, kernel.NewLazyCheckpoint(nt, v, o, nil), c, nil, want, nil)
+					fo, fn, fs, flp, fok, _, err := kernel.ResumeEvidence(ctx, nt, v, kernel.NewLazyCheckpoint(nt, v, o, nil), c, nil, nil, want, nil)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -31,8 +31,8 @@ func sameDP(t *testing.T, label string, nt *kernel.NFATables, v *kernel.SeqView,
 	t.Helper()
 	ctx := context.Background()
 	for _, c := range transducer.Unconstrained().Children(fresh.Align) {
-		do, _, _, dlp, dok, _ := kernel.ResumeConstrainedBoundedCtx(ctx, nt, v, derived, c, nil, nil)
-		fo, _, _, flp, fok, _ := kernel.ResumeConstrainedBoundedCtx(ctx, nt, v, fresh, c, nil, nil)
+		do, dlp, dok, _ := kernel.ResumeConstrainedBoundedCtx(ctx, nt, v, derived, c, nil, nil)
+		fo, flp, fok, _ := kernel.ResumeConstrainedBoundedCtx(ctx, nt, v, fresh, c, nil, nil)
 		if dok != fok {
 			t.Fatalf("%s %v: derived ok=%v fresh ok=%v", label, c, dok, fok)
 		}
@@ -51,7 +51,7 @@ func sameDP(t *testing.T, label string, nt *kernel.NFATables, v *kernel.SeqView,
 		// representative need not be a prefix of the alignment).
 		for _, ans := range [][]automata.Symbol{do, fo} {
 			own := kernel.NewLazyCheckpoint(nt, v, ans, nil)
-			_, _, _, alp, aok, _ := kernel.ResumeConstrainedBoundedCtx(ctx, nt, v, own, transducer.Constraint{
+			_, alp, aok, _ := kernel.ResumeConstrainedBoundedCtx(ctx, nt, v, own, transducer.Constraint{
 				Prefix: ans, Mode: transducer.ExactOnly,
 			}, nil, nil)
 			if !aok || alp != flp {
@@ -184,7 +184,7 @@ func TestDerivedConcurrentFirstTouch(t *testing.T) {
 		derived[h] = kernel.NewLazyCheckpointFrom(nt, v, align, donor)
 		fresh[h] = kernel.NewLazyCheckpoint(nt, v, align, nil)
 		cs[h] = transducer.Constraint{Prefix: align[:len(align)-1], Mode: transducer.ExtensionsOnly}
-		_, _, _, lp, ok, err := kernel.ResumeConstrainedBoundedCtx(context.Background(), nt, v, fresh[h], cs[h], nil, nil)
+		_, lp, ok, err := kernel.ResumeConstrainedBoundedCtx(context.Background(), nt, v, fresh[h], cs[h], nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func TestDerivedConcurrentFirstTouch(t *testing.T) {
 		go func(h int) {
 			defer wg.Done()
 			<-gate
-			_, _, _, lp, ok, err := kernel.ResumeConstrainedBoundedCtx(context.Background(), nt, v, derived[h], cs[h], nil, nil)
+			_, lp, ok, err := kernel.ResumeConstrainedBoundedCtx(context.Background(), nt, v, derived[h], cs[h], nil, nil)
 			got[h], errs[h] = answer{lp, ok}, err
 		}(h)
 	}

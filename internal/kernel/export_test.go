@@ -5,7 +5,16 @@ import (
 	"unsafe"
 
 	"markovseq/internal/automata"
+	"markovseq/internal/transducer"
 )
+
+// ResumeEvidence is the resume behind ResumeConstrainedBoundedCtx (b
+// non-nil or rs nil) and ResumeConstrainedIncCtx (b nil, rs non-nil),
+// also returning the run's evidence — nodes and states — which the
+// production entry points do not assemble, for tests that compare it.
+func ResumeEvidence(ctx context.Context, nt *NFATables, v *SeqView, ck *Checkpoint, c transducer.Constraint, b *Bounds, prior, rs *ResumeState, sc *ConstrainScratch) (out, nodes []automata.Symbol, states []int, logp float64, ok, continued bool, err error) {
+	return resumeConstrained(NewPoll(ctx), nt, v, ck, c, b, prior, rs, sc, true)
+}
 
 // MaterializedCheckpoint returns a checkpoint handle for align whose DP
 // has already been materialized through sc (nil draws from the internal

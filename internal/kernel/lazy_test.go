@@ -47,11 +47,11 @@ func TestLazyCheckpointMatchesEager(t *testing.T) {
 				t.Fatalf("trial %d: untouched lazy handle holds %d cells", trial, got)
 			}
 			for _, c := range transducer.Unconstrained().Children(o) {
-				lo, ln, ls, llp, lok, err := kernel.ResumeConstrainedBoundedCtx(ctx, nt, v, lazy, c, b, nil)
+				lo, ln, ls, llp, lok, _, err := kernel.ResumeEvidence(ctx, nt, v, lazy, c, b, nil, nil, nil)
 				if err != nil {
 					t.Fatalf("trial %d %v: lazy resume: %v", trial, c, err)
 				}
-				eo, en, es, elp, eok, err := kernel.ResumeConstrainedBoundedCtx(ctx, nt, v, pre, c, b, nil)
+				eo, en, es, elp, eok, _, err := kernel.ResumeEvidence(ctx, nt, v, pre, c, b, nil, nil, nil)
 				if err != nil {
 					t.Fatalf("trial %d %v: pre-materialized resume: %v", trial, c, err)
 				}
@@ -152,7 +152,7 @@ func lazyAllocWorkload(t *testing.T) (nt *kernel.NFATables, v *kernel.SeqView, b
 		}
 		ck := kernel.NewLazyCheckpoint(nt, v, o, nil)
 		for _, kid := range transducer.Unconstrained().Children(o) {
-			if _, _, _, _, kok, _ := kernel.ResumeConstrainedBoundedCtx(context.Background(), nt, v, ck, kid, nil, sc); kok {
+			if _, _, kok, _ := kernel.ResumeConstrainedBoundedCtx(context.Background(), nt, v, ck, kid, nil, sc); kok {
 				return nt, v, b, o, kid, sc
 			}
 		}
@@ -173,12 +173,12 @@ func TestResumeSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("build: %v", err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, _, _, _, ok, err := kernel.ResumeConstrainedBoundedCtx(context.Background(), nt, v, ck, c, b, sc); !ok || err != nil {
+		if _, _, ok, err := kernel.ResumeConstrainedBoundedCtx(context.Background(), nt, v, ck, c, b, sc); !ok || err != nil {
 			t.Fatalf("warmup resume failed: ok=%v err=%v", ok, err)
 		}
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, _, _, _, ok, err := kernel.ResumeConstrainedBoundedCtx(context.Background(), nt, v, ck, c, b, sc); !ok || err != nil {
+		if _, _, ok, err := kernel.ResumeConstrainedBoundedCtx(context.Background(), nt, v, ck, c, b, sc); !ok || err != nil {
 			t.Fatalf("measured resume failed: ok=%v err=%v", ok, err)
 		}
 	})

@@ -29,6 +29,15 @@ import (
 // Pruning is exact and order-preserving: see the determinism notes in
 // constrained.go (canonical frontier ordering makes the pruned sweep
 // bit-identical to the exhaustive reference, ties included).
+//
+// Two constructors run the one backward recurrence. NewBounds and
+// NewBoundsInto run it to position 0: their rows are complete and
+// immutable, shared by every kernel call that gates or prunes with them
+// (core engines, cold enumerators, the sliding-window Sweeper).
+// NewLazyBoundsInto fills only the last row and lets Row sweep lower
+// rows on first read: arithmetic-only rows for one owner, the
+// cross-append ranked reseed, which reads the rows of its anchors and
+// recycles the storage along its extension lineage.
 type Bounds struct {
 	states int
 	n      int
@@ -38,7 +47,13 @@ type Bounds struct {
 	// i..N-2 ending in an accepting state (-Inf when none exists).
 	// Alignment- and initial-distribution-independent, so one Bounds per
 	// (tables, view) pair serves every constraint and every checkpoint.
+	// Rows lo..N-1 are filled. NewBounds fills them all (lo = 0); bounds
+	// from NewLazyBoundsInto start at the last row and keep nt and v to
+	// sweep lower rows when Row first reads them.
 	pot []float64
+	lo  int
+	nt  *NFATables
+	v   *SeqView
 
 	prunedCells  atomic.Uint64
 	visitedCells atomic.Uint64
@@ -156,11 +171,20 @@ func (b *Bounds) MatchesView(v *SeqView) bool {
 // consuming event i, -Inf when no accepting completion exists. The row
 // is read-only. The incremental ranked reseed prices retained resolve
 // frontiers and stale checkpoint layers against a freshly grown
-// sequence with it.
+// sequence with it. On bounds from NewLazyBoundsInto, reading a row
+// below every row read so far sweeps the rows down to it first.
 func (b *Bounds) Row(i int) []float64 {
+	if i < b.lo {
+		b.sweep(i)
+	}
 	kq := b.k * b.states
 	return b.pot[i*kq : (i+1)*kq : (i+1)*kq]
 }
+
+// SweptTo returns the lowest position whose row is filled: 0 for
+// NewBounds and NewBoundsInto, the lowest row read so far (or the last
+// row) for NewLazyBoundsInto.
+func (b *Bounds) SweptTo() int { return b.lo }
 
 // BoundsMinN is the sequence length below which callers should skip
 // building Bounds for a single top-k drain: the backward sweep plus
@@ -173,8 +197,8 @@ const BoundsMinN = 32
 
 // NewBounds computes the pushed weights for the pair (nt, v): one
 // backward O(N·K·deg·|δ|) sweep, ~N·K·Q float64s resident. The result is
-// immutable (counters aside) and safe for concurrent use by any number
-// of kernel calls.
+// complete and immutable (counters aside), and safe for concurrent use
+// by any number of kernel calls.
 func NewBounds(nt *NFATables, v *SeqView) *Bounds {
 	return NewBoundsInto(nil, nt, v)
 }
@@ -183,15 +207,29 @@ func NewBounds(nt *NFATables, v *SeqView) *Bounds {
 // sliding-window sweeper rebuilds bounds per window; recycling the
 // potential array makes that alloc-free at steady state). b may be nil.
 // A recycled array too small for v grows geometrically, so a caller
-// whose view grows by a row per append (the cross-append ranked reseed)
-// reallocates O(log n) times, not on every append.
+// whose view grows by a row per append reallocates O(log n) times, not
+// on every append.
 func NewBoundsInto(b *Bounds, nt *NFATables, v *SeqView) *Bounds {
+	b = NewLazyBoundsInto(b, nt, v)
+	b.sweep(0)
+	return b
+}
+
+// NewLazyBoundsInto is NewBoundsInto for a caller that reads a few rows
+// through Row: it fills the last row only, and Row sweeps each lower row
+// on its first read, with the same recurrence and so to the same bits
+// as NewBoundsInto. The bounds are not safe for concurrent use, since
+// Row writes them, and must never gate or prune a kernel call, which
+// reads rows directly. The cross-append ranked reseed prices with them:
+// it reads the rows of its carried anchors, mostly near the end.
+func NewLazyBoundsInto(b *Bounds, nt *NFATables, v *SeqView) *Bounds {
 	kq := v.K * nt.States
 	size := v.N * kq
 	if b == nil {
 		b = &Bounds{}
 	}
 	b.states, b.n, b.k = nt.States, v.N, v.K
+	b.lo, b.nt, b.v = v.N-1, nt, v
 	b.pot = slices.Grow(b.pot[:0], size)[:size]
 	pot := b.pot
 	neg := math.Inf(-1)
@@ -205,7 +243,17 @@ func NewBoundsInto(b *Bounds, nt *NFATables, v *SeqView) *Bounds {
 			}
 		}
 	}
-	for i := v.N - 2; i >= 0; i-- {
+	return b
+}
+
+// sweep runs the backward recurrence from row b.lo-1 down to row to and
+// lets go of the tables and view once every row is filled.
+func (b *Bounds) sweep(to int) {
+	nt, v := b.nt, b.v
+	kq := b.k * b.states
+	pot := b.pot
+	neg := math.Inf(-1)
+	for i := b.lo - 1; i >= to; i-- {
 		row := pot[i*kq : (i+1)*kq]
 		nxt := pot[(i+1)*kq : (i+2)*kq]
 		for c := range row {
@@ -230,5 +278,8 @@ func NewBoundsInto(b *Bounds, nt *NFATables, v *SeqView) *Bounds {
 			}
 		}
 	}
-	return b
+	b.lo = to
+	if to == 0 {
+		b.nt, b.v = nil, nil
+	}
 }

@@ -85,11 +85,11 @@ func TestResumeBoundedDifferential(t *testing.T) {
 				if !automata.HasPrefix(o, c.Prefix) {
 					continue
 				}
-				go_, gn, gs, glp, gok, err := kernel.ResumeConstrainedBoundedCtx(ctx, nt, v, bck, c, b, nil)
+				go_, gn, gs, glp, gok, _, err := kernel.ResumeEvidence(ctx, nt, v, bck, c, b, nil, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wo, wn, ws, wlp, wok, _ := kernel.ResumeConstrainedBoundedCtx(context.Background(), nt, v, eck, c, nil, nil)
+				wo, wn, ws, wlp, wok, _, _ := kernel.ResumeEvidence(context.Background(), nt, v, eck, c, nil, nil, nil, nil)
 				if gok != wok {
 					t.Fatalf("trial %d %v: bounded ok=%v exhaustive ok=%v", trial, c, gok, wok)
 				}
@@ -182,7 +182,8 @@ func TestNewBoundsIntoRecycles(t *testing.T) {
 }
 
 // TestNewBoundsIntoGrowsGeometrically: the cross-append ranked reseed
-// rebuilds its bounds into recycled storage over a view one position
+// rebuilds its bounds into recycled storage (NewLazyBoundsInto, which
+// sizes the array as NewBoundsInto does) over a view one position
 // longer at every append. The potential array must grow geometrically
 // — 25 one-position growths from n = 200 reallocate at most twice — and
 // every rebuild must equal a fresh NewBounds bit for bit. The instance
@@ -219,6 +220,101 @@ func TestNewBoundsIntoGrowsGeometrically(t *testing.T) {
 	}
 	if reallocs > 2 {
 		t.Fatalf("25 one-position growths from n=200 reallocated the potentials %d times, want at most 2", reallocs)
+	}
+}
+
+// refPotentials is the backward recurrence written out independently of
+// the kernel's loop order: row i of cell (x, q) is the best, over every
+// chain step x→y and transducer edge q→q' reading y, of the step's log
+// weight plus row i+1 of (y, q'). A max is exact, so any evaluation
+// order gives the same bits.
+func refPotentials(nt *kernel.NFATables, v *kernel.SeqView) [][]float64 {
+	neg := math.Inf(-1)
+	rows := make([][]float64, v.N)
+	rows[v.N-1] = make([]float64, v.K*nt.States)
+	for xq := range rows[v.N-1] {
+		if rows[v.N-1][xq] = neg; nt.Accept[xq%nt.States] {
+			rows[v.N-1][xq] = 0
+		}
+	}
+	for i := v.N - 2; i >= 0; i-- {
+		row := make([]float64, v.K*nt.States)
+		for xq := range row {
+			row[xq] = neg
+		}
+		st := &v.Steps[i]
+		for q := 0; q < nt.States; q++ {
+			for x := 0; x < v.K; x++ {
+				for e := st.RowPtr[x]; e < st.RowPtr[x+1]; e++ {
+					y := int(st.Col[e])
+					lo, hi := nt.Edges(q, y)
+					for t := lo; t < hi; t++ {
+						if c := st.LogVal[e] + rows[i+1][y*nt.States+int(nt.Succ[t])]; c > row[x*nt.States+q] {
+							row[x*nt.States+q] = c
+						}
+					}
+				}
+			}
+		}
+		rows[i] = row
+	}
+	return rows
+}
+
+// TestLazyBoundsRowsMatchEager: rows read through Row from
+// NewLazyBoundsInto, in any order — jumps down and back up, repeats —
+// equal NewBoundsInto's rows bit for bit, and the lazy bounds sweep no
+// row below the lowest one read. NewBoundsInto's rows equal the
+// independent recurrence. Both constructors recycle one another's
+// storage across views of different shapes.
+func TestLazyBoundsRowsMatchEager(t *testing.T) {
+	rng := rand.New(rand.NewSource(26200))
+	sameBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	in := automata.MustAlphabet("a", "b", "c", "d", "e")
+	out := automata.MustAlphabet("x", "y")
+	var lazy, eager *kernel.Bounds
+	for trial := 0; trial < 40; trial++ {
+		var nt *kernel.NFATables
+		var v *kernel.SeqView
+		if trial%2 == 0 {
+			nt, v, _, _ = randomInstance(rng)
+		} else {
+			m := markov.Random(in, 20+rng.Intn(60), 0.4, rng)
+			nt, v = kernel.NewNFATables(randomVarNFATransducer(in, out, 1+rng.Intn(5), rng)), m.View()
+		}
+		ref := refPotentials(nt, v)
+		if trial%3 == 0 {
+			eager, lazy = lazy, eager // hand each constructor the other's storage
+		}
+		eager = kernel.NewBoundsInto(eager, nt, v)
+		if eager.SweptTo() != 0 {
+			t.Fatalf("trial %d: NewBoundsInto filled rows from %d, want 0", trial, eager.SweptTo())
+		}
+		for i := range ref {
+			if !slices.EqualFunc(eager.Row(i), ref[i], sameBits) {
+				t.Fatalf("trial %d n=%d: NewBoundsInto row %d differs from the reference recurrence", trial, v.N, i)
+			}
+		}
+		lazy = kernel.NewLazyBoundsInto(lazy, nt, v)
+		lowest := v.N - 1
+		for r := 0; r < 3*v.N; r++ {
+			var i int
+			switch rng.Intn(4) {
+			case 0: // a repeat of the lowest row read
+				i = lowest
+			case 1: // one row below it
+				i = max(lowest-1, 0)
+			default: // anywhere, above or below
+				i = rng.Intn(v.N)
+			}
+			if !slices.EqualFunc(lazy.Row(i), eager.Row(i), sameBits) {
+				t.Fatalf("trial %d n=%d: lazy row %d differs from NewBoundsInto's", trial, v.N, i)
+			}
+			lowest = min(lowest, i)
+			if lazy.SweptTo() != lowest {
+				t.Fatalf("trial %d n=%d: lazy bounds swept to row %d, lowest read %d", trial, v.N, lazy.SweptTo(), lowest)
+			}
+		}
 	}
 }
 

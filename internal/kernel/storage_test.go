@@ -25,7 +25,7 @@ import (
 func touch(t *testing.T, nt *kernel.NFATables, v *kernel.SeqView, ck *kernel.Checkpoint) {
 	t.Helper()
 	c := transducer.Constraint{Prefix: ck.Align, Mode: transducer.ExactOnly}
-	if _, _, _, _, _, err := kernel.ResumeConstrainedBoundedCtx(context.Background(), nt, v, ck, c, nil, nil); err != nil {
+	if _, _, _, err := kernel.ResumeConstrainedBoundedCtx(context.Background(), nt, v, ck, c, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -189,7 +189,7 @@ func TestExtensionChainLong(t *testing.T) {
 	v := fx.views[appends]
 	cs := append(transducer.Unconstrained().Children(fx.align), transducer.Unconstrained())
 	for _, c := range cs {
-		o, nodes, states, lp, ok, err := kernel.ResumeConstrainedBoundedCtx(context.Background(), fx.nt, v, ck, c, nil, nil)
+		o, nodes, states, lp, ok, _, err := kernel.ResumeEvidence(context.Background(), fx.nt, v, ck, c, nil, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +226,7 @@ func TestExtensionChainConcurrentReaders(t *testing.T) {
 		want[k] = answer{o, lp, ok}
 	}
 	resume := func(k int) error {
-		o, _, _, lp, ok, err := kernel.ResumeConstrainedBoundedCtx(context.Background(), fx.nt, fx.views[k], links[k], c, nil, nil)
+		o, lp, ok, err := kernel.ResumeConstrainedBoundedCtx(context.Background(), fx.nt, fx.views[k], links[k], c, nil, nil)
 		if err != nil {
 			return err
 		}

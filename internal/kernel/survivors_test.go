@@ -97,7 +97,7 @@ func TestSurvivorStoreMemoryContract(t *testing.T) {
 		v0 := NewSeqView(initial, mats[:n-2])
 		ck0 := NewLazyCheckpoint(nt, v0, nil, nil)
 		prior := new(ResumeState)
-		if _, _, _, _, ok, _, err := resumeConstrained(nil, nt, v0, ck0, c, nil, nil, prior, sc); err != nil || !ok {
+		if _, _, _, _, ok, _, err := resumeConstrained(nil, nt, v0, ck0, c, nil, nil, prior, sc, true); err != nil || !ok {
 			t.Fatalf("n=%d: capture failed (ok=%v err=%v)", n, ok, err)
 		}
 		if prior.surv.prev != nil {
@@ -118,7 +118,7 @@ func TestSurvivorStoreMemoryContract(t *testing.T) {
 		}
 		resume := func() (out, nodes []automata.Symbol, states []int, rs *ResumeState) {
 			rs = new(ResumeState)
-			out, nodes, states, _, ok, continued, err := resumeConstrained(nil, nt, v1, ck1, c, nil, prior, rs, sc)
+			out, nodes, states, _, ok, continued, err := resumeConstrained(nil, nt, v1, ck1, c, nil, prior, rs, sc, true)
 			if err != nil || !ok || !continued {
 				t.Fatalf("n=%d: continuation failed (ok=%v continued=%v err=%v)", n, ok, continued, err)
 			}
@@ -176,7 +176,7 @@ func TestSurvivorChainStaysBoundedAndExact(t *testing.T) {
 		v := NewSeqView(initial, mats[:n0-1])
 		ck := NewLazyCheckpoint(nt, v, c.Prefix, nil)
 		prior := new(ResumeState)
-		if _, _, _, _, _, _, err := resumeConstrained(nil, nt, v, ck, c, nil, nil, prior, nil); err != nil {
+		if _, _, _, _, _, _, err := resumeConstrained(nil, nt, v, ck, c, nil, nil, prior, nil, true); err != nil {
 			t.Fatal(err)
 		}
 		compactions, maxLive := 0, liveEntries(prior)
@@ -184,11 +184,11 @@ func TestSurvivorChainStaysBoundedAndExact(t *testing.T) {
 			v = v.Extend(mats[i : i+1])
 			ck = NewExtendedLazyCheckpoint(nt, v, ck)
 			rs, want := new(ResumeState), new(ResumeState)
-			co, cn, cs, clp, cok, continued, err := resumeConstrained(nil, nt, v, ck, c, nil, prior, rs, nil)
+			co, cn, cs, clp, cok, continued, err := resumeConstrained(nil, nt, v, ck, c, nil, prior, rs, nil, true)
 			if err != nil || !continued {
 				t.Fatalf("%v n=%d: continuation failed (continued=%v err=%v)", c, v.N, continued, err)
 			}
-			fo, fn, fs, flp, fok, _, _ := resumeConstrained(nil, nt, v, NewLazyCheckpoint(nt, v, c.Prefix, nil), c, nil, nil, want, nil)
+			fo, fn, fs, flp, fok, _, _ := resumeConstrained(nil, nt, v, NewLazyCheckpoint(nt, v, c.Prefix, nil), c, nil, nil, want, nil, true)
 			if cok != fok || clp != flp || !automata.EqualStrings(co, fo) || !automata.EqualStrings(cn, fn) || !slices.Equal(cs, fs) {
 				t.Fatalf("%v n=%d: continued (%v %v %v) != fresh (%v %v %v)", c, v.N, cok, co, clp, fok, fo, flp)
 			}

@@ -212,23 +212,31 @@ func (e *Enumerator[T]) Carry(cfg Config[T], reprice func(*Region[T])) *Enumerat
 		return nil
 	}
 	ne := newEnumerator(cfg)
-	ne.q.its = make([]*item[T], 0, len(e.emitted)+len(e.q.its)+len(e.dead))
+	// The successor's items live in one slab, allocated at once: each
+	// stays referenced — queued, dead or emitted — as long as the
+	// successor is, so the slab keeps nothing alive that would be freed.
+	n := len(e.emitted) + len(e.q.its) + len(e.dead)
+	slab := make([]item[T], n)
+	ne.q.its = make([]*item[T], n)
 	// One Region for the whole pass: handing reprice a fresh one per
 	// region would allocate each on the heap.
 	r := new(Region[T])
 	for i, it := range e.emitted {
 		*r = Region[T]{C: it.c, Parent: it.parent, Top: it.top, Root: it.root, Emitted: true}
 		reprice(r)
-		ne.q.its = append(ne.q.its, ne.newItem(r.C, r.Parent, r.Top, r.Root, r.Bound, int64(i)))
+		slab[i] = ne.newItem(r.C, r.Parent, r.Top, r.Root, r.Bound, int64(i))
+		ne.q.its[i] = &slab[i]
 	}
 	// Unemitted regions keep their insertion numbers, shifted past the
 	// emitted ones, so their relative order needs no sort.
-	off := int64(len(e.emitted))
+	off, k := int64(len(e.emitted)), len(e.emitted)
 	for _, its := range [...][]*item[T]{e.q.its, e.dead} {
 		for _, it := range its {
 			*r = Region[T]{C: it.c, Parent: it.parent, Top: it.top, Root: it.root}
 			reprice(r)
-			ne.q.its = append(ne.q.its, ne.newItem(r.C, r.Parent, r.Top, r.Root, r.Bound, off+it.seq))
+			slab[k] = ne.newItem(r.C, r.Parent, r.Top, r.Root, r.Bound, off+it.seq)
+			ne.q.its[k] = &slab[k]
+			k++
 		}
 	}
 	ne.seq = off + e.seq
@@ -238,8 +246,8 @@ func (e *Enumerator[T]) Carry(cfg Config[T], reprice func(*Region[T])) *Enumerat
 
 // newItem is region c unresolved under the bound score, numbered seq and
 // placed in its tie class by cfg.Floor.
-func (e *Enumerator[T]) newItem(c transducer.Constraint, parent, prior T, root bool, score float64, seq int64) *item[T] {
-	it := &item[T]{c: c, parent: parent, top: prior, root: root, seq: seq, score: score, rank: rankOpen}
+func (e *Enumerator[T]) newItem(c transducer.Constraint, parent, prior T, root bool, score float64, seq int64) item[T] {
+	it := item[T]{c: c, parent: parent, top: prior, root: root, seq: seq, score: score, rank: rankOpen}
 	if e.q.floor != nil {
 		it.rank = rankFloor
 		if _, strict := e.q.floor(c); strict {
@@ -252,7 +260,8 @@ func (e *Enumerator[T]) newItem(c transducer.Constraint, parent, prior T, root b
 // push queues region c unresolved under the bound score, numbered next
 // in insertion order.
 func (e *Enumerator[T]) push(c transducer.Constraint, parent, prior T, root bool, score float64) {
-	heap.Push(&e.q, e.newItem(c, parent, prior, root, score, e.seq))
+	it := e.newItem(c, parent, prior, root, score, e.seq)
+	heap.Push(&e.q, &it)
 	e.seq++
 }
 

@@ -19,7 +19,9 @@
 // not depend on b.N or -benchtime. The incremental benchmark reports
 // reused/append and reseeded/append — the average number of answers
 // re-entered as exact singletons and of subproblems re-seeded with
-// refreshed bounds per append — as extra metrics, and live-MB, the live
+// refreshed bounds per append — as extra metrics, carry-ns, the mean
+// wall time per append spent inside ExtendEnumerator (the carry alone,
+// without the drain that follows it), and live-MB, the live
 // heap after the op's last drain while the carried enumerator is still
 // referenced (read after a forced GC with the timer stopped, averaged
 // over ops): the retained state a stream pays to keep its top-k fresh.
@@ -31,6 +33,7 @@ import (
 	"runtime"
 	"runtime/metrics"
 	"testing"
+	"time"
 
 	"markovseq/internal/markov"
 	"markovseq/internal/rfid"
@@ -79,6 +82,7 @@ func appendBenchStep(b *testing.B, full, grown *markov.Sequence) *markov.Sequenc
 func BenchmarkRankedAppendIncremental(b *testing.B) {
 	tr, full := appendBenchWorkload(b)
 	var reused, reseeded, live uint64
+	var carry time.Duration
 	heap := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -90,7 +94,9 @@ func BenchmarkRankedAppendIncremental(b *testing.B) {
 		b.StartTimer()
 		for j := 0; j < appendBenchAppends; j++ {
 			grown = appendBenchStep(b, full, grown)
+			t0 := time.Now()
 			ne, ok := ExtendEnumerator(e, grown, 1)
+			carry += time.Since(t0)
 			if !ok {
 				b.Fatal("ExtendEnumerator refused a drained extendable enumerator")
 			}
@@ -111,6 +117,7 @@ func BenchmarkRankedAppendIncremental(b *testing.B) {
 	appends := float64(b.N * appendBenchAppends)
 	b.ReportMetric(float64(reused)/appends, "reused/append")
 	b.ReportMetric(float64(reseeded)/appends, "reseeded/append")
+	b.ReportMetric(float64(carry.Nanoseconds())/appends, "carry-ns")
 	b.ReportMetric(float64(live)/float64(b.N)/1e6, "live-MB")
 }
 

@@ -120,11 +120,11 @@ func (e *Enumerator) checkpoint(align []automata.Symbol) *kernel.Checkpoint {
 func (e *Enumerator) resolveAnswer(ctx context.Context, c transducer.Constraint, align []automata.Symbol, prior *kernel.ResumeState) (resolution, bool, error) {
 	ck := e.checkpoint(align)
 	if !e.extendable {
-		o, _, _, logE, ok, err := kernel.ResumeConstrainedBoundedCtx(ctx, e.nt, e.v, ck, c, e.potentials(), nil)
+		o, logE, ok, err := kernel.ResumeConstrainedBoundedCtx(ctx, e.nt, e.v, ck, c, e.potentials(), nil)
 		return resolution{Answer: Answer{Output: o, LogEmax: logE}}, ok, err
 	}
 	rs := new(kernel.ResumeState)
-	o, _, _, logE, ok, _, err := kernel.ResumeConstrainedIncCtx(ctx, e.nt, e.v, ck, c, prior, rs, nil)
+	o, logE, ok, _, err := kernel.ResumeConstrainedIncCtx(ctx, e.nt, e.v, ck, c, prior, rs, nil)
 	return resolution{Answer{Output: o, LogEmax: logE}, rs}, ok, err
 }
 

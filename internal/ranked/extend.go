@@ -24,10 +24,12 @@ import (
 //     invariant (nothing emits while a higher-bounded item is queued)
 //     carries over and most seeds are never resolved at all.
 //
-// The bounds come from a throwaway backward sweep (kernel.NewBounds) over
-// the grown view. It is used for arithmetic only and never installed as a
-// pruning threshold: extendable enumerators resolve unpruned so that the
-// captured frontiers and lazily extended checkpoints stay complete.
+// The bounds come from the backward potentials of the grown view, swept
+// on demand (kernel.NewLazyBoundsInto): a carry reads the rows of its
+// anchors, mostly near the end of the view, and sweeps only down to the
+// lowest of them. They are used for arithmetic only and never installed
+// as a pruning threshold: extendable enumerators resolve unpruned so that
+// the captured frontiers and lazily extended checkpoints stay complete.
 //
 // Admissibility of the re-seed bound for a region R with resolve
 // capture rs (taken at epoch length N_rs) and prefix checkpoint ck
@@ -93,7 +95,7 @@ func extendSlack(x float64) float64 {
 // speculative-resolution pool, and every drain is now sequential.
 //
 // Concurrency: the carry reads e's Lawler tree and checkpoint cache and
-// takes its recycled sweep storage, so, like every other use of an
+// takes its recycled carry scratch, so, like every other use of an
 // Enumerator, it must not run concurrently with a drain or another carry
 // of e (core.Prepared.ExtendValidated holds the predecessor engine's
 // mutex across it). e stays drainable afterwards. The two enumerations
@@ -107,41 +109,86 @@ func ExtendEnumerator(e *Enumerator, mNew *markov.Sequence, _ int) (*Enumerator,
 	if ne.inner = e.inner.Carry(lawlerConfig(ne.resolveAnswer), reprice); ne.inner == nil {
 		return nil, false
 	}
+	ne.carry.release()
 	return ne, true
+}
+
+// carryScratch is the working storage of the reseed, recycled along the
+// extension lineage: a carry takes it from the enumerator it carries
+// from and leaves it on the one it carries to, so a lineage holds one
+// potential array and one pair of memo tables instead of allocating them
+// per append.
+type carryScratch struct {
+	// b holds the grown view's potentials, swept on demand.
+	b *kernel.Bounds
+	// regions memoizes the price of each capture's region, zones the
+	// price of each zone frontier, keyed by its checkpoint and anchor
+	// length (kernel.Checkpoint.FrontierAnchor). Both are emptied before
+	// and after each carry, so they pin nothing between appends.
+	regions map[*kernel.ResumeState]regionPrice
+	zones   map[zoneKey]float64
+}
+
+type regionPrice struct {
+	bd float64
+	ok bool
+}
+
+type zoneKey struct {
+	ck *kernel.Checkpoint
+	m  int
+}
+
+// release empties the memo tables once a carry is done, so they keep no
+// capture or checkpoint alive until the next carry.
+func (cs *carryScratch) release() {
+	if cs != nil {
+		clear(cs.regions)
+		clear(cs.zones)
+	}
 }
 
 // reseed returns e's successor over mNew, with the checkpoint cache
 // carried and no Lawler tree yet, and the function that re-prices each
-// region lawler's Carry hands it. The backward sweep runs on the first
-// call, so a carry that Carry refuses costs none.
+// region lawler's Carry hands it. The first call takes e's carry scratch,
+// so a carry that Carry refuses costs nothing and leaves it with e.
 func reseed(e *Enumerator, mNew *markov.Sequence) (*Enumerator, func(*lawler.Region[resolution])) {
 	ne := e.extend(mNew)
-	var (
-		b *kernel.Bounds
-		// G: admissible bound on every answer — best initial log weight
-		// plus the exact completion potential of the entered cell.
-		G float64
-	)
-	sweep := func() {
-		// Arithmetic only; never installed. The potential array moves
-		// along the extension chain (see Enumerator.bscratch), so
-		// steady-state carries neither allocate nor zero N·K·Q floats
-		// apiece; the bounds the carry hands out are plain floats, so the
-		// successor may recycle b at its own carry.
-		b = kernel.NewBoundsInto(e.bscratch, ne.nt, ne.v)
-		e.bscratch, ne.bscratch = nil, b
-		G = math.Inf(-1)
-		row0, states := b.Row(0), ne.nt.States
-		for ii, x := range ne.v.InitIdx {
-			lp := math.Log(ne.v.InitVal[ii])
-			base := int(x) * states
-			for q := 0; q < states; q++ {
-				if s := lp + row0[base+q]; s > G {
-					G = s
+	var cs *carryScratch
+	take := func() {
+		cs, e.carry = e.carry, nil
+		if cs == nil {
+			cs = &carryScratch{regions: map[*kernel.ResumeState]regionPrice{}, zones: map[zoneKey]float64{}}
+		}
+		ne.carry = cs
+		// Arithmetic only; never installed. The bounds the carry hands out
+		// are plain floats, so the successor may recycle the potential
+		// array at its own carry.
+		cs.b = kernel.NewLazyBoundsInto(cs.b, ne.nt, ne.v)
+		cs.release()
+	}
+
+	// G, the global root bound, is admissible for every answer: the best
+	// initial log weight plus the exact completion potential of the
+	// entered cell. It reads row 0, the whole backward sweep, so it is
+	// computed when a region first falls back to it; most carries have
+	// none that does.
+	G, haveG := math.Inf(-1), false
+	globalBound := func() float64 {
+		if !haveG {
+			row0, states := cs.b.Row(0), ne.nt.States
+			for ii, x := range ne.v.InitIdx {
+				lp := math.Log(ne.v.InitVal[ii])
+				base := int(x) * states
+				for q := 0; q < states; q++ {
+					if s := lp + row0[base+q]; s > G {
+						G = s
+					}
 				}
 			}
+			G, haveG = extendSlack(G), true
 		}
-		G = extendSlack(G)
+		return G
 	}
 
 	// regionBound prices a region from its resolve capture plus the zone
@@ -161,16 +208,16 @@ func reseed(e *Enumerator, mNew *markov.Sequence) (*Enumerator, func(*lawler.Reg
 	// alignment's zone frontier dominates them. Tie-heavy drains re-seed
 	// many siblings of one region; without the memo each sibling would
 	// re-scan the same frontier and zone rows.
-	type rbRes struct {
-		bd float64
-		ok bool
-	}
-	rbMemo := make(map[*kernel.ResumeState]rbRes)
+	//
+	// Zone frontiers are memoized too, by (checkpoint, anchor length m):
+	// many captures of one alignment share an anchor — every region
+	// resolved in the last epoch anchors at its length — and the price of
+	// a zone frontier depends on nothing else.
 	regionBound := func(rs *kernel.ResumeState, align []automata.Symbol) (float64, bool) {
 		if rs == nil || rs.N < 1 || rs.N > ne.v.N {
 			return 0, false
 		}
-		if r, hit := rbMemo[rs]; hit {
+		if r, hit := cs.regions[rs]; hit {
 			return r.bd, r.ok
 		}
 		price := func() (float64, bool) {
@@ -178,11 +225,17 @@ func reseed(e *Enumerator, mNew *markov.Sequence) (*Enumerator, func(*lawler.Reg
 			if ck == nil {
 				return 0, false
 			}
-			bd, ok := ck.FrontierBound(rs.N, b)
+			m, ok := ck.FrontierAnchor(rs.N)
 			if !ok {
 				return 0, false
 			}
-			frow := b.Row(rs.N - 1)
+			zk := zoneKey{ck, m}
+			bd, hit := cs.zones[zk]
+			if !hit {
+				bd, _ = ck.FrontierBound(m, cs.b)
+				cs.zones[zk] = bd
+			}
+			frow := cs.b.Row(rs.N - 1)
 			for i, cell := range rs.Cells {
 				if s := rs.Scores[i] + frow[cell]; s > bd {
 					bd = s
@@ -191,7 +244,7 @@ func reseed(e *Enumerator, mNew *markov.Sequence) (*Enumerator, func(*lawler.Reg
 			return extendSlack(bd), true
 		}
 		bd, ok := price()
-		rbMemo[rs] = rbRes{bd, ok}
+		cs.regions[rs] = regionPrice{bd, ok}
 		return bd, ok
 	}
 
@@ -208,8 +261,8 @@ func reseed(e *Enumerator, mNew *markov.Sequence) (*Enumerator, func(*lawler.Reg
 	// after the append anyway, and carrying it would keep its output
 	// alive.
 	reprice := func(r *lawler.Region[resolution]) {
-		if b == nil {
-			sweep()
+		if cs == nil {
+			take()
 		}
 		align := r.Parent.Output
 		if r.Root {
@@ -220,7 +273,7 @@ func reseed(e *Enumerator, mNew *markov.Sequence) (*Enumerator, func(*lawler.Reg
 			bd, ok = regionBound(r.Parent.rs, align)
 		}
 		if !ok {
-			bd = G
+			bd = globalBound()
 		}
 		r.Bound = bd
 		if !r.Emitted {

@@ -103,12 +103,11 @@ type Enumerator struct {
 	lazyBounds bool
 	extendable bool
 
-	// bscratch recycles the reseed's throwaway backward-sweep storage
-	// (kernel.NewBoundsInto) along the extension chain: a carry takes it
-	// from the enumerator it carries from and leaves it on the one it
-	// carries to, so a lineage holds one N·K·Q float64 array instead of
-	// allocating one per append.
-	bscratch *kernel.Bounds
+	// carry is the reseed's working storage — its on-demand potentials
+	// and price memos — recycled along the extension chain (see
+	// carryScratch); nil until the enumerator's first carry, or its
+	// predecessor's, takes it.
+	carry *carryScratch
 
 	// Cross-append reuse counters (see ExtendStats), cumulative along the
 	// extension chain and fixed once the carry has built the enumerator.

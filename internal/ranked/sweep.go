@@ -123,7 +123,7 @@ func (s *Sweeper) TopK(ctx context.Context, m *markov.Sequence, k int) ([]Answer
 		s.cur = s.b
 	}
 	en := lawler.New(lawlerConfig(func(ctx context.Context, c transducer.Constraint, align []automata.Symbol, _ *kernel.ResumeState) (resolution, bool, error) {
-		o, _, _, logE, ok, err := kernel.ResumeConstrainedBoundedCtx(ctx, s.nt, v, s.checkpoint(v, align), c, s.cur, &s.sc)
+		o, logE, ok, err := kernel.ResumeConstrainedBoundedCtx(ctx, s.nt, v, s.checkpoint(v, align), c, s.cur, &s.sc)
 		return resolution{Answer: Answer{Output: o, LogEmax: logE}}, ok, err
 	}))
 	out := make([]Answer, 0, k)
