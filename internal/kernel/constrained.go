@@ -23,14 +23,14 @@ import (
 //   - A Checkpoint is the forward Viterbi DP over cells (node x, state
 //     q, matched-prefix count z) restricted to runs whose output so far
 //     is an exact prefix of an alignment string. Each per-position layer
-//     of active cells — scores, backpointers into the previous layer, and
-//     a z-bucket index (a counting sort by matched-prefix count) that
-//     takes a resume straight to the cells at its constraint boundary —
-//     is retained, so the checkpoint is the whole constrained frontier
-//     history, sparse, in activation order. A layer is a 24-byte header
-//     into a slab, the exactly sized cell storage of the view that built
-//     it; a derived layer shares its donor's fully relaxed layer and
-//     stores only the cells above it.
+//     of active cells is retained as its cells and their best scores, in
+//     increasing cell-id order, so the checkpoint is the whole
+//     constrained frontier history, sparse. Cell ids are z-major, so the
+//     cells at a resume's constraint boundary are one contiguous run that
+//     a binary search finds; a layer keeps no backpointers and no bucket
+//     index. A layer is a 24-byte header into a slab, the exactly sized
+//     cell storage of the view that built it; a derived layer shares its
+//     donor's fully relaxed layer and stores only the cells above it.
 //
 //   - Every checkpoint is a lazy handle (NewLazyCheckpoint): an O(1)
 //     constructor with the DP deferred, so nothing is relaxed until a
@@ -72,15 +72,17 @@ import (
 //   - ConstrainedViterbi is a one-shot resume against a fresh handle,
 //     and the one entry point that returns the run's evidence (nodes and
 //     states): the resumes trace only the past-zone suffix their output
-//     needs, into scratch rows, so the checkpoint's backpointers are read
-//     only for evidence.
+//     needs, into scratch rows, and only evidence walks the checkpoint
+//     back, recovering each predecessor from the scores (walkPrefix).
 //
-// Determinism: ties are broken by first activation (relax keeps the
-// incumbent on equal scores), past-zone advancement precedes crossing
-// injection at each position, and a cell with z > |prefix| never feeds a
-// cell with z ≤ |prefix|, so resolving a constraint against a checkpoint
-// aligned to any extension of its prefix yields bit-identical results to
-// resolving it against a checkpoint aligned to the prefix itself. That
+// Determinism: every layer is in cell order however it was built (fresh,
+// derived and extended views hold identical layers), the build relaxes
+// predecessors in that order and relax keeps the incumbent on equal
+// scores, past-zone advancement precedes crossing injection at each
+// position, and a cell with z > |prefix| never feeds a cell with
+// z ≤ |prefix|, so resolving a constraint against a checkpoint aligned to
+// any extension of its prefix yields bit-identical results to resolving
+// it against a checkpoint aligned to the prefix itself. That
 // invariant is what lets every Lawler child resolve against its parent
 // answer's cached checkpoint and still emit what a checkpoint aligned to
 // its own prefix would. Materialization is a function of the handle's
@@ -119,29 +121,25 @@ import (
 // relax gated cells and removing them is unobservable.
 
 // ckLayer is one position's frontier snapshot, a 24-byte header into the
-// slab s of the view that built it. The layer's n active cells, in
-// activation order, are the cells of its root followed by its own: a
-// derived layer at position i (i < len(s.roots)) shares s.roots[i], a
-// fully relaxed layer of an earlier view, and owns the cells above it;
-// every other layer has no root and owns all n. Each cell carries its
-// best log score and the index of its predecessor in the previous layer
-// (-1 at position 0). Indices are layer-local, root cells first, so a
-// layer's indices stay valid in every layer derived from it. zidx holds
-// the layer-local indices counting-sorted into z buckets — the sort is
-// stable, so each bucket preserves activation order. The root's buckets
-// are its own; the layer's own cells all lie in higher columns, with own
-// bucket z spanning its own zidx[zoff[z-b]:zoff[z-b+1]] for the maxZ-b+2
-// offsets at slab offset zo, where b is the column above the root's
-// top (0 without a root). An empty layer (n = 0: the exact-prefix
-// language died at or before its position) reads as empty through every
-// accessor. An extension copies its base's headers, so two views hold a
-// layer in the same slab — the same s.vid — exactly when they share
-// every layer up to it; a derived layer is always in its own view's slab.
+// slab s of the view that built it. The layer's n active cells are the
+// cells of its root followed by its own: a derived layer at position i
+// (i < len(s.roots)) shares s.roots[i], a fully relaxed layer of an
+// earlier view, and owns the cells above it; every other layer has no
+// root and owns all n. Each span holds cell ids and best log scores in
+// increasing cell-id order, and a derived layer's own cells all lie in
+// columns above its root's, so the layer is in cell order as a whole.
+// Cell ids are z-major, so the cells of a column range are one
+// contiguous run (window). Indices are layer-local, root cells first.
+// maxZ is the layer's highest column. An empty layer (n = 0: the
+// exact-prefix language died at or before its position) reads as empty
+// through every accessor. An extension copies its base's headers, so two
+// views hold a layer in the same slab — the same s.vid — exactly when
+// they share every layer up to it; a derived layer is always in its own
+// view's slab.
 type ckLayer struct {
 	s    *ckSlab
 	off  int32
 	n    int32
-	zo   int32
 	maxZ int32
 }
 
@@ -193,61 +191,48 @@ func (l *ckLayer) loc(i, j int) (*ckSlab, int32) {
 	return l.s, l.off + int32(j) - rt.n
 }
 
-// zrange returns the layer-local indices of the cells at position i with
-// z in [lo, hi], 0 ≤ lo ≤ hi ≤ maxZ, bucket after bucket: those in the
-// root's buckets, then those in the layer's own.
-func (l *ckLayer) zrange(i, lo, hi int) (r, o []int32) {
-	rt := l.root(i)
-	top := rt.top()
-	if lo <= top {
-		zo := rt.s.zoff[rt.zo:]
-		r = rt.s.zidx[rt.off+zo[lo] : rt.off+zo[min(hi, top)+1]]
+// below returns the number of cells below id c in a layer whose root
+// span is r and own span o (each sorted, every cell of r below every
+// cell of o).
+func below(r, o []int32, c int32) int {
+	if len(r) > 0 && c <= r[len(r)-1] {
+		k, _ := slices.BinarySearch(r, c)
+		return k
 	}
-	if hi > top {
-		zo, b := l.s.zoff[l.zo:], top+1
-		o = l.s.zidx[l.off+zo[max(lo, b)-b] : l.off+zo[hi-b+1]]
-	}
-	return r, o
+	k, _ := slices.BinarySearch(o, c)
+	return len(r) + k
 }
 
-// window returns the layer-local indices of cells at position i with z in
-// [lo, hi]. A single bucket is a direct slice, in activation order;
-// spanning windows are merged into buf and sorted, because candidate
-// recording order must match the exhaustive layer scan (ascending
-// activation index) for the resume's tie-breaking contract.
-func (l *ckLayer) window(i, lo, hi int, buf *[]int32) []int32 {
+// window returns the layer-local index range [a, b) of the cells at
+// position i with z in [lo, hi]; kq is K·|Q|, the stride of z in a cell
+// id. a is a binary search; b steps through the run, which the caller
+// reads next anyway.
+func (l *ckLayer) window(i, lo, hi int, kq int32) (a, b int) {
 	lo, hi = max(lo, 0), min(hi, int(l.maxZ))
 	if l.n == 0 || lo > hi {
-		return nil
+		return 0, 0
 	}
-	r, o := l.zrange(i, lo, hi)
-	if lo == hi {
-		if len(r) > 0 {
-			return r
-		}
-		return o
+	r, o := l.cells(i)
+	a, end := below(r, o, int32(lo)*kq), int32(hi+1)*kq
+	for b = a; b < len(r) && r[b] < end; b++ {
 	}
-	*buf = append(append((*buf)[:0], r...), o...)
-	slices.Sort(*buf)
-	return *buf
+	for ; b >= len(r) && b < int(l.n) && o[b-len(r)] < end; b++ {
+	}
+	return a, b
 }
 
 // ckSlab is the cell storage of the layers one view relaxed: their own
-// cells/score/prev/zidx concatenated into flat arrays, their z-bucket
-// offsets into zoff, and, for a derived view, the root each derived layer
-// shares, by position; each array exactly as long as its contents — a
-// build relaxes into the growable buffer of its ConstrainScratch, itself
-// a ckSlab that only grows, and seal copies that out. vid is the id of
-// the view that built the slab. A slab is an object of its own, apart
-// from its view's header array, so an extension that aliases a base's
-// layers pins the base's slab but not the base's headers, and a root
-// pins the slab it lies in.
+// cells and scores concatenated into two flat arrays and, for a derived
+// view, the root each derived layer shares, by position; each array
+// exactly as long as its contents — a build relaxes into the growable
+// buffer of its ConstrainScratch, itself a ckSlab that only grows, and
+// seal copies that out. vid is the id of the view that built the slab.
+// A slab is an object of its own, apart from its view's header array, so
+// an extension that aliases a base's layers pins the base's slab but not
+// the base's headers, and a root pins the slab it lies in.
 type ckSlab struct {
 	cells []int32
 	score []float64
-	prev  []int32
-	zidx  []int32
-	zoff  []int32
 	roots []ckLayer
 	vid   uint64
 }
@@ -263,15 +248,12 @@ func grow[T int32 | float64](s []T, n int) []T {
 // snapshot appends the layer at position i to the build buffer s, points
 // layer at it and resets the frontier for the next position. A derived
 // position passes its donor's layer d (nil otherwise). The layer then
-// shares d's root, or d itself when d has none, so it owns a copy of d's
-// own cells only, verbatim: cell ids do not depend on the alignment, and
-// d's layer-local prev indices and z buckets carry over unchanged. The
-// frontier's active cells follow in activation order — on a derived
-// position they all lie in columns above d's — and are counting-sorted
-// into z buckets above d's. kq is K·|Q|, the stride of z in a cell id;
-// zcur is the counting-sort cursor scratch; zbuf holds the per-cell z
-// values so the division is computed once per cell.
-func (s *ckSlab) snapshot(layer *ckLayer, i int, f *frontier, prevBuf []int32, kq int32, d *ckLayer, zcur, zbuf *[]int32) {
+// shares d's root, or d itself when d has none, and owns a verbatim copy
+// of d's own cells — cell ids do not depend on the alignment — which lie
+// above the root and are already in cell order. The frontier's active
+// cells follow, sorted; on a derived position they all lie in columns
+// above d's. kq is K·|Q|, the stride of z in a cell id.
+func (s *ckSlab) snapshot(layer *ckLayer, i int, f *frontier, kq int32, d *ckLayer) {
 	rt, dn := &noRoot, 0
 	if d != nil {
 		if rt = d.root(i); rt == &noRoot {
@@ -280,78 +262,30 @@ func (s *ckSlab) snapshot(layer *ckLayer, i int, f *frontier, prevBuf []int32, k
 		dn = int(d.n - rt.n)
 		s.roots = append(s.roots, *rt)
 	}
-	top := rt.top()
-	nn := len(f.list)
-	own := dn + nn
+	own := dn + len(f.list)
 	*layer = ckLayer{s: s}
 	if int(rt.n)+own == 0 {
 		return // the exact-prefix language died here; f is already empty
 	}
+	maxZ := int32(max(rt.top(), 0))
 	off := len(s.cells)
 	s.cells = grow(s.cells, own)
 	s.score = grow(s.score, own)
-	s.prev = grow(s.prev, own)
-	s.zidx = grow(s.zidx, own)
-	cells := s.cells[off:]
-	score := s.score[off:]
-	prev := s.prev[off:]
-	zidx := s.zidx[off:]
-	dm := top // the highest column of the copied cells
+	cells, score := s.cells[off:], s.score[off:]
 	if dn > 0 {
-		dm = int(d.maxZ)
+		maxZ = d.maxZ
 		copy(cells, d.s.cells[d.off:d.off+int32(dn)])
 		copy(score, d.s.score[d.off:d.off+int32(dn)])
-		copy(prev, d.s.prev[d.off:d.off+int32(dn)])
-		copy(zidx, d.s.zidx[d.off:d.off+int32(dn)])
 	}
-	if cap(*zbuf) < nn {
-		*zbuf = make([]int32, nn)
-	}
-	zs := (*zbuf)[:nn]
-	maxZ := int32(max(dm, 0))
-	for t, cell := range f.list {
-		cells[dn+t] = cell
-		score[dn+t] = f.val[cell]
-		prev[dn+t] = prevBuf[cell]
-		z := cell / kq
-		zs[t] = z
-		if z > maxZ {
-			maxZ = z
+	if nn := len(f.list); nn > 0 {
+		f.sortList()
+		for t, cell := range f.list {
+			cells[dn+t] = cell
+			score[dn+t] = f.val[cell]
 		}
+		maxZ = f.list[nn-1] / kq
 	}
-
-	// Own offsets cover columns b..maxZ, b = top+1; the copied ones carry
-	// over, so only the band's columns are counted.
-	b := int32(top + 1)
-	zo := len(s.zoff)
-	zlen := int(maxZ-b) + 2
-	if need := zo + zlen; cap(s.zoff) >= need {
-		s.zoff = s.zoff[:need]
-		clear(s.zoff[zo:])
-	} else {
-		s.zoff = append(s.zoff, make([]int32, zlen)...)
-	}
-	zoff := s.zoff[zo:]
-	if dn > 0 {
-		copy(zoff, d.s.zoff[d.zo:int(d.zo)+dm-top+1])
-	}
-	for _, z := range zs {
-		zoff[z-b+1]++
-	}
-	for k := dm - top + 1; k < zlen; k++ {
-		zoff[k] += zoff[k-1]
-	}
-	if cap(*zcur) < zlen-1 {
-		*zcur = make([]int32, zlen-1)
-	}
-	cur := (*zcur)[:zlen-1]
-	copy(cur, zoff[:zlen-1])
-	for t, z := range zs {
-		zidx[cur[z-b]] = rt.n + int32(dn+t)
-		cur[z-b]++
-	}
-
-	layer.off, layer.n, layer.maxZ, layer.zo = int32(off), rt.n+int32(own), maxZ, int32(zo)
+	layer.off, layer.n, layer.maxZ = int32(off), rt.n+int32(own), maxZ
 	f.reset()
 }
 
@@ -363,9 +297,6 @@ func (s *ckSlab) snapshot(layer *ckLayer, i int, f *frontier, prevBuf []int32, k
 func (s *ckSlab) seal(b *ckSlab, own []ckLayer) {
 	s.cells = fit(s.cells, b.cells)
 	s.score = fit(s.score, b.score)
-	s.prev = fit(s.prev, b.prev)
-	s.zidx = fit(s.zidx, b.zidx)
-	s.zoff = fit(s.zoff, b.zoff)
 	s.roots = fit(s.roots, b.roots)
 	clear(b.roots)
 	s.vid = viewSeq.Add(1)
@@ -513,12 +444,9 @@ func NewLazyCheckpoint(nt *NFATables, v *SeqView, align []automata.Symbol, b *Bo
 // donor chain as its root and copies only the cells the donor stacked
 // above that root; its own slab holds those and its band. The donor must
 // be ungated (complete layers); otherwise the build falls back to the
-// full DP. The result is identical either way up to tie order: cell
-// scores, buckets and traceback validity all match a from-scratch build,
-// while the within-layer activation order of donor columns is the
-// donor's own — a payload-order difference a tied emission may observe,
-// which callers under the ranked tie-class contract (set-identity within
-// exactly tied scores) do not. When the donor covers fewer positions than
+// full DP. The result is identical either way: every layer is in cell
+// order, so a derived view holds a from-scratch build's layers cell for
+// cell, in the same order. When the donor covers fewer positions than
 // v (a handle carried from before an append), the remaining positions
 // relax in full. The ranked enumerator uses this for the checkpoint of a
 // freshly emitted answer, whose alignment extends an already-cached one
@@ -733,19 +661,13 @@ type crossCand struct {
 // pool.
 type ConstrainScratch struct {
 	f         frontier // build: z·K·|Q| + x·|Q|+q cell space
-	prevBuf   []int32  // build: predecessor index per cell, rebuilt per layer
-	zcur      []int32  // build: counting-sort cursor for the z-bucket index
-	zbuf      []int32  // build: per-cell z values of the layer being snapshotted
-	zstep     []int32  // build: alignStep memo, [edge·zdim+z] → z2 or -1
 	xof, qof  []int32  // build: xq → (x, q) decode tables for the current (K, |Q|)
 	xqK, xqS  int      // build: the (K, |Q|) the decode tables were sized for
-	iota      []int32  // build: 0, 1, 2, …: the activation-order predecessor list
 	buf       ckSlab   // build: the layers being relaxed, before seal copies them out
 	cur, next frontier // resume: past-zone (x·|Q|+q) cell space
 	back      []int32  // resume: per-position past-zone backpointers of the swept positions
 	cross     []crossRec
 	cands     []crossCand // resume: selected crossing candidates, recycled across resolves
-	win       []int32     // resume: multi-bucket boundary-window merge buffer
 	surv      survivors   // resume: the survivor segment being built, or the best path's alone
 	mark      []int32     // resume: cell → entry of the position survive is filling, else -1
 	head      []int32     // resume: cell → index in a continued prior's Cells
@@ -788,20 +710,6 @@ func (sc *ConstrainScratch) Recycle(ck *Checkpoint) {
 
 var constrainScratchPool = sync.Pool{New: func() any { return new(ConstrainScratch) }}
 
-// alignStep advances the matched-prefix count z by emission w, reporting
-// false when the output stops being an exact prefix of align.
-func alignStep(align []automata.Symbol, z int, w []automata.Symbol) (int, bool) {
-	if z+len(w) > len(align) {
-		return 0, false
-	}
-	for i, s := range w {
-		if align[z+i] != s {
-			return 0, false
-		}
-	}
-	return z + len(w), true
-}
-
 // crossOK reports whether emission w fired from matched-prefix count z
 // crosses the constraint boundary admissibly: it completes align[:l] and
 // its first past-boundary symbol is not forbidden.
@@ -818,43 +726,38 @@ func crossOK(align []automata.Symbol, l, z int, w []automata.Symbol, forb map[au
 	return !forb[w[k]]
 }
 
-// alignMemo fills sc.zstep with the alignStep results of every
-// transition-table edge at every matched-prefix count: zstep[z·|δ|+t] is
-// the z' that edge t's emission advances z to, or -1 when the output
-// stops being an exact prefix of align. One O(|δ|·|align|) pass replaces
-// the per-relaxation emission compare in the build's inner loop — the
-// memo is shared by all N layers, so it pays for itself many times over.
-// The layout is z-major because the build fixes z per cell and scans the
-// (q, y) edge range in the inner loop: consecutive t probes then walk
-// one cache line instead of striding by zdim.
-func alignMemo(sc *ConstrainScratch, nt *NFATables, align []automata.Symbol, zdim int) []int32 {
-	nT := len(nt.Succ)
-	need := nT * zdim
-	if cap(sc.zstep) < need {
-		sc.zstep = make([]int32, need)
-	}
-	zstep := sc.zstep[:need]
-	for i := range zstep {
-		zstep[i] = -1
-	}
-	for t := 0; t < nT; t++ {
-		w := nt.Emit[nt.EmitPtr[t]:nt.EmitPtr[t+1]]
-		if len(w) == 1 {
-			s := w[0]
-			for z := 0; z < len(align); z++ {
-				if align[z] == s {
-					zstep[z*nT+t] = int32(z + 1)
-				}
-			}
-			continue
+// zAfter returns the matched-prefix count transition t of nt advances z
+// to, or -1 when its emission stops the output being an exact prefix of
+// align.
+func zAfter(nt *NFATables, align []automata.Symbol, z, t int32) int32 {
+	switch code := nt.EmitSym[t]; {
+	case code == -1:
+		return z
+	case code >= 0:
+		if code == alignCode(align, z) {
+			return z + 1
 		}
-		for z := 0; z+len(w) <= len(align); z++ {
-			if z2, ok := alignStep(align, z, w); ok {
-				zstep[z*nT+t] = int32(z2)
-			}
+		return -1
+	}
+	w := nt.Emit[nt.EmitPtr[t]:nt.EmitPtr[t+1]]
+	if int(z)+len(w) > len(align) {
+		return -1
+	}
+	for i, s := range w {
+		if align[int(z)+i] != s {
+			return -1
 		}
 	}
-	return zstep
+	return z + int32(len(w))
+}
+
+// alignCode returns align[z] as an emission code (NFATables.EmitSym), or
+// -3, which no transition's code equals, when z = |align|.
+func alignCode(align []automata.Symbol, z int32) int32 {
+	if int(z) < len(align) {
+		return int32(align[z])
+	}
+	return -3
 }
 
 // decodeTables returns the xq → (x, q) lookup tables for a K·|Q| product
@@ -888,20 +791,21 @@ func decodeTables(sc *ConstrainScratch, k, states int) (xof, qof []int32) {
 //   - positions below the first materialized view in ck's base chain
 //     copy that view's layer headers (extension; see
 //     NewExtendedLazyCheckpoint) — bit-identical to relaxing them, since
-//     the DP is position-local and relax keeps the incumbent on equal
-//     scores;
+//     the DP is position-local and every layer is stored in cell order;
 //   - positions the donor covers share the donor's layer and relax only
 //     the boundary band into new columns z > |donor.Align| (derivation;
-//     see NewLazyCheckpointFrom), enumerating the band through the
-//     previous layer's z-bucket index;
-//   - every other position relaxes its predecessors in full, in
-//     activation order, gated by ck.b when it is set.
+//     see NewLazyCheckpointFrom): the predecessors z ≥ band, the previous
+//     layer's tail from the band's first cell;
+//   - every other position relaxes its predecessors in full, gated by
+//     ck.b when it is set.
 //
-// Layers relax into the scratch's build buffer, read back through it
-// until seal copies them into the view's own slab. A recycled view lends
-// its header array and slab and leaves the freelist only on completion,
-// so a cancelled build returns the error and leaves the scratch as it
-// was (sc.f is empty at every poll point: snapshot resets it).
+// Predecessors relax in stored order, and relax keeps the first arrival
+// of a maximum, which is what walkPrefix relies on. Layers relax into the
+// scratch's build buffer, read back through it until seal copies them
+// into the view's own slab. A recycled view lends its header array and
+// slab and leaves the freelist only on completion, so a cancelled build
+// returns the error and leaves the scratch as it was (sc.f is empty at
+// every poll point: snapshot resets it).
 func materialize(p *Poll, ck *Checkpoint, sc *ConstrainScratch) (*ckView, int, error) {
 	var alias []ckLayer
 	if c, vw := firstView(ck.base.Load()); vw != nil {
@@ -921,27 +825,20 @@ func materialize(p *Poll, ck *Checkpoint, sc *ConstrainScratch) (*ckView, int, e
 	}
 
 	nt, v, b := ck.nt, ck.v, ck.b
-	zdim := len(ck.Align) + 1
+	align := ck.Align
 	states := nt.States
 	kq := ck.kq
 	kq32 := int32(kq)
-	size := kq * zdim
-	sc.f.ensure(size)
+	sc.f.ensure(kq * (len(align) + 1))
 	sc.f.reset()
-	if cap(sc.prevBuf) < size {
-		sc.prevBuf = make([]int32, size)
-	}
-	prevBuf := sc.prevBuf[:size]
-	zstep := alignMemo(sc, nt, ck.Align, zdim)
 	xof, qof := decodeTables(sc, v.K, states)
-	nT := len(nt.Succ)
 	off := nt.Off
 	syms := nt.Syms
-	band := max(dlen+1-nt.MaxEmit, 0)
+	emitSym := nt.EmitSym
+	band := int32(max(dlen+1-nt.MaxEmit, 0))
 
 	buf := &sc.buf
-	buf.cells, buf.score, buf.prev = buf.cells[:0], buf.score[:0], buf.prev[:0]
-	buf.zidx, buf.zoff, buf.roots = buf.zidx[:0], buf.zoff[:0], buf.roots[:0]
+	buf.cells, buf.score, buf.roots = buf.cells[:0], buf.score[:0], buf.roots[:0]
 	free := len(sc.free)
 	var vw *ckView
 	if free > 0 {
@@ -966,11 +863,13 @@ func materialize(p *Poll, ck *Checkpoint, sc *ConstrainScratch) (*ckView, int, e
 			return nil, 0, err
 		}
 		// zmin is the highest column this position does not relax into:
-		// -1 relaxes every column, a donor's |Align| only the new ones.
-		zmin := -1
+		// -1 relaxes every column, a donor's |Align| only the new ones. A
+		// transition whose emission leaves the alignment advances to -1,
+		// so one compare drops it too.
+		zmin := int32(-1)
 		var d *ckLayer
 		if i < len(donor) {
-			zmin, d = dlen, &donor[i]
+			zmin, d = int32(dlen), &donor[i]
 		}
 		if b != nil {
 			prow = b.pot[i*kq : (i+1)*kq]
@@ -980,18 +879,15 @@ func materialize(p *Poll, ck *Checkpoint, sc *ConstrainScratch) (*ckView, int, e
 				lp := math.Log(v.InitVal[ii])
 				elo, ehi := nt.Edges(int(nt.Start), int(x))
 				for e := elo; e < ehi; e++ {
-					z2 := zstep[e]
-					if int(z2) <= zmin {
+					z2 := zAfter(nt, align, 0, e)
+					if z2 <= zmin {
 						continue
 					}
 					q2 := int(nt.Succ[e])
 					if prow != nil && prow[int(x)*states+q2] == neg {
 						continue
 					}
-					cell := z2*kq32 + int32(int(x)*states+q2)
-					if sc.f.relax(cell, lp) {
-						prevBuf[cell] = -1
-					}
+					sc.f.relax(z2*kq32+int32(int(x)*states+q2), lp)
 				}
 			}
 		} else {
@@ -1001,36 +897,27 @@ func materialize(p *Poll, ck *Checkpoint, sc *ConstrainScratch) (*ckView, int, e
 			}
 			// A built predecessor reads the build buffer, which only grows
 			// at the snapshot below, after this iteration is done with it.
+			// On a derived position only the band can reach a new column.
 			rc, oc := pl.cells(i - 1)
 			rsc, osc := pl.scores(i - 1)
-			// Predecessors relax in activation order, except on a derived
-			// position: there only the boundary band can reach a new column,
-			// buckets band..maxZ, in bucket order. preds[0] indexes the
-			// root's span, preds[1] the layer's own.
-			var preds [2][]int32
+			a := 0
 			if d != nil {
-				if band <= int(pl.maxZ) {
-					preds[0], preds[1] = pl.zrange(i-1, band, int(pl.maxZ))
-				}
-			} else {
-				for len(sc.iota) < int(pl.n) {
-					sc.iota = append(sc.iota, int32(len(sc.iota)))
-				}
-				preds[0], preds[1] = sc.iota[:len(rc)], sc.iota[len(rc):pl.n]
+				a = below(rc, oc, band*kq32)
 			}
+			ra := min(a, len(rc))
 			st := &v.Steps[i-1]
-			for part, list := range preds {
-				pcells, pscore, first := rc, rsc, int32(0)
+			for part, pcells := range [2][]int32{rc[ra:], oc[a-ra:]} {
+				pscore := rsc[ra:]
 				if part == 1 {
-					pcells, pscore, first = oc, osc, int32(len(rc))
+					pscore = osc[a-ra:]
 				}
-				for _, pj := range list {
-					pcell, base := pcells[pj-first], pscore[pj-first]
+				for j, pcell := range pcells {
+					base := pscore[j]
 					z := pcell / kq32
+					az := alignCode(align, z)
 					xq := int(pcell - z*kq32)
 					x := int(xof[xq])
 					q := int(qof[xq])
-					zrow := zstep[int(z)*nT : (int(z)+1)*nT]
 					for e := st.RowPtr[x]; e < st.RowPtr[x+1]; e++ {
 						y := int(st.Col[e])
 						lp := base + st.LogVal[e]
@@ -1038,24 +925,28 @@ func materialize(p *Poll, ck *Checkpoint, sc *ConstrainScratch) (*ckView, int, e
 						tlo, thi := off[ti], off[ti+1]
 						yBase := y * states
 						for t := tlo; t < thi; t++ {
-							z2 := zrow[t]
-							if int(z2) <= zmin {
+							z2 := z
+							if code := emitSym[t]; code == az {
+								z2++
+							} else if code == -2 {
+								z2 = zAfter(nt, align, z, t)
+							} else if code != -1 {
+								continue
+							}
+							if z2 <= zmin {
 								continue
 							}
 							q2 := int(nt.Succ[t])
 							if prow != nil && prow[yBase+q2] == neg {
 								continue
 							}
-							cell := z2*kq32 + int32(yBase+q2)
-							if sc.f.relax(cell, lp) {
-								prevBuf[cell] = pj
-							}
+							sc.f.relax(z2*kq32+int32(yBase+q2), lp)
 						}
 					}
 				}
 			}
 		}
-		buf.snapshot(&layers[i], i, &sc.f, prevBuf, kq32, d, &sc.zcur, &sc.zbuf)
+		buf.snapshot(&layers[i], i, &sc.f, kq32, d)
 		built++
 	}
 	if free > 0 {
@@ -1066,27 +957,67 @@ func materialize(p *Poll, ck *Checkpoint, sc *ConstrainScratch) (*ckView, int, e
 	return vw, built, nil
 }
 
-// walkPrefix reconstructs nodes/states for positions 0..li by following
-// the view's prev chain from cell pj of layer li.
-func (ck *Checkpoint) walkPrefix(layers []ckLayer, li, pj int, nodes []automata.Symbol, states []int) {
-	for ; li >= 0; li-- {
-		s, k := layers[li].loc(li, pj)
-		xq := int(uint32(s.cells[k]) % uint32(ck.kq))
-		nodes[li] = automata.Symbol(xq / ck.states)
-		states[li] = xq % ck.states
-		pj = int(s.prev[k])
+// walkPrefix fills nodes and states for positions 0..li along the run
+// the DP kept into cell j of layer li, over nt and v. Each step back
+// scans the previous layer in stored order for the first cell whose
+// score plus the step weight into the current cell equals the cell's
+// score and whose transition reaches the cell's (state, z): the
+// predecessor materialize kept, since it relaxes predecessors in that
+// order and relax keeps the first arrival of a maximum. That holds on
+// fresh, derived and extended views alike — predecessors below a derived
+// band cannot reach a new column, and z never decreases along a run — so
+// finding none is a broken invariant.
+func (ck *Checkpoint) walkPrefix(nt *NFATables, v *SeqView, layers []ckLayer, li, j int, nodes []automata.Symbol, states []int) {
+	kq := int32(ck.kq)
+	s, k := layers[li].loc(li, j)
+	cell, score := s.cells[k], s.score[k]
+	for ; ; li-- {
+		z := cell / kq
+		y, q2 := int(cell-z*kq)/ck.states, int(cell-z*kq)%ck.states
+		nodes[li], states[li] = automata.Symbol(y), q2
+		if li == 0 {
+			return
+		}
+		pl, st := &layers[li-1], &v.Steps[li-1]
+		found := false
+		for pj := 0; pj < int(pl.n) && !found; pj++ {
+			ps, pk := pl.loc(li-1, pj)
+			pcell := ps.cells[pk]
+			pz := pcell / kq
+			if pz > z {
+				break // cell order: every later predecessor lies in a higher column
+			}
+			xq := int(pcell - pz*kq)
+			x, q := xq/ck.states, xq%ck.states
+			for e := st.RowPtr[x]; e < st.RowPtr[x+1]; e++ {
+				if int(st.Col[e]) != y || ps.score[pk]+st.LogVal[e] != score {
+					continue
+				}
+				lo, hi := nt.Edges(q, y)
+				for t := lo; t < hi; t++ {
+					if int(nt.Succ[t]) == q2 && zAfter(nt, ck.Align, pz, t) == z {
+						cell, score, found = pcell, ps.score[pk], true
+						break
+					}
+				}
+				break
+			}
+		}
+		if !found {
+			panic("kernel: checkpoint walk-back found no predecessor")
+		}
 	}
 }
 
 // exactAnswer assembles the answer of a run that never leaves the
 // matched zone: output align[:l] and, with evidence, the nodes and
 // states walked back through the checkpoint from cell j of the final
-// layer.
-func (ck *Checkpoint) exactAnswer(layers []ckLayer, j, l int, evidence bool) (out, nodes []automata.Symbol, states []int) {
+// layer, over nt and v.
+func (ck *Checkpoint) exactAnswer(nt *NFATables, v *SeqView, layers []ckLayer, j, l int, evidence bool) (out, nodes []automata.Symbol, states []int) {
 	if evidence {
 		nodes = make([]automata.Symbol, len(layers))
 		states = make([]int, len(layers))
-		ck.walkPrefix(layers, len(layers)-1, j, nodes, states)
+		ck.walkPrefix(nt, v, layers, len(layers)-1, j, nodes, states)
 	}
 	return automata.CloneString(ck.Align[:l]), nodes, states
 }
@@ -1249,8 +1180,8 @@ func ResumeConstrainedIncCtx(ctx context.Context, nt *NFATables, v *SeqView, ck 
 // continuation from prior.N seeded with prior's frontier, selecting
 // crossing candidates only at the positions it sweeps and tracing back
 // through prior's survivor store below them. With evidence it also
-// returns the run's nodes and states, walking the checkpoint's
-// backpointers through the matched zone; without, nodes and states are
+// returns the run's nodes and states, walking the checkpoint back
+// through the matched zone; without, nodes and states are
 // nil and only the past-zone suffix the output needs is traced, into
 // scratch rows.
 func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c transducer.Constraint, b *Bounds, prior, rs *ResumeState, sc *ConstrainScratch, evidence bool) (out, nodes []automata.Symbol, states []int, logp float64, ok, continued bool, err error) {
@@ -1293,10 +1224,11 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 	exactBest, exactIdx := neg, -1
 	if c.Mode != transducer.ExtensionsOnly {
 		last := &layers[v.N-1]
-		for _, j := range last.window(v.N-1, l, l, nil) {
-			s, k := last.loc(v.N-1, int(j))
+		a, e := last.window(v.N-1, l, l, kq32)
+		for j := a; j < e; j++ {
+			s, k := last.loc(v.N-1, j)
 			if nt.Accept[int(s.cells[k])%nt.States] && s.score[k] > exactBest {
-				exactBest, exactIdx = s.score[k], int(j)
+				exactBest, exactIdx = s.score[k], j
 			}
 		}
 	}
@@ -1304,7 +1236,7 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 		if exactIdx < 0 {
 			return nil, nil, nil, neg, false, false, nil
 		}
-		out, nodes, states = ck.exactAnswer(layers, exactIdx, l, evidence)
+		out, nodes, states = ck.exactAnswer(nt, v, layers, exactIdx, l, evidence)
 		return out, nodes, states, exactBest, true, false, nil
 	}
 
@@ -1340,7 +1272,8 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 	// off the initial distribution (the whole prefix plus at least one
 	// symbol inside a single emission), later positions off the z-window
 	// of each checkpoint layer (only cells with l−MaxEmit < z ≤ l can
-	// cross; the z-bucket index serves them without scanning the layer).
+	// cross; they are one run of the cell-ordered layer, found by binary
+	// search, in stored order).
 	// With bounds, each candidate's score + potential is exact, so their
 	// running maximum L is the constrained optimum so far and anything
 	// below its threshold can be dropped at enumeration time: L only
@@ -1393,8 +1326,8 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 		if int(prevLayer.maxZ)+nt.MaxEmit <= l || prevLayer.n == 0 {
 			continue
 		}
-		win := prevLayer.window(i-1, winLo, l, &sc.win)
-		if len(win) == 0 {
+		wa, wb := prevLayer.window(i-1, winLo, l, kq32)
+		if wa == wb {
 			continue
 		}
 		st := &v.Steps[i-1]
@@ -1403,8 +1336,7 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 			prow0 = b.pot[(i-1)*pastSize : i*pastSize]
 			prow1 = b.pot[i*pastSize : (i+1)*pastSize]
 		}
-		for _, pj := range win {
-			pi := int(pj)
+		for pi := wa; pi < wb; pi++ {
 			s, k := prevLayer.loc(i-1, pi)
 			pcell, base := s.cells[k], s.score[k]
 			z := int(pcell / kq32)
@@ -1570,7 +1502,7 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 	}
 	sc.cur.reset()
 	if exactIdx >= 0 && exactBest >= best {
-		out, nodes, states = ck.exactAnswer(layers, exactIdx, l, evidence)
+		out, nodes, states = ck.exactAnswer(nt, v, layers, exactIdx, l, evidence)
 		return out, nodes, states, exactBest, true, continued, nil
 	}
 	if bestCell < 0 {
@@ -1591,7 +1523,7 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 		s, k := layers[rec.layer].loc(int(rec.layer), int(rec.pi))
 		z = int(s.cells[k]) / kq
 		if evidence {
-			ck.walkPrefix(layers, int(rec.layer), int(rec.pi), nodes, states)
+			ck.walkPrefix(nt, v, layers, int(rec.layer), int(rec.pi), nodes, states)
 		}
 	}
 	w := nt.Emit[nt.EmitPtr[rec.edge]:nt.EmitPtr[rec.edge+1]]

@@ -36,16 +36,15 @@ func MaterializedCheckpoint(ctx context.Context, nt *NFATables, v *SeqView, alig
 const LayerHeaderBytes = unsafe.Sizeof(ckLayer{})
 
 // ViewStorage is what a materialized view owns: its header array, the
-// cells and z-bucket offsets of the layers it relaxed itself, and the
-// length and capacity of each array of its slab (cells, score, prev,
-// zidx, zoff, roots). Shared counts the cells its layers read from roots
-// in other views' slabs. Base reports whether the handle still links an
-// extension base.
+// cells of the layers it relaxed itself, and the length and capacity of
+// each array of its slab (cells, score, roots). Shared counts the cells
+// its layers read from roots in other views' slabs. Base reports whether
+// the handle still links an extension base.
 type ViewStorage struct {
 	Headers, HeadersCap int
-	Cells, ZOffs        int
+	Cells               int
 	Shared              int
-	Len, Cap            [6]int
+	Len, Cap            [3]int
 	Base                bool
 }
 
@@ -63,18 +62,38 @@ func CheckpointStorage(ck *Checkpoint) (st ViewStorage, ok bool) {
 		st.Shared += int(rt.n)
 		if l.s == s && l.n > 0 {
 			st.Cells += int(l.n - rt.n)
-			st.ZOffs += int(l.maxZ) - rt.top() + 1
 		}
 	}
 	st.Headers, st.HeadersCap = len(vw.layers), cap(vw.layers)
-	st.Len = [6]int{len(s.cells), len(s.score), len(s.prev), len(s.zidx), len(s.zoff), len(s.roots)}
-	st.Cap = [6]int{cap(s.cells), cap(s.score), cap(s.prev), cap(s.zidx), cap(s.zoff), cap(s.roots)}
+	st.Len = [3]int{len(s.cells), len(s.score), len(s.roots)}
+	st.Cap = [3]int{cap(s.cells), cap(s.score), cap(s.roots)}
 	st.Base = ck.base.Load() != nil
 	return st, true
 }
 
+// layerCells returns the cells, in stored order, and forward scores of
+// the layer at position i of vw.
+func layerCells(vw *ckView, i int) (cells []int32, scores []float64) {
+	l := &vw.layers[i]
+	rc, oc := l.cells(i)
+	rsc, osc := l.scores(i)
+	return append(rc[:len(rc):len(rc)], oc...), append(rsc[:len(rsc):len(rsc)], osc...)
+}
+
+// ViewLayer returns the cells, in stored order, and forward scores of
+// the layer at position i of ck's own materialized view; ok is false
+// while ck is unmaterialized.
+func ViewLayer(ck *Checkpoint, i int) (cells []int32, scores []float64, ok bool) {
+	vw := ck.view.Load()
+	if vw == nil {
+		return nil, nil, false
+	}
+	cells, scores = layerCells(vw, i)
+	return cells, scores, true
+}
+
 // FrontierLayer returns the layer FrontierBound(maxN, ·) prices: the
-// cells, in activation order, and forward scores at position n-1 of the
+// cells, in stored order, and forward scores at position n-1 of the
 // first materialized view in ck's extension chain, n = min(its length,
 // maxN). ok is false exactly when FrontierBound's is.
 func FrontierLayer(ck *Checkpoint, maxN int) (cells []int32, scores []float64, n int, ok bool) {
@@ -83,10 +102,8 @@ func FrontierLayer(ck *Checkpoint, maxN int) (cells []int32, scores []float64, n
 		return nil, nil, 0, false
 	}
 	n = min(c.n, maxN)
-	l := &vw.layers[n-1]
-	rc, oc := l.cells(n - 1)
-	rsc, osc := l.scores(n - 1)
-	return append(rc[:len(rc):len(rc)], oc...), append(rsc[:len(rsc):len(rsc)], osc...), n, true
+	cells, scores = layerCells(vw, n-1)
+	return cells, scores, n, true
 }
 
 // ViewsBuilt returns the number of views materialized so far by every

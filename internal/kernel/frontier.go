@@ -53,12 +53,35 @@ func (f *frontier) relax(i int32, v float64) bool {
 }
 
 // sortList puts the active-cell list in increasing cell order. The
-// constrained resume sorts each layer before expanding it so that the
-// expansion order — and with it every tie-broken incumbent — depends
-// only on which cells are active, not on how they were first reached;
-// that is what makes the bounds-pruned sweep bit-identical to the
-// exhaustive one (see the determinism notes in constrained.go).
-func (f *frontier) sortList() { slices.Sort(f.list) }
+// constrained resume sorts each past-zone layer before expanding it, and
+// the checkpoint build each layer it stores, so that the expansion order
+// — and with it every tie-broken incumbent — depends only on which cells
+// are active, not on how they were first reached; that is what makes the
+// bounds-pruned sweep bit-identical to the exhaustive one, and a derived
+// or extended checkpoint identical to a fresh build (see the determinism
+// notes in constrained.go). A list that fills at least an eighth of the
+// cell range it spans is rebuilt in linear time, by one scan of the
+// range's flags; a sparser one is sorted.
+func (f *frontier) sortList() {
+	if len(f.list) < 2 {
+		return
+	}
+	lo, hi := f.list[0], f.list[0]
+	for _, c := range f.list[1:] {
+		lo, hi = min(lo, c), max(hi, c)
+	}
+	if int(hi-lo) >= 8*len(f.list) {
+		slices.Sort(f.list)
+		return
+	}
+	k := 0
+	for c, on := range f.on[lo : hi+1] {
+		if on {
+			f.list[k] = lo + int32(c)
+			k++
+		}
+	}
+}
 
 // reset deactivates every active cell, restoring the all-zero invariant
 // in O(active) time.

@@ -164,8 +164,8 @@ func lazyAllocWorkload(t *testing.T) (nt *kernel.NFATables, v *kernel.SeqView, b
 // TestResumeSteadyStateAllocs pins the scratch-recycling property of the
 // bounded resume: with a warm ConstrainScratch, repeated resumes of the
 // same constraint allocate only the returned answer/evidence slices —
-// the candidate list, frontiers, backpointers, and window buffers all
-// come from the scratch.
+// the candidate list, frontiers and backpointers all come from the
+// scratch.
 func TestResumeSteadyStateAllocs(t *testing.T) {
 	nt, v, b, o, c, sc := lazyAllocWorkload(t)
 	ck, err := kernel.MaterializedCheckpoint(context.Background(), nt, v, o, b, sc)

@@ -46,8 +46,8 @@ func extendTo(t *testing.T, full, m *markov.Sequence, n int) *markov.Sequence {
 // checkpoints on the RFID and textgen workloads: a layer header takes at
 // most 24 bytes; a full build, a derived build and one- and five-position
 // extensions each own a header array of exactly the sequence length and
-// slab arrays that hold exactly the cells and z offsets the build
-// relaxed, with no spare capacity. An extension's slab holds its
+// slab arrays (cells, scores, roots) that hold exactly the cells the
+// build relaxed, with no spare capacity. An extension's slab holds its
 // appended layers only. A derived build from a fully relaxed donor owns
 // only its band — the fresh build's cells less the donor's — and reads
 // the donor's cells through one root per position, kept in its slab. A
@@ -81,9 +81,9 @@ func TestCheckpointStorageExact(t *testing.T) {
 				if st.Headers != v.N || st.HeadersCap != v.N {
 					t.Errorf("%s: header array len %d cap %d, want %d", label, st.Headers, st.HeadersCap, v.N)
 				}
-				want := [6]int{st.Cells, st.Cells, st.Cells, st.Cells, st.ZOffs, roots}
+				want := [3]int{st.Cells, st.Cells, roots}
 				if st.Len != want || st.Cap != want {
-					t.Errorf("%s: slab arrays (cells, score, prev, zidx, zoff, roots) len %v cap %v, want exactly %v", label, st.Len, st.Cap, want)
+					t.Errorf("%s: slab arrays (cells, score, roots) len %v cap %v, want exactly %v", label, st.Len, st.Cap, want)
 				}
 				if st.Base {
 					t.Errorf("%s: materialized handle keeps its extension base", label)
@@ -196,6 +196,30 @@ func TestExtensionChainLong(t *testing.T) {
 		wo, wn, ws, wlp, wok := kernel.ConstrainedViterbi(fx.nt, v, c, nil, nil)
 		if ok != wok || lp != wlp || !automata.EqualStrings(o, wo) || !automata.EqualStrings(nodes, wn) || !slices.Equal(states, ws) {
 			t.Fatalf("%v: chained resume (%v %v %v) != ConstrainedViterbi (%v %v %v)", c, ok, o, lp, wok, wo, wlp)
+		}
+	}
+}
+
+// TestDerivedExtensionMatchesFresh extends a derived checkpoint one
+// position at a time, touching every link, and checks every layer of
+// every link — the derived layers each link aliases and the appended
+// ones it relaxed — against a fresh build's, cells and scores in order.
+func TestDerivedExtensionMatchesFresh(t *testing.T) {
+	const n0, appends = 40, 12
+	fx := newChainFixture(t, n0, appends)
+	for _, cut := range []int{len(fx.align) - 1, len(fx.align) / 2} {
+		donor := kernel.NewLazyCheckpoint(fx.nt, fx.views[0], fx.align[:cut], nil)
+		touch(t, fx.nt, fx.views[0], donor)
+		ck := kernel.NewLazyCheckpointFrom(fx.nt, fx.views[0], fx.align, donor)
+		touch(t, fx.nt, fx.views[0], ck)
+		for k := 1; k <= appends; k++ {
+			ck = kernel.NewExtendedLazyCheckpoint(fx.nt, fx.views[k], ck)
+			touch(t, fx.nt, fx.views[k], ck)
+			for m := 1; m <= n0+k; m++ {
+				if err := fx.frontierMismatch(ck, m); err != nil {
+					t.Fatalf("cut %d, link %d: %v", cut, k, err)
+				}
+			}
 		}
 	}
 }

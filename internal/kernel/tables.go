@@ -72,6 +72,10 @@ type NFATables struct {
 	// emits Emit[EmitPtr[e]:EmitPtr[e+1]].
 	EmitPtr []int32
 	Emit    []automata.Symbol
+	// EmitSym, parallel to Succ, codes transition e's emission for the
+	// exact-prefix DP: the symbol it emits when it emits exactly one, -1
+	// when it emits none, -2 when it emits more.
+	EmitSym []int32
 	Accept  []bool
 	// MaxEmit is the length of the longest single-transition emission;
 	// the constraint-incremental kernels use it to bound how far one
@@ -105,6 +109,14 @@ func NewNFATables(t *transducer.Transducer) *NFATables {
 				if len(w) > nt.MaxEmit {
 					nt.MaxEmit = len(w)
 				}
+				code := int32(-2)
+				switch len(w) {
+				case 0:
+					code = -1
+				case 1:
+					code = int32(w[0])
+				}
+				nt.EmitSym = append(nt.EmitSym, code)
 				nt.Emit = append(nt.Emit, w...)
 				nt.EmitPtr = append(nt.EmitPtr, int32(len(nt.Emit)))
 			}

@@ -5,10 +5,14 @@
 // the full serving cost including the one-time backward potential sweep
 // — the speedup shown is the end-to-end one a cold query sees. The
 // pruning-efficacy counters (cells pruned, cells visited, occupancy)
-// land in the result's "extra" map for EXPERIMENTS.md and cmd/benchcmp.
+// land in the result's "extra" map for EXPERIMENTS.md and cmd/benchcmp,
+// with live-MB, the live heap while the last drained enumerator — its
+// cached checkpoints, gated or not, included — is still referenced.
 package ranked
 
 import (
+	"runtime"
+	"runtime/metrics"
 	"testing"
 
 	"markovseq/internal/kernel"
@@ -17,22 +21,30 @@ import (
 // benchPrunedDrain drains the top-benchTopK answers of the n=200 RFID
 // workload once per iteration, pruned by potentials built in the
 // iteration or exhaustive, and reports the final iteration's pruning
-// counters (all zero when exhaustive).
+// counters (all zero when exhaustive) and the live heap after it (read
+// after a forced GC with the timer stopped).
 func benchPrunedDrain(b *testing.B, pruned bool) {
 	tr, m := rfidRankedWorkload(b, 200)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var bd *kernel.Bounds
+	var e *Enumerator
 	for i := 0; i < b.N; i++ {
 		nt := kernel.NewNFATables(tr)
 		if pruned {
 			bd = kernel.NewBounds(nt, m.View())
 		}
-		e := NewEnumerator(tr, m, WithTables(nt), WithBounds(bd))
+		e = NewEnumerator(tr, m, WithTables(nt), WithBounds(bd))
 		if got := drainAnswers(e.Next, benchTopK); len(got) < benchTopK {
 			b.Fatalf("drained %d answers, want %d", len(got), benchTopK)
 		}
 	}
+	b.StopTimer()
+	heap := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	runtime.GC()
+	metrics.Read(heap)
+	runtime.KeepAlive(e)
+	b.ReportMetric(float64(heap[0].Value.Uint64())/1e6, "live-MB")
 	st := bd.Stats()
 	b.ReportMetric(float64(st.PrunedCells), "pruned-cells/op")
 	b.ReportMetric(float64(st.VisitedCells), "visited-cells/op")
