@@ -12,7 +12,13 @@ all: build test
 # calls fails here rather than only when the benchmark runs.
 LAHARBENCH = cd laharbench && $(GO) vet ./... && $(GO) test
 
+# gofmt -l lists every file, laharbench/ included, whose formatting
+# differs from gofmt's; build fails when it lists any. It only reads.
+GOFMT ?= gofmt
+FMTCHECK = @out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:" >&2; echo "$$out" >&2; exit 1; fi
+
 build:
+	$(FMTCHECK)
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(LAHARBENCH) ./...
@@ -84,7 +90,8 @@ slo:
 slo-smoke:
 	$(GO) run ./cmd/sloharness -smoke -o BENCH_slo.json
 
-# The CI gate: vet + full race suite, a fuzz smoke pass, the SLO smoke
+# The CI gate: the build checks (gofmt, vet), the full race suite, a
+# fuzz smoke pass, the SLO smoke
 # gate (skippable with SKIP_SLO=1 on machines too noisy to trust
 # latency budgets), and a benchmark-regression check for every pair
 # with a committed baseline: sliding, ranked, append (AppendEvents
@@ -95,7 +102,7 @@ slo-smoke:
 # BENCH_<p>.json fails verify instead of silently skipping. Escape
 # hatch for machines where running benchmarks is impractical (CI
 # shards, qemu): SKIP_BENCHCMP=1 make verify.
-verify: race fuzz-smoke
+verify: build race fuzz-smoke
 	@if [ "$(SKIP_SLO)" = "1" ]; then \
 		echo "verify: SKIP_SLO=1; skipping the SLO smoke gate"; \
 	else \

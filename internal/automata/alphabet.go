@@ -194,6 +194,18 @@ func HasPrefix(s, prefix []Symbol) bool {
 	return EqualStrings(s[:len(prefix)], prefix)
 }
 
+// CommonPrefix returns the length of the longest common prefix of a
+// and b.
+func CommonPrefix(a, b []Symbol) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
+}
+
 // CompareStrings orders symbol strings first by length and then
 // lexicographically; it is the canonical deterministic order used when an
 // enumeration's output order is unspecified.
@@ -227,28 +239,18 @@ func CloneString(s []Symbol) []Symbol {
 	return out
 }
 
-// StringKey packs a symbol string into a map key. This sits on the
-// checkpoint-cache and reseed hot paths of ranked enumeration — one
-// call per cache probe and per carried subproblem per append — so it
-// uses a fixed-width little-endian byte encoding: injective like the
-// old decimal form but branch-free per symbol and a third the bytes.
-// Keys are opaque; nothing parses or displays them.
+// StringKey packs a symbol string into a map key: a fixed-width
+// little-endian byte encoding, injective and branch-free per symbol.
+// Keys are opaque; only ParseKey reads them back.
 func StringKey(s []Symbol) string {
 	if len(s) == 0 {
 		return ""
 	}
-	return string(AppendKey(make([]byte, 0, 4*len(s)), s))
-}
-
-// AppendKey appends StringKey's encoding of s to dst and returns the
-// extended slice. Loops that probe maps keyed by StringKey can reuse
-// one buffer across probes and index with string(buf) — the compiler
-// elides that conversion — instead of allocating a key per lookup.
-func AppendKey(dst []byte, s []Symbol) []byte {
+	dst := make([]byte, 0, 4*len(s))
 	for _, x := range s {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(x))
 	}
-	return dst
+	return string(dst)
 }
 
 // ParseKey decodes a StringKey back into the symbol string it encodes.

@@ -648,11 +648,7 @@ func (e *Engine) EnumerateCtx(ctx context.Context, limit int) ([][]automata.Symb
 	// prefix plus the context error, regardless of cache state.
 	iterErr := ctx.Err()
 	if iterErr == nil && e.enumIter == nil && !e.enumDone {
-		if e.baseNT != nil {
-			e.enumIter = enum.NewEnumeratorWithTables(e.pt, e.m, e.baseNT)
-		} else {
-			e.enumIter = enum.NewEnumerator(e.equivalent(), e.m)
-		}
+		e.enumIter = enum.NewEnumeratorWithTables(e.pt, e.m, e.baseNT)
 	}
 	for iterErr == nil && (limit <= 0 || len(e.enumCache) < limit) && !e.enumDone {
 		o, ok, err := e.enumIter.NextCtx(ctx)
@@ -682,12 +678,9 @@ func (e *Engine) EnumerateCtx(ctx context.Context, limit int) ([][]automata.Symb
 // reachability probe runs over the base tables built at prepare time;
 // the tables are read-only, so concurrent calls are safe.
 func (e *Engine) IsAnswer(o []automata.Symbol) bool {
-	if e.baseNT != nil {
-		c := transducer.Constraint{Prefix: o, Mode: transducer.ExactOnly}
-		found, _ := kernel.ConstrainedNonEmptyBoundedCtx(context.Background(), e.baseNT, e.m.View(), c, e.ensureBounds(), nil)
-		return found
-	}
-	return enum.IsAnswer(e.equivalent(), e.m, o)
+	c := transducer.Constraint{Prefix: o, Mode: transducer.ExactOnly}
+	found, _ := kernel.ConstrainedNonEmptyBoundedCtx(context.Background(), e.baseNT, e.m.View(), c, e.ensureBounds(), nil)
+	return found
 }
 
 // ScoredAnswer is a ranked answer annotated with its exact confidence

@@ -272,14 +272,13 @@ func TestExtendValidatedSkipsDormantHandles(t *testing.T) {
 	assertEngineTopKMatches(t, "dormant-handle carry", eng.TopK(6), engineTopKThroughTies(t, ref, 6), 6)
 }
 
-// TestExtendValidatedDeepCarry drains past the extendable evaluator's
-// checkpoint cache (4096 alignments) at every append, so traces retained
-// for the continuing resume outlive the checkpoints they were traced
-// against: an evicted alignment comes back as a fresh, usually
-// donor-derived handle whose layers order the same cells differently.
-// A continuation through such a handle would follow the wrong cells; the
-// carried drain must instead match a fresh BindValidated drain score for
-// score at every append.
+// TestExtendValidatedDeepCarry drains thousands of answers at every
+// append, so most carried regions resolve against donor-derived
+// checkpoint handles, many of them derived from siblings and carried
+// across appends before they ever build, while the continuing resumes
+// trace through captures taken against earlier views. The carried drain
+// must match a fresh BindValidated drain score for score at every
+// append.
 func TestExtendValidatedDeepCarry(t *testing.T) {
 	const from, to, k = 11, 15, 4500
 	rng := rand.New(rand.NewSource(77002))
@@ -306,7 +305,7 @@ func TestExtendValidatedDeepCarry(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := eng.TopK(k); len(got) < k {
-		t.Fatalf("workload has only %d answers at n=%d; the drain must outgrow the checkpoint cache", len(got), from)
+		t.Fatalf("workload has only %d answers at n=%d; the drain must be deep", len(got), from)
 	}
 	for p := from; p < to; p++ {
 		grown = growEngineSeq(t, grown, full, p, 1)

@@ -21,7 +21,8 @@ import (
 //     reclaimed behind the cursor (see Next);
 //   - for transducer plans, per-window top-k runs on a ranked.Sweeper —
 //     the lean sequential form of the ranked enumerator — instead of a
-//     full Engine with its mutex, memo, and checkpoint LRU. The emitted
+//     full Engine with its mutex and memo, and the sweeper recycles each
+//     window's checkpoint storage into the next window's. The emitted
 //     answers are bit-identical to the engine path, and an answerless
 //     window costs the sweeper about one pass over it, because its
 //     drain finds no root answer. Other plan classes fall back to a

@@ -29,8 +29,9 @@ import (
 //     cells at a resume's constraint boundary are one contiguous run that
 //     a binary search finds; a layer keeps no backpointers and no bucket
 //     index. A layer is a 24-byte header into a slab, the exactly sized
-//     cell storage of the view that built it; a derived layer shares its
-//     donor's fully relaxed layer and stores only the cells above it.
+//     cell storage of the view that built it; a derived layer shares a
+//     prefix of its donor's fully relaxed layer and stores only the
+//     cells above it.
 //
 //   - Every checkpoint is a lazy handle (NewLazyCheckpoint): an O(1)
 //     constructor with the DP deferred, so nothing is relaxed until a
@@ -123,11 +124,12 @@ import (
 // ckLayer is one position's frontier snapshot, a 24-byte header into the
 // slab s of the view that built it. The layer's n active cells are the
 // cells of its root followed by its own: a derived layer at position i
-// (i < len(s.roots)) shares s.roots[i], a fully relaxed layer of an
-// earlier view, and owns the cells above it; every other layer has no
-// root and owns all n. Each span holds cell ids and best log scores in
-// increasing cell-id order, and a derived layer's own cells all lie in
-// columns above its root's, so the layer is in cell order as a whole.
+// (i < len(s.roots)) shares s.roots[i], a prefix of a fully relaxed
+// layer of an earlier view (whose maxZ it keeps, unread), and owns the
+// cells above it; every other layer has no root and owns all n. Each
+// span holds cell ids and best log scores in increasing cell-id order,
+// and a derived layer's own cells all lie in columns above its root's,
+// so the layer is in cell order as a whole.
 // Cell ids are z-major, so the cells of a column range are one
 // contiguous run (window). Indices are layer-local, root cells first.
 // maxZ is the layer's highest column. An empty layer (n = 0: the
@@ -158,15 +160,6 @@ func (l *ckLayer) root(i int) *ckLayer {
 		return &l.s.roots[i]
 	}
 	return &noRoot
-}
-
-// top returns the highest column of a layer without a root, -1 when it
-// is empty.
-func (l *ckLayer) top() int {
-	if l.n == 0 {
-		return -1
-	}
-	return int(l.maxZ)
 }
 
 // cells and scores return the per-cell arrays of the layer at position i
@@ -247,45 +240,54 @@ func grow[T int32 | float64](s []T, n int) []T {
 
 // snapshot appends the layer at position i to the build buffer s, points
 // layer at it and resets the frontier for the next position. A derived
-// position passes its donor's layer d (nil otherwise). The layer then
-// shares d's root, or d itself when d has none, and owns a verbatim copy
-// of d's own cells — cell ids do not depend on the alignment — which lie
-// above the root and are already in cell order. The frontier's active
-// cells follow, sorted; on a derived position they all lie in columns
-// above d's. kq is K·|Q|, the stride of z in a cell id.
-func (s *ckSlab) snapshot(layer *ckLayer, i int, f *frontier, kq int32, d *ckLayer) {
-	rt, dn := &noRoot, 0
+// position passes its donor's layer d (nil otherwise) and cut, the first
+// cell id of the columns it relaxes itself. The layer then shares d's
+// cells below cut: d's root, or d itself when d has none, cut short at
+// cut, then a verbatim copy of d's own cells below cut — cell ids do not
+// depend on the alignment — which lie above the root and are already in
+// cell order. The frontier's active cells follow, sorted; on a derived
+// position they all lie at or above cut. kq is K·|Q|, the stride of z in
+// a cell id.
+func (s *ckSlab) snapshot(layer *ckLayer, i int, f *frontier, kq int32, d *ckLayer, cut int32) {
+	rt, dn := noRoot, 0
 	if d != nil {
-		if rt = d.root(i); rt == &noRoot {
-			rt = d
+		p := d.root(i)
+		if p == &noRoot {
+			p = d
 		}
-		dn = int(d.n - rt.n)
-		s.roots = append(s.roots, *rt)
+		rt = *p
+		k, _ := slices.BinarySearch(rt.s.cells[rt.off:rt.off+rt.n], cut)
+		if p != d && k == int(rt.n) {
+			dn, _ = slices.BinarySearch(d.s.cells[d.off:d.off+d.n-rt.n], cut)
+		}
+		rt.n = int32(k)
+		s.roots = append(s.roots, rt)
 	}
 	own := dn + len(f.list)
 	*layer = ckLayer{s: s}
 	if int(rt.n)+own == 0 {
 		return // the exact-prefix language died here; f is already empty
 	}
-	maxZ := int32(max(rt.top(), 0))
 	off := len(s.cells)
 	s.cells = grow(s.cells, own)
 	s.score = grow(s.score, own)
 	cells, score := s.cells[off:], s.score[off:]
 	if dn > 0 {
-		maxZ = d.maxZ
 		copy(cells, d.s.cells[d.off:d.off+int32(dn)])
 		copy(score, d.s.score[d.off:d.off+int32(dn)])
 	}
-	if nn := len(f.list); nn > 0 {
-		f.sortList()
-		for t, cell := range f.list {
-			cells[dn+t] = cell
-			score[dn+t] = f.val[cell]
-		}
-		maxZ = f.list[nn-1] / kq
+	f.sortList()
+	for t, cell := range f.list {
+		cells[dn+t] = cell
+		score[dn+t] = f.val[cell]
 	}
-	layer.off, layer.n, layer.maxZ = int32(off), rt.n+int32(own), maxZ
+	var last int32
+	if own > 0 {
+		last = cells[own-1]
+	} else {
+		last = rt.s.cells[rt.off+rt.n-1]
+	}
+	layer.off, layer.n, layer.maxZ = int32(off), rt.n+int32(own), last/kq
 	f.reset()
 }
 
@@ -367,14 +369,14 @@ type Checkpoint struct {
 	base  atomic.Pointer[Checkpoint]
 	gated bool
 
-	// donor optionally links a lazy checkpoint to an already-cached
-	// checkpoint whose alignment is a strict prefix of Align
-	// (NewLazyCheckpointFrom). Materialization then shares the donor's
-	// zone columns — the exact-prefix DP over a shared alignment prefix
-	// is identical cell for cell — and relaxes only the appended zone
-	// columns, instead of re-running the full DP. Cleared once the view
-	// is published so the donor's handle and header array can be evicted
-	// independently; the slabs its roots lie in stay pinned.
+	// donor optionally links a lazy checkpoint to another checkpoint
+	// whose alignment shares a prefix with Align (NewLazyCheckpointFrom).
+	// Materialization then shares the donor's columns up to the common
+	// prefix — the exact-prefix DP over a shared alignment prefix is
+	// identical cell for cell — and relaxes only the columns past it,
+	// instead of re-running the full DP. Guarded by mu: cleared once the
+	// view is published, so the donor's handle and header array can be
+	// collected independently; the slabs its roots lie in stay pinned.
 	donor *Checkpoint
 
 	// matLayers counts DP layers actually relaxed: the build work done,
@@ -432,30 +434,27 @@ func NewLazyCheckpoint(nt *NFATables, v *SeqView, align []automata.Symbol, b *Bo
 }
 
 // NewLazyCheckpointFrom is NewLazyCheckpoint with a derivation donor: a
-// checkpoint whose alignment is a strict prefix of align. The deferred
-// build then shares the donor's materialized columns (every zone column
-// z ≤ |donor.Align| of the two DPs is identical, because the exact-prefix
-// dynamics up to a shared alignment prefix cannot depend on the symbols
-// past it) and relaxes only the new columns — O(zone boundary band) per
-// position instead of O(all columns). Only predecessors in the band
-// z ≥ |donor.Align|+1-MaxEmit can reach a new column (an edge advances z
-// by at most MaxEmit). A cell id does not depend on the alignment, so
-// each derived layer refers to the nearest fully relaxed layer down the
-// donor chain as its root and copies only the cells the donor stacked
-// above that root; its own slab holds those and its band. The donor must
-// be ungated (complete layers); otherwise the build falls back to the
-// full DP. The result is identical either way: every layer is in cell
-// order, so a derived view holds a from-scratch build's layers cell for
-// cell, in the same order. When the donor covers fewer positions than
-// v (a handle carried from before an append), the remaining positions
-// relax in full. The ranked enumerator uses this for the checkpoint of a
-// freshly emitted answer, whose alignment extends an already-cached one
-// by a symbol or two.
+// checkpoint whose alignment shares at least its first symbol with
+// align (a prefix, a sibling, an extension). Columns z ≤ ℓ, for ℓ the
+// two alignments' common prefix length, are identical in the two DPs —
+// the exact-prefix dynamics up to a shared alignment prefix cannot
+// depend on the symbols past it — so the deferred build shares the
+// donor's and relaxes only the columns past ℓ: O(zone boundary band)
+// per position instead of O(all columns), since only predecessors in the
+// band z ≥ ℓ+1-MaxEmit can reach them (an edge advances z by at most
+// MaxEmit). A cell id does not depend on the alignment, so each derived
+// layer refers to the nearest fully relaxed layer down the donor chain,
+// cut at column ℓ, as its root and copies only the cells up to ℓ that
+// the donor stacked above that root; its own slab holds those and its
+// band. A gated donor, or one over other tables, is not used: the build
+// runs the full DP. The result is identical either way: a derived view
+// holds a from-scratch build's layers cell for cell, in cell order. When
+// the donor covers fewer positions than v (a handle carried from before
+// an append), the remaining positions relax in full.
 func NewLazyCheckpointFrom(nt *NFATables, v *SeqView, align []automata.Symbol, donor *Checkpoint) *Checkpoint {
 	ck := NewLazyCheckpoint(nt, v, align, nil)
 	if donor != nil && !donor.gated && donor.states == nt.States && donor.kq == ck.kq &&
-		donor.n >= 1 && donor.n <= v.N && len(donor.Align) < len(align) &&
-		automata.HasPrefix(align, donor.Align) {
+		donor.n >= 1 && donor.n <= v.N && automata.CommonPrefix(align, donor.Align) >= 1 {
 		ck.donor = donor
 	}
 	return ck
@@ -482,14 +481,17 @@ func (ck *Checkpoint) Extendable(nt *NFATables, v *SeqView) bool {
 // only the header copy is O(n). When nothing in the chain has
 // materialized, the full DP runs from position 0, so extension never
 // forces prefix work that a from-scratch lazy handle would have
-// deferred. base must satisfy Extendable(nt, v) and v must extend the
-// view base was built against (SeqView.Extend /
-// markov.Sequence.Extended); base is never mutated, so an enumerator over
-// the old snapshot can keep serving from it concurrently. When v has
-// base's own length, base itself is returned. The handle is always
-// ungated, hence extendable in turn: extension chains across any number
-// of appends, and once a link materializes it drops its base, so a
-// chain never retains more than one materialized view.
+// deferred; a derived handle that never built (NewLazyCheckpointFrom)
+// carries over as the same derivation over v, so it still shares its
+// donor's columns over the positions the donor covers. base must satisfy
+// Extendable(nt, v) and v must extend the view base was built against
+// (SeqView.Extend / markov.Sequence.Extended); base is never mutated, so
+// an enumerator over the old snapshot can keep serving from it
+// concurrently. When v has base's own length, base itself is returned.
+// The handle is always ungated, hence extendable in turn: extension
+// chains across any number of appends, and once a link materializes it
+// drops its base, so a chain never retains more than one materialized
+// view.
 func NewExtendedLazyCheckpoint(nt *NFATables, v *SeqView, base *Checkpoint) *Checkpoint {
 	if !base.Extendable(nt, v) {
 		panic("kernel: NewExtendedLazyCheckpoint base is not extendable to the given view")
@@ -515,7 +517,12 @@ func NewExtendedLazyCheckpoint(nt *NFATables, v *SeqView, base *Checkpoint) *Che
 		nt:     nt,
 		v:      v,
 	}
-	ck.base.Store(base)
+	base.mu.Lock()
+	ck.donor = base.donor
+	base.mu.Unlock()
+	if ck.donor == nil {
+		ck.base.Store(base)
+	}
 	return ck
 }
 
@@ -686,15 +693,15 @@ type ConstrainScratch struct {
 // Recycling ends the view's immutability: the caller must have dropped
 // every reference to ck and to data obtained from it, and must never
 // recycle a checkpoint other goroutines can still see (in particular,
-// checkpoints cached by a ranked enumerator, whose append successor
-// shares them, are not recyclable). Nor may ck have served as a derivation donor, whose
-// layers other views share as roots; no recycled slab ever is one,
-// because only the sliding-window sweeper recycles and it never derives.
-// A resume against a recycled checkpoint, touched or not, panics instead
-// of rebuilding. Recycling into the internal pool is not possible —
-// Recycle is only useful with an explicitly owned scratch, such as the
-// sweeper's, whose per-window checkpoint rings are private by
-// construction.
+// the handles of an extendable ranked enumerator, whose append successor
+// shares them, are not recyclable). Nor may ck have served as a
+// derivation donor, whose layers other views share as roots; no recycled
+// slab ever is one, because only the sliding-window sweeper recycles and
+// it never derives. A resume against a recycled checkpoint, touched or
+// not, panics instead of rebuilding. Recycling into the internal pool is
+// not possible — Recycle is only useful with an explicitly owned
+// scratch, such as the sweeper's, whose per-window handles are private
+// by construction.
 func (sc *ConstrainScratch) Recycle(ck *Checkpoint) {
 	if ck == nil {
 		return
@@ -792,10 +799,11 @@ func decodeTables(sc *ConstrainScratch, k, states int) (xof, qof []int32) {
 //     copy that view's layer headers (extension; see
 //     NewExtendedLazyCheckpoint) — bit-identical to relaxing them, since
 //     the DP is position-local and every layer is stored in cell order;
-//   - positions the donor covers share the donor's layer and relax only
-//     the boundary band into new columns z > |donor.Align| (derivation;
-//     see NewLazyCheckpointFrom): the predecessors z ≥ band, the previous
-//     layer's tail from the band's first cell;
+//   - positions the donor covers share the donor's columns
+//     z ≤ ℓ = lcp(donor.Align, Align) and relax only the boundary band
+//     into the columns past ℓ (derivation; see NewLazyCheckpointFrom):
+//     the predecessors z ≥ band, the previous layer's tail from the
+//     band's first cell;
 //   - every other position relaxes its predecessors in full, gated by
 //     ck.b when it is set.
 //
@@ -821,7 +829,7 @@ func materialize(p *Poll, ck *Checkpoint, sc *ConstrainScratch) (*ckView, int, e
 			return nil, 0, err
 		}
 		donor = dvw.layers[:ck.donor.n]
-		dlen = len(ck.donor.Align)
+		dlen = automata.CommonPrefix(ck.donor.Align, ck.Align)
 	}
 
 	nt, v, b := ck.nt, ck.v, ck.b
@@ -863,9 +871,9 @@ func materialize(p *Poll, ck *Checkpoint, sc *ConstrainScratch) (*ckView, int, e
 			return nil, 0, err
 		}
 		// zmin is the highest column this position does not relax into:
-		// -1 relaxes every column, a donor's |Align| only the new ones. A
-		// transition whose emission leaves the alignment advances to -1,
-		// so one compare drops it too.
+		// -1 relaxes every column, a donor's common prefix length only the
+		// columns past it. A transition whose emission leaves the
+		// alignment advances to -1, so one compare drops it too.
 		zmin := int32(-1)
 		var d *ckLayer
 		if i < len(donor) {
@@ -946,7 +954,7 @@ func materialize(p *Poll, ck *Checkpoint, sc *ConstrainScratch) (*ckView, int, e
 				}
 			}
 		}
-		buf.snapshot(&layers[i], i, &sc.f, kq32, d)
+		buf.snapshot(&layers[i], i, &sc.f, kq32, d, (zmin+1)*kq32)
 		built++
 	}
 	if free > 0 {

@@ -2,8 +2,9 @@
 // on-the-fly constrained Viterbi must agree with possible-worlds brute
 // force on randomized transducers, sequences, and constraints; resuming
 // from a checkpoint aligned to a longer answer must be bit-identical to
-// solving from scratch (the invariant the parallel enumerator's shared
-// checkpoint LRU relies on); and the boolean reachability kernel must
+// solving from scratch (the invariant that lets every Lawler child
+// resolve against its parent answer's checkpoint); and the boolean
+// reachability kernel must
 // agree with brute-force nonemptiness.
 package kernel_test
 
@@ -319,11 +320,9 @@ func TestResumeIncContinuesAcrossAppend(t *testing.T) {
 // records index the layers of the checkpoint it was traced against, so
 // it may only be continued against a checkpoint that shares them. Here
 // the prior is traced against a plain checkpoint for o and resumed
-// against a donor-derived checkpoint for o over the grown view — the
-// handle an alignment evicted from the ranked checkpoint cache comes
-// back as, whose layers order the same cells differently. The resume
-// must run the full sweep and agree bit for bit with the same
-// checkpoint resumed without a prior.
+// against a donor-derived checkpoint for o over the grown view, whose
+// layers lie in other slabs. The resume must run the full sweep and
+// agree bit for bit with the same checkpoint resumed without a prior.
 func TestResumeIncFallsBackOnForeignPrior(t *testing.T) {
 	ctx := context.Background()
 	in := automata.MustAlphabet("a", "b", "c")

@@ -207,3 +207,74 @@ func TestDerivedConcurrentFirstTouch(t *testing.T) {
 		t.Errorf("donor materialized %d layers, want %d", got, v.N)
 	}
 }
+
+// TestDerivedFromCommonPrefix checks derivations from donors that are not
+// prefixes of the alignment (sameDP): a sibling that differs in the last
+// symbol, a donor that extends the alignment, and a donor that shares
+// only the first symbol — each touched and untouched, over the whole
+// view and over a view one position short. It also carries a derived
+// handle that never built across an append: the extension is the same
+// derivation over the grown view, so building it builds the donor.
+func TestDerivedFromCommonPrefix(t *testing.T) {
+	cases, carried := 0, 0
+	for trial := 0; trial < 12; trial++ {
+		rng := rand.New(rand.NewSource(int64(27000 + trial)))
+		in := automata.MustAlphabet("a", "b")
+		out := automata.MustAlphabet("x", "y")
+		m := markov.Random(in, 3+rng.Intn(3), 0.7, rng)
+		tr := randomVarNFATransducer(in, out, 1+rng.Intn(3), rng)
+		nt := kernel.NewNFATables(tr)
+		v := m.View()
+		b := kernel.NewBounds(nt, v)
+		ms := m.Window(1, m.Len()-1)
+		vs, ve := ms.View(), extendTo(t, m, ms, m.Len()).View()
+		be := kernel.NewBounds(nt, ve)
+		for _, o := range answers(tr, m) {
+			if len(o) < 2 {
+				continue
+			}
+			flip := func(s []automata.Symbol, i int) []automata.Symbol {
+				s = slices.Clone(s)
+				s[i] = 1 - s[i]
+				return s
+			}
+			donors := map[string][]automata.Symbol{
+				"sibling":     flip(o, len(o)-1),
+				"extension":   append(slices.Clone(o), o[0], 1-o[0]),
+				"first":       flip(o, 1),
+				"first short": flip(o[:2], 1),
+			}
+			fresh := kernel.NewLazyCheckpoint(nt, v, o, nil)
+			freshE := kernel.NewLazyCheckpoint(nt, ve, o, nil)
+			for name, da := range donors {
+				for _, touched := range []bool{false, true} {
+					label := fmt.Sprintf("trial %d align %v %s donor %v touched %v", trial, o, name, da, touched)
+					donor := kernel.NewLazyCheckpoint(nt, v, da, nil)
+					short := kernel.NewLazyCheckpoint(nt, vs, da, nil)
+					if touched {
+						touch(t, nt, v, donor)
+						touch(t, nt, vs, short)
+					}
+					sameDP(t, label, nt, v, b, kernel.NewLazyCheckpointFrom(nt, v, o, donor), fresh)
+					sameDP(t, label+" short donor", nt, ve, be, kernel.NewLazyCheckpointFrom(nt, ve, o, short), freshE)
+					if donor.MaterializedLayers() == 0 || short.MaterializedLayers() == 0 {
+						t.Fatalf("%s: building the derived handle did not build its donor: it ran the full DP", label)
+					}
+					cases++
+
+					// Derived over vs, never built, then carried to ve.
+					short = kernel.NewLazyCheckpoint(nt, vs, da, nil)
+					ext := kernel.NewExtendedLazyCheckpoint(nt, ve, kernel.NewLazyCheckpointFrom(nt, vs, o, short))
+					sameDP(t, label+" carried unbuilt", nt, ve, be, ext, freshE)
+					if short.MaterializedLayers() == 0 {
+						t.Fatalf("%s: building the carried handle did not build its donor: it ran the full DP", label)
+					}
+					carried++
+				}
+			}
+		}
+	}
+	if cases == 0 || carried == 0 {
+		t.Fatalf("ran %d derivations and %d carried handles; want both > 0", cases, carried)
+	}
+}

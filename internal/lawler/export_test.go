@@ -23,3 +23,9 @@ func NewSeeded[T any](cfg Config[T], seeds []Seed[T]) *Enumerator[T] {
 	}
 	return e
 }
+
+// Retained returns how many emitted and how many dead regions e keeps
+// for Carry.
+func Retained[T any](e *Enumerator[T]) (emitted, dead int) {
+	return len(e.emitted), len(e.dead)
+}

@@ -49,8 +49,12 @@ type Config[T any] struct {
 	Resolve func(ctx context.Context, c transducer.Constraint, parent T, root bool, prior T) (T, float64, bool, error)
 	// Children partitions the subproblem's remaining answers after its
 	// top has been emitted. The returned order is part of the
-	// deterministic tie-break and must not depend on timing.
-	Children func(c transducer.Constraint, top T) []transducer.Constraint
+	// deterministic tie-break and must not depend on timing. top points
+	// at the emitted payload, which Children may complete in place
+	// before the children, as their parent, and the caller receive
+	// copies of it (the ranked enumerator attaches the checkpoint the
+	// children resolve against).
+	Children func(c transducer.Constraint, top *T) []transducer.Constraint
 	// Tie, when non-nil, makes the emission order on exact score ties a
 	// canonical function of the payloads instead of the insertion
 	// sequence: resolved items with equal scores order by Tie (negative
@@ -72,6 +76,12 @@ type Config[T any] struct {
 	// item meets an exact score tie in the queue, so it must be cheap
 	// and deterministic.
 	Floor func(c transducer.Constraint) (floor T, strict bool)
+	// Carried keeps what Carry needs: every emitted region, every region
+	// resolved empty, and each resolved region's parent payload. Without
+	// it the enumeration keeps only its queue, a resolved region drops
+	// its parent, and Carry returns nil, so a payload stays reachable
+	// only while a queued region can still read it.
+	Carried bool
 }
 
 type item[T any] struct {
@@ -80,10 +90,10 @@ type item[T any] struct {
 	// top is the payload of the region's last resolve: its best answer
 	// once resolved, whatever Resolve returned when the region is dead,
 	// and the prior Carry gave it before the region resolves here.
-	top                  T
-	seq                  int64
-	score                float64
-	root, resolved, dead bool
+	top            T
+	seq            int64
+	score          float64
+	root, resolved bool
 	// rank places the item within its score's tie class (see tieOrder).
 	// An unresolved item's floor is not stored: tieOrder asks Floor for
 	// it again, which happens only on exact score ties.
@@ -163,12 +173,13 @@ type Enumerator[T any] struct {
 	q   queue[T]
 	seq int64
 
-	// dead retains subproblems that resolved empty instead of dropping
-	// them: a region empty over the current sequence can become nonempty
-	// once the sequence grows, so Carry re-offers them.
-	dead []*item[T]
-	// emitted holds every emitted item in emission order: Carry re-offers
-	// each answer, and the region that emitted it, ahead of the rest.
+	// With Config.Carried, dead retains subproblems that resolved empty
+	// instead of dropping them: a region empty over the current sequence
+	// can become nonempty once the sequence grows, so Carry re-offers
+	// them. emitted holds every emitted item in emission order: Carry
+	// re-offers each answer, and the region that emitted it, ahead of the
+	// rest.
+	dead    []*item[T]
 	emitted []*item[T]
 }
 
@@ -204,11 +215,12 @@ type Region[T any] struct {
 //
 // Among equal bounds the successor keeps the receiver's order: the
 // emitted answers first, in emission order, then the other regions in
-// insertion order. Carry returns nil, without calling reprice, when
-// there is nothing to carry: nothing emitted and nothing queued but the
-// root. The receiver is only read and stays drainable.
+// insertion order. Carry returns nil, without calling reprice, when the
+// receiver's Config.Carried is off or there is nothing to carry: nothing
+// emitted and nothing queued but the root. The receiver is only read
+// and stays drainable.
 func (e *Enumerator[T]) Carry(cfg Config[T], reprice func(*Region[T])) *Enumerator[T] {
-	if len(e.emitted) == 0 && e.seq <= 1 {
+	if !e.cfg.Carried || len(e.emitted) == 0 && e.seq <= 1 {
 		return nil
 	}
 	ne := newEnumerator(cfg)
@@ -317,20 +329,26 @@ func (e *Enumerator[T]) NextCtx(ctx context.Context) (top T, score float64, ok b
 			if !ok {
 				// Empty over the current input; retained so Carry can
 				// re-offer the region.
-				it.dead = true
-				e.dead = append(e.dead, it)
+				if e.cfg.Carried {
+					e.dead = append(e.dead, it)
+				}
 				continue
 			}
 			it.resolved, it.score, it.rank = true, sc, rankResolved
+			if !e.cfg.Carried {
+				it.parent = zero
+			}
 			heap.Push(&e.q, it)
 			continue
 		}
-		for _, child := range e.cfg.Children(it.c, it.top) {
+		for _, child := range e.cfg.Children(it.c, &it.top) {
 			// A child's best cannot exceed its parent's resolved score,
 			// which therefore serves as the admissible upper bound.
 			e.push(child, it.top, zero, false, it.score)
 		}
-		e.emitted = append(e.emitted, it)
+		if e.cfg.Carried {
+			e.emitted = append(e.emitted, it)
+		}
 		return it.top, it.score, true, nil
 	}
 	return zero, 0, false, nil

@@ -70,9 +70,9 @@ func (u *universe) index(name string) int {
 
 // childrenBinary partitions the remainder into at most two halves — a
 // deep tree, so most regions are never resolved on a shallow drain.
-func (u *universe) childrenBinary(c transducer.Constraint, top string) []transducer.Constraint {
+func (u *universe) childrenBinary(c transducer.Constraint, top *string) []transducer.Constraint {
 	var rest []int
-	ti := u.index(top)
+	ti := u.index(*top)
 	for _, m := range u.members(c) {
 		if m != ti {
 			rest = append(rest, m)
@@ -93,6 +93,7 @@ func (u *universe) config(tie bool) lawler.Config[string] {
 		Root:     u.region(allOf(len(u.names))),
 		Resolve:  u.resolve,
 		Children: u.childrenBinary,
+		Carried:  true,
 	}
 	if tie {
 		cfg.Tie = func(a, b string) int {
@@ -194,9 +195,9 @@ func TestCarryHandsEmittedThenFrontier(t *testing.T) {
 	cfg := u.config(false)
 	// Children: remainder split into singletons plus one always-empty
 	// region, so a region is decided empty.
-	cfg.Children = func(c transducer.Constraint, top string) []transducer.Constraint {
+	cfg.Children = func(c transducer.Constraint, top *string) []transducer.Constraint {
 		out := []transducer.Constraint{u.region(nil)}
-		ti := u.index(top)
+		ti := u.index(*top)
 		for _, m := range u.members(c) {
 			if m != ti {
 				out = append(out, u.region([]int{m}))
@@ -284,12 +285,12 @@ func TestPriorRoundTrip(t *testing.T) {
 	cfg := u.config(false)
 	// Children: the remainder as singletons plus one empty region, told
 	// apart by a Forbidden tag naming the answer it was split from.
-	cfg.Children = func(c transducer.Constraint, top string) []transducer.Constraint {
+	cfg.Children = func(c transducer.Constraint, top *string) []transducer.Constraint {
 		empty := u.region(nil)
-		empty.Forbidden = map[automata.Symbol]bool{automata.Symbol(u.index(top)): true}
+		empty.Forbidden = map[automata.Symbol]bool{automata.Symbol(u.index(*top)): true}
 		out := []transducer.Constraint{empty}
 		for _, m := range u.members(c) {
-			if m != u.index(top) {
+			if m != u.index(*top) {
 				out = append(out, u.region([]int{m}))
 			}
 		}
@@ -324,10 +325,11 @@ func TestPriorRoundTrip(t *testing.T) {
 		want[id(r.C)] = r.Top
 		r.Bound = 10
 	})
+	aa, bb := "aa", "bb"
 	if wantPriors := map[string]string{
-		id(cfg.Children(u.region(allOf(3)), "aa")[0]):    "state of an empty region",
-		id(u.region([]int{2})):                           "cc",
-		id(cfg.Children(u.region([]int{1, 2}), "bb")[0]): "",
+		id(cfg.Children(u.region(allOf(3)), &aa)[0]):    "state of an empty region",
+		id(u.region([]int{2})):                          "cc",
+		id(cfg.Children(u.region([]int{1, 2}), &bb)[0]): "",
 	}; !reflect.DeepEqual(frontier, wantPriors) {
 		t.Fatalf("frontier priors = %q, want %q", frontier, wantPriors)
 	}
@@ -356,7 +358,7 @@ func TestCarryKeepsInsertionOrder(t *testing.T) {
 		u := randomUniverse(rng, 3+rng.Intn(40))
 		cfg := u.config(false)
 		pushed := []transducer.Constraint{cfg.Root}
-		cfg.Children = func(c transducer.Constraint, top string) []transducer.Constraint {
+		cfg.Children = func(c transducer.Constraint, top *string) []transducer.Constraint {
 			kids := u.childrenBinary(c, top)
 			pushed = append(pushed, kids...)
 			return kids

@@ -14,6 +14,10 @@
 //     pre-incremental serving behavior), re-running the constrained
 //     Viterbi resolutions over the full stream every time.
 //
+// BenchmarkRankedAppendLongRun is the incremental script run long, on the
+// trace the long-run probe grows (seed 1): longRunAppends appends, after
+// which live-MB is what a stream that keeps growing retains.
+//
 // Each op rebuilds its starting state untimed (a fresh window of the
 // trace and, for the incremental script, the warm drain), so ns/op does
 // not depend on b.N or -benchtime. The incremental benchmark reports
@@ -44,15 +48,16 @@ const (
 	appendBenchStart   = 200 // stream length before an op's first append
 	appendBenchAppends = 25  // appends per op, each followed by a drain
 	appendBenchK       = 10  // answers drained after every append
+	longRunAppends     = 300 // appends per op of the long-run script
 )
 
-// appendBenchWorkload simulates an RFID trace long enough for one op's
+// appendBenchWorkload simulates an RFID trace from seed, long enough for
 // appends past the starting prefix.
-func appendBenchWorkload(b *testing.B) (*transducer.Transducer, *markov.Sequence) {
+func appendBenchWorkload(b *testing.B, seed int64, appends int) (*transducer.Transducer, *markov.Sequence) {
 	b.Helper()
 	f := rfid.Hospital(4, 2)
 	h := rfid.BuildHMM(f, rfid.DefaultNoise)
-	trc, err := rfid.Simulate(h, appendBenchStart+appendBenchAppends, rand.New(rand.NewSource(31)))
+	trc, err := rfid.Simulate(h, appendBenchStart+appends, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -79,9 +84,12 @@ func appendBenchStep(b *testing.B, full, grown *markov.Sequence) *markov.Sequenc
 	return next
 }
 
-func BenchmarkRankedAppendIncremental(b *testing.B) {
-	tr, full := appendBenchWorkload(b)
-	var reused, reseeded, live uint64
+// benchAppendScript runs the incremental script appends long, b.N times,
+// and reports carry-ns and live-MB (see the file comment); it returns the
+// reuse counters summed over ops.
+func benchAppendScript(b *testing.B, seed int64, appends int) (reused, reseeded uint64) {
+	tr, full := appendBenchWorkload(b, seed, appends)
+	var live uint64
 	var carry time.Duration
 	heap := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
 	b.ReportAllocs()
@@ -92,7 +100,7 @@ func BenchmarkRankedAppendIncremental(b *testing.B) {
 		e := NewEnumerator(tr, grown, WithExtendable())
 		drainAppendBench(b, e) // warm: the first carry needs a drained tree
 		b.StartTimer()
-		for j := 0; j < appendBenchAppends; j++ {
+		for j := 0; j < appends; j++ {
 			grown = appendBenchStep(b, full, grown)
 			t0 := time.Now()
 			ne, ok := ExtendEnumerator(e, grown, 1)
@@ -114,15 +122,22 @@ func BenchmarkRankedAppendIncremental(b *testing.B) {
 		b.StartTimer()
 	}
 	b.StopTimer()
+	b.ReportMetric(float64(carry.Nanoseconds())/float64(b.N*appends), "carry-ns")
+	b.ReportMetric(float64(live)/float64(b.N)/1e6, "live-MB")
+	return reused, reseeded
+}
+
+func BenchmarkRankedAppendIncremental(b *testing.B) {
+	reused, reseeded := benchAppendScript(b, 31, appendBenchAppends)
 	appends := float64(b.N * appendBenchAppends)
 	b.ReportMetric(float64(reused)/appends, "reused/append")
 	b.ReportMetric(float64(reseeded)/appends, "reseeded/append")
-	b.ReportMetric(float64(carry.Nanoseconds())/appends, "carry-ns")
-	b.ReportMetric(float64(live)/float64(b.N)/1e6, "live-MB")
 }
 
+func BenchmarkRankedAppendLongRun(b *testing.B) { benchAppendScript(b, 1, longRunAppends) }
+
 func BenchmarkRankedAppendRebuild(b *testing.B) {
-	tr, full := appendBenchWorkload(b)
+	tr, full := appendBenchWorkload(b, 31, appendBenchAppends)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

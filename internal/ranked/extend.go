@@ -3,7 +3,6 @@ package ranked
 import (
 	"math"
 
-	"markovseq/internal/automata"
 	"markovseq/internal/kernel"
 	"markovseq/internal/lawler"
 	"markovseq/internal/markov"
@@ -49,18 +48,20 @@ import (
 // The anchor constraint n ≤ N_rs is load-bearing: a run crossing between
 // the zone anchor and the frontier capture would be covered by neither
 // side. The resolve that captured rs materialized its checkpoint view at
-// N_rs, so the anchor exists whenever the handle survived in the cache.
+// N_rs, so the anchor exists.
 //
-// The Lawler tree owns every capture by pointer (see resolution): a
-// region's last resolve returns its capture in the payload, lawler keeps
-// it with the region, queued or dead, and hands it to the region's next
-// resolve, and an emitted answer's payload points at the capture of the
-// region that emitted it. Subproblems that never resolved have no
-// capture of their own; their region is contained in the region that
-// emitted their parent answer (Constraint.Children partitions the
-// remainder), whose capture the parent payload holds. When any piece is
-// missing — an evicted checkpoint, a region with no capture — the bound
-// falls back to G, the global root bound, which is always admissible.
+// The Lawler tree owns every capture and every checkpoint handle by
+// pointer (see resolution): a region's last resolve returns its capture
+// in the payload, lawler keeps it with the region, queued or dead, and
+// hands it to the region's next resolve, and an emitted answer's payload
+// points at the capture of the region that emitted it and at the
+// checkpoint aligned to its output, which its children copy as their
+// parent. Subproblems that never resolved have no capture of their own;
+// their region is contained in the region that emitted their parent
+// answer (Constraint.Children partitions the remainder), whose capture
+// the parent payload holds. When any piece is missing — a checkpoint
+// that never materialized, a region with no capture — the bound falls
+// back to G, the global root bound, which is always admissible.
 
 // extendSlack inflates an admissible bound by a relative epsilon so that
 // float re-association between the bound arithmetic and the kernel's own
@@ -77,8 +78,9 @@ func extendSlack(x float64) float64 {
 // enumerator's sequence, and the enumerator must be in extendable mode.
 // It returns ok=false — and the caller falls back to a fresh
 // NewEnumerator — when the enumerator cannot be carried: nil, not
-// extendable, or nothing emitted yet (an undrained tree has no resolved
-// state worth carrying).
+// extendable, mNew shorter than its sequence (no checkpoint handle
+// extends to it), or nothing emitted yet (an undrained tree has no
+// resolved state worth carrying).
 //
 // The returned enumerator agrees with a from-scratch enumerator over
 // mNew rank by rank on bit-identical scores, and answer-for-answer
@@ -94,19 +96,19 @@ func extendSlack(x float64) float64 {
 // they surface. The third argument is ignored: it once sized a
 // speculative-resolution pool, and every drain is now sequential.
 //
-// Concurrency: the carry reads e's Lawler tree and checkpoint cache and
-// takes its recycled carry scratch, so, like every other use of an
-// Enumerator, it must not run concurrently with a drain or another carry
-// of e (core.Prepared.ExtendValidated holds the predecessor engine's
-// mutex across it). e stays drainable afterwards. The two enumerations
-// share carried checkpoint handles, whose materialization is safe for
+// Concurrency: the carry reads e's Lawler tree and takes its recycled
+// carry scratch, so, like every other use of an Enumerator, it must not
+// run concurrently with a drain or another carry of e
+// (core.Prepared.ExtendValidated holds the predecessor engine's mutex
+// across it). e stays drainable afterwards. The two enumerations share
+// carried checkpoint handles, whose materialization is safe for
 // concurrent use.
 func ExtendEnumerator(e *Enumerator, mNew *markov.Sequence, _ int) (*Enumerator, bool) {
-	if e == nil || !e.extendable {
+	if e == nil || !e.extendable || mNew.Len() < e.v.N {
 		return nil, false
 	}
 	ne, reprice := reseed(e, mNew)
-	if ne.inner = e.inner.Carry(lawlerConfig(ne.resolveAnswer), reprice); ne.inner == nil {
+	if ne.inner = e.inner.Carry(lawlerConfig(ne, ne.resolveAnswer, true), reprice); ne.inner == nil {
 		return nil, false
 	}
 	ne.carry.release()
@@ -116,17 +118,19 @@ func ExtendEnumerator(e *Enumerator, mNew *markov.Sequence, _ int) (*Enumerator,
 // carryScratch is the working storage of the reseed, recycled along the
 // extension lineage: a carry takes it from the enumerator it carries
 // from and leaves it on the one it carries to, so a lineage holds one
-// potential array and one pair of memo tables instead of allocating them
+// potential array and one set of memo tables instead of allocating them
 // per append.
 type carryScratch struct {
 	// b holds the grown view's potentials, swept on demand.
 	b *kernel.Bounds
 	// regions memoizes the price of each capture's region, zones the
 	// price of each zone frontier, keyed by its checkpoint and anchor
-	// length (kernel.Checkpoint.FrontierAnchor). Both are emptied before
-	// and after each carry, so they pin nothing between appends.
+	// length (kernel.Checkpoint.FrontierAnchor), and handles the
+	// extension of each carried checkpoint handle. All three are emptied
+	// before and after each carry, so they pin nothing between appends.
 	regions map[*kernel.ResumeState]regionPrice
 	zones   map[zoneKey]float64
+	handles map[*kernel.Checkpoint]*kernel.Checkpoint
 }
 
 type regionPrice struct {
@@ -145,20 +149,54 @@ func (cs *carryScratch) release() {
 	if cs != nil {
 		clear(cs.regions)
 		clear(cs.zones)
+		clear(cs.handles)
 	}
 }
 
-// reseed returns e's successor over mNew, with the checkpoint cache
-// carried and no Lawler tree yet, and the function that re-prices each
-// region lawler's Carry hands it. The first call takes e's carry scratch,
-// so a carry that Carry refuses costs nothing and leaves it with e.
+// carried returns the extension of ck, one of the predecessor's
+// checkpoint handles, onto ne's view, made once per handle per carry so
+// that payloads which shared a handle share its extension; nil for nil.
+func (ne *Enumerator) carried(ck *kernel.Checkpoint) *kernel.Checkpoint {
+	if ck == nil {
+		return nil
+	}
+	nk, hit := ne.carry.handles[ck]
+	if !hit {
+		if ck.MaterializedLayers() == 0 && ck.Layers() > 0 {
+			// Never read: the extension keeps the deferral, and the DP
+			// may never run at all.
+			ne.handlesSkipped++
+		}
+		nk = kernel.NewExtendedLazyCheckpoint(ne.nt, ne.v, ck)
+		ne.carry.handles[ck] = nk
+	}
+	return nk
+}
+
+// reseed returns e's successor over mNew, with no Lawler tree yet, and
+// the function that re-prices each region lawler's Carry hands it and
+// moves the region's checkpoint handle onto mNew. The successor needs no
+// root handle: Carry turns the emitted root into an exact singleton. The
+// first call takes e's carry scratch, so a carry that Carry refuses
+// costs nothing and leaves it with e.
 func reseed(e *Enumerator, mNew *markov.Sequence) (*Enumerator, func(*lawler.Region[resolution])) {
-	ne := e.extend(mNew)
+	ne := &Enumerator{
+		nt:             e.nt,
+		v:              mNew.View(),
+		extendable:     true,
+		reused:         e.reused,
+		reseeded:       e.reseeded,
+		handlesSkipped: e.handlesSkipped,
+	}
 	var cs *carryScratch
 	take := func() {
 		cs, e.carry = e.carry, nil
 		if cs == nil {
-			cs = &carryScratch{regions: map[*kernel.ResumeState]regionPrice{}, zones: map[zoneKey]float64{}}
+			cs = &carryScratch{
+				regions: map[*kernel.ResumeState]regionPrice{},
+				zones:   map[zoneKey]float64{},
+				handles: map[*kernel.Checkpoint]*kernel.Checkpoint{},
+			}
 		}
 		ne.carry = cs
 		// Arithmetic only; never installed. The bounds the carry hands out
@@ -192,9 +230,10 @@ func reseed(e *Enumerator, mNew *markov.Sequence) (*Enumerator, func(*lawler.Reg
 	}
 
 	// regionBound prices a region from its resolve capture plus the zone
-	// frontier of the alignment's checkpoint anchored at or below the
-	// capture epoch. ok=false when either piece is missing — the result
-	// would cover only part of the region.
+	// frontier of ck, the predecessor's checkpoint of the region's
+	// alignment, anchored at or below the capture epoch; its extension
+	// would anchor at the same view. ok=false when either piece is
+	// missing — the result would cover only part of the region.
 	//
 	// The result is memoized per carry, keyed by the capture pointer.
 	// One capture can meet two alignments: a region R's capture prices
@@ -213,7 +252,7 @@ func reseed(e *Enumerator, mNew *markov.Sequence) (*Enumerator, func(*lawler.Reg
 	// many captures of one alignment share an anchor — every region
 	// resolved in the last epoch anchors at its length — and the price of
 	// a zone frontier depends on nothing else.
-	regionBound := func(rs *kernel.ResumeState, align []automata.Symbol) (float64, bool) {
+	regionBound := func(rs *kernel.ResumeState, ck *kernel.Checkpoint) (float64, bool) {
 		if rs == nil || rs.N < 1 || rs.N > ne.v.N {
 			return 0, false
 		}
@@ -221,10 +260,6 @@ func reseed(e *Enumerator, mNew *markov.Sequence) (*Enumerator, func(*lawler.Reg
 			return r.bd, r.ok
 		}
 		price := func() (float64, bool) {
-			ck := ne.cache.get(align, false)
-			if ck == nil {
-				return 0, false
-			}
 			m, ok := ck.FrontierAnchor(rs.N)
 			if !ok {
 				return 0, false
@@ -259,35 +294,37 @@ func reseed(e *Enumerator, mNew *markov.Sequence) (*Enumerator, func(*lawler.Reg
 	// is anchored on the subproblem's own alignment. Only the capture
 	// pointer is carried: a resolved but unemitted answer is re-resolved
 	// after the append anyway, and carrying it would keep its output
-	// alive.
+	// alive. Last, the region's parent handle — the emitted answer's own,
+	// for a singleton — moves onto the grown view.
 	reprice := func(r *lawler.Region[resolution]) {
 		if cs == nil {
 			take()
 		}
-		align := r.Parent.Output
+		ck := r.Parent.ck
 		if r.Root {
-			align = r.C.Prefix
+			ck = e.root
 		}
-		bd, ok := regionBound(r.Top.rs, align)
+		bd, ok := regionBound(r.Top.rs, ck)
 		if !ok && !r.Root && !r.Emitted {
-			bd, ok = regionBound(r.Parent.rs, align)
+			bd, ok = regionBound(r.Parent.rs, ck)
 		}
 		if !ok {
 			bd = globalBound()
 		}
 		r.Bound = bd
-		if !r.Emitted {
+		if r.Emitted {
+			prior := resolution{}
+			if r.C.Mode == transducer.ExactOnly {
+				prior.rs = r.Top.rs
+			}
+			r.C = transducer.Constraint{Prefix: r.Top.Output, Mode: transducer.ExactOnly}
+			r.Parent, r.Top, r.Root = r.Top, prior, false
+			ne.reused++
+		} else {
 			r.Top = resolution{rs: r.Top.rs}
 			ne.reseeded++
-			return
 		}
-		prior := resolution{}
-		if r.C.Mode == transducer.ExactOnly {
-			prior.rs = r.Top.rs
-		}
-		r.C = transducer.Constraint{Prefix: r.Top.Output, Mode: transducer.ExactOnly}
-		r.Parent, r.Top, r.Root = r.Top, prior, false
-		ne.reused++
+		r.Parent.ck = ne.carried(r.Parent.ck)
 	}
 	return ne, reprice
 }

@@ -237,3 +237,18 @@ func TestExtendEnumeratorRefusals(t *testing.T) {
 		t.Fatal("undrained enumerator carried — nothing resolved is worth carrying")
 	}
 }
+
+// TestExtendEnumeratorRefusesShorter: a sequence shorter than the
+// enumerator's is no extension of it, and no checkpoint handle extends
+// to it, so the carry refuses without touching the tree.
+func TestExtendEnumeratorRefusesShorter(t *testing.T) {
+	tr, m := rfidRankedWorkload(t, 60)
+	e := NewEnumerator(tr, m, WithExtendable())
+	want := drainAnswers(e.Next, 5)
+	if ne, ok := ExtendEnumerator(e, m.Window(1, 40), 1); ok || ne != nil {
+		t.Fatal("ExtendEnumerator carried an enumeration onto a shorter sequence")
+	}
+	fresh := NewEnumerator(tr, m, WithExtendable())
+	want = append(want, drainAnswers(e.Next, 5)...)
+	assertSameAnswerSequence(t, "drain after a refused carry", want, drainAnswers(fresh.Next, 10))
+}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"markovseq/internal/automata"
 	"markovseq/internal/hardness"
 	"markovseq/internal/kernel"
 	"markovseq/internal/lawler"
@@ -30,10 +29,10 @@ func TestFloorOnFlatInstance(t *testing.T) {
 	}{{"pruned", nil}, {"extendable", []Option{WithExtendable()}}} {
 		drain := func(floors bool) (out []Answer, resolves int) {
 			en := NewEnumerator(hi.T, m, mode.opts...)
-			cfg := lawlerConfig(func(ctx context.Context, c transducer.Constraint, align []automata.Symbol, prior *kernel.ResumeState) (resolution, bool, error) {
+			cfg := lawlerConfig(en, func(ctx context.Context, c transducer.Constraint, ck *kernel.Checkpoint, prior *kernel.ResumeState) (resolution, bool, error) {
 				resolves++
-				return en.resolveAnswer(ctx, c, align, prior)
-			})
+				return en.resolveAnswer(ctx, c, ck, prior)
+			}, en.extendable)
 			if !floors {
 				cfg.Floor = nil
 			}

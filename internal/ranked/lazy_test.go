@@ -116,7 +116,7 @@ func TestLazyCheckpointDeferred(t *testing.T) {
 	tr, m := rfidRankedWorkload(t, 40)
 	for _, mode := range lazyModes {
 		e := NewEnumerator(tr, m, mode.opts...)
-		ck := e.checkpoint(nil)
+		ck := e.rootHandle()
 		if got := ck.MaterializedLayers(); got != 0 {
 			t.Fatalf("%s: untouched lazy handle materialized %d layers, want 0", mode.name, got)
 		}

@@ -12,11 +12,16 @@
 //     (Theorem 4.3), via the generic Lawler–Murty core (internal/lawler):
 //     the answer space is recursively partitioned with prefix
 //     constraints, and each part's top answer is resolved lazily, one at
-//     a time, against its parent's checkpoint. An Enumerator is the one
-//     unit of ranked state for a (transducer, sequence) pair: the base
-//     tables, the sequence's view, the weight-pushed potentials, a
-//     bounded LRU of lazy prefix-checkpoint handles and the Lawler tree.
-//     It prunes exactly when it has potentials: computed on first use by
+//     a time, against its parent answer's checkpoint. An Enumerator is
+//     the one unit of ranked state for a (transducer, sequence) pair:
+//     the base tables, the sequence's view, the weight-pushed
+//     potentials, the root's lazy prefix-checkpoint handle and the
+//     Lawler tree. The tree owns every other handle: an emitted answer
+//     carries the handle its children resolve against, so no checkpoint
+//     is looked up by its alignment, and a handle stays reachable only
+//     while a queued region can read it or, in extendable mode, for as
+//     long as the tree is kept for the next append. An Enumerator prunes
+//     exactly when it has potentials: computed on first use by
 //     default, supplied by WithBounds(b), none after WithBounds(nil) (the
 //     exhaustive sweep) or WithExtendable. ExtendEnumerator carries an
 //     extendable one across an append. The pre-incremental product path
@@ -75,13 +80,16 @@ type Answer struct {
 
 // resolution is the Lawler payload of a ranked enumeration: the answer a
 // resolve found and, in extendable mode, rs, the capture of that resolve
-// (kept also when it found the region empty). The tree owns each
-// capture by pointer: a carried region's next resolve continues from
-// it, and the cross-append reseed prices the region, and the children
-// of the answer it emitted, from it. Answers handed to callers drop rs.
+// (kept also when it found the region empty), which the region's next
+// resolve after an append continues and from which the reseed prices the
+// region and the children of the answer it emitted. ck is the checkpoint
+// handle the children of an emitted answer copy with the payload and
+// resolve against (see handles); until emission, in extendable mode, it
+// is the handle the resolve read. Answers handed to callers drop both.
 type resolution struct {
 	Answer
 	rs *kernel.ResumeState
+	ck *kernel.Checkpoint
 }
 
 // Enumerator yields A^ω(μ) in decreasing E_max with polynomial delay
@@ -92,7 +100,8 @@ type Enumerator struct {
 	inner *lawler.Enumerator[resolution]
 	nt    *kernel.NFATables
 	v     *kernel.SeqView
-	cache ckptCache
+	// root is the root region's checkpoint handle (see rootHandle).
+	root *kernel.Checkpoint
 
 	// bounds are the weight-pushed potentials driving checkpoint gating
 	// and resume pruning; nil for the exhaustive sweep (WithBounds(nil))
@@ -115,7 +124,10 @@ type Enumerator struct {
 }
 
 // NewEnumerator prepares the decreasing-E_max enumeration of the answers
-// of t over m. Options: WithTables, WithBounds, WithExtendable.
+// of t over m. Options: WithTables, WithBounds, WithExtendable. Only an
+// extendable enumerator keeps its whole Lawler tree for ExtendEnumerator;
+// any other keeps only the regions it can still emit from, and with them
+// the checkpoints of the answers whose children are still queued.
 func NewEnumerator(t *transducer.Transducer, m *markov.Sequence, opts ...Option) *Enumerator {
 	var cfg config
 	for _, o := range opts {
@@ -125,46 +137,47 @@ func NewEnumerator(t *transducer.Transducer, m *markov.Sequence, opts ...Option)
 	if e.nt == nil {
 		e.nt = kernel.NewNFATables(t)
 	}
-	ckCap := defaultCheckpointCap
 	switch {
 	case cfg.extendable:
-		ckCap = extendableCheckpointCap
 	case cfg.boundsSet:
 		e.bounds = cfg.bounds
 	default:
 		e.lazyBounds = true
 	}
-	e.cache.init(ckCap, 0)
-	e.inner = lawler.New(lawlerConfig(e.resolveAnswer))
+	e.inner = lawler.New(lawlerConfig(e, e.resolveAnswer, e.extendable))
 	return e
 }
 
-// resolveFunc solves one Lawler subproblem c against the prefix
-// checkpoint aligned to align (which extends c.Prefix), continuing
-// prior, the capture of the region's previous resolve (nil if none).
-type resolveFunc func(ctx context.Context, c transducer.Constraint, align []automata.Symbol, prior *kernel.ResumeState) (resolution, bool, error)
+// resolveFunc solves one Lawler subproblem c against ck, a prefix
+// checkpoint whose alignment extends c.Prefix, continuing prior, the
+// capture of the region's previous resolve (nil if none).
+type resolveFunc func(ctx context.Context, c transducer.Constraint, ck *kernel.Checkpoint, prior *kernel.ResumeState) (resolution, bool, error)
 
 // lawlerConfig is the Lawler–Murty wiring shared by NewEnumerator, the
 // cross-append carry (ExtendEnumerator) and the per-window Sweeper:
-// resolve against the parent answer's prefix checkpoint, partition with
-// Constraint.Children, and break exact ties by one rule, so every path
-// emits the same sequence.
-func lawlerConfig(resolve resolveFunc) lawler.Config[resolution] {
+// resolve against the parent answer's checkpoint handle (h's root handle
+// at the root), give each emitted answer its handle through h, partition
+// with Constraint.Children, and break exact ties by one rule, so every
+// path emits the same sequence; carried keeps the tree for Carry.
+func lawlerConfig(h handles, resolve resolveFunc, carried bool) lawler.Config[resolution] {
 	return lawler.Config[resolution]{
 		Root: transducer.Unconstrained(),
 		Resolve: func(ctx context.Context, c transducer.Constraint, parent resolution, root bool, prior resolution) (resolution, float64, bool, error) {
 			// Children of a printed answer share its checkpoint: every
 			// child prefix is a prefix of the parent's output.
-			align := parent.Output
+			ck := parent.ck
 			if root {
-				align = c.Prefix
+				ck = h.rootHandle()
 			}
-			r, ok, err := resolve(ctx, c, align, prior.rs)
+			r, ok, err := resolve(ctx, c, ck, prior.rs)
 			return r, r.LogEmax, ok, err
 		},
-		Children: func(c transducer.Constraint, top resolution) []transducer.Constraint {
-			return c.Children(top.Output)
+		Children: func(c transducer.Constraint, top *resolution) []transducer.Constraint {
+			kids := c.Children(top.Output)
+			h.emit(top, len(kids) > 0)
+			return kids
 		},
+		Carried: carried,
 		// Exact E_max ties emit in lexicographic output order — a
 		// construction-independent rule, so a reseeded post-append
 		// enumerator (whose queue insertion order necessarily differs)

@@ -40,7 +40,7 @@ func regionID(c transducer.Constraint) string {
 }
 
 func (a *captureAudit) resolve(e *Enumerator) resolveFunc {
-	return func(ctx context.Context, c transducer.Constraint, align []automata.Symbol, prior *kernel.ResumeState) (resolution, bool, error) {
+	return func(ctx context.Context, c transducer.Constraint, ck *kernel.Checkpoint, prior *kernel.ResumeState) (resolution, bool, error) {
 		id := regionID(c)
 		if want := a.last[id]; prior != want {
 			a.t.Fatalf("n=%d: resolve of %v got prior %p, want its last capture %p", e.v.N, c, prior, want)
@@ -48,7 +48,7 @@ func (a *captureAudit) resolve(e *Enumerator) resolveFunc {
 		if prior != nil {
 			a.carried++
 		}
-		r, ok, err := e.resolveAnswer(ctx, c, align, prior)
+		r, ok, err := e.resolveAnswer(ctx, c, ck, prior)
 		if err == nil {
 			a.last[id] = r.rs
 		}
@@ -56,11 +56,12 @@ func (a *captureAudit) resolve(e *Enumerator) resolveFunc {
 	}
 }
 
-// eagerPricer re-prices carried regions as the reseed does, from a
-// complete backward sweep (kernel.NewBounds) instead of on-demand rows
-// and without the zone-frontier memo, memoizing by capture as the
-// reseed does. It records the lowest potential row the pricing reads and
-// whether any region fell back to G.
+// eagerPricer re-prices carried regions as the reseed does, from the
+// checkpoint handles their payloads hold, a complete backward sweep
+// (kernel.NewBounds) instead of on-demand rows and without the
+// zone-frontier memo, memoizing by capture as the reseed does. It
+// records the lowest potential row the pricing reads and whether any
+// region fell back to G.
 type eagerPricer struct {
 	ne       *Enumerator
 	b        *kernel.Bounds
@@ -84,7 +85,7 @@ func newEagerPricer(ne *Enumerator) *eagerPricer {
 	return p
 }
 
-func (p *eagerPricer) price(rs *kernel.ResumeState, align []automata.Symbol) (float64, bool) {
+func (p *eagerPricer) price(rs *kernel.ResumeState, ck *kernel.Checkpoint) (float64, bool) {
 	if rs == nil || rs.N < 1 || rs.N > p.ne.v.N {
 		return 0, false
 	}
@@ -92,26 +93,32 @@ func (p *eagerPricer) price(rs *kernel.ResumeState, align []automata.Symbol) (fl
 		return r.bd, r.ok
 	}
 	var r regionPrice
-	if ck := p.ne.cache.get(align, false); ck != nil {
-		if r.bd, r.ok = ck.FrontierBound(rs.N, p.b); r.ok {
-			m, _ := ck.FrontierAnchor(rs.N)
-			p.lowest = min(p.lowest, m-1, rs.N-1)
-			frow := p.b.Row(rs.N - 1)
-			for i, cell := range rs.Cells {
-				r.bd = max(r.bd, rs.Scores[i]+frow[cell])
-			}
-			r.bd = extendSlack(r.bd)
+	if r.bd, r.ok = ck.FrontierBound(rs.N, p.b); r.ok {
+		m, _ := ck.FrontierAnchor(rs.N)
+		p.lowest = min(p.lowest, m-1, rs.N-1)
+		frow := p.b.Row(rs.N - 1)
+		for i, cell := range rs.Cells {
+			r.bd = max(r.bd, rs.Scores[i]+frow[cell])
 		}
+		r.bd = extendSlack(r.bd)
 	}
 	p.memo[rs] = r
 	return r.bd, r.ok
 }
 
-// bound is the bound the reseed must give region r as Carry hands it in.
-func (p *eagerPricer) bound(r *lawler.Region[resolution], align []automata.Symbol) float64 {
-	bd, ok := p.price(r.Top.rs, align)
+// bound is the bound the reseed must give region r as Carry hands it in,
+// pricing its zone from ck, the checkpoint handle of its alignment.
+// A region with a capture of its own must not fall back to G: the resolve
+// that took the capture read ck, so ck's chain holds a materialized view
+// at or below the capture epoch.
+func (p *eagerPricer) bound(t *testing.T, r *lawler.Region[resolution], ck *kernel.Checkpoint) float64 {
+	bd, ok := p.price(r.Top.rs, ck)
+	if !ok && r.Top.rs != nil {
+		t.Fatalf("n=%d: region %v has a capture from n=%d but its checkpoint handle has no materialized view; it would price from G",
+			p.ne.v.N, r.C, r.Top.rs.N)
+	}
 	if !ok && !r.Root && !r.Emitted {
-		bd, ok = p.price(r.Parent.rs, align)
+		bd, ok = p.price(r.Parent.rs, ck)
 	}
 	if !ok {
 		p.fellBack = true
@@ -136,7 +143,7 @@ func auditCarries(t *testing.T, label string, tr *transducer.Transducer, full *m
 	audit := &captureAudit{t: t, last: map[string]*kernel.ResumeState{}}
 	grown := full.Window(1, start)
 	e := NewEnumerator(tr, grown, WithExtendable())
-	e.inner = lawler.New(lawlerConfig(audit.resolve(e)))
+	e.inner = lawler.New(lawlerConfig(e, audit.resolve(e), true))
 	if len(drainAnswers(e.Next, k)) == 0 {
 		return 0, 0 // empty language: nothing to carry
 	}
@@ -151,8 +158,12 @@ func auditCarries(t *testing.T, label string, tr *transducer.Transducer, full *m
 		ne, reprice := reseed(e, grown)
 		eager := newEagerPricer(ne)
 		var regions []lawler.Region[resolution]
-		ne.inner = e.inner.Carry(lawlerConfig(audit.resolve(ne)), func(r *lawler.Region[resolution]) {
-			want := eager.bound(r, align(*r))
+		ne.inner = e.inner.Carry(lawlerConfig(ne, audit.resolve(ne), true), func(r *lawler.Region[resolution]) {
+			ck := r.Parent.ck
+			if r.Root {
+				ck = e.root
+			}
+			want := eager.bound(t, r, ck)
 			reprice(r)
 			if math.Float64bits(r.Bound) != math.Float64bits(want) {
 				t.Fatalf("%s n=%d: region %v bound %v, an eager sweep prices %v", label, grown.Len(), r.C, r.Bound, want)
@@ -172,12 +183,17 @@ func auditCarries(t *testing.T, label string, tr *transducer.Transducer, full *m
 			partial++
 		}
 		// The reference resolves each region on a fresh pruned enumerator
-		// against its own alignment, regions of one alignment in a row,
-		// so each alignment's checkpoint is built once per carry.
+		// against a checkpoint of its own alignment, regions of one
+		// alignment in a row, so each alignment's checkpoint is built once
+		// per carry.
 		ref := NewEnumerator(tr, grown)
 		slices.SortStableFunc(regions, func(a, b lawler.Region[resolution]) int { return slices.Compare(align(a), align(b)) })
+		var refCk *kernel.Checkpoint
 		for _, r := range regions {
-			best, nonempty, err := ref.resolveAnswer(context.Background(), r.C, align(r), nil)
+			if refCk == nil || !slices.Equal(refCk.Align, align(r)) {
+				refCk = kernel.NewLazyCheckpoint(ref.nt, ref.v, align(r), ref.potentials())
+			}
+			best, nonempty, err := ref.resolveAnswer(context.Background(), r.C, refCk, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,39 +13,36 @@ import (
 // Sweeper is the lean per-window form of the ranked enumerator for
 // sliding-window sweeps: one top-k drain per window, many windows per
 // sweep. It emits exactly the answer sequence of
-// NewEnumerator(t, m, WithTables(nt)) — same resolve alignments, same
+// NewEnumerator(t, m, WithTables(nt)) — same resolve checkpoints, same
 // kernel calls, same deterministic tie handling — but strips the parts
 // of the general enumerator that profiling shows dominate at window
 // scale, where each enumeration is a few dozen microseconds:
 //
-//   - no string checkpoint keys or LRU bookkeeping: within one window's
-//     top-k drain at most k+1 alignments exist (the root's plus one per
-//     emitted answer), so checkpoints live in a small ring compared by
-//     symbol content;
+//   - checkpoint handles for only the answers whose children the k-answer
+//     drain can reach: not the k-th answer's;
 //   - one ConstrainScratch reused across every checkpoint
 //     materialization and resume of the sweep, instead of per-call pool
 //     round trips (parallel window fan-out uses one Sweeper per worker).
 //
-// Checkpoints never leak across windows: TopK resets the ring, since a
-// checkpoint is only meaningful against the view it was built from.
+// Checkpoints never leak across windows: TopK recycles the previous
+// window's handles, since a checkpoint is only meaningful against the
+// view it was built from.
 type Sweeper struct {
-	t  *transducer.Transducer
 	nt *kernel.NFATables
 	sc kernel.ConstrainScratch
-	// ring holds this window's checkpoints; at most k+1 entries are ever
-	// live, so TopK sizes it once and lookups are a short linear scan.
-	ring []sweepCkpt
+	// made lists the handles of the current window's drain, the root's
+	// first; the next window recycles them.
+	made []*kernel.Checkpoint
+	// v is the current window's view, k its drain depth and emitted the
+	// answers emitted so far.
+	v          *kernel.SeqView
+	k, emitted int
 	// b holds the weight-pushed potential storage, rebuilt in place each
 	// TopK (one backward max-plus pass, amortized by the k-answer drain
 	// it then prunes); cur is b when the current window is long enough
 	// for pruning to pay for the backward pass, nil otherwise.
 	b   *kernel.Bounds
 	cur *kernel.Bounds
-}
-
-type sweepCkpt struct {
-	align []automata.Symbol
-	ck    *kernel.Checkpoint
 }
 
 // NewSweeper builds a sweeper for t. WithTables reuses prepared base
@@ -59,7 +56,7 @@ func NewSweeper(t *transducer.Transducer, opts ...Option) *Sweeper {
 	if nt == nil {
 		nt = kernel.NewNFATables(t)
 	}
-	return &Sweeper{t: t, nt: nt}
+	return &Sweeper{nt: nt}
 }
 
 // PruneStats reports the pruning-efficacy counters accumulated across
@@ -67,30 +64,30 @@ func NewSweeper(t *transducer.Transducer, opts ...Option) *Sweeper {
 // kernel.BoundsMinN).
 func (s *Sweeper) PruneStats() kernel.PruneStats { return s.b.Stats() }
 
-func sameAlign(a, b []automata.Symbol) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// handle returns a new lazy handle aligned to align over the window. The
+// drain materializes its DP only if a resolve reads it, reusing a view
+// from s.sc's freelist, and Recycle returns it there.
+func (s *Sweeper) handle(align []automata.Symbol) *kernel.Checkpoint {
+	ck := kernel.NewLazyCheckpoint(s.nt, s.v, align, s.cur)
+	s.made = append(s.made, ck)
+	return ck
 }
 
-// checkpoint returns the ring's handle aligned to align, adding one on a
-// miss. The window's drain materializes the DP only if a resolve reads
-// it, reusing a view from s.sc's freelist, and Recycle returns it there.
-func (s *Sweeper) checkpoint(v *kernel.SeqView, align []automata.Symbol) *kernel.Checkpoint {
-	for i := range s.ring {
-		if sameAlign(s.ring[i].align, align) {
-			return s.ring[i].ck
-		}
+// rootHandle returns the window's root handle, the first it made.
+func (s *Sweeper) rootHandle() *kernel.Checkpoint {
+	if len(s.made) == 0 {
+		s.handle(nil)
 	}
-	ck := kernel.NewLazyCheckpoint(s.nt, v, align, s.cur)
-	s.ring = append(s.ring, sweepCkpt{align: align, ck: ck})
-	return ck
+	return s.made[0]
+}
+
+// emit gives an emitted answer with children a handle, except the k-th
+// answer: the drain stops there and never reaches its children.
+func (s *Sweeper) emit(top *resolution, children bool) {
+	s.emitted++
+	if children && s.emitted < s.k {
+		top.ck = s.handle(top.Output)
+	}
 }
 
 // TopK returns the k highest-E_max answers of the sweeper's transducer
@@ -105,27 +102,25 @@ func (s *Sweeper) TopK(ctx context.Context, m *markov.Sequence, k int) ([]Answer
 		return nil, ctx.Err()
 	}
 	v := m.View()
-	// Checkpoints are view-specific, so the previous window's ring is
-	// dead; recycling its layer storage into the scratch lets this
-	// window's builds run allocation-free (the ring is private to this
+	// Checkpoints are view-specific, so the previous window's handles are
+	// dead; recycling their layer storage into the scratch lets this
+	// window's builds run allocation-free (the handles are private to this
 	// sweeper, so recycling is safe — see kernel.ConstrainScratch.Recycle).
-	for i := range s.ring {
-		s.sc.Recycle(s.ring[i].ck)
-		s.ring[i] = sweepCkpt{}
+	for i, ck := range s.made {
+		s.sc.Recycle(ck)
+		s.made[i] = nil
 	}
-	s.ring = s.ring[:0]
-	if cap(s.ring) < k+1 {
-		s.ring = make([]sweepCkpt, 0, k+1)
-	}
+	s.made = s.made[:0]
+	s.v, s.k, s.emitted = v, k, 0
 	s.cur = nil
 	if v.N >= kernel.BoundsMinN {
 		s.b = kernel.NewBoundsInto(s.b, s.nt, v)
 		s.cur = s.b
 	}
-	en := lawler.New(lawlerConfig(func(ctx context.Context, c transducer.Constraint, align []automata.Symbol, _ *kernel.ResumeState) (resolution, bool, error) {
-		o, logE, ok, err := kernel.ResumeConstrainedBoundedCtx(ctx, s.nt, v, s.checkpoint(v, align), c, s.cur, &s.sc)
+	en := lawler.New(lawlerConfig(s, func(ctx context.Context, c transducer.Constraint, ck *kernel.Checkpoint, _ *kernel.ResumeState) (resolution, bool, error) {
+		o, logE, ok, err := kernel.ResumeConstrainedBoundedCtx(ctx, s.nt, v, ck, c, s.cur, &s.sc)
 		return resolution{Answer: Answer{Output: o, LogEmax: logE}}, ok, err
-	}))
+	}, false))
 	out := make([]Answer, 0, k)
 	for len(out) < k {
 		r, _, ok, err := en.NextCtx(ctx)

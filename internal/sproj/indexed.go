@@ -506,7 +506,7 @@ func (p *SProjector) EnumerateImax(m *markov.Sequence) *ImaxEnumerator {
 			}
 			return StringAnswer{Output: top.Output, Imax: top.Conf}, top.Conf, true, nil
 		},
-		Children: func(c transducer.Constraint, top StringAnswer) []transducer.Constraint {
+		Children: func(c transducer.Constraint, top *StringAnswer) []transducer.Constraint {
 			return c.Children(top.Output)
 		},
 	})}
