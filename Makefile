@@ -170,6 +170,7 @@ fuzz:
 	$(GO) test ./internal/slo -fuzz FuzzSLOScenarioConfig -fuzztime 30s
 	$(GO) test ./internal/lahar -fuzz FuzzSlidingWindows -fuzztime 30s
 	$(GO) test ./internal/lahar -fuzz FuzzAppendTopK -fuzztime 30s
+	$(GO) test ./internal/ranked -fuzz FuzzPrunedMatchesExhaustive -fuzztime 30s
 
 # Quick per-target fuzz pass (a few seconds each; -run '^$$' skips the
 # unit tests so each invocation is pure fuzzing) — cheap enough for CI.
@@ -181,6 +182,7 @@ fuzz-smoke:
 	$(GO) test ./internal/slo -run '^$$' -fuzz FuzzSLOScenarioConfig -fuzztime 3s
 	$(GO) test ./internal/lahar -run '^$$' -fuzz FuzzSlidingWindows -fuzztime 3s
 	$(GO) test ./internal/lahar -run '^$$' -fuzz FuzzAppendTopK -fuzztime 3s
+	$(GO) test ./internal/ranked -run '^$$' -fuzz FuzzPrunedMatchesExhaustive -fuzztime 3s
 
 clean:
 	$(GO) clean ./...

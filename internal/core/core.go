@@ -25,7 +25,6 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"markovseq/internal/automata"
 	"markovseq/internal/conf"
@@ -352,20 +351,8 @@ type Engine struct {
 	// enumerator retains its resolved tree so a successor engine built
 	// by ExtendValidated can carry it across an append. Set by
 	// ExtendValidated, never by Bind — one-shot engines keep the
-	// weight-pushed pruned path.
+	// weight-pushed pruned path (from kernel.BoundsMinN positions on).
 	rankedExtendable bool
-
-	// bounds are the weight-pushed potentials over (baseNT, sequence),
-	// built on first ranked or membership use and shared by both (one
-	// backward max-plus pass per binding); nil-valued while unbuilt and
-	// permanently nil below kernel.BoundsMinN. The potentials are
-	// append-variant — Row(i) looks forward to the end of the view — so
-	// ensureBounds re-checks the stored sweep against the engine's view
-	// epoch and rebuilds on mismatch: a stale sweep must never serve as
-	// a pruning threshold. boundsMu serializes (re)builds only; readers
-	// go through the atomic pointer.
-	boundsMu sync.Mutex
-	bounds   atomic.Pointer[kernel.Bounds]
 
 	// mu guards the lazily-built enumeration memos below; everything
 	// above is read-only after construction.
@@ -408,50 +395,18 @@ func (e *Engine) equivalent() *transducer.Transducer {
 	return e.et
 }
 
-// ensureBounds returns the engine's shared weight-pushed potentials,
-// computing them on first use; nil for sequences too short for the
-// backward sweep to pay for itself (kernel.BoundsMinN).
-//
-// The potentials are append-variant, so the stored sweep is accepted
-// only when it matches the engine's view epoch (kernel.MatchesView) and
-// is rebuilt otherwise — the staleness audit guaranteeing that a sweep
-// carried from a shorter sequence is never used as a pruning threshold.
-func (e *Engine) ensureBounds() *kernel.Bounds {
-	if e.m.Len() < kernel.BoundsMinN {
-		return nil
-	}
-	v := e.m.View()
-	if b := e.bounds.Load(); b != nil && b.MatchesView(v) {
-		return b
-	}
-	e.boundsMu.Lock()
-	defer e.boundsMu.Unlock()
-	if b := e.bounds.Load(); b != nil && b.MatchesView(v) {
-		return b
-	}
-	b := kernel.NewBounds(e.baseNT, v)
-	e.bounds.Store(b)
-	return b
-}
-
-// PruneStats reports the efficacy counters of the engine's ranked and
-// membership kernel calls so far — cells skipped vs. expanded under
-// weight-pushed pruning, plus the cross-append reuse counters
-// (RankedReused, RankedReseeded, HandlesSkipped) of an enumerator
-// carried by ExtendValidated. All zero before the first ranked call and
-// for sequences shorter than kernel.BoundsMinN.
+// PruneStats reports the counters of the engine's E_max enumerator
+// (ranked.Enumerator.PruneStats), all zero before the first ranked call.
+// Its pruning counters stay zero below kernel.BoundsMinN positions and
+// for engines reached through ExtendValidated.
 func (e *Engine) PruneStats() kernel.PruneStats {
-	s := e.bounds.Load().Stats()
 	e.mu.Lock()
 	re := e.topEnum
 	e.mu.Unlock()
-	if re != nil {
-		reused, reseeded, skipped := re.ExtendStats()
-		s.RankedReused += reused
-		s.RankedReseeded += reseeded
-		s.HandlesSkipped += skipped
+	if re == nil {
+		return kernel.PruneStats{}
 	}
-	return s
+	return re.PruneStats()
 }
 
 // Plan returns the selected plan.
@@ -553,16 +508,14 @@ func (e *Engine) initTopCtx(ctx context.Context) error {
 		// the previous drain's resolved tree, re-priced against the grown
 		// sequence. Otherwise an append-extendable engine resolves
 		// unpruned and retains the tree so the next ExtendValidated can
-		// carry it, and a one-shot engine prunes with its shared bounds,
-		// which are nil (the exhaustive sweep) below kernel.BoundsMinN.
+		// carry it, and a one-shot engine prunes from kernel.BoundsMinN
+		// positions on (ranked.NewEnumerator).
 		if e.topEnum == nil {
-			var mode ranked.Option
+			opts := []ranked.Option{ranked.WithTables(e.baseNT)}
 			if e.rankedExtendable {
-				mode = ranked.WithExtendable()
-			} else {
-				mode = ranked.WithBounds(e.ensureBounds())
+				opts = append(opts, ranked.WithExtendable())
 			}
-			e.topEnum = ranked.NewEnumerator(e.pt, e.m, ranked.WithTables(e.baseNT), mode)
+			e.topEnum = ranked.NewEnumerator(e.pt, e.m, opts...)
 		}
 		it := e.topEnum
 		e.topNext = func(ctx context.Context) (Answer, bool, error) {
@@ -679,7 +632,7 @@ func (e *Engine) EnumerateCtx(ctx context.Context, limit int) ([][]automata.Symb
 // the tables are read-only, so concurrent calls are safe.
 func (e *Engine) IsAnswer(o []automata.Symbol) bool {
 	c := transducer.Constraint{Prefix: o, Mode: transducer.ExactOnly}
-	found, _ := kernel.ConstrainedNonEmptyBoundedCtx(context.Background(), e.baseNT, e.m.View(), c, e.ensureBounds(), nil)
+	found, _ := kernel.ConstrainedNonEmptyCtx(context.Background(), e.baseNT, e.m.View(), c, nil)
 	return found
 }
 

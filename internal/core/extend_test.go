@@ -333,50 +333,14 @@ func TestExtendValidatedDeepCarry(t *testing.T) {
 	}
 }
 
-// TestEnsureBoundsRejectsStaleSweep is the staleness audit of the
-// weight-pushed potentials: Bounds rows look forward to the end of the
-// sequence, so a sweep computed over a shorter epoch must never be used
-// as a pruning threshold after an append. ensureBounds re-checks the
-// stored sweep against the engine's view and rebuilds on mismatch.
-func TestEnsureBoundsRejectsStaleSweep(t *testing.T) {
-	const n = 44
-	wl := extendWorkloads(t, n)[0]
-	prep := PrepareTransducer(wl.q)
-	short, err := prep.Bind(wl.full.Window(1, n-4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stale := short.ensureBounds()
-	if stale == nil {
-		t.Fatal("no bounds built for the short binding")
-	}
-	full, err := prep.Bind(wl.full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a carried-over sweep from the pre-append epoch.
-	full.bounds.Store(stale)
-	b := full.ensureBounds()
-	if b == stale {
-		t.Fatal("ensureBounds served a sweep from a shorter epoch as a pruning threshold")
-	}
-	if b == nil || !b.MatchesView(full.m.View()) {
-		t.Fatalf("rebuilt bounds do not match the engine's view")
-	}
-	// And the rebuilt sweep is stable on repeat.
-	if again := full.ensureBounds(); again != b {
-		t.Fatal("matching bounds were rebuilt a second time")
-	}
-}
-
 // TestRankedModeSelection pins which mode each engine's enumerator
 // drains in: a binding shorter than kernel.BoundsMinN runs the exhaustive
 // sweep (no potentials, so no pruned resolves), a longer one prunes with
-// the engine's shared bounds, and an ExtendValidated engine is
+// its enumerator's own potentials, and an ExtendValidated engine is
 // extendable whatever its length. The mode shows from outside: only an
 // extendable enumerator is carried across an append (ExtendEnumerator
-// refuses the others), and only a pruned one counts resolves, into the
-// engine's own bounds.
+// refuses the others), and only a pruned one counts resolves, which the
+// engine reports as its enumerator's.
 func TestRankedModeSelection(t *testing.T) {
 	wl := extendWorkloads(t, kernel.BoundsMinN)[0]
 	prep := PrepareTransducer(wl.q)
@@ -422,7 +386,7 @@ func TestRankedModeSelection(t *testing.T) {
 			}
 		default:
 			if carried || resolves == 0 || own != resolves {
-				t.Fatalf("%s: carried=%v pruned resolves=%d (enumerator %d), want a drain pruned by the engine's shared bounds", tc.name, carried, resolves, own)
+				t.Fatalf("%s: carried=%v pruned resolves=%d (enumerator %d), want a pruned drain", tc.name, carried, resolves, own)
 			}
 		}
 	}

@@ -117,9 +117,11 @@ import (
 //   - the final argmax breaks ties toward the smaller cell id, so it is
 //     independent of frontier order entirely.
 //
-// Gating by potential = -Inf is even simpler: the backward recurrence
-// makes the -Inf set closed under successors, so gated cells only ever
-// relax gated cells and removing them is unobservable.
+// The potentials only prune resumes: a checkpoint build keeps every
+// cell of the exact-prefix DP, those with no accepting completion
+// included (the prepared transducers of the serving layers are trimmed,
+// so such cells are rare), so every checkpoint can be extended across an
+// append and serve as a derivation donor.
 
 // ckLayer is one position's frontier snapshot, a 24-byte header into the
 // slab s of the view that built it. The layer's n active cells are the
@@ -345,15 +347,14 @@ type Checkpoint struct {
 	// touch; nil until then.
 	view atomic.Pointer[ckView]
 
-	// Build inputs of the DP: the tables, the view, and the gating
-	// bounds, with mu single-flighting the materialization. Recycle
-	// clears them (nt == nil marks a recycled checkpoint). Concurrent
-	// first touches come from an engine and its append successor, which
-	// share carried handles and may drain at once.
+	// Build inputs of the DP: the tables and the view, with mu
+	// single-flighting the materialization. Recycle clears them
+	// (nt == nil marks a recycled checkpoint). Concurrent first touches
+	// come from an engine and its append successor, which share carried
+	// handles and may drain at once.
 	mu sync.Mutex
 	nt *NFATables
 	v  *SeqView
-	b  *Bounds
 
 	// base links an extended checkpoint (NewExtendedLazyCheckpoint) to
 	// the checkpoint over the shorter sequence it continues: the first
@@ -362,12 +363,7 @@ type Checkpoint struct {
 	// view is published: the view holds copies of the headers it aliased,
 	// and nothing reads past the first materialized view of a chain, so
 	// dropping the link lets every ancestor's header array be collected.
-	// gated records whether the build drops potential -Inf cells; a gated
-	// layer set is incomplete forward state once the sequence grows (a
-	// cell dead at length n can regain accepting completions at n+Δ), so
-	// only ungated checkpoints are extendable.
-	base  atomic.Pointer[Checkpoint]
-	gated bool
+	base atomic.Pointer[Checkpoint]
 
 	// donor optionally links a lazy checkpoint to another checkpoint
 	// whose alignment shares a prefix with Align (NewLazyCheckpointFrom).
@@ -411,16 +407,7 @@ func (ck *Checkpoint) MaterializedLayers() int { return int(ck.matLayers.Load())
 // NewLazyCheckpoint returns a checkpoint handle for align with the DP
 // deferred: no layer is relaxed until a resume first reads one, at
 // which point the full DP is materialized once. O(1); it cannot fail.
-//
-// With b non-nil the build is gated by the potentials: cells with no
-// accepting completion (potential -Inf) are dropped from every retained
-// layer. Gated checkpoints resume to bit-identical results (the -Inf set
-// is closed under successors) while carrying fewer cells; nil disables
-// gating.
-func NewLazyCheckpoint(nt *NFATables, v *SeqView, align []automata.Symbol, b *Bounds) *Checkpoint {
-	if b != nil {
-		b.lazyHandles.Add(1)
-	}
+func NewLazyCheckpoint(nt *NFATables, v *SeqView, align []automata.Symbol) *Checkpoint {
 	return &Checkpoint{
 		Align:  automata.CloneString(align),
 		states: nt.States,
@@ -428,8 +415,6 @@ func NewLazyCheckpoint(nt *NFATables, v *SeqView, align []automata.Symbol, b *Bo
 		kq:     v.K * nt.States,
 		nt:     nt,
 		v:      v,
-		b:      b,
-		gated:  b != nil,
 	}
 }
 
@@ -446,14 +431,14 @@ func NewLazyCheckpoint(nt *NFATables, v *SeqView, align []automata.Symbol, b *Bo
 // layer refers to the nearest fully relaxed layer down the donor chain,
 // cut at column ℓ, as its root and copies only the cells up to ℓ that
 // the donor stacked above that root; its own slab holds those and its
-// band. A gated donor, or one over other tables, is not used: the build
-// runs the full DP. The result is identical either way: a derived view
+// band. A donor over other tables is not used: the build runs the full
+// DP. The result is identical either way: a derived view
 // holds a from-scratch build's layers cell for cell, in cell order. When
 // the donor covers fewer positions than v (a handle carried from before
 // an append), the remaining positions relax in full.
 func NewLazyCheckpointFrom(nt *NFATables, v *SeqView, align []automata.Symbol, donor *Checkpoint) *Checkpoint {
-	ck := NewLazyCheckpoint(nt, v, align, nil)
-	if donor != nil && !donor.gated && donor.states == nt.States && donor.kq == ck.kq &&
+	ck := NewLazyCheckpoint(nt, v, align)
+	if donor != nil && donor.states == nt.States && donor.kq == ck.kq &&
 		donor.n >= 1 && donor.n <= v.N && automata.CommonPrefix(align, donor.Align) >= 1 {
 		ck.donor = donor
 	}
@@ -462,12 +447,9 @@ func NewLazyCheckpointFrom(nt *NFATables, v *SeqView, align []automata.Symbol, d
 
 // Extendable reports whether ck can serve as the base of an extended
 // checkpoint over nt and a view at least as long as the one ck was built
-// against. Gated checkpoints are excluded: gating drops cells whose
-// completion potential is -Inf over the *current* length, and those
-// cells can become live again when the sequence grows, so a gated layer
-// set is not valid forward state for a longer view.
+// against.
 func (ck *Checkpoint) Extendable(nt *NFATables, v *SeqView) bool {
-	return ck != nil && !ck.gated && ck.states == nt.States && v.N >= ck.n
+	return ck != nil && ck.states == nt.States && v.N >= ck.n
 }
 
 // NewExtendedLazyCheckpoint returns a lazy checkpoint over the grown
@@ -488,10 +470,9 @@ func (ck *Checkpoint) Extendable(nt *NFATables, v *SeqView) bool {
 // (SeqView.Extend / markov.Sequence.Extended); base is never mutated, so
 // an enumerator over the old snapshot can keep serving from it
 // concurrently. When v has base's own length, base itself is returned.
-// The handle is always ungated, hence extendable in turn: extension
-// chains across any number of appends, and once a link materializes it
-// drops its base, so a chain never retains more than one materialized
-// view.
+// The handle is extendable in turn: extension chains across any number
+// of appends, and once a link materializes it drops its base, so a chain
+// never retains more than one materialized view.
 func NewExtendedLazyCheckpoint(nt *NFATables, v *SeqView, base *Checkpoint) *Checkpoint {
 	if !base.Extendable(nt, v) {
 		panic("kernel: NewExtendedLazyCheckpoint base is not extendable to the given view")
@@ -568,8 +549,8 @@ func (ck *Checkpoint) FrontierAnchor(maxN int) (m int, ok bool) {
 // runs still inside a subproblem's matched zone: every exact-prefix
 // partial run alive at position m-1 appears in that layer, forward
 // scores only decrease along a run (each step weight is a log
-// probability ≤ 0), and the layer is complete because the build is
-// ungated (Extendable guarantees the chain root is too) — so the bound
+// probability ≤ 0), and the layer is complete because every build keeps
+// every cell of the exact-prefix DP — so the bound
 // covers the best completion of every such run even when the layer is
 // several appends stale. When the view covers more than maxN positions,
 // its interior layer at maxN-1 is exactly the zone frontier at that
@@ -625,9 +606,6 @@ func (ck *Checkpoint) ensureView(p *Poll, sc *ConstrainScratch) (*ckView, error)
 	}
 	ck.donor = nil // release for independent eviction; the DP is ours now
 	ck.matLayers.Store(uint64(built))
-	if ck.b != nil {
-		ck.b.lazyLayers.Add(uint64(built))
-	}
 	ck.view.Store(vw)
 	ck.base.Store(nil)
 	return vw, nil
@@ -707,7 +685,7 @@ func (sc *ConstrainScratch) Recycle(ck *Checkpoint) {
 		return
 	}
 	ck.mu.Lock()
-	ck.nt, ck.v, ck.b = nil, nil, nil
+	ck.nt, ck.v = nil, nil
 	vw := ck.view.Swap(nil)
 	ck.mu.Unlock()
 	if vw != nil {
@@ -804,8 +782,7 @@ func decodeTables(sc *ConstrainScratch, k, states int) (xof, qof []int32) {
 //     into the columns past ℓ (derivation; see NewLazyCheckpointFrom):
 //     the predecessors z ≥ band, the previous layer's tail from the
 //     band's first cell;
-//   - every other position relaxes its predecessors in full, gated by
-//     ck.b when it is set.
+//   - every other position relaxes its predecessors in full.
 //
 // Predecessors relax in stored order, and relax keeps the first arrival
 // of a maximum, which is what walkPrefix relies on. Layers relax into the
@@ -832,7 +809,7 @@ func materialize(p *Poll, ck *Checkpoint, sc *ConstrainScratch) (*ckView, int, e
 		dlen = automata.CommonPrefix(ck.donor.Align, ck.Align)
 	}
 
-	nt, v, b := ck.nt, ck.v, ck.b
+	nt, v := ck.nt, ck.v
 	align := ck.Align
 	states := nt.States
 	kq := ck.kq
@@ -862,8 +839,6 @@ func materialize(p *Poll, ck *Checkpoint, sc *ConstrainScratch) (*ckView, int, e
 	clear(layers)
 	copy(layers, alias)
 
-	neg := math.Inf(-1)
-	var prow []float64
 	built := 0
 	for i := len(alias); i < v.N; i++ {
 		if err := p.Step(); err != nil {
@@ -879,9 +854,6 @@ func materialize(p *Poll, ck *Checkpoint, sc *ConstrainScratch) (*ckView, int, e
 		if i < len(donor) {
 			zmin, d = int32(dlen), &donor[i]
 		}
-		if b != nil {
-			prow = b.pot[i*kq : (i+1)*kq]
-		}
 		if i == 0 {
 			for ii, x := range v.InitIdx {
 				lp := math.Log(v.InitVal[ii])
@@ -891,11 +863,7 @@ func materialize(p *Poll, ck *Checkpoint, sc *ConstrainScratch) (*ckView, int, e
 					if z2 <= zmin {
 						continue
 					}
-					q2 := int(nt.Succ[e])
-					if prow != nil && prow[int(x)*states+q2] == neg {
-						continue
-					}
-					sc.f.relax(z2*kq32+int32(int(x)*states+q2), lp)
+					sc.f.relax(z2*kq32+int32(int(x)*states+int(nt.Succ[e])), lp)
 				}
 			}
 		} else {
@@ -944,11 +912,7 @@ func materialize(p *Poll, ck *Checkpoint, sc *ConstrainScratch) (*ckView, int, e
 							if z2 <= zmin {
 								continue
 							}
-							q2 := int(nt.Succ[t])
-							if prow != nil && prow[yBase+q2] == neg {
-								continue
-							}
-							sc.f.relax(z2*kq32+int32(yBase+q2), lp)
+							sc.f.relax(z2*kq32+int32(yBase+int(nt.Succ[t])), lp)
 						}
 					}
 				}
@@ -1289,12 +1253,12 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 	// it cannot raise L by definition. The threshold slack covers the
 	// float-association error between a forward DP sum and the two-term
 	// score + potential bound; both are within a few ulps of the real
-	// path weight, so a relative 1e-9 dwarfs it.
+	// path weight, so Slack's relative 1e-9 dwarfs it.
 	prune := b != nil
 	L := exactBest
 	tau := neg
-	if prune && L > neg {
-		tau = L - 1e-9*(1+math.Abs(L))
+	if prune {
+		tau = L - Slack(L)
 	}
 	var prunedCt, visitedCt, skipCands, skipCells uint64
 	if start == 0 {
@@ -1309,10 +1273,10 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 				cell := int32(int(x)*nt.States + int(nt.Succ[e]))
 				cd := crossCand{pos: 0, cell: cell, lp: lp, rec: crossRec{layer: -1, pi: int32(ii), edge: e}}
 				if prune {
-					cd.bound = lp + b.pos(0, cell)
+					cd.bound = lp + b.pot[cell] // row 0
 					if cd.bound > L {
 						L = cd.bound
-						tau = L - 1e-9*(1+math.Abs(L))
+						tau = L - Slack(L)
 					} else if cd.bound < tau {
 						skipCands++
 						continue
@@ -1374,7 +1338,7 @@ func resumeConstrained(p *Poll, nt *NFATables, v *SeqView, ck *Checkpoint, c tra
 						cd.bound = lp + prow1[cell]
 						if cd.bound > L {
 							L = cd.bound
-							tau = L - 1e-9*(1+math.Abs(L))
+							tau = L - Slack(L)
 						} else if cd.bound < tau {
 							skipCands++
 							continue
@@ -1666,14 +1630,14 @@ func (sc *ConstrainScratch) survive(heads []int32, n, start, pastSize int, back 
 
 // ConstrainedViterbi solves the constrained top-answer problem from
 // scratch: a resume against a fresh checkpoint handle aligned to the
-// constraint's own prefix, gated and pruned by b when it is non-nil (nil
-// runs the exhaustive sweep). Besides the answer and its log
+// constraint's own prefix, pruned by b when it is non-nil (nil runs the
+// exhaustive sweep). Besides the answer and its log
 // probability it returns the run's evidence: the node string and the
 // visited transducer states. The checkpoint is discarded; enumeration
 // layers that reuse checkpoints across Lawler children call
 // NewLazyCheckpoint and ResumeConstrainedBoundedCtx directly, and get no
 // evidence.
 func ConstrainedViterbi(nt *NFATables, v *SeqView, c transducer.Constraint, b *Bounds, sc *ConstrainScratch) (out, nodes []automata.Symbol, states []int, logp float64, ok bool) {
-	out, nodes, states, logp, ok, _, _ = resumeConstrained(nil, nt, v, NewLazyCheckpoint(nt, v, c.Prefix, b), c, b, nil, nil, sc, true)
+	out, nodes, states, logp, ok, _, _ = resumeConstrained(nil, nt, v, NewLazyCheckpoint(nt, v, c.Prefix), c, b, nil, nil, sc, true)
 	return out, nodes, states, logp, ok
 }

@@ -123,7 +123,7 @@ func TestResumeMatchesFromScratch(t *testing.T) {
 		nt := kernel.NewNFATables(tr)
 		v := m.View()
 		for _, o := range answers(tr, m) {
-			ck := kernel.NewLazyCheckpoint(nt, v, o, nil)
+			ck := kernel.NewLazyCheckpoint(nt, v, o)
 			kids := transducer.Unconstrained().Children(o)
 			// Nested children exercise deeper prefixes against the same
 			// checkpoint (their prefixes still align with o).
@@ -266,7 +266,7 @@ func TestResumeIncContinuesAcrossAppend(t *testing.T) {
 			for cut := 0; cut <= len(o); cut++ {
 				c := transducer.Constraint{Prefix: o[:cut], Mode: mode}
 				label := fmt.Sprintf("trial %d p=%d/%d %v", trial, p, n, c)
-				base := kernel.NewLazyCheckpoint(nt, vs, o, nil)
+				base := kernel.NewLazyCheckpoint(nt, vs, o)
 				prior := &kernel.ResumeState{}
 				if _, _, _, _, err := kernel.ResumeConstrainedIncCtx(ctx, nt, vs, base, c, nil, prior, nil); err != nil {
 					t.Fatal(err)
@@ -280,7 +280,7 @@ func TestResumeIncContinuesAcrossAppend(t *testing.T) {
 				if !continued {
 					t.Fatalf("%s: resume against the extended checkpoint did not continue the prior sweep", label)
 				}
-				fo, fn, _, flp, fok, fcont, err := kernel.ResumeEvidence(ctx, nt, vg, kernel.NewLazyCheckpoint(nt, vg, o, nil), c, nil, nil, &want, nil)
+				fo, fn, _, flp, fok, fcont, err := kernel.ResumeEvidence(ctx, nt, vg, kernel.NewLazyCheckpoint(nt, vg, o), c, nil, nil, &want, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -354,10 +354,10 @@ func TestResumeIncFallsBackOnForeignPrior(t *testing.T) {
 				c := transducer.Constraint{Prefix: o[:cut], Mode: mode}
 				label := fmt.Sprintf("trial %d p=%d/%d %v", trial, p, n, c)
 				prior := &kernel.ResumeState{}
-				if _, _, _, _, err := kernel.ResumeConstrainedIncCtx(ctx, nt, vs, kernel.NewLazyCheckpoint(nt, vs, o, nil), c, nil, prior, nil); err != nil {
+				if _, _, _, _, err := kernel.ResumeConstrainedIncCtx(ctx, nt, vs, kernel.NewLazyCheckpoint(nt, vs, o), c, nil, prior, nil); err != nil {
 					t.Fatal(err)
 				}
-				donor := kernel.NewLazyCheckpoint(nt, vg, o[:len(o)-1], nil)
+				donor := kernel.NewLazyCheckpoint(nt, vg, o[:len(o)-1])
 				derived := kernel.NewLazyCheckpointFrom(nt, vg, o, donor)
 				var got, want kernel.ResumeState
 				go_, gn, gs, glp, gok, continued, err := kernel.ResumeEvidence(ctx, nt, vg, derived, c, nil, prior, &got, nil)
@@ -448,7 +448,7 @@ func TestResumeIncChainedContinuations(t *testing.T) {
 		for _, mode := range modes {
 			for cut := 0; cut <= len(o); cut++ {
 				c := transducer.Constraint{Prefix: o[:cut], Mode: mode}
-				ck := kernel.NewLazyCheckpoint(nt, views[0], o, nil)
+				ck := kernel.NewLazyCheckpoint(nt, views[0], o)
 				prior := &kernel.ResumeState{}
 				if _, _, _, _, err := kernel.ResumeConstrainedIncCtx(ctx, nt, views[0], ck, c, nil, prior, nil); err != nil {
 					t.Fatal(err)
@@ -465,7 +465,7 @@ func TestResumeIncChainedContinuations(t *testing.T) {
 					if !continued {
 						t.Fatalf("%s: did not continue the previous round's capture", label)
 					}
-					fo, fn, fs, flp, fok, _, err := kernel.ResumeEvidence(ctx, nt, v, kernel.NewLazyCheckpoint(nt, v, o, nil), c, nil, nil, want, nil)
+					fo, fn, fs, flp, fok, _, err := kernel.ResumeEvidence(ctx, nt, v, kernel.NewLazyCheckpoint(nt, v, o), c, nil, nil, want, nil)
 					if err != nil {
 						t.Fatal(err)
 					}

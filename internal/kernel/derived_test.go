@@ -86,8 +86,8 @@ func TestDerivedCheckpointMatchesFresh(t *testing.T) {
 			if len(o) < 2 {
 				continue
 			}
-			fresh := kernel.NewLazyCheckpoint(nt, v, o, nil)
-			freshE := kernel.NewLazyCheckpoint(nt, ve, o, nil)
+			fresh := kernel.NewLazyCheckpoint(nt, v, o)
+			freshE := kernel.NewLazyCheckpoint(nt, ve, o)
 			for _, touched := range []bool{false, true} {
 				// warm touches ck first when the case asks for a donor the
 				// checkpoint cache would already have built.
@@ -104,23 +104,23 @@ func TestDerivedCheckpointMatchesFresh(t *testing.T) {
 						continue
 					}
 					label := fmt.Sprintf("trial %d align %v cut %d touched %v", trial, o, cut, touched)
-					donor := warm(kernel.NewLazyCheckpoint(nt, v, o[:cut], nil), v)
+					donor := warm(kernel.NewLazyCheckpoint(nt, v, o[:cut]), v)
 					sameDP(t, label, nt, v, b, kernel.NewLazyCheckpointFrom(nt, v, o, donor), fresh)
 
 					// A donor covering fewer positions than the view: the
 					// positions past it relax in full.
-					donor = warm(kernel.NewLazyCheckpoint(nt, vs, o[:cut], nil), vs)
+					donor = warm(kernel.NewLazyCheckpoint(nt, vs, o[:cut]), vs)
 					sameDP(t, label+" short donor", nt, ve, be, kernel.NewLazyCheckpointFrom(nt, ve, o, donor), freshE)
 					short++
 				}
 
 				// A chain of derivations, each level from the one before:
 				// o[:1] ← o[:2] ← … ← o, every level checked.
-				ck := warm(kernel.NewLazyCheckpoint(nt, v, o[:1], nil), v)
+				ck := warm(kernel.NewLazyCheckpoint(nt, v, o[:1]), v)
 				for l := 2; l <= len(o); l++ {
 					ck = warm(kernel.NewLazyCheckpointFrom(nt, v, o[:l], ck), v)
 					sameDP(t, fmt.Sprintf("trial %d align %v chain level %d touched %v", trial, o, l-1, touched),
-						nt, v, b, ck, kernel.NewLazyCheckpoint(nt, v, o[:l], nil))
+						nt, v, b, ck, kernel.NewLazyCheckpoint(nt, v, o[:l]))
 					if l-1 >= 3 {
 						deep++
 					}
@@ -128,7 +128,7 @@ func TestDerivedCheckpointMatchesFresh(t *testing.T) {
 
 				// A derivation from an extension of a derived view: the
 				// donor's layers below vs.N are themselves derived.
-				root := warm(kernel.NewLazyCheckpoint(nt, vs, o[:len(o)/2], nil), vs)
+				root := warm(kernel.NewLazyCheckpoint(nt, vs, o[:len(o)/2]), vs)
 				mid := warm(kernel.NewLazyCheckpointFrom(nt, vs, o[:len(o)-1], root), vs)
 				ext := warm(kernel.NewExtendedLazyCheckpoint(nt, ve, mid), ve)
 				sameDP(t, fmt.Sprintf("trial %d align %v from an extension touched %v", trial, o, touched),
@@ -154,7 +154,7 @@ func TestDerivedConcurrentFirstTouch(t *testing.T) {
 	nt, v, o := fx.nt, fx.views[0], fx.align
 	b := kernel.NewBounds(nt, v)
 	cut := len(o) / 2
-	donor := kernel.NewLazyCheckpoint(nt, v, o[:cut], nil)
+	donor := kernel.NewLazyCheckpoint(nt, v, o[:cut])
 	type answer struct {
 		lp float64
 		ok bool
@@ -166,7 +166,7 @@ func TestDerivedConcurrentFirstTouch(t *testing.T) {
 	for h := range derived {
 		align := o[:cut+1+h%(len(o)-cut)]
 		derived[h] = kernel.NewLazyCheckpointFrom(nt, v, align, donor)
-		fresh[h] = kernel.NewLazyCheckpoint(nt, v, align, nil)
+		fresh[h] = kernel.NewLazyCheckpoint(nt, v, align)
 		cs[h] = transducer.Constraint{Prefix: align[:len(align)-1], Mode: transducer.ExtensionsOnly}
 		_, lp, ok, err := kernel.ResumeConstrainedBoundedCtx(context.Background(), nt, v, fresh[h], cs[h], nil, nil)
 		if err != nil {
@@ -244,13 +244,13 @@ func TestDerivedFromCommonPrefix(t *testing.T) {
 				"first":       flip(o, 1),
 				"first short": flip(o[:2], 1),
 			}
-			fresh := kernel.NewLazyCheckpoint(nt, v, o, nil)
-			freshE := kernel.NewLazyCheckpoint(nt, ve, o, nil)
+			fresh := kernel.NewLazyCheckpoint(nt, v, o)
+			freshE := kernel.NewLazyCheckpoint(nt, ve, o)
 			for name, da := range donors {
 				for _, touched := range []bool{false, true} {
 					label := fmt.Sprintf("trial %d align %v %s donor %v touched %v", trial, o, name, da, touched)
-					donor := kernel.NewLazyCheckpoint(nt, v, da, nil)
-					short := kernel.NewLazyCheckpoint(nt, vs, da, nil)
+					donor := kernel.NewLazyCheckpoint(nt, v, da)
+					short := kernel.NewLazyCheckpoint(nt, vs, da)
 					if touched {
 						touch(t, nt, v, donor)
 						touch(t, nt, vs, short)
@@ -263,7 +263,7 @@ func TestDerivedFromCommonPrefix(t *testing.T) {
 					cases++
 
 					// Derived over vs, never built, then carried to ve.
-					short = kernel.NewLazyCheckpoint(nt, vs, da, nil)
+					short = kernel.NewLazyCheckpoint(nt, vs, da)
 					ext := kernel.NewExtendedLazyCheckpoint(nt, ve, kernel.NewLazyCheckpointFrom(nt, vs, o, short))
 					sameDP(t, label+" carried unbuilt", nt, ve, be, ext, freshE)
 					if short.MaterializedLayers() == 0 {
@@ -276,5 +276,67 @@ func TestDerivedFromCommonPrefix(t *testing.T) {
 	}
 	if cases == 0 || carried == 0 {
 		t.Fatalf("ran %d derivations and %d carried handles; want both > 0", cases, carried)
+	}
+}
+
+// TestPrunedResumeCheckpointExtendsAndDonates: a checkpoint that a resume
+// with potentials materialized holds the whole exact-prefix DP — builds
+// drop no cell for its potential — so it extends over an appended view
+// (NewExtendedLazyCheckpoint) and donates to derivations
+// (NewLazyCheckpointFrom) like any other, each resolving as a fresh build
+// of its alignment does and equal to it layer for layer (sameDP for the
+// derivations).
+func TestPrunedResumeCheckpointExtendsAndDonates(t *testing.T) {
+	ctx := context.Background()
+	checked := 0
+	for trial := 0; trial < 15; trial++ {
+		rng := rand.New(rand.NewSource(int64(27100 + trial)))
+		in := automata.MustAlphabet("a", "b")
+		out := automata.MustAlphabet("x", "y")
+		full := markov.Random(in, 4+rng.Intn(4), 0.7, rng)
+		tr := randomVarNFATransducer(in, out, 1+rng.Intn(3), rng)
+		nt := kernel.NewNFATables(tr)
+		short := full.Window(1, full.Len()-1)
+		vs, vg := short.View(), extendTo(t, full, short, full.Len()).View()
+		bs, bg := kernel.NewBounds(nt, vs), kernel.NewBounds(nt, vg)
+		for _, o := range answers(tr, short) {
+			if len(o) == 0 {
+				continue
+			}
+			ck := kernel.NewLazyCheckpoint(nt, vs, o)
+			for _, c := range transducer.Unconstrained().Children(o) {
+				if _, _, _, err := kernel.ResumeConstrainedBoundedCtx(ctx, nt, vs, ck, c, bs, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if ck.MaterializedLayers() == 0 {
+				t.Fatalf("trial %d %v: the pruned resumes built nothing", trial, o)
+			}
+			label := fmt.Sprintf("trial %d %v", trial, o)
+			ext, fresh := kernel.NewExtendedLazyCheckpoint(nt, vg, ck), kernel.NewLazyCheckpoint(nt, vg, o)
+			for _, c := range transducer.Unconstrained().Children(o) {
+				eo, elp, eok, _ := kernel.ResumeConstrainedBoundedCtx(ctx, nt, vg, ext, c, bg, nil)
+				fo, flp, fok, _ := kernel.ResumeConstrainedBoundedCtx(ctx, nt, vg, fresh, c, bg, nil)
+				if eok != fok || elp != flp || !automata.EqualStrings(eo, fo) {
+					t.Fatalf("%s %v: extended (%v %v %v) != fresh (%v %v %v)", label, c, eok, eo, elp, fok, fo, flp)
+				}
+			}
+			for i := 0; i < vg.N; i++ {
+				ec, es, _ := kernel.ViewLayer(ext, i)
+				fc, fs, _ := kernel.ViewLayer(fresh, i)
+				if !slices.Equal(ec, fc) || !slices.Equal(es, fs) {
+					t.Fatalf("%s: extended layer %d differs: %v, fresh %v", label, i, ec, fc)
+				}
+			}
+			longer := append(slices.Clone(o), 0)
+			sameDP(t, label+" donor to an extension", nt, vs, bs, kernel.NewLazyCheckpointFrom(nt, vs, longer, ck), kernel.NewLazyCheckpoint(nt, vs, longer))
+			if len(o) > 1 {
+				sameDP(t, label+" donor to a prefix", nt, vs, bs, kernel.NewLazyCheckpointFrom(nt, vs, o[:len(o)-1], ck), kernel.NewLazyCheckpoint(nt, vs, o[:len(o)-1]))
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no instance had a non-empty answer")
 	}
 }

@@ -20,12 +20,12 @@ func ResumeEvidence(ctx context.Context, nt *NFATables, v *SeqView, ck *Checkpoi
 // has already been materialized through sc (nil draws from the internal
 // pool), for tests that resume against a pre-built checkpoint or measure
 // the build alone. ctx cancels the build.
-func MaterializedCheckpoint(ctx context.Context, nt *NFATables, v *SeqView, align []automata.Symbol, b *Bounds, sc *ConstrainScratch) (*Checkpoint, error) {
+func MaterializedCheckpoint(ctx context.Context, nt *NFATables, v *SeqView, align []automata.Symbol, sc *ConstrainScratch) (*Checkpoint, error) {
 	if sc == nil {
 		sc = constrainScratchPool.Get().(*ConstrainScratch)
 		defer constrainScratchPool.Put(sc)
 	}
-	ck := NewLazyCheckpoint(nt, v, align, b)
+	ck := NewLazyCheckpoint(nt, v, align)
 	if _, err := ck.ensureView(NewPoll(ctx), sc); err != nil {
 		return nil, err
 	}

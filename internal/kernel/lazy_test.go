@@ -35,11 +35,11 @@ func TestLazyCheckpointMatchesEager(t *testing.T) {
 		v := m.View()
 		b := kernel.NewBounds(nt, v)
 		for _, o := range answers(tr, m) {
-			pre, err := kernel.MaterializedCheckpoint(ctx, nt, v, o, b, nil)
+			pre, err := kernel.MaterializedCheckpoint(ctx, nt, v, o, nil)
 			if err != nil {
 				t.Fatalf("trial %d: up-front build: %v", trial, err)
 			}
-			lazy := kernel.NewLazyCheckpoint(nt, v, o, b)
+			lazy := kernel.NewLazyCheckpoint(nt, v, o)
 			if got := lazy.MaterializedLayers(); got != 0 {
 				t.Fatalf("trial %d: untouched lazy handle materialized %d layers", trial, got)
 			}
@@ -108,7 +108,7 @@ func TestRecycledCheckpointPanics(t *testing.T) {
 		}
 	}
 	sc := &kernel.ConstrainScratch{}
-	materialized, err := kernel.MaterializedCheckpoint(context.Background(), nt, v, o, nil, sc)
+	materialized, err := kernel.MaterializedCheckpoint(context.Background(), nt, v, o, sc)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -117,7 +117,7 @@ func TestRecycledCheckpointPanics(t *testing.T) {
 		ck   *kernel.Checkpoint
 	}{
 		{"materialized", materialized},
-		{"untouched", kernel.NewLazyCheckpoint(nt, v, o, nil)},
+		{"untouched", kernel.NewLazyCheckpoint(nt, v, o)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sc.Recycle(tc.ck)
@@ -150,7 +150,7 @@ func lazyAllocWorkload(t *testing.T) (nt *kernel.NFATables, v *kernel.SeqView, b
 		if !ok {
 			continue
 		}
-		ck := kernel.NewLazyCheckpoint(nt, v, o, nil)
+		ck := kernel.NewLazyCheckpoint(nt, v, o)
 		for _, kid := range transducer.Unconstrained().Children(o) {
 			if _, _, kok, _ := kernel.ResumeConstrainedBoundedCtx(context.Background(), nt, v, ck, kid, nil, sc); kok {
 				return nt, v, b, o, kid, sc
@@ -168,7 +168,7 @@ func lazyAllocWorkload(t *testing.T) (nt *kernel.NFATables, v *kernel.SeqView, b
 // scratch.
 func TestResumeSteadyStateAllocs(t *testing.T) {
 	nt, v, b, o, c, sc := lazyAllocWorkload(t)
-	ck, err := kernel.MaterializedCheckpoint(context.Background(), nt, v, o, b, sc)
+	ck, err := kernel.MaterializedCheckpoint(context.Background(), nt, v, o, sc)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -194,9 +194,9 @@ func TestResumeSteadyStateAllocs(t *testing.T) {
 // allocating only the fixed-size handle (checkpoint struct and
 // alignment copy; the bound leaves room for one more).
 func TestBuildRecycleSteadyStateAllocs(t *testing.T) {
-	nt, v, b, o, _, sc := lazyAllocWorkload(t)
+	nt, v, _, o, _, sc := lazyAllocWorkload(t)
 	step := func() {
-		ck, err := kernel.MaterializedCheckpoint(context.Background(), nt, v, o, b, sc)
+		ck, err := kernel.MaterializedCheckpoint(context.Background(), nt, v, o, sc)
 		if err != nil {
 			t.Fatalf("build: %v", err)
 		}

@@ -11,20 +11,13 @@ import (
 // transducers, adapted to the composed transducer×sequence DP): a
 // backward max-path sweep over the CSR step views computes, for every
 // (node x, state q) cell at every position, the exact log weight of its
-// best accepting completion. The potentials serve two purposes in the
-// constrained Viterbi:
-//
-//   - gating: a cell with potential -Inf has no accepting completion at
-//     all; dropping it from any frontier is unconditionally safe and
-//     keeps checkpoints smaller.
-//
-//   - pruning: once a lower bound L on the constrained optimum is known,
-//     any cell whose score + potential falls below L (minus a float-
-//     association slack) cannot lie on an optimal path, so the frontier
-//     sweep collapses to the corridor of near-optimal cells. Because the
-//     potential is exact — in the past zone of a prefix constraint the
-//     completion is genuinely unconstrained — L can be computed up front
-//     from the crossing candidates alone, before any past-zone work.
+// best accepting completion. They only prune resumes: once a lower
+// bound L on the constrained optimum is known, any cell whose score +
+// potential falls below L − Slack(L) cannot lie on an optimal path, so
+// the frontier sweep collapses to the corridor of near-optimal cells.
+// Because the potential is exact — in the past zone of a prefix
+// constraint the completion is genuinely unconstrained — L can be
+// computed up front from the crossing candidates alone.
 //
 // Pruning is exact and order-preserving: see the determinism notes in
 // constrained.go (canonical frontier ordering makes the pruned sweep
@@ -32,15 +25,14 @@ import (
 //
 // Two constructors run the one backward recurrence. NewBounds and
 // NewBoundsInto run it to position 0: their rows are complete and
-// immutable, shared by every kernel call that gates or prunes with them
-// (core engines, cold enumerators, the sliding-window Sweeper).
+// immutable, shared by every kernel call that prunes with them (a pruned
+// ranked enumerator's resolves, the sliding-window Sweeper's).
 // NewLazyBoundsInto fills only the last row and lets Row sweep lower
 // rows on first read: arithmetic-only rows for one owner, the
 // cross-append ranked reseed, which reads the rows of its anchors and
 // recycles the storage along its extension lineage.
 type Bounds struct {
 	states int
-	n      int
 	k      int
 	// pot[i·K·Q + x·Q + q] is the exact max log completion weight from
 	// cell (x, q) after consuming event i: max over paths through steps
@@ -62,8 +54,6 @@ type Bounds struct {
 	candsSelected atomic.Uint64
 	candsSkipped  atomic.Uint64
 	cellsSkipped  atomic.Uint64
-	lazyLayers    atomic.Uint64
-	lazyHandles   atomic.Uint64
 }
 
 // PruneStats is a snapshot of a Bounds' pruning-efficacy counters.
@@ -86,10 +76,11 @@ type PruneStats struct {
 	// edge fan-out was skipped by the selection threshold (their
 	// candidates are not in CandsSkipped — they were never enumerated).
 	BoundaryCellsSkipped uint64
-	// LazyLayers counts checkpoint DP layers materialized by gated
-	// checkpoint handles on their first touch; LazyHandles counts gated
-	// handles created: LazyHandles·n − LazyLayers is the prefix DP the
-	// deferral skipped outright.
+	// LazyHandles counts the checkpoint handles a ranked enumeration
+	// made, LazyLayers the DP layers they materialized on first touch:
+	// LazyHandles·n − LazyLayers is the prefix DP the deferral skipped.
+	// Filled at the ranked-enumerator layer; zero in a raw Bounds
+	// snapshot.
 	LazyLayers, LazyHandles uint64
 	// HandlesSkipped counts lazy checkpoint handles that were carried
 	// across an append extension without ever having relaxed a DP layer:
@@ -120,8 +111,6 @@ func (b *Bounds) Stats() PruneStats {
 		CandsSelected:        b.candsSelected.Load(),
 		CandsSkipped:         b.candsSkipped.Load(),
 		BoundaryCellsSkipped: b.cellsSkipped.Load(),
-		LazyLayers:           b.lazyLayers.Load(),
-		LazyHandles:          b.lazyHandles.Load(),
 	}
 }
 
@@ -151,21 +140,6 @@ func (b *Bounds) addStats(pruned, visited, selected, candsSkipped, cellsSkipped 
 	b.resolves.Add(1)
 }
 
-// pos returns the potential of past-zone cell (x·|Q|+q) at position i.
-func (b *Bounds) pos(i int, cell int32) float64 {
-	return b.pot[i*b.k*b.states+int(cell)]
-}
-
-// MatchesView reports whether the potentials were computed over a view
-// of this shape. Potentials are append-variant — the row at position i
-// looks forward to the final position — so a Bounds built before a
-// SeqView.Extend must never gate or prune against the grown view; the
-// engine layers check this before wiring a cached Bounds into a kernel
-// call and rebuild on mismatch.
-func (b *Bounds) MatchesView(v *SeqView) bool {
-	return b != nil && b.n == v.N && b.k == v.K
-}
-
 // Row returns the potential row of position i: Row(i)[x·|Q|+q] is the
 // exact best log completion weight from past-zone cell (x, q) after
 // consuming event i, -Inf when no accepting completion exists. The row
@@ -190,10 +164,23 @@ func (b *Bounds) SweptTo() int { return b.lo }
 // building Bounds for a single top-k drain: the backward sweep plus
 // the bounded kernels' candidate bookkeeping cost more than the
 // pruning saves on very short views (measured crossover ≈ 32 events
-// on the RFID serving workload). Two callers select on it: core engines
-// pass nil bounds below it (ranked.WithBounds(nil), the exhaustive
-// sweep), and ranked.Sweeper builds no bounds for shorter windows.
+// on the RFID serving workload). Both callers are in package ranked:
+// ranked.NewEnumerator prunes only views at least this long (and never
+// in extendable mode), and ranked.Sweeper builds no bounds for shorter
+// windows.
 const BoundsMinN = 32
+
+// Slack is the float slack of every bound comparison, 1e-9·(1+|x|): a
+// pruning threshold sits Slack(L) below its bound L, and the reseed
+// raises each bound x it hands out by Slack(x), so summing a path in
+// another association order never cuts or demotes a true optimum.
+// Positive for finite x; 0 for -Inf, which x ± Slack(x) keeps.
+func Slack(x float64) float64 {
+	if math.IsInf(x, -1) {
+		return 0
+	}
+	return 1e-9 * (1 + math.Abs(x))
+}
 
 // NewBounds computes the pushed weights for the pair (nt, v): one
 // backward O(N·K·deg·|δ|) sweep, ~N·K·Q float64s resident. The result is
@@ -219,8 +206,8 @@ func NewBoundsInto(b *Bounds, nt *NFATables, v *SeqView) *Bounds {
 // through Row: it fills the last row only, and Row sweeps each lower row
 // on its first read, with the same recurrence and so to the same bits
 // as NewBoundsInto. The bounds are not safe for concurrent use, since
-// Row writes them, and must never gate or prune a kernel call, which
-// reads rows directly. The cross-append ranked reseed prices with them:
+// Row writes them, and must never prune a kernel call, which reads rows
+// directly. The cross-append ranked reseed prices with them:
 // it reads the rows of its carried anchors, mostly near the end.
 func NewLazyBoundsInto(b *Bounds, nt *NFATables, v *SeqView) *Bounds {
 	kq := v.K * nt.States
@@ -228,7 +215,7 @@ func NewLazyBoundsInto(b *Bounds, nt *NFATables, v *SeqView) *Bounds {
 	if b == nil {
 		b = &Bounds{}
 	}
-	b.states, b.n, b.k = nt.States, v.N, v.K
+	b.states, b.k = nt.States, v.K
 	b.lo, b.nt, b.v = v.N-1, nt, v
 	b.pot = slices.Grow(b.pot[:0], size)[:size]
 	pot := b.pot

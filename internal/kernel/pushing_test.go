@@ -1,10 +1,9 @@
 // Differential tests for the weight-pushed bounded kernels: every
 // bounded entry point (ConstrainedViterbi with bounds, the bounded
-// checkpoint/resume pair, ConstrainedNonEmptyBoundedCtx) must be
-// bit-identical to its
-// exhaustive (nil-bounds) counterpart on randomized
-// instances — same answers, same evidence, same Float64bits scores,
-// same tie-breaks — because the serving stack runs them by default.
+// resume) must be bit-identical to its exhaustive (nil-bounds)
+// counterpart on randomized instances — same answers, same evidence,
+// same Float64bits scores, same tie-breaks — because the serving stack
+// runs them by default.
 package kernel_test
 
 import (
@@ -67,11 +66,9 @@ func TestConstrainedViterbiBoundedDifferential(t *testing.T) {
 	}
 }
 
-// TestResumeBoundedDifferential: building a checkpoint through the
-// bounded (pot-gated) sweep and resuming each Lawler child through the
+// TestResumeBoundedDifferential: resuming each Lawler child through the
 // bounded two-phase resume must be bit-identical to the exhaustive
-// checkpoint/resume pair — the invariant that lets the enumerator mix
-// checkpoints across kernel flavours.
+// resume, each against its own checkpoint handle.
 func TestResumeBoundedDifferential(t *testing.T) {
 	ctx := context.Background()
 	for trial := 0; trial < 25; trial++ {
@@ -79,8 +76,8 @@ func TestResumeBoundedDifferential(t *testing.T) {
 		nt, v, m, tr := randomInstance(rng)
 		b := kernel.NewBounds(nt, v)
 		for _, o := range answers(tr, m) {
-			bck := kernel.NewLazyCheckpoint(nt, v, o, b)
-			eck := kernel.NewLazyCheckpoint(nt, v, o, nil)
+			bck := kernel.NewLazyCheckpoint(nt, v, o)
+			eck := kernel.NewLazyCheckpoint(nt, v, o)
 			for _, c := range transducer.Unconstrained().Children(o) {
 				if !automata.HasPrefix(o, c.Prefix) {
 					continue
@@ -107,27 +104,6 @@ func TestResumeBoundedDifferential(t *testing.T) {
 						t.Fatalf("trial %d %v: bounded resume states differ", trial, c)
 					}
 				}
-			}
-		}
-	}
-}
-
-// TestConstrainedNonEmptyBoundedDifferential: the pot-gated boolean
-// reachability probe must agree with the ungated one on every
-// constraint, satisfiable or not.
-func TestConstrainedNonEmptyBoundedDifferential(t *testing.T) {
-	ctx := context.Background()
-	for trial := 0; trial < 40; trial++ {
-		rng := rand.New(rand.NewSource(int64(24000 + trial)))
-		nt, v, m, tr := randomInstance(rng)
-		b := kernel.NewBounds(nt, v)
-		for _, c := range randomConstraints(answers(tr, m), tr.Out, rng) {
-			got, err := kernel.ConstrainedNonEmptyBoundedCtx(ctx, nt, v, c, b, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := kernel.ConstrainedNonEmpty(nt, v, c, nil); got != want {
-				t.Fatalf("trial %d %v: bounded nonempty=%v, exhaustive %v", trial, c, got, want)
 			}
 		}
 	}

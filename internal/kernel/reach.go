@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"context"
-	"math"
 	"sync"
 
 	"markovseq/internal/transducer"
@@ -54,7 +53,7 @@ var reachScratchPool = sync.Pool{New: func() any { return new(ReachScratch) }}
 // tables on the fly over boolean cells (node x, state q, tracker state
 // t), so no per-probe product transducer or table rebuild is needed.
 func ConstrainedNonEmpty(nt *NFATables, v *SeqView, c transducer.Constraint, sc *ReachScratch) bool {
-	found, _ := constrainedNonEmpty(nil, nt, v, c, nil, sc)
+	found, _ := constrainedNonEmpty(nil, nt, v, c, sc)
 	return found
 }
 
@@ -62,18 +61,10 @@ func ConstrainedNonEmpty(nt *NFATables, v *SeqView, c transducer.Constraint, sc 
 // cancellation: the context is polled every DefaultPollInterval
 // positions and the probe aborts with ctx.Err() as soon as it fires.
 func ConstrainedNonEmptyCtx(ctx context.Context, nt *NFATables, v *SeqView, c transducer.Constraint, sc *ReachScratch) (bool, error) {
-	return constrainedNonEmpty(NewPoll(ctx), nt, v, c, nil, sc)
+	return constrainedNonEmpty(NewPoll(ctx), nt, v, c, sc)
 }
 
-// ConstrainedNonEmptyBoundedCtx is ConstrainedNonEmptyCtx gated by
-// weight-pushed potentials: cells with no accepting completion over the
-// weighted view (potential -Inf) can never reach an accepting final cell
-// under any tracker state, so the probe skips them. b may be nil.
-func ConstrainedNonEmptyBoundedCtx(ctx context.Context, nt *NFATables, v *SeqView, c transducer.Constraint, b *Bounds, sc *ReachScratch) (bool, error) {
-	return constrainedNonEmpty(NewPoll(ctx), nt, v, c, b, sc)
-}
-
-func constrainedNonEmpty(p *Poll, nt *NFATables, v *SeqView, c transducer.Constraint, b *Bounds, sc *ReachScratch) (bool, error) {
+func constrainedNonEmpty(p *Poll, nt *NFATables, v *SeqView, c transducer.Constraint, sc *ReachScratch) (bool, error) {
 	if sc == nil {
 		sc = reachScratchPool.Get().(*ReachScratch)
 		defer reachScratchPool.Put(sc)
@@ -85,7 +76,6 @@ func constrainedNonEmpty(p *Poll, nt *NFATables, v *SeqView, c transducer.Constr
 	sc.next.ensure(size)
 	sc.cur.reset()
 	sc.next.reset()
-	neg := math.Inf(-1)
 
 	for _, x := range v.InitIdx {
 		lo, hi := nt.Edges(int(nt.Start), int(x))
@@ -96,9 +86,6 @@ func constrainedNonEmpty(p *Poll, nt *NFATables, v *SeqView, c transducer.Constr
 				continue
 			}
 			xq := int(x)*nt.States + int(nt.Succ[e])
-			if b != nil && b.pos(0, int32(xq)) == neg {
-				continue
-			}
 			sc.cur.add(int32(xq*tdim + t2))
 		}
 	}
@@ -127,9 +114,6 @@ func constrainedNonEmpty(p *Poll, nt *NFATables, v *SeqView, c transducer.Constr
 						continue
 					}
 					yq := y*nt.States + int(nt.Succ[tt])
-					if b != nil && b.pos(i, int32(yq)) == neg {
-						continue
-					}
 					sc.next.add(int32(yq*tdim + t2))
 				}
 			}

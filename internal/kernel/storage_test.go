@@ -90,20 +90,20 @@ func TestCheckpointStorageExact(t *testing.T) {
 				}
 			}
 
-			fresh := kernel.NewLazyCheckpoint(nt, v, o, nil)
+			fresh := kernel.NewLazyCheckpoint(nt, v, o)
 			touch(t, nt, v, fresh)
-			check("full", kernel.NewLazyCheckpoint(nt, v, o, nil), v, fresh.Cells(), 0, 0)
+			check("full", kernel.NewLazyCheckpoint(nt, v, o), v, fresh.Cells(), 0, 0)
 
-			donor := kernel.NewLazyCheckpoint(nt, v, o[:len(o)-1], nil)
+			donor := kernel.NewLazyCheckpoint(nt, v, o[:len(o)-1])
 			touch(t, nt, v, donor)
 			check("derived", kernel.NewLazyCheckpointFrom(nt, v, o, donor), v, fresh.Cells()-donor.Cells(), donor.Cells(), v.N)
 
 			for _, d := range []int{1, 5} {
 				bv := full.Window(1, n-5).View()
-				base := kernel.NewLazyCheckpoint(nt, bv, o, nil)
+				base := kernel.NewLazyCheckpoint(nt, bv, o)
 				touch(t, nt, bv, base)
 				ev := extendTo(t, full, full.Window(1, n-5), n-5+d).View()
-				prefix := kernel.NewLazyCheckpoint(nt, ev, o, nil)
+				prefix := kernel.NewLazyCheckpoint(nt, ev, o)
 				touch(t, nt, ev, prefix)
 				check(fmt.Sprintf("extension by %d", d), kernel.NewExtendedLazyCheckpoint(nt, ev, base), ev, prefix.Cells()-base.Cells(), 0, 0)
 			}
@@ -141,7 +141,7 @@ func newChainFixture(t *testing.T, n0, appends int) *chainFixture {
 		m = extendTo(t, full, m, n0+k)
 		fx.views = append(fx.views, m.View())
 	}
-	fx.fresh = kernel.NewLazyCheckpoint(nt, fx.views[appends], o, nil)
+	fx.fresh = kernel.NewLazyCheckpoint(nt, fx.views[appends], o)
 	touch(t, nt, fx.views[appends], fx.fresh)
 	return fx
 }
@@ -169,7 +169,7 @@ func (fx *chainFixture) frontierMismatch(ck *kernel.Checkpoint, maxN int) error 
 func TestExtensionChainLong(t *testing.T) {
 	const n0, appends = 40, 200
 	fx := newChainFixture(t, n0, appends)
-	ck := kernel.NewLazyCheckpoint(fx.nt, fx.views[0], fx.align, nil)
+	ck := kernel.NewLazyCheckpoint(fx.nt, fx.views[0], fx.align)
 	touch(t, fx.nt, fx.views[0], ck)
 	for k := 1; k <= appends; k++ {
 		ck = kernel.NewExtendedLazyCheckpoint(fx.nt, fx.views[k], ck)
@@ -208,7 +208,7 @@ func TestDerivedExtensionMatchesFresh(t *testing.T) {
 	const n0, appends = 40, 12
 	fx := newChainFixture(t, n0, appends)
 	for _, cut := range []int{len(fx.align) - 1, len(fx.align) / 2} {
-		donor := kernel.NewLazyCheckpoint(fx.nt, fx.views[0], fx.align[:cut], nil)
+		donor := kernel.NewLazyCheckpoint(fx.nt, fx.views[0], fx.align[:cut])
 		touch(t, fx.nt, fx.views[0], donor)
 		ck := kernel.NewLazyCheckpointFrom(fx.nt, fx.views[0], fx.align, donor)
 		touch(t, fx.nt, fx.views[0], ck)
@@ -233,7 +233,7 @@ func TestDerivedExtensionMatchesFresh(t *testing.T) {
 func TestExtensionChainConcurrentReaders(t *testing.T) {
 	const n0, appends, readers = 30, 60, 3
 	fx := newChainFixture(t, n0, appends)
-	links := []*kernel.Checkpoint{kernel.NewLazyCheckpoint(fx.nt, fx.views[0], fx.align, nil)}
+	links := []*kernel.Checkpoint{kernel.NewLazyCheckpoint(fx.nt, fx.views[0], fx.align)}
 	touch(t, fx.nt, fx.views[0], links[0])
 	for k := 1; k <= appends; k++ {
 		links = append(links, kernel.NewExtendedLazyCheckpoint(fx.nt, fx.views[k], links[k-1]))

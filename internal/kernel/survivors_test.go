@@ -95,7 +95,7 @@ func TestSurvivorStoreMemoryContract(t *testing.T) {
 	for ni, n := range []int{100, 1000} {
 		mats := survMatrices(int64(n), n, 60)
 		v0 := NewSeqView(initial, mats[:n-2])
-		ck0 := NewLazyCheckpoint(nt, v0, nil, nil)
+		ck0 := NewLazyCheckpoint(nt, v0, nil)
 		prior := new(ResumeState)
 		if _, _, _, _, ok, _, err := resumeConstrained(nil, nt, v0, ck0, c, nil, nil, prior, sc, true); err != nil || !ok {
 			t.Fatalf("n=%d: capture failed (ok=%v err=%v)", n, ok, err)
@@ -174,7 +174,7 @@ func TestSurvivorChainStaysBoundedAndExact(t *testing.T) {
 		{Prefix: []automata.Symbol{0}, Mode: transducer.PrefixAndExtensions},
 	} {
 		v := NewSeqView(initial, mats[:n0-1])
-		ck := NewLazyCheckpoint(nt, v, c.Prefix, nil)
+		ck := NewLazyCheckpoint(nt, v, c.Prefix)
 		prior := new(ResumeState)
 		if _, _, _, _, _, _, err := resumeConstrained(nil, nt, v, ck, c, nil, nil, prior, nil, true); err != nil {
 			t.Fatal(err)
@@ -188,7 +188,7 @@ func TestSurvivorChainStaysBoundedAndExact(t *testing.T) {
 			if err != nil || !continued {
 				t.Fatalf("%v n=%d: continuation failed (continued=%v err=%v)", c, v.N, continued, err)
 			}
-			fo, fn, fs, flp, fok, _, _ := resumeConstrained(nil, nt, v, NewLazyCheckpoint(nt, v, c.Prefix, nil), c, nil, nil, want, nil, true)
+			fo, fn, fs, flp, fok, _, _ := resumeConstrained(nil, nt, v, NewLazyCheckpoint(nt, v, c.Prefix), c, nil, nil, want, nil, true)
 			if cok != fok || clp != flp || !automata.EqualStrings(co, fo) || !automata.EqualStrings(cn, fn) || !slices.Equal(cs, fs) {
 				t.Fatalf("%v n=%d: continued (%v %v %v) != fresh (%v %v %v)", c, v.N, cok, co, clp, fok, fo, flp)
 			}

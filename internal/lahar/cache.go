@@ -79,18 +79,16 @@ type CacheStats struct {
 	Extensions uint64
 	// Ranked sums the kernel.PruneStats of the currently cached engines:
 	// the pruning, candidate-selection and lazy-checkpoint counters of
-	// their ranked enumerations and membership probes, plus the
-	// cross-append carry counters (RankedReused, RankedReseeded,
-	// HandlesSkipped) of enumerations carried by AppendEvents. It is a
-	// snapshot of the live cache — engines dropped by invalidation take
-	// their counts with them, so the sum can fall.
+	// their E_max enumerations, plus the cross-append carry counters
+	// (RankedReused, RankedReseeded, HandlesSkipped) of enumerations
+	// carried by AppendEvents. It is a snapshot of the live cache —
+	// engines dropped by invalidation take their counts with them, so
+	// the sum can fall.
 	//
-	// Only the carry counters move for the queries the store serves
-	// today: every transducer engine it binds is append-extendable
-	// (core.Prepared.ExtendValidated), whose resolves run unpruned and
-	// whose checkpoints are ungated; s-projector rankers are not
-	// Lawler-tree-based; and the store never calls the pruned membership
-	// probe (core.Engine.IsAnswer).
+	// Only the carry and lazy-checkpoint counters move for the queries
+	// the store serves today: every transducer engine it binds is
+	// append-extendable (core.Prepared.ExtendValidated), whose resolves
+	// run unpruned, and s-projector rankers are not Lawler-tree-based.
 	Ranked kernel.PruneStats
 }
 

@@ -52,6 +52,24 @@ func TestEngineCacheHit(t *testing.T) {
 	}
 }
 
+// TestStatsReportHandleCounters: a store's engines are append-extendable
+// and unpruned, yet their enumerations count the checkpoint handles they
+// make and the layers those materialize, so CacheStats.Ranked shows them
+// after a TopK while the pruning counters stay zero.
+func TestStatsReportHandleCounters(t *testing.T) {
+	db, _, _ := setup(t)
+	if _, err := db.TopK("cart17", "places", 5); err != nil {
+		t.Fatal(err)
+	}
+	s := db.Stats().Ranked
+	if s.LazyHandles == 0 || s.LazyLayers == 0 {
+		t.Fatalf("TopK reported no checkpoint handles or layers: %+v", s)
+	}
+	if s.Resolves != 0 || s.PrunedCells != 0 {
+		t.Fatalf("an extendable engine reported pruned resolves: %+v", s)
+	}
+}
+
 // TestPutStreamInvalidatesEngine: replacing a stream must never serve
 // the old stream's answers.
 func TestPutStreamInvalidatesEngine(t *testing.T) {

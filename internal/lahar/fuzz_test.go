@@ -4,65 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
 
-	"markovseq/internal/automata"
+	"markovseq/internal/fuzzinput"
 	"markovseq/internal/markov"
 	"markovseq/internal/testutil"
 	"markovseq/internal/transducer"
 )
-
-// fuzzBytes hands out a fuzz input one byte at a time, then zeros.
-type fuzzBytes []byte
-
-func (b *fuzzBytes) next() int {
-	if len(*b) == 0 {
-		return 0
-	}
-	v := (*b)[0]
-	*b = (*b)[1:]
-	return int(v)
-}
-
-// fuzzInstance decodes the instance that opens every serving-path fuzz
-// input: a Markov sequence over 2 or 3 nodes with n ≤ 40 positions (so
-// windows and prefixes fall on both sides of kernel.BoundsMinN) and some
-// zero transitions, and a 1–3-state deterministic transducer emitting at
-// most one of two output symbols per transition, with a random accepting
-// set and missing transitions so that some inputs are answerless. Byte
-// layout: |Σ|, n, density, two seed bytes, |Q|, accepting mask, |Q|·|Σ|
-// transition bytes (low two bits: emit x, emit y, emit nothing, no
-// transition; the rest: target state).
-func fuzzInstance(in *fuzzBytes) (*markov.Sequence, *transducer.Transducer) {
-	sigma := 2 + in.next()%2
-	nodes := automata.MustAlphabet([]string{"a", "b", "c"}[:sigma]...)
-	n := 1 + in.next()%40
-	density := float64(1+in.next()%7) / 8
-	seed := int64(in.next()<<8 | in.next())
-	m := markov.Random(nodes, n, density, rand.New(rand.NewSource(seed)))
-
-	states := 1 + in.next()%3
-	tr := transducer.New(nodes, automata.MustAlphabet("x", "y"), states, 0)
-	accepting := in.next()
-	for q := 0; q < states; q++ {
-		tr.SetAccepting(q, accepting>>q&1 == 1)
-		for s := 0; s < sigma; s++ {
-			e := in.next()
-			var out []automata.Symbol
-			switch e % 4 {
-			case 0, 1:
-				out = []automata.Symbol{automata.Symbol(e % 4)}
-			case 3:
-				continue // no transition
-			}
-			tr.AddTransition(q, automata.Symbol(s), e/4%states, out)
-		}
-	}
-	return m, tr
-}
 
 // fuzzStore returns a factory stamping a sequence (stream "s") and tr
 // (query "q") into a fresh store.
@@ -79,7 +29,7 @@ func fuzzStore(t *testing.T, tr *transducer.Transducer) func(m *markov.Sequence,
 
 // FuzzSlidingWindows is the serving-path differential for sliding
 // windows. The input decodes into a small random instance (see
-// fuzzInstance) and a window, stride, k and watcher prefix length.
+// fuzzinput.Instance) and a window, stride, k and watcher prefix length.
 // Then:
 //
 //   - serial SlidingTopK equals the bind-per-window reference bit for bit;
@@ -89,7 +39,7 @@ func fuzzStore(t *testing.T, tr *transducer.Transducer) func(m *markov.Sequence,
 //   - a window's Top is nil exactly when the unranked enumeration of that
 //     window (Theorem 4.1, an independent nonemptiness path) is empty.
 func FuzzSlidingWindows(f *testing.F) {
-	// Byte layout: the instance (see fuzzInstance), then window, stride,
+	// Byte layout: the instance (see fuzzinput.Instance), then window, stride,
 	// k, watcher prefix.
 	f.Add([]byte{0, 11, 5, 1, 2, 1, 0b01, 4, 1, 2, 7, 7, 0, 1, 9})
 	// The whole stream as one window, and a watcher on a 1-position
@@ -104,13 +54,13 @@ func FuzzSlidingWindows(f *testing.F) {
 	f.Add([]byte{0, 39, 0, 7, 0, 1, 0b10, 2, 5, 6, 2, 31, 0, 1, 20})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		testutil.CheckLeaks(t)
-		in := fuzzBytes(data)
-		m, tr := fuzzInstance(&in)
+		in := fuzzinput.Bytes(data)
+		m, tr := fuzzinput.Instance(&in)
 		n := m.Len()
-		window := 1 + in.next()%n
-		stride := 1 + in.next()%4
-		k := 1 + in.next()%4
-		p := 1 + in.next()%n
+		window := 1 + in.Next()%n
+		stride := 1 + in.Next()%4
+		k := 1 + in.Next()%4
+		p := 1 + in.Next()%n
 
 		mk := fuzzStore(t, tr)
 		db := mk(m)
@@ -151,7 +101,7 @@ func FuzzSlidingWindows(f *testing.F) {
 
 // FuzzAppendTopK is the serving-path differential for ranked answers
 // kept fresh across appends. The input decodes into a small random
-// instance (see fuzzInstance), a prefix length p, k ∈ [1, 4], a flag
+// instance (see fuzzinput.Instance), a prefix length p, k ∈ [1, 4], a flag
 // that flattens the rows of the first four positions to uniform over
 // their support (so exact E_max ties, and k boundaries that split a tie
 // class, are common), and the call to cancel. A store holding the p-position prefix
@@ -169,7 +119,7 @@ func FuzzSlidingWindows(f *testing.F) {
 //     reference or the whole answer, and the live call after it still
 //     matches.
 func FuzzAppendTopK(f *testing.F) {
-	// Byte layout: the instance (see fuzzInstance), then prefix length,
+	// Byte layout: the instance (see fuzzinput.Instance), then prefix length,
 	// k, flatten flag, cancelled call.
 	f.Add([]byte{0, 11, 5, 1, 2, 1, 0b01, 4, 1, 2, 7, 3, 2, 0, 3})
 	// A long append run from a 1-position prefix, cancelling a TopK(1).
@@ -185,12 +135,12 @@ func FuzzAppendTopK(f *testing.F) {
 	f.Add([]byte{1, 17, 5, 5, 5, 2, 0b111, 0, 5, 2, 1, 4, 8, 4, 6, 1, 4, 3, 1, 6})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		testutil.CheckLeaks(t)
-		in := fuzzBytes(data)
-		full, tr := fuzzInstance(&in)
+		in := fuzzinput.Bytes(data)
+		full, tr := fuzzinput.Instance(&in)
 		n := full.Len()
-		p := 1 + in.next()%n
-		k := 1 + in.next()%4
-		if in.next()%2 == 1 {
+		p := 1 + in.Next()%n
+		k := 1 + in.Next()%4
+		if in.Next()%2 == 1 {
 			// Only the first flatPositions positions: a tie class then
 			// holds at most |Σ|^flatPositions answers, so the reference's
 			// drain through the last tied class stays short.
@@ -211,7 +161,7 @@ func FuzzAppendTopK(f *testing.F) {
 			}
 		}
 		calls := 1 + 2*(n-p)
-		cancelAt := in.next() % calls
+		cancelAt := in.Next() % calls
 
 		mk := fuzzStore(t, tr)
 		db := mk(full.Window(1, p))

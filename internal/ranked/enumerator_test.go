@@ -7,7 +7,24 @@ import (
 
 	"markovseq/internal/automata"
 	"markovseq/internal/markov"
+	"markovseq/internal/transducer"
 )
+
+// pruned and exhaustive are NewEnumerator with its length rule
+// overridden, for tests that compare the two sweeps on instances of any
+// length: pruned resolves against potentials whatever the sequence's
+// length (unless it is extendable), exhaustive never does.
+func pruned(t *transducer.Transducer, m *markov.Sequence, opts ...Option) *Enumerator {
+	e := NewEnumerator(t, m, opts...)
+	e.prune = !e.extendable
+	return e
+}
+
+func exhaustive(t *transducer.Transducer, m *markov.Sequence, opts ...Option) *Enumerator {
+	e := NewEnumerator(t, m, opts...)
+	e.prune = false
+	return e
+}
 
 // drainAnswers pulls up to k answers (k ≤ 0 means all).
 func drainAnswers(next func() (Answer, bool), k int) []Answer {

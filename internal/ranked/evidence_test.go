@@ -112,8 +112,8 @@ func TestEvidencesAgainstBruteForce(t *testing.T) {
 
 // TestBestEvidenceMatchesBruteForce checks the evidence of every answer
 // against possible-worlds enumeration, as BestEvidence returns it and as
-// the nodes and states of kernel.ConstrainedViterbi, gated by the
-// potentials and ungated: the world transduces into the answer, the
+// the nodes and states of kernel.ConstrainedViterbi, pruned by the
+// potentials and exhaustive: the world transduces into the answer, the
 // states are an accepting run over it that emits the answer, and the
 // world's probability is the largest of any world transduced into the
 // answer. The instances are random small ones with nondeterministic
@@ -142,7 +142,7 @@ func TestBestEvidenceMatchesBruteForce(t *testing.T) {
 				_, nodes, states, lp, ok := kernel.ConstrainedViterbi(nt, v, c, b, nil)
 				if !ok || !acceptingRun(nt, nodes, states) || !automata.EqualStrings(nt.EmitRun(nodes, states), o) ||
 					!transducesInto(tr, nodes, o) || !near(m.Prob(nodes)) || !near(math.Exp(lp)) {
-					t.Fatalf("%s gated %v: ConstrainedViterbi(%v) = nodes %v states %v (ok %v, p %v, claimed %v), want an accepting run emitting it of p %v",
+					t.Fatalf("%s pruned %v: ConstrainedViterbi(%v) = nodes %v states %v (ok %v, p %v, claimed %v), want an accepting run emitting it of p %v",
 						label, b != nil, o, nodes, states, ok, m.Prob(nodes), math.Exp(lp), p)
 				}
 			}

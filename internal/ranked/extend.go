@@ -62,16 +62,10 @@ import (
 // the parent payload holds. When any piece is missing — a checkpoint
 // that never materialized, a region with no capture — the bound falls
 // back to G, the global root bound, which is always admissible.
-
-// extendSlack inflates an admissible bound by a relative epsilon so that
-// float re-association between the bound arithmetic and the kernel's own
+//
+// Every bound handed out is raised by kernel.Slack, so that float
+// re-association between the bound arithmetic and the kernel's own
 // accumulation order cannot demote a true optimum below its bound.
-func extendSlack(x float64) float64 {
-	if math.IsInf(x, -1) {
-		return x
-	}
-	return x + 1e-9*(1+math.Abs(x))
-}
 
 // ExtendEnumerator carries a (possibly partially drained) ranked
 // enumeration across an append: mNew must be an extension of the
@@ -224,7 +218,7 @@ func reseed(e *Enumerator, mNew *markov.Sequence) (*Enumerator, func(*lawler.Reg
 					}
 				}
 			}
-			G, haveG = extendSlack(G), true
+			G, haveG = G+kernel.Slack(G), true
 		}
 		return G
 	}
@@ -276,7 +270,7 @@ func reseed(e *Enumerator, mNew *markov.Sequence) (*Enumerator, func(*lawler.Reg
 					bd = s
 				}
 			}
-			return extendSlack(bd), true
+			return bd + kernel.Slack(bd), true
 		}
 		bd, ok := price()
 		cs.regions[rs] = regionPrice{bd, ok}

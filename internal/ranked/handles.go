@@ -15,10 +15,6 @@ type Option func(*config)
 type config struct {
 	nt         *kernel.NFATables
 	extendable bool
-	bounds     *kernel.Bounds
-	// boundsSet tells WithBounds(nil), the exhaustive sweep, from no
-	// WithBounds at all, which computes the potentials on first use.
-	boundsSet bool
 }
 
 // WithWorkers is a no-op: every enumeration resolves sequentially.
@@ -31,23 +27,10 @@ func WithWorkers(int) Option { return func(*config) {} }
 // builds them once at prepare time), avoiding a rebuild per enumerator.
 func WithTables(nt *kernel.NFATables) Option { return func(c *config) { c.nt = nt } }
 
-// WithBounds supplies the weight-pushed potentials for the enumerator's
-// (tables, sequence) pair: the enumerator gates its checkpoints and
-// prunes its resolves exactly when it has potentials. A non-nil b
-// shares one backward sweep across enumerators and probes (core.Engine
-// builds them once per binding); nil runs the exhaustive sweep, which
-// the pruned kernel matches bit for bit (core.Engine selects it for
-// sequences shorter than kernel.BoundsMinN). Without this option the
-// enumerator computes its own potentials on first use. Ignored in
-// extendable mode.
-func WithBounds(b *kernel.Bounds) Option {
-	return func(c *config) { c.bounds, c.boundsSet = b, true }
-}
-
 // WithExtendable selects the append-extendable serving mode: resolves
 // run unpruned and capture their final past-zone frontier, which the
-// Lawler tree keeps with the region that resolved, and prefix
-// checkpoints are built ungated as lazy handles — so the whole drain
+// Lawler tree keeps with the region that resolved, and every answer gets
+// a lazy prefix-checkpoint handle — so the whole drain
 // state (the Lawler tree with its captures and checkpoint handles)
 // remains valid forward state when the sequence grows and can be carried
 // by ExtendEnumerator instead of being rebuilt. The answer sequence stays
@@ -58,16 +41,18 @@ func WithBounds(b *kernel.Bounds) Option {
 // the append path (Prepared.ExtendValidated).
 func WithExtendable() Option { return func(c *config) { c.extendable = true } }
 
-// potentials returns the enumerator's weight-pushed potentials,
-// computing them on first use unless WithBounds supplied them; nil after
-// WithBounds(nil) and in extendable mode (an extendable enumerator's
-// retained state must be complete — unpruned frontiers, ungated
-// checkpoints — to stay admissible across appends).
+// potentials returns the potentials of a pruning enumerator, computed
+// on its first resolve; nil when it does not prune (see NewEnumerator).
 func (e *Enumerator) potentials() *kernel.Bounds {
-	if e.lazyBounds {
-		e.bounds, e.lazyBounds = kernel.NewBounds(e.nt, e.v), false
+	if !e.prune {
+		return nil
 	}
-	return e.bounds
+	b := e.bounds.Load()
+	if b == nil {
+		b = kernel.NewBounds(e.nt, e.v)
+		e.bounds.Store(b)
+	}
+	return b
 }
 
 // handles hands out the checkpoint handles of one ranked enumeration,
@@ -94,16 +79,13 @@ func (e *Enumerator) rootHandle() *kernel.Checkpoint {
 	return e.root
 }
 
-// handle returns a lazy checkpoint handle aligned to align: ungated and
-// derived from donor in extendable mode, gated by the potentials
-// otherwise. Its DP is materialized by the first resolve that reads it,
-// so an answer whose children never reach the queue front costs one
-// O(1) object.
+// handle returns a lazy checkpoint handle aligned to align, derived
+// from donor when it is non-nil, and counts it. Its DP is materialized
+// by the first resolve that reads it, so an answer whose children never
+// reach the queue front costs one O(1) object.
 func (e *Enumerator) handle(align []automata.Symbol, donor *kernel.Checkpoint) *kernel.Checkpoint {
-	if e.extendable {
-		return kernel.NewLazyCheckpointFrom(e.nt, e.v, align, donor)
-	}
-	return kernel.NewLazyCheckpoint(e.nt, e.v, align, e.potentials())
+	e.lazyHandles.Add(1)
+	return kernel.NewLazyCheckpointFrom(e.nt, e.v, align, donor)
 }
 
 // emit gives the emitted answer top the checkpoint its children resolve
@@ -112,7 +94,8 @@ func (e *Enumerator) handle(align []automata.Symbol, donor *kernel.Checkpoint) *
 // handle the answer's resolve read (top.ck) is kept when it is aligned to
 // the output and is otherwise the new handle's derivation donor, when
 // their common prefix leaves at most donorReach output symbols unshared.
-// Otherwise only an answer with children gets one.
+// Otherwise only an answer with children gets one, with no donor: the
+// other modes' resolves note no handle.
 func (e *Enumerator) emit(top *resolution, children bool) {
 	read := top.ck
 	if !children && !e.extendable || read != nil && slices.Equal(read.Align, top.Output) {
@@ -126,18 +109,22 @@ func (e *Enumerator) emit(top *resolution, children bool) {
 
 // resolveAnswer resolves one Lawler region against ck, the checkpoint of
 // its parent answer, with cancellation of the resume DP, including the
-// checkpoint materialization it may trigger. In extendable mode the
-// resume also captures its final past-zone frontier and survivor store
-// into the returned resolution's rs, which the tree keeps with the
-// region, and notes ck, which emit reads; the region's next resolve
-// after an append receives rs as prior and continues it over the
-// appended positions only, in O(appended suffix).
-func (e *Enumerator) resolveAnswer(ctx context.Context, c transducer.Constraint, ck *kernel.Checkpoint, prior *kernel.ResumeState) (resolution, bool, error) {
-	if !e.extendable {
-		o, logE, ok, err := kernel.ResumeConstrainedBoundedCtx(ctx, e.nt, e.v, ck, c, e.potentials(), nil)
-		return resolution{Answer: Answer{Output: o, LogEmax: logE}}, ok, err
+// checkpoint materialization it may trigger, which it counts. In
+// extendable mode the resume also captures its final past-zone frontier
+// and survivor store into the returned resolution's rs, which the tree
+// keeps with the region, and notes ck, which emit reads; the region's
+// next resolve after an append receives rs as prior and continues it
+// over the appended positions only, in O(appended suffix).
+func (e *Enumerator) resolveAnswer(ctx context.Context, c transducer.Constraint, ck *kernel.Checkpoint, prior *kernel.ResumeState) (r resolution, ok bool, err error) {
+	fresh := ck.MaterializedLayers() == 0
+	if e.extendable {
+		r.rs, r.ck = new(kernel.ResumeState), ck
+		r.Output, r.LogEmax, ok, _, err = kernel.ResumeConstrainedIncCtx(ctx, e.nt, e.v, ck, c, prior, r.rs, nil)
+	} else {
+		r.Output, r.LogEmax, ok, err = kernel.ResumeConstrainedBoundedCtx(ctx, e.nt, e.v, ck, c, e.potentials(), nil)
 	}
-	rs := new(kernel.ResumeState)
-	o, logE, ok, _, err := kernel.ResumeConstrainedIncCtx(ctx, e.nt, e.v, ck, c, prior, rs, nil)
-	return resolution{Answer{Output: o, LogEmax: logE}, rs, ck}, ok, err
+	if fresh {
+		e.lazyLayers.Add(uint64(ck.MaterializedLayers()))
+	}
+	return r, ok, err
 }

@@ -1,7 +1,7 @@
 // Differential tests for lazy checkpoint materialization at the
-// enumerator level: every checkpoint is a lazy handle — gated by the
-// potentials in the default pruned mode, ungated under WithBounds(nil)
-// — and the deferral must be invisible: the enumeration drained through
+// enumerator level: every checkpoint is a lazy handle, in the pruned and
+// the exhaustive mode alike, and the deferral must be invisible: the
+// enumeration drained through
 // deferred checkpoint builds is required to be bit-identical (outputs
 // and Float64bits of every score) to the exhaustive sweep, across the
 // shared workload pool, cancellation, and append-then-rank. The stats tests pin
@@ -17,16 +17,16 @@ import (
 	"markovseq/internal/automata"
 	"markovseq/internal/markov"
 	"markovseq/internal/testutil"
+	"markovseq/internal/transducer"
 )
 
 // lazyModes are the enumerator modes whose checkpoints the lazy
-// differentials drain: pruned with gated handles (the default), and the
-// exhaustive sweep with ungated handles (WithBounds(nil), which core
-// engines run below kernel.BoundsMinN).
+// differentials drain, whatever the instance's length: pruned, and the
+// exhaustive sweep (which NewEnumerator runs below kernel.BoundsMinN).
 var lazyModes = []struct {
 	name string
-	opts []Option
-}{{"pruned", nil}, {"exhaustive", []Option{WithBounds(nil)}}}
+	mk   func(*transducer.Transducer, *markov.Sequence, ...Option) *Enumerator
+}{{"pruned", pruned}, {"exhaustive", exhaustive}}
 
 // TestLazyMatchesEagerCheckpoints is the tentpole's second correctness
 // contract: for every workload and mode, a cold drain, whose handles
@@ -36,9 +36,9 @@ func TestLazyMatchesEagerCheckpoints(t *testing.T) {
 	testutil.CheckLeaks(t)
 	const cap = 40
 	for _, w := range prunedWorkloads(t) {
-		want := drainAnswers(NewEnumerator(w.t, w.m, WithBounds(nil)).Next, cap)
+		want := drainAnswers(exhaustive(w.t, w.m).Next, cap)
 		for _, mode := range lazyModes {
-			cold := drainAnswers(NewEnumerator(w.t, w.m, mode.opts...).Next, cap)
+			cold := drainAnswers(mode.mk(w.t, w.m).Next, cap)
 			assertSameAnswerSequence(t, w.name+" "+mode.name+" lazy", cold, want)
 		}
 	}
@@ -51,14 +51,14 @@ func TestLazyMatchesEagerCheckpoints(t *testing.T) {
 func TestLazyResumeAfterCancel(t *testing.T) {
 	testutil.CheckLeaks(t)
 	for _, w := range prunedWorkloads(t) {
-		full := drainAnswers(NewEnumerator(w.t, w.m, WithBounds(nil)).Next, 24)
+		full := drainAnswers(exhaustive(w.t, w.m).Next, 24)
 		if len(full) < 3 {
 			continue
 		}
 		k := len(full) / 2
 		for _, mode := range lazyModes {
 			name := w.name + " " + mode.name
-			e := NewEnumerator(w.t, w.m, mode.opts...)
+			e := mode.mk(w.t, w.m)
 			ctx, cancel := context.WithCancel(context.Background())
 			prefix, err := drainCtx(ctx, e, k)
 			if err != nil {
@@ -100,9 +100,9 @@ func TestLazyAppendThenRank(t *testing.T) {
 				t.Fatalf("trial %d: extend at %d: %v", trial, i, err)
 			}
 		}
-		want := drainAnswers(NewEnumerator(tr, full, WithBounds(nil)).Next, 30)
+		want := drainAnswers(exhaustive(tr, full).Next, 30)
 		for _, mode := range lazyModes {
-			got := drainAnswers(NewEnumerator(tr, grown, mode.opts...).Next, 30)
+			got := drainAnswers(mode.mk(tr, grown).Next, 30)
 			assertSameAnswerSequence(t, mode.name+" lazy append-then-rank", got, want)
 		}
 	}
@@ -115,7 +115,7 @@ func TestLazyAppendThenRank(t *testing.T) {
 func TestLazyCheckpointDeferred(t *testing.T) {
 	tr, m := rfidRankedWorkload(t, 40)
 	for _, mode := range lazyModes {
-		e := NewEnumerator(tr, m, mode.opts...)
+		e := mode.mk(tr, m)
 		ck := e.rootHandle()
 		if got := ck.MaterializedLayers(); got != 0 {
 			t.Fatalf("%s: untouched lazy handle materialized %d layers, want 0", mode.name, got)

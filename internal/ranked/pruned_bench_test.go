@@ -1,13 +1,14 @@
 // Benchmark pair for the weight-pushed pruned kernel: the same RFID
 // top-10 drain through the bounded path and the exhaustive reference,
-// feeding `make bench` / BENCH_ranked.json. The tables, the potentials
-// and the enumerator are rebuilt per iteration, so each iteration pays
-// the full serving cost including the one-time backward potential sweep
-// — the speedup shown is the end-to-end one a cold query sees. The
-// pruning-efficacy counters (cells pruned, cells visited, occupancy)
-// land in the result's "extra" map for EXPERIMENTS.md and cmd/benchcmp,
-// with live-MB, the live heap while the last drained enumerator — its
-// cached checkpoints, gated or not, included — is still referenced.
+// feeding `make bench` / BENCH_ranked.json. The tables and the
+// enumerator, with the potentials it computes on its first resolve, are
+// rebuilt per iteration, so each iteration pays the full serving cost
+// including the one-time backward potential sweep — the speedup shown
+// is the end-to-end one a cold query sees. The enumerator's counters
+// (cells pruned, cells visited, occupancy, handles and the layers they
+// materialized) land in the result's "extra" map for EXPERIMENTS.md and
+// cmd/benchcmp, with live-MB, the live heap while the last drained
+// enumerator — its checkpoints included — is still referenced.
 package ranked
 
 import (
@@ -19,22 +20,21 @@ import (
 )
 
 // benchPrunedDrain drains the top-benchTopK answers of the n=200 RFID
-// workload once per iteration, pruned by potentials built in the
-// iteration or exhaustive, and reports the final iteration's pruning
-// counters (all zero when exhaustive) and the live heap after it (read
-// after a forced GC with the timer stopped).
-func benchPrunedDrain(b *testing.B, pruned bool) {
+// workload once per iteration, pruned (NewEnumerator's mode at this
+// length) or exhaustive, and reports the final iteration's enumerator
+// counters (pruning counters all zero when exhaustive) and the live heap
+// after it (read after a forced GC with the timer stopped).
+func benchPrunedDrain(b *testing.B, prune bool) {
 	tr, m := rfidRankedWorkload(b, 200)
+	mk := NewEnumerator
+	if !prune {
+		mk = exhaustive
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	var bd *kernel.Bounds
 	var e *Enumerator
 	for i := 0; i < b.N; i++ {
-		nt := kernel.NewNFATables(tr)
-		if pruned {
-			bd = kernel.NewBounds(nt, m.View())
-		}
-		e = NewEnumerator(tr, m, WithTables(nt), WithBounds(bd))
+		e = mk(tr, m, WithTables(kernel.NewNFATables(tr)))
 		if got := drainAnswers(e.Next, benchTopK); len(got) < benchTopK {
 			b.Fatalf("drained %d answers, want %d", len(got), benchTopK)
 		}
@@ -45,7 +45,7 @@ func benchPrunedDrain(b *testing.B, pruned bool) {
 	metrics.Read(heap)
 	runtime.KeepAlive(e)
 	b.ReportMetric(float64(heap[0].Value.Uint64())/1e6, "live-MB")
-	st := bd.Stats()
+	st := e.PruneStats()
 	b.ReportMetric(float64(st.PrunedCells), "pruned-cells/op")
 	b.ReportMetric(float64(st.VisitedCells), "visited-cells/op")
 	if total := st.PrunedCells + st.VisitedCells; total > 0 {
@@ -78,6 +78,6 @@ func TestPrunedBenchWorkloadSmoke(t *testing.T) {
 	}
 	tr, m := rfidRankedWorkload(t, 200)
 	got := drainAnswers(NewEnumerator(tr, m).Next, benchTopK)
-	want := drainAnswers(NewEnumerator(tr, m, WithBounds(nil)).Next, benchTopK)
+	want := drainAnswers(exhaustive(tr, m).Next, benchTopK)
 	assertSameAnswerSequence(t, "rfid n=200 top-10", got, want)
 }

@@ -1,10 +1,11 @@
 // Differential tests for the weight-pushed pruned kernel at the
-// enumerator level: pruning is on by default and must be invisible — the
-// enumeration drained through the bounded kernels is required to be
-// bit-identical (outputs and Float64bits of every score) to the
-// exhaustive sweep behind WithBounds(nil), across application workloads,
-// random instances, the Theorem 4.4 hardness adversaries, cancellation,
-// and append-then-rank.
+// enumerator level: pruning must be invisible — the enumeration drained
+// through the bounded kernels is required to be bit-identical (outputs
+// and Float64bits of every score) to the exhaustive sweep, across
+// application workloads, random instances, the Theorem 4.4 hardness
+// adversaries, cancellation, and append-then-rank. Most instances are
+// shorter than kernel.BoundsMinN, so the tests force each sweep with
+// the pruned and exhaustive constructors.
 package ranked
 
 import (
@@ -59,14 +60,14 @@ func prunedWorkloads(t *testing.T) []struct {
 }
 
 // TestPrunedMatchesExhaustive is the tentpole's correctness contract:
-// for every workload, draining the default (pruned) enumerator yields
-// the exact answer sequence of the exhaustive reference, bit for bit.
+// for every workload, draining a pruned enumerator yields the exact
+// answer sequence of the exhaustive reference, bit for bit.
 func TestPrunedMatchesExhaustive(t *testing.T) {
 	testutil.CheckLeaks(t)
 	const cap = 40
 	for _, w := range prunedWorkloads(t) {
-		want := drainAnswers(NewEnumerator(w.t, w.m, WithBounds(nil)).Next, cap)
-		got := drainAnswers(NewEnumerator(w.t, w.m).Next, cap)
+		want := drainAnswers(exhaustive(w.t, w.m).Next, cap)
+		got := drainAnswers(pruned(w.t, w.m).Next, cap)
 		assertSameAnswerSequence(t, w.name+" pruned", got, want)
 	}
 }
@@ -77,12 +78,12 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 func TestPrunedResumeAfterCancel(t *testing.T) {
 	testutil.CheckLeaks(t)
 	for _, w := range prunedWorkloads(t) {
-		full := drainAnswers(NewEnumerator(w.t, w.m, WithBounds(nil)).Next, 24)
+		full := drainAnswers(exhaustive(w.t, w.m).Next, 24)
 		if len(full) < 3 {
 			continue
 		}
 		k := len(full) / 2
-		e := NewEnumerator(w.t, w.m)
+		e := pruned(w.t, w.m)
 		ctx, cancel := context.WithCancel(context.Background())
 		prefix, err := drainCtx(ctx, e, k)
 		if err != nil {
@@ -103,7 +104,7 @@ func TestPrunedResumeAfterCancel(t *testing.T) {
 
 // TestPrunedAppendThenRank combines pruning with the PR 6 append
 // contract: ranking a sequence grown event by event through Extended is
-// bit-identical — under the default pruned kernel — to the exhaustive
+// bit-identical — under the pruned kernel — to the exhaustive
 // enumeration of the same sequence built in one shot.
 func TestPrunedAppendThenRank(t *testing.T) {
 	testutil.CheckLeaks(t)
@@ -123,29 +124,29 @@ func TestPrunedAppendThenRank(t *testing.T) {
 				t.Fatalf("trial %d: extend at %d: %v", trial, i, err)
 			}
 		}
-		got := drainAnswers(NewEnumerator(tr, grown).Next, 30)
-		want := drainAnswers(NewEnumerator(tr, full, WithBounds(nil)).Next, 30)
+		got := drainAnswers(pruned(tr, grown).Next, 30)
+		want := drainAnswers(exhaustive(tr, full).Next, 30)
 		assertSameAnswerSequence(t, "append-then-rank", got, want)
 	}
 }
 
 // TestPruneStatsAccumulate pins the observability contract: a drained
 // pruned enumerator reports its bounded resolves (and visited cells) at
-// every length (kernel.BoundsMinN is for its callers to select on),
-// while an exhaustive enumerator reports all zeros — the counters are how
-// operators confirm which kernel served a query.
+// every length it is forced to prune at, while an exhaustive enumerator
+// reports zero pruning counters — the counters are how operators
+// confirm which kernel served a query.
 func TestPruneStatsAccumulate(t *testing.T) {
 	for _, n := range []int{8, 40} {
 		tr, m := rfidRankedWorkload(t, n)
 
-		e := NewEnumerator(tr, m)
+		e := pruned(tr, m)
 		drainAnswers(e.Next, 15)
 		st := e.PruneStats()
 		if st.Resolves == 0 || st.VisitedCells == 0 {
 			t.Fatalf("n=%d: pruned enumerator reported no bounded work: %+v", n, st)
 		}
 
-		ex := NewEnumerator(tr, m, WithBounds(nil))
+		ex := exhaustive(tr, m)
 		drainAnswers(ex.Next, 15)
 		if st := ex.PruneStats(); st.Resolves != 0 || st.PrunedCells != 0 || st.VisitedCells != 0 {
 			t.Fatalf("n=%d: exhaustive enumerator accumulated pruning stats: %+v", n, st)

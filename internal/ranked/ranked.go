@@ -21,12 +21,13 @@
 //     is looked up by its alignment, and a handle stays reachable only
 //     while a queued region can read it or, in extendable mode, for as
 //     long as the tree is kept for the next append. An Enumerator prunes
-//     exactly when it has potentials: computed on first use by
-//     default, supplied by WithBounds(b), none after WithBounds(nil) (the
-//     exhaustive sweep) or WithExtendable. ExtendEnumerator carries an
-//     extendable one across an append. The pre-incremental product path
-//     survives in the tests (legacy_test.go) as the differential
-//     reference and benchmark baseline.
+//     its resolves with potentials it computes on first use exactly when
+//     it is not extendable and its sequence has at least
+//     kernel.BoundsMinN positions; otherwise it runs the exhaustive
+//     sweep, which the pruned one matches bit for bit. ExtendEnumerator
+//     carries an extendable one across an append. The pre-incremental
+//     product path survives in the tests (legacy_test.go) as the
+//     differential reference and benchmark baseline.
 //
 //   - Sweeper is the lean per-window form for sliding-window sweeps.
 //
@@ -40,6 +41,7 @@ import (
 	"context"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"markovseq/internal/automata"
 	"markovseq/internal/kernel"
@@ -103,14 +105,17 @@ type Enumerator struct {
 	// root is the root region's checkpoint handle (see rootHandle).
 	root *kernel.Checkpoint
 
-	// bounds are the weight-pushed potentials driving checkpoint gating
-	// and resume pruning; nil for the exhaustive sweep (WithBounds(nil))
-	// and in extendable mode. Without WithBounds the enumerator computes
-	// its own on first use (lazyBounds), so the backward sweep counts
-	// towards its first answer.
-	bounds     *kernel.Bounds
-	lazyBounds bool
+	// prune selects pruned resolves, against bounds, the weight-pushed
+	// potentials computed on the first of them (see potentials). bounds
+	// is atomic so that PruneStats may read it while a drain runs.
+	prune      bool
+	bounds     atomic.Pointer[kernel.Bounds]
 	extendable bool
+
+	// lazyHandles and lazyLayers count the checkpoint handles the
+	// enumeration made and the layers its resolves materialized (see
+	// kernel.PruneStats); atomic for PruneStats, like bounds.
+	lazyHandles, lazyLayers atomic.Uint64
 
 	// carry is the reseed's working storage — its on-demand potentials
 	// and price memos — recycled along the extension chain (see
@@ -124,10 +129,15 @@ type Enumerator struct {
 }
 
 // NewEnumerator prepares the decreasing-E_max enumeration of the answers
-// of t over m. Options: WithTables, WithBounds, WithExtendable. Only an
-// extendable enumerator keeps its whole Lawler tree for ExtendEnumerator;
-// any other keeps only the regions it can still emit from, and with them
-// the checkpoints of the answers whose children are still queued.
+// of t over m. Options: WithTables, WithExtendable. The enumerator
+// prunes its resolves when it is not extendable and m has at least
+// kernel.BoundsMinN positions: an extendable enumerator's retained
+// state must be complete — unpruned frontiers — to stay admissible
+// across appends, and on shorter sequences the backward sweep costs more
+// than pruning saves. Only an extendable enumerator keeps its whole
+// Lawler tree for ExtendEnumerator; any other keeps only the regions it
+// can still emit from, and with them the checkpoints of the answers
+// whose children are still queued.
 func NewEnumerator(t *transducer.Transducer, m *markov.Sequence, opts ...Option) *Enumerator {
 	var cfg config
 	for _, o := range opts {
@@ -137,13 +147,7 @@ func NewEnumerator(t *transducer.Transducer, m *markov.Sequence, opts ...Option)
 	if e.nt == nil {
 		e.nt = kernel.NewNFATables(t)
 	}
-	switch {
-	case cfg.extendable:
-	case cfg.boundsSet:
-		e.bounds = cfg.bounds
-	default:
-		e.lazyBounds = true
-	}
+	e.prune = !e.extendable && e.v.N >= kernel.BoundsMinN
 	e.inner = lawler.New(lawlerConfig(e, e.resolveAnswer, e.extendable))
 	return e
 }
@@ -208,11 +212,16 @@ func (e *Enumerator) ExtendStats() (reused, reseeded, handlesSkipped uint64) {
 	return e.reused, e.reseeded, e.handlesSkipped
 }
 
-// PruneStats reports the pruning-efficacy counters accumulated by the
-// enumerator's kernel calls: those of its potentials, so all zero while
-// it has none (WithBounds(nil), extendable mode, no resolve yet). Shared
-// potentials (WithBounds) report every call made with them.
-func (e *Enumerator) PruneStats() kernel.PruneStats { return e.bounds.Stats() }
+// PruneStats reports the pruning counters of the enumerator's
+// potentials (zero while it has none), the handles it made and the
+// layers they materialized, and ExtendStats. Safe during a drain.
+func (e *Enumerator) PruneStats() kernel.PruneStats {
+	s := e.bounds.Load().Stats()
+	s.LazyHandles = e.lazyHandles.Load()
+	s.LazyLayers = e.lazyLayers.Load()
+	s.RankedReused, s.RankedReseeded, s.HandlesSkipped = e.ExtendStats()
+	return s
+}
 
 // Next returns the next answer in decreasing E_max, or ok=false when all
 // answers have been enumerated. Each answer is produced exactly once: the

@@ -81,7 +81,7 @@ func newEagerPricer(ne *Enumerator) *eagerPricer {
 			p.G = max(p.G, lp+row0[int(x)*ne.nt.States+q])
 		}
 	}
-	p.G = extendSlack(p.G)
+	p.G += kernel.Slack(p.G)
 	return p
 }
 
@@ -100,7 +100,7 @@ func (p *eagerPricer) price(rs *kernel.ResumeState, ck *kernel.Checkpoint) (floa
 		for i, cell := range rs.Cells {
 			r.bd = max(r.bd, rs.Scores[i]+frow[cell])
 		}
-		r.bd = extendSlack(r.bd)
+		r.bd += kernel.Slack(r.bd)
 	}
 	p.memo[rs] = r
 	return r.bd, r.ok
@@ -186,12 +186,12 @@ func auditCarries(t *testing.T, label string, tr *transducer.Transducer, full *m
 		// against a checkpoint of its own alignment, regions of one
 		// alignment in a row, so each alignment's checkpoint is built once
 		// per carry.
-		ref := NewEnumerator(tr, grown)
+		ref := pruned(tr, grown)
 		slices.SortStableFunc(regions, func(a, b lawler.Region[resolution]) int { return slices.Compare(align(a), align(b)) })
 		var refCk *kernel.Checkpoint
 		for _, r := range regions {
 			if refCk == nil || !slices.Equal(refCk.Align, align(r)) {
-				refCk = kernel.NewLazyCheckpoint(ref.nt, ref.v, align(r), ref.potentials())
+				refCk = kernel.NewLazyCheckpoint(ref.nt, ref.v, align(r))
 			}
 			best, nonempty, err := ref.resolveAnswer(context.Background(), r.C, refCk, nil)
 			if err != nil {

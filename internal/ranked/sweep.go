@@ -43,6 +43,9 @@ type Sweeper struct {
 	// for pruning to pay for the backward pass, nil otherwise.
 	b   *kernel.Bounds
 	cur *kernel.Bounds
+	// lazyHandles counts the handles the sweep made, lazyLayers the
+	// layers those of finished windows materialized (kernel.PruneStats).
+	lazyHandles, lazyLayers uint64
 }
 
 // NewSweeper builds a sweeper for t. WithTables reuses prepared base
@@ -59,17 +62,24 @@ func NewSweeper(t *transducer.Transducer, opts ...Option) *Sweeper {
 	return &Sweeper{nt: nt}
 }
 
-// PruneStats reports the pruning-efficacy counters accumulated across
-// the sweeper's windows (zero while every window is shorter than
-// kernel.BoundsMinN).
-func (s *Sweeper) PruneStats() kernel.PruneStats { return s.b.Stats() }
+// PruneStats reports the counters accumulated across the sweeper's
+// windows: the pruning-efficacy counters (zero while every window is
+// shorter than kernel.BoundsMinN), the checkpoint handles it made, and
+// the layers materialized by the handles of every window but the
+// current one, which TopK counts as it recycles them.
+func (s *Sweeper) PruneStats() kernel.PruneStats {
+	st := s.b.Stats()
+	st.LazyHandles, st.LazyLayers = s.lazyHandles, s.lazyLayers
+	return st
+}
 
 // handle returns a new lazy handle aligned to align over the window. The
 // drain materializes its DP only if a resolve reads it, reusing a view
 // from s.sc's freelist, and Recycle returns it there.
 func (s *Sweeper) handle(align []automata.Symbol) *kernel.Checkpoint {
-	ck := kernel.NewLazyCheckpoint(s.nt, s.v, align, s.cur)
+	ck := kernel.NewLazyCheckpoint(s.nt, s.v, align)
 	s.made = append(s.made, ck)
+	s.lazyHandles++
 	return ck
 }
 
@@ -107,6 +117,7 @@ func (s *Sweeper) TopK(ctx context.Context, m *markov.Sequence, k int) ([]Answer
 	// window's builds run allocation-free (the handles are private to this
 	// sweeper, so recycling is safe — see kernel.ConstrainScratch.Recycle).
 	for i, ck := range s.made {
+		s.lazyLayers += uint64(ck.MaterializedLayers())
 		s.sc.Recycle(ck)
 		s.made[i] = nil
 	}

@@ -21,13 +21,12 @@ func BenchmarkRankedTopKTied(b *testing.B) {
 	m := hi.Amplify(10) // n = 60
 	b.ReportAllocs()
 	b.ResetTimer()
-	var bd *kernel.Bounds
+	var e *Enumerator
 	for i := 0; i < b.N; i++ {
-		nt := kernel.NewNFATables(hi.T)
-		bd = kernel.NewBounds(nt, m.View())
-		if got := drainAnswers(NewEnumerator(hi.T, m, WithTables(nt), WithBounds(bd)).Next, k); len(got) < k {
+		e = NewEnumerator(hi.T, m, WithTables(kernel.NewNFATables(hi.T)))
+		if got := drainAnswers(e.Next, k); len(got) < k {
 			b.Fatalf("drained %d answers, want %d", len(got), k)
 		}
 	}
-	b.ReportMetric(float64(bd.Stats().Resolves), "resolves/op")
+	b.ReportMetric(float64(e.PruneStats().Resolves), "resolves/op")
 }
